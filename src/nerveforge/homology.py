@@ -7,10 +7,9 @@ transforms, so induced-map matrices are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .simplicial import SimplicialComplex, SimplicialMap
-from .snf import SNFResult, mat_vec, smith_normal_form, solve_integer
+from .snf import identity_matrix, smith_normal_form, solve_integer
 
 
 class ChainComplexError(ValueError):
@@ -178,6 +177,16 @@ class DegreeHomology:
     Generators are cycles; ``orders[i]`` is 0 for a free generator and the
     torsion order otherwise.  ``coordinates`` expresses any cycle in this
     basis (torsion coordinates reduced into [0, order)).
+
+    One Smith normal form ``U ∂_d V = D`` (rank r) gives both the cycle
+    lattice and coordinates in it.  Columns r..n-1 of ``V`` are a basis of
+    the cycles.  A cycle ``x = V y`` has ``U⁻¹ D y = ∂x = 0``, so
+    ``y[:r] = 0`` and its kernel coordinates are ``(V⁻¹ x)[r:]``.  Rows
+    r..n-1 of ``V⁻¹`` are kept sparse and indexed by chain position, so a
+    sparse cycle touches only its own entries.  Whether a vector is a cycle is
+    decided by an exact sparse product with the boundary columns of ∂_d.
+    The boundaries of ∂_{d+1} in these coordinates are the relations whose
+    own normal form picks the generators and their orders.
     """
 
     def __init__(self, cc: IntegerChainComplex, d: int):
@@ -185,54 +194,70 @@ class DegreeHomology:
         self.d = d
         n = cc.dim(d)
         self.n = n
-        lower = cc.dim(d - 1)
-        if n == 0:
-            self.kernel_cols: list[list[int]] = []
-        elif lower == 0:
-            self.kernel_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        self._boundary = cc.boundaries.get(d, {}) if cc.dim(d - 1) else {}
+        # kernel basis columns of V, and per chain index i the nonzero
+        # entries {k: V⁻¹[r + k][i]}
+        if not self._boundary:
+            kernel = [{j: 1} for j in range(n)]
+            self._coord_cols = [{i: 1} for i in range(n)]
         else:
-            mat = cc.dense_boundary(d)
-            res = smith_normal_form(mat, want_u=False, want_v=True)
-            self.kernel_cols = [[res.v[i][j] for i in range(n)] for j in range(res.rank, n)]
-        z = len(self.kernel_cols)
+            res = smith_normal_form(cc.dense_boundary(d), want_u=False,
+                                    want_v=True, want_v_inv=True)
+            r = res.rank
+            kernel = [{i: res.v[i][j] for i in range(n) if res.v[i][j]}
+                      for j in range(r, n)]
+            self._coord_cols = [{} for _ in range(n)]
+            for k, row in enumerate(res.v_inv[r:]):
+                for i, v in enumerate(row):
+                    if v:
+                        self._coord_cols[i][k] = v
+        z = len(kernel)
         self.z = z
-        self._kernel_dense = [[self.kernel_cols[j][i] for j in range(z)] for i in range(n)]
-        self._kernel_snf = (
-            smith_normal_form(self._kernel_dense) if n and z else None
-        )
 
-        upper = cc.dim(d + 1)
-        relation_cols = []
-        if z and upper:
-            up = cc.boundaries.get(d + 1, {})
-            for col in range(upper):
-                chain = up.get(col, {})
-                bvec = [chain.get(i, 0) for i in range(n)]
-                y = self._kernel_coords(bvec)
-                if y is None:
-                    raise ChainComplexError("boundary chain outside the cycle lattice")
-                relation_cols.append(y)
-        rel = [[relation_cols[j][i] for j in range(len(relation_cols))] for i in range(z)]
-        if z and relation_cols:
+        # boundaries are cycles (IntegerChainComplex checks ∂∂ = 0), so
+        # their kernel coordinates need no cycle check
+        up = cc.boundaries.get(d + 1, {})
+        relation_cols = [
+            self._kernel_coords(up.get(col, {})) for col in range(cc.dim(d + 1))
+        ] if z else []
+        if relation_cols:
+            rel = [[col[i] for col in relation_cols] for i in range(z)]
             res = smith_normal_form(rel, want_u=True, want_v=False, want_u_inv=True)
             dfac = list(res.factors) + [0] * (z - res.rank)
-            self._u = res.u
-            self._u_inv = res.u_inv
+            u, u_inv = res.u, res.u_inv
         else:
             dfac = [0] * z
-            self._u = [[1 if i == j else 0 for j in range(z)] for i in range(z)]
-            self._u_inv = self._u
+            u = u_inv = identity_matrix(z)
         self.kept = [i for i in range(z) if dfac[i] != 1]
         self.orders = [dfac[i] for i in self.kept]
-        self.generators = [
-            mat_vec(self._kernel_dense, [self._u_inv[r][i] for r in range(z)])
-            for i in self.kept
-        ]
+        # only the kept rows of U matter for coordinates
+        self._u_rows = [{k: v for k, v in enumerate(u[i]) if v} for i in self.kept]
+        self.generators = []
+        for i in self.kept:
+            gen = [0] * n
+            for k in range(z):
+                c = u_inv[k][i]
+                if c:
+                    for row, v in kernel[k].items():
+                        gen[row] += c * v
+            self.generators.append(gen)
 
-    def _kernel_coords(self, vec):
-        if self.z == 0:
-            return [] if not any(vec) else None
-        return solve_integer(self._kernel_dense, vec, self._kernel_snf)
+    def _kernel_coords(self, chain: dict[int, int]) -> list[int]:
+        """(V⁻¹ x)[r:] for a cycle x given as {index: value}."""
+        y = [0] * self.z
+        cols = self._coord_cols
+        for i, x in chain.items():
+            for k, v in cols[i].items():
+                y[k] += x * v
+        return y
+
+    def _is_cycle(self, chain: dict[int, int]) -> bool:
+        acc: dict[int, int] = {}
+        bnd = self._boundary
+        for i, x in chain.items():
+            for row, v in bnd.get(i, {}).items():
+                acc[row] = acc.get(row, 0) + x * v
+        return not any(acc.values())
 
     @property
     def rank(self) -> int:
@@ -244,14 +269,14 @@ class DegreeHomology:
     def coordinates(self, cycle: list[int]):
         """Coordinates of a cycle's class in the generator basis, or None if
         the vector is not a cycle."""
-        y = self._kernel_coords(cycle)
-        if y is None:
+        chain = {i: x for i, x in enumerate(cycle) if x}
+        if not self._is_cycle(chain):
             return None
-        w = mat_vec(self._u, y)
+        y = self._kernel_coords(chain)
         out = []
-        for pos, i in enumerate(self.kept):
-            o = self.orders[pos]
-            out.append(w[i] % o if o else w[i])
+        for row, o in zip(self._u_rows, self.orders):
+            w = sum(v * y[k] for k, v in row.items())
+            out.append(w % o if o else w)
         return out
 
     def class_is_zero(self, cycle: list[int]) -> bool:
@@ -272,10 +297,11 @@ def degree_homology(cc: IntegerChainComplex, d: int) -> DegreeHomology:
 ChainMap = dict[int, dict[int, dict[int, int]]]  # degree -> col -> {row: val}
 
 
-def chain_map_of_simplicial(f: SimplicialMap) -> tuple[IntegerChainComplex, IntegerChainComplex, ChainMap]:
-    src = chain_complex(f.source)
-    dst = chain_complex(f.target)
-    dst_index = {d: {s: i for i, s in enumerate(dst.basis.get(d, []))} for d in dst.basis}
+def simplicial_chain_map(f: SimplicialMap, src: IntegerChainComplex,
+                         dst: IntegerChainComplex) -> ChainMap:
+    """Chain map of f between the already built chain complexes of its
+    source and target."""
+    dst_index = {d: {s: i for i, s in enumerate(labels)} for d, labels in dst.basis.items()}
     cm: ChainMap = {}
     for d, labels in src.basis.items():
         cols = {}
@@ -284,7 +310,13 @@ def chain_map_of_simplicial(f: SimplicialMap) -> tuple[IntegerChainComplex, Inte
             if sign:
                 cols[col] = {dst_index[d][img]: sign}
         cm[d] = cols
-    return src, dst, cm
+    return cm
+
+
+def chain_map_of_simplicial(f: SimplicialMap) -> tuple[IntegerChainComplex, IntegerChainComplex, ChainMap]:
+    src = chain_complex(f.source)
+    dst = chain_complex(f.target)
+    return src, dst, simplicial_chain_map(f, src, dst)
 
 
 def apply_chain_map(cm: ChainMap, d: int, vec: list[int], target_dim: int) -> list[int]:

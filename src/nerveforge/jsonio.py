@@ -47,13 +47,25 @@ def complex_to_json(c: SimplicialComplex) -> dict:
     }
 
 
+def _label(x):
+    """Vertex label from JSON: arrays (tuples written as JSON text) become
+    tuples again, recursively, so that labels stay hashable."""
+    if isinstance(x, list):
+        return tuple(_label(y) for y in x)
+    return x
+
+
+def _simplex(s) -> tuple:
+    return tuple(_label(v) for v in s)
+
+
 def complex_from_json(data: dict) -> SimplicialComplex:
     if not isinstance(data, dict) or "simplices" not in data:
         raise FormatError("complex JSON needs a 'simplices' list")
-    raw = [tuple(s) for s in data["simplices"]]
+    raw = [_simplex(s) for s in data["simplices"]]
     if len(set(raw)) != len(raw):
         raise FormatError("duplicate simplices in complex JSON")
-    verts = [(v,) for v in data.get("vertices", [])]
+    verts = [(_label(v),) for v in data.get("vertices", [])]
     try:
         simplices = close_downward(list(raw) + verts)
         return SimplicialComplex(simplices)
@@ -62,7 +74,7 @@ def complex_from_json(data: dict) -> SimplicialComplex:
 
 
 def subcomplex_from_json(ambient: SimplicialComplex, data) -> frozenset:
-    simplices = close_downward([tuple(s) for s in data])
+    simplices = close_downward([_simplex(s) for s in data])
     if not simplices <= ambient.simplices:
         raise FormatError("piece is not inside the ambient complex")
     return simplices

@@ -21,7 +21,7 @@ from .homology import (
     simplex_boundary,
 )
 from .lattices import LatticeSubgroup
-from .simplicial import SimplicialComplex, SimplicialMap
+from .simplicial import ComplexError, SimplicialComplex, SimplicialMap
 
 
 class PeriodicError(ValueError):
@@ -283,7 +283,7 @@ def stabilization_check(builder, degrees=None, w_max: int = 16) -> Stabilization
     and inconclusive otherwise; the scan stops at the first radius triple
     that resolves every requested degree, or at w_max.
     """
-    from .homology import chain_complex, chain_map_of_simplicial, degree_homology, induced_map_on_homology
+    from .homology import chain_complex, degree_homology, induced_map_on_homology, simplicial_chain_map
 
     if w_max < 2:
         raise PeriodicError("w_max must be at least 2")
@@ -295,6 +295,7 @@ def stabilization_check(builder, degrees=None, w_max: int = 16) -> Stabilization
     complexes: dict[int, SimplicialComplex] = {}
     ccs: dict[int, object] = {}
     hcache: dict[tuple[int, int], object] = {}
+    cmaps: dict[tuple[int, int], dict] = {}
 
     def cx(w):
         if w not in complexes:
@@ -309,10 +310,11 @@ def stabilization_check(builder, degrees=None, w_max: int = 16) -> Stabilization
         return hcache[key]
 
     def induced(w1, w2, d):
-        incl = SimplicialMap.inclusion(complexes[w1], complexes[w2])
-        _, _, cm = chain_map_of_simplicial(incl)
+        if (w1, w2) not in cmaps:
+            incl = SimplicialMap.inclusion(complexes[w1], complexes[w2])
+            cmaps[w1, w2] = simplicial_chain_map(incl, ccs[w1], ccs[w2])
         return induced_map_on_homology(
-            ccs[w1], ccs[w2], cm, d, src_h=hdeg(w1, d), dst_h=hdeg(w2, d)
+            ccs[w1], ccs[w2], cmaps[w1, w2], d, src_h=hdeg(w1, d), dst_h=hdeg(w2, d)
         )
 
     best: dict[int, DegreeOutcome] = {}
@@ -748,7 +750,7 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
     for e in units:
         try:
             lift_maps[e] = _vertex_map_into(small, big, small.lift(e))
-        except Exception:
+        except ComplexError:
             simplicial_ok = False
     checks["lift_simplicial"] = simplicial_ok
 
@@ -787,7 +789,7 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
     # integer solve), and components are preserved
     trivial_ok = simplicial_ok
     if simplicial_ok:
-        from .homology import chain_complex, chain_map_of_simplicial, degree_homology
+        from .homology import chain_complex, degree_homology
         from .snf import smith_normal_form, solve_integer
 
         small_cc = chain_complex(small.complex)

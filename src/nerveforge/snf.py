@@ -13,6 +13,10 @@ from fractions import Fraction
 from math import gcd
 
 
+class SNFError(ValueError):
+    """The normal-form reduction reached a state its invariants exclude."""
+
+
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -335,7 +339,7 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
             p = a.get(i, i)
             v = a.get(i, i + 1)
             if v % p:
-                raise AssertionError("divisibility fix failed")
+                raise SNFError("divisibility fix failed")
             col_add(i, i + 1, -(v // p))
             for k in (i, i + 1):
                 if a.get(k, k) < 0:
