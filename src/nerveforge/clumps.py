@@ -247,10 +247,10 @@ def maximal_clumps(ps: PatchSystem, pn: PatchNerve | None = None) -> list[Maxima
     for support, groups in by_support.items():
         n_alpha = join_all(groups, d)
         if not is_minimal(ps, n_alpha, pn):
-            raise AssertionError("join of minimal groups failed to be minimal")
+            raise ClumpError("join of minimal groups failed to be minimal")
         y = clump(ps, n_alpha, pn)
         if y.support != support:
-            raise AssertionError("largest minimal group defines a different clump")
+            raise ClumpError("largest minimal group defines a different clump")
         keep = any(
             p.group.is_infinite() and virtually_contains(n_alpha, p.group)
             for p in ps.patches.values()

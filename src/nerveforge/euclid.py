@@ -2,8 +2,9 @@
 
 All geometry is affine-subspace arithmetic over Fractions; comparisons of
 distances are made on squares, and the one place where sums of square roots
-must be compared (the isometry subadditivity check) uses exact squarefree
-canonical forms with interval refinement for strict inequalities.
+must be compared (the isometry subadditivity check) groups the radicands
+into square classes, exact within a class, with interval refinement between
+classes.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-
-import sympy
 
 from .homology import HomologySummary, homology_of_complex
 from .simplicial import SimplicialComplex, SimplicialMap
@@ -690,22 +689,15 @@ def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> Vanishin
 # ---------------------------------------------------------------------------
 
 
-def _squarefree_form(q: Fraction):
-    """sqrt(q) = c * sqrt(s) with c rational >= 0 and s squarefree."""
-    if q < 0:
-        raise EuclidError("negative radicand")
-    if q == 0:
-        return Fraction(0), 1
-    np_, dp = q.numerator, q.denominator
-    m = np_ * dp  # sqrt(n/d) = sqrt(n d)/d
-    c = Fraction(1, dp)
-    s = 1
-    for p, e in sympy.factorint(m).items():
-        p = int(p)
-        c *= p ** (e // 2)
-        if e % 2:
-            s *= p
-    return c, s
+def _rational_sqrt(q: Fraction):
+    """sqrt(q) for q >= 0 when it is rational, else None.
+
+    In lowest terms n/d is a square exactly when n*d is, and then
+    sqrt(n/d) = sqrt(n*d)/d.
+    """
+    m = q.numerator * q.denominator
+    root = isqrt(m)
+    return Fraction(root, q.denominator) if root * root == m else None
 
 
 def _sqrt_bounds(q: Fraction, prec: int):
@@ -726,19 +718,27 @@ def sqrt_leq_sum_of_sqrts(a: Fraction, bs: list[Fraction]) -> bool:
         return True
     if not bs:
         return False
-    # canonical forms decide equality outright
-    left = _squarefree_form(a)
-    combined: dict[int, Fraction] = {}
+    if a < 0 or any(b < 0 for b in bs):
+        raise EuclidError("negative radicand")
+    # Group the radicands into square classes: b joins the class of its
+    # representative r when b*r is a rational square, and then
+    # sqrt(b) = (sqrt(b*r)/r) * sqrt(r) exactly.
+    combined: dict[Fraction, Fraction] = {}
     for b in bs:
-        c, s = _squarefree_form(b)
-        combined[s] = combined.get(s, Fraction(0)) + c
-    combined = {s: c for s, c in combined.items() if c}
+        for r in combined:
+            root = _rational_sqrt(b * r)
+            if root is not None:
+                combined[r] += root / r
+                break
+        else:
+            combined[b] = Fraction(1)
     if len(combined) == 1:
-        (s, c), = combined.items()
-        if (s, c) == (left[1], left[0]):
-            return True
         # both sides single radicals: compare squares
-        return left[0] ** 2 * left[1] <= c ** 2 * s
+        (r, c), = combined.items()
+        return a <= c * c * r
+    # Square roots of distinct squarefree integers are linearly independent
+    # over Q (Besicovitch), so with two or more classes the sides differ and
+    # interval bounds separate them.
     for prec in (16, 32, 64, 128, 256, 512, 1024):
         lo_a, hi_a = _sqrt_bounds(a, prec)
         lo_sum = sum(_sqrt_bounds(b, prec)[0] for b in bs)

@@ -150,12 +150,12 @@ def small_central_element(g: UnitriangularGroup) -> GroupWord:
         if witness is None:
             bound = 3 ** g.nilpotency_class_bound
             if word.length > bound:
-                raise AssertionError("descent exceeded the word-length bound")
+                raise NilpotentError("descent exceeded the word-length bound")
             return word
         word = commutator_word(word, witness)
         value = word.evaluate()
         if value == ident:
-            raise AssertionError("commutator descent reached the identity")
+            raise NilpotentError("commutator descent reached the identity")
 
 
 # ---------------------------------------------------------------------------

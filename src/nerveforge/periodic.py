@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import lt
 
 from .homology import (
     HomologySummary,
@@ -71,13 +73,15 @@ class Box:
         return all(a < w and b > -w for a, b in zip(self.lo, self.hi))
 
 
-def _lattice_points_in_open_box(lattice: LatticeSubgroup, lo, hi):
-    """Coefficient tuples c with lattice-combination strictly inside (lo, hi).
+def _lattice_points_in_open_box(lattice: LatticeSubgroup, lo, hi, scale=1):
+    """Coefficient tuples c with scale * (lattice combination) strictly inside
+    (lo, hi).
 
     Rows of the HNF basis have strictly increasing pivot columns, so the
-    pivot coordinates bound the coefficients one at a time.
+    pivot coordinates bound the coefficients one at a time. Corners may be
+    ints or Fractions; floor division keeps the bounds exact for both.
     """
-    rows = lattice.basis
+    rows = [[scale * x for x in row] for row in lattice.basis]
     d = lattice.ambient
     r = len(rows)
     if r == 0:
@@ -92,19 +96,16 @@ def _lattice_points_in_open_box(lattice: LatticeSubgroup, lo, hi):
             return
         p = pivots[i]
         h = rows[i][p]
-        lo_c = (lo[p] - prefix_vec[p]) / h
-        hi_c = (hi[p] - prefix_vec[p]) / h
+        # a < c*h < b
+        a = lo[p] - prefix_vec[p]
+        b = hi[p] - prefix_vec[p]
         if h < 0:
-            lo_c, hi_c = hi_c, lo_c
-        from math import ceil, floor
-
-        c_min = floor(lo_c) + 1
-        c_max = ceil(hi_c) - 1
-        for c in range(c_min, c_max + 1):
+            a, b, h = -b, -a, -h
+        for c in range(a // h + 1, -(-b // h)):
             nxt = tuple(prefix_vec[j] + c * rows[i][j] for j in range(d))
             yield from rec(i + 1, nxt, coeffs + [c])
 
-    yield from rec(0, tuple(Fraction(0) for _ in range(d)), [])
+    yield from rec(0, (0,) * d, [])
 
 
 def lattice_vector(lattice: LatticeSubgroup, coeffs) -> tuple[int, ...]:
@@ -124,11 +125,24 @@ class BoxUnion:
     Own-translate overlaps are rejected: each box is disjoint from all of its
     nonzero lattice translates, the structural form of the elementwise
     invariance hypothesis.
+
+    Nerves are built on integer corners: at construction every corner is
+    scaled once by the lcm of the corner denominators, and a vertex box is the
+    scaled box moved by that lcm times its lattice vector. A nerve depends
+    only on the order of corners, so scaling leaves every simplex unchanged.
+
+    ``stabilization`` keeps its result in a per-instance memo. The memo is not
+    part of ``==`` or ``hash`` and lives and dies with the instance, so an
+    equal but distinct ``BoxUnion`` computes its own.
     """
 
     dim: int
     lattice: LatticeSubgroup
     boxes: tuple[Box, ...]
+    _den: int = field(init=False, repr=False, compare=False)
+    _scaled: tuple = field(init=False, repr=False, compare=False)
+    _stabilizations: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.lattice.ambient != self.dim:
@@ -146,6 +160,13 @@ class BoxUnion:
                 if any(c):
                     raise PeriodicError(
                         "a box properly overlaps its own lattice translate")
+        den = lcm(*(x.denominator for b in self.boxes for x in b.lo + b.hi))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_scaled", tuple(
+            (tuple(x.numerator * (den // x.denominator) for x in b.lo),
+             tuple(x.numerator * (den // x.denominator) for x in b.hi))
+            for b in self.boxes
+        ))
 
     @property
     def rank(self) -> int:
@@ -155,38 +176,67 @@ class BoxUnion:
         j, c = v
         return self.boxes[j].translated(lattice_vector(self.lattice, c))
 
+    def _int_box(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Vertex box as (lo, hi) integer corners, scaled by ``_den``."""
+        j, c = v
+        lo, hi = self._scaled[j]
+        t = [self._den * x for x in lattice_vector(self.lattice, c)]
+        return (tuple(a + x for a, x in zip(lo, t)),
+                tuple(b + x for b, x in zip(hi, t)))
+
     def window_vertices(self, w) -> list:
         """(box index, coefficient tuple) pairs whose boxes meet [-w, w]^dim."""
         out = []
-        w = _frac(w)
-        for j, b in enumerate(self.boxes):
-            lo = tuple(-w - h for h in b.hi)
-            hi = tuple(w - l for l in b.lo)
-            for c in _lattice_points_in_open_box(self.lattice, lo, hi):
+        w = _frac(w) * self._den
+        if w.denominator == 1:
+            w = w.numerator
+        for j, (blo, bhi) in enumerate(self._scaled):
+            lo = tuple(-w - h for h in bhi)
+            hi = tuple(w - l for l in blo)
+            for c in _lattice_points_in_open_box(self.lattice, lo, hi, self._den):
                 out.append((j, c))
         return sorted(out)
 
     def window_complex(self, w) -> SimplicialComplex:
         """Nerve of the window's boxes; simplices are subsets with a common
-        point, decided by exact interval arithmetic."""
+        point, decided on the integer corners."""
         verts = self.window_vertices(w)
-        boxes = {v: self.vertex_box(v) for v in verts}
-        simplices = [(v,) for v in verts]
-        inter = {(v,): boxes[v] for v in verts}
-        frontier = list(inter)
-        order = {v: i for i, v in enumerate(verts)}
+        boxes = [self._int_box(v) for v in verts]
+        inter = {(v,): box for v, box in zip(verts, boxes)}
+        frontier = [((v,), i) for i, v in enumerate(verts)]
         while frontier:
             new = []
-            for alpha in frontier:
+            for alpha, last in frontier:
                 base = inter[alpha]
-                for v in verts[order[alpha[-1]] + 1:]:
-                    meet = base.intersect(boxes[v])
+                for i in range(last + 1, len(verts)):
+                    meet = _meet(base, boxes[i])
                     if meet is not None:
-                        beta = alpha + (v,)
+                        beta = alpha + (verts[i],)
                         inter[beta] = meet
-                        new.append(beta)
+                        new.append((beta, i))
             frontier = new
         return SimplicialComplex(frozenset(inter))
+
+    def stabilization(self, w_max: int = 16) -> StabilizationResult:
+        """``stabilization_check`` of the window nerves in every degree.
+
+        Computed once per instance and ``w_max``: ``local_vanishing_check``
+        and ``quotient_corner_check`` share the result. The memo belongs to
+        this instance alone; the result is frozen, so callers cannot change it.
+        """
+        result = self._stabilizations.get(w_max)
+        if result is None:
+            result = stabilization_check(self.window_complex, degrees=None, w_max=w_max)
+            self._stabilizations[w_max] = result
+        return result
+
+
+def _meet(a, b):
+    """Intersection of two open boxes given as (lo, hi) integer tuples, or
+    None when it is empty."""
+    lo = tuple(map(max, a[0], b[0]))
+    hi = tuple(map(min, a[1], b[1]))
+    return (lo, hi) if all(map(lt, lo, hi)) else None
 
 
 def window_nerve_homology(bu: BoxUnion, w, reduced=False) -> HomologySummary:
@@ -210,10 +260,10 @@ class DegreeOutcome:
         return self.status == "stable" and self.betti == 0 and not self.torsion
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilizationResult:
     outcomes: dict[int, DegreeOutcome]
-    radii: list[int]
+    radii: tuple[int, ...]
     top_degree: int
 
     def conclusive(self, degrees=None) -> bool:
@@ -234,24 +284,8 @@ class StabilizationResult:
 def _component_map_outcome(small: SimplicialComplex, big: SimplicialComplex,
                            bigger: SimplicialComplex) -> DegreeOutcome:
     """Reduced degree-0 stabilization via component tracking."""
-
-    def components(cx):
-        parent = {v: v for v in cx.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s in cx.simplices:
-            if len(s) == 2:
-                a, b = find(s[0]), find(s[1])
-                if a != b:
-                    parent[a] = b
-        return {v: find(v) for v in cx.vertices}
-
-    c_small, c_big, c_bigger = components(small), components(big), components(bigger)
+    c_small, c_big, c_bigger = (
+        _component_labels(small), _component_labels(big), _component_labels(bigger))
 
     def outcome(cs, cb):
         reps_small = {}
@@ -319,10 +353,10 @@ def stabilization_check(builder, degrees=None, w_max: int = 16) -> Stabilization
 
     best: dict[int, DegreeOutcome] = {}
     top_seen = 0
-    used = []
+    used = ()
     for i in range(len(radii) - 2):
         w1, w2, w4 = radii[i], radii[i + 1], radii[i + 2]
-        used = [w1, w2, w4]
+        used = (w1, w2, w4)
         small, big, bigger = cx(w1), cx(w2), cx(w4)
         top = max(small.dimension, big.dimension, bigger.dimension, 0)
         top_seen = max(top_seen, top)
@@ -446,7 +480,7 @@ def local_vanishing_check(bu: BoxUnion, n: int, r: int, w_max: int = 16) -> Loca
             certificate=None if covered else {"reason": "fundamental cell not covered"},
         )
     threshold = n - 1 - r
-    result = stabilization_check(bu.window_complex, degrees=None, w_max=w_max)
+    result = bu.stabilization(w_max)
     relevant = [d for d in range(threshold, result.top_degree + 1)]
     inconclusive = any(
         result.outcomes.get(d, DegreeOutcome("stable", 0)).status == "inconclusive"
@@ -466,7 +500,7 @@ def local_vanishing_check(bu: BoxUnion, n: int, r: int, w_max: int = 16) -> Loca
         inconclusive=inconclusive,
         detail={
             "threshold_degree": threshold,
-            "radii": result.radii,
+            "radii": list(result.radii),
             "outcomes": {
                 str(d): {"status": o.status, "betti": o.betti, "torsion": list(o.torsion)}
                 for d, o in sorted(result.outcomes.items())
@@ -510,22 +544,18 @@ def quotient_complex(bu: BoxUnion) -> IntegerChainComplex:
                 if v > base_vertex:
                     candidates.append(v)
         candidates.sort()
-        boxes = {v: bu.vertex_box(v) for v in candidates}
-        boxes[base_vertex] = box
+        boxes = [bu._int_box(v) for v in candidates]
 
-        def extend(simplex, inter):
+        def extend(simplex, inter, start):
             reps.add(tuple(simplex))
-            last = simplex[-1]
-            for v in candidates:
-                if v <= last:
-                    continue
-                meet = inter.intersect(boxes[v])
+            for i in range(start, len(candidates)):
+                meet = _meet(inter, boxes[i])
                 if meet is not None:
-                    simplex.append(v)
-                    extend(simplex, meet)
+                    simplex.append(candidates[i])
+                    extend(simplex, meet, i + 1)
                     simplex.pop()
 
-        extend([base_vertex], box)
+        extend([base_vertex], bu._int_box(base_vertex), 0)
 
     by_degree: dict[int, list] = {}
     for s in reps:
@@ -561,7 +591,7 @@ class QuotientCornerVerdict:
 def quotient_corner_check(bu: BoxUnion, w_max: int = 16) -> QuotientCornerVerdict:
     """With k the top stabilized nonzero reduced degree of the windows (0 when
     everything vanishes), the quotient complex has H_{r+k} != 0."""
-    result = stabilization_check(bu.window_complex, degrees=None, w_max=w_max)
+    result = bu.stabilization(w_max)
     if not result.conclusive():
         return QuotientCornerVerdict(
             ok=False, inconclusive=True, k=None, degree=None,
