@@ -3,9 +3,8 @@ the homology assembly bound."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .homology import (
     HomologySummary,
@@ -18,13 +17,6 @@ from .simplicial import ComplexError, SimplicialComplex, SimplicialMap, barycent
 
 class CoverError(ValueError):
     pass
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("NERVEFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -48,7 +40,6 @@ class Cover:
                 raise CoverError(f"piece {i!r} is not inside the ambient complex")
             for s in sub:
                 for k in range(1, len(s)):
-                    from itertools import combinations
                     for f in combinations(s, k):
                         if f not in sub:
                             raise CoverError(f"piece {i!r} is not downward closed at {f}")
@@ -201,13 +192,7 @@ def goodness_check(cover: Cover, nv: NerveComplex | None = None) -> GoodnessRepo
         summ = homology_of_complex(SimplicialComplex(nv.intersections[alpha]), reduced=True)
         return alpha, (summ == HomologySummary.of({}), summ)
 
-    workers = thread_count()
-    if workers > 1 and len(items) > 4:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(a) for a in items]
-    entries = dict(sorted(results))
+    entries = dict(sorted(one(a) for a in items))
     return GoodnessReport(good=all(flag for flag, _ in entries.values()), entries=entries)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, gcd
 
 
 class NilpotentError(ValueError):
@@ -163,68 +164,81 @@ def small_central_element(g: UnitriangularGroup) -> GroupWord:
 # ---------------------------------------------------------------------------
 
 
-def unitriangular_log(m: Matrix):
-    """log(I + N) as a rational matrix; exact since N is nilpotent."""
+def _scaled_log(m: Matrix) -> Matrix:
+    """(k-1)! * log(I + N) as an integer matrix.
+
+    log(I + N) = sum_{t<k} (-1)^(t+1) N^t / t terminates because N^k = 0,
+    and (k-1)!/t is an integer for every t < k.
+    """
     k = len(m)
-    n = [[Fraction(m[i][j] - (1 if i == j else 0)) for j in range(k)] for i in range(k)]
-    out = [[Fraction(0)] * k for _ in range(k)]
-    power = [[Fraction(1 if i == j else 0) for j in range(k)] for i in range(k)]
+    n = tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(k)) for i in range(k))
+    f = factorial(k - 1)
+    out = [[0] * k for _ in range(k)]
+    power = identity(k)
     for t in range(1, k):
-        power = [
-            [sum(power[i][s] * n[s][j] for s in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
-        coeff = Fraction((-1) ** (t + 1), t)
+        power = mat_mul(power, n)
+        coeff = (f if t % 2 else -f) // t
         for i in range(k):
             for j in range(k):
                 out[i][j] += coeff * power[i][j]
-    return out
+    return tuple(tuple(row) for row in out)
 
 
-def _bracket(x, y):
+def unitriangular_log(m: Matrix):
+    """log(I + N) as a rational matrix; exact since N is nilpotent."""
+    f = factorial(len(m) - 1)
+    return [[Fraction(v, f) for v in row] for row in _scaled_log(m)]
+
+
+def _bracket(x: Matrix, y: Matrix) -> Matrix:
     k = len(x)
-    xy = [[sum(x[i][s] * y[s][j] for s in range(k)) for j in range(k)] for i in range(k)]
-    yx = [[sum(y[i][s] * x[s][j] for s in range(k)) for j in range(k)] for i in range(k)]
-    return [[xy[i][j] - yx[i][j] for j in range(k)] for i in range(k)]
+    return tuple(
+        tuple(sum(x[i][s] * y[s][j] - y[i][s] * x[s][j] for s in range(k))
+              for j in range(k))
+        for i in range(k)
+    )
 
 
-def _flatten(m):
-    return [v for row in m for v in row]
+def _add_to_echelon(rows: dict, m: Matrix) -> bool:
+    """Add the entries of the integer matrix ``m``, as one vector ``v``, to the
+    echelon ``rows`` (pivot -> primitive row, in insertion order) unless ``v``
+    lies in their rational span.
 
-
-def _rational_span_dim(vectors) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for j in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][j]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                c = rows[i][j] / pv
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    Each row is zero at the pivots of the rows inserted before it, so one pass
+    in insertion order leaves ``v`` zero at every pivot; what remains is zero
+    exactly when ``v`` was in the span.
+    """
+    v = [x for row in m for x in row]
+    for p, row in rows.items():
+        if v[p]:
+            g = gcd(row[p], v[p])
+            a, b = row[p] // g, v[p] // g
+            v = [a * x - b * y for x, y in zip(v, row)]
+    g = gcd(*v)
+    if not g:
+        return False
+    v = [x // g for x in v]
+    rows[next(j for j, x in enumerate(v) if x)] = v
+    return True
 
 
 def hirsch_rank(g: UnitriangularGroup) -> int:
-    """Dimension over Q of the Lie algebra generated by generator logarithms,
-    closed under brackets."""
-    k = g.size
-    basis_mats = [unitriangular_log(m) for m in g.generators]
-    basis_mats = [m for m in basis_mats if any(any(r) for r in m)]
-    while True:
-        dim = _rational_span_dim([_flatten(m) for m in basis_mats]) if basis_mats else 0
-        new = list(basis_mats)
-        for x in basis_mats:
-            for y in basis_mats:
-                b = _bracket(x, y)
-                if any(any(r) for r in b):
-                    new.append(b)
-        new_dim = _rational_span_dim([_flatten(m) for m in new]) if new else 0
-        if new_dim == dim:
-            return dim
-        basis_mats = new
+    """Dimension over Q of the Lie algebra generated by generator logarithms.
+
+    The closure is built incrementally over an echelon basis of integer
+    matrices: the scaled logarithms of the generators join first, then each
+    basis element is bracketed once with every element before it, and a
+    bracket joins only when it lies outside the current span. When the walk
+    ends, the bracket of every pair of basis elements lies in the span, so the
+    span is the Lie algebra; its dimension is at most k(k-1)/2.
+    """
+    rows: dict = {}
+    basis = [x for x in map(_scaled_log, g.generators) if _add_to_echelon(rows, x)]
+    i = 0
+    while i < len(basis):
+        for j in range(i):
+            b = _bracket(basis[j], basis[i])
+            if _add_to_echelon(rows, b):
+                basis.append(b)
+        i += 1
+    return len(basis)

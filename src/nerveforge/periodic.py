@@ -84,9 +84,6 @@ def _lattice_points_in_open_box(lattice: LatticeSubgroup, lo, hi, scale=1):
     rows = [[scale * x for x in row] for row in lattice.basis]
     d = lattice.ambient
     r = len(rows)
-    if r == 0:
-        yield ()
-        return
     pivots = [next(j for j in range(d) if row[j]) for row in rows]
 
     def rec(i, prefix_vec, coeffs):
@@ -664,9 +661,10 @@ class CoverWindow:
         self.spec = spec
         self.base = bu.window_complex(w)
         simplices = set()
+        elements = spec.elements()
         for s in self.base.simplices:
             c0 = min(s)[1]
-            for g in spec.elements():
+            for g in elements:
                 lifted = tuple(sorted(
                     (j, c, spec.add(g, tuple(x - y for x, y in zip(c, c0))))
                     for j, c in s

@@ -3,7 +3,6 @@ the canonical JSON envelope consumed by the verifier."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -117,6 +116,9 @@ class Scenario:
         return out
 
     def digest(self) -> str:
+        # hashlib loads OpenSSL (several MB of memory); only digests need it.
+        import hashlib
+
         canon = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 

@@ -70,10 +70,7 @@ def simplices_from(bu, first, rest):
 
 
 def reference_window(bu, w):
-    # A rank-0 union is finite, and window_vertices keeps all of its boxes in
-    # every window.
-    verts = [v for v in all_vertices(bu)
-             if bu.rank == 0 or bu.vertex_box(v).meets_cube(w)]
+    verts = [v for v in all_vertices(bu) if bu.vertex_box(v).meets_cube(w)]
     assert all(abs(x) < K for _, c in verts for x in c)
     return set().union(*(simplices_from(bu, v, verts) for v in verts))
 
@@ -117,6 +114,17 @@ def test_window_invariant_under_permuting_boxes(bu, rng, w):
 
     assert ({relabel(s) for s in shuffled.window_complex(w).simplices}
             == {frozenset(s) for s in bu.window_complex(w).simplices})
+
+
+def test_rank_zero_window_keeps_only_boxes_meeting_it():
+    bu = BoxUnion(dim=2, lattice=LatticeSubgroup.from_generators([], 2),
+                  boxes=(Box.of([0, 0], [1, 1]), Box.of([3, 3], [4, 4])))
+    assert bu.window_vertices(1) == [(0, ())]
+    assert set(bu.window_complex(1).simplices) == {((0, ()),)}
+    assert bu.window_vertices(4) == [(0, ()), (1, ())]
+    q = quotient_complex(bu)
+    assert {s for simplices in q.basis.values() for s in simplices} == {
+        ((0, ()),), ((1, ()),)}
 
 
 def strip():

@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerveforge.nilpotent import (
     GroupWord,
@@ -12,9 +16,12 @@ from nerveforge.nilpotent import (
     identity,
     mat_inv_unitriangular,
     mat_mul,
+    _scaled_log,
     small_central_element,
     unitriangular_log,
 )
+
+SETTINGS = settings(max_examples=40, deadline=None)
 
 
 def heisenberg():
@@ -109,6 +116,11 @@ def test_hirsch_rank_examples():
         4, (elementary(4, 0, 1), elementary(4, 1, 2), elementary(4, 2, 3))
     )
     assert hirsch_rank(full_ut4) == 6
+    # x = I + E01 + E12 and y = I + E01 - E12 have logs whose anticommutator
+    # is zero and whose commutator is not.
+    x = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+    y = ((1, 1, 0), (0, 1, -1), (0, 0, 1))
+    assert hirsch_rank(UnitriangularGroup(3, (x, y))) == 3
 
 
 def test_hirsch_rank_monotone_and_bounded():
@@ -119,3 +131,119 @@ def test_hirsch_rank_monotone_and_bounded():
         g2 = UnitriangularGroup(4, tuple(gens + [random_ut(4, rng)]))
         r1, r2 = hirsch_rank(g1), hirsch_rank(g2)
         assert r1 <= r2 <= 6
+
+
+# Reference: the round-based closure over Fraction logs. Each round appends
+# every pairwise bracket and stops when the rational span stops growing.
+
+
+def _fraction_bracket(x, y):
+    k = len(x)
+    xy = [[sum(x[i][s] * y[s][j] for s in range(k)) for j in range(k)] for i in range(k)]
+    yx = [[sum(y[i][s] * x[s][j] for s in range(k)) for j in range(k)] for i in range(k)]
+    return [[xy[i][j] - yx[i][j] for j in range(k)] for i in range(k)]
+
+
+def _rational_span_dim(vectors) -> int:
+    rows = [list(v) for v in vectors]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for j in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][j]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                c = rows[i][j] / pv
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def round_closure_rank(g):
+    def flat(m):
+        return [v for row in m for v in row]
+
+    basis_mats = [unitriangular_log(m) for m in g.generators]
+    basis_mats = [m for m in basis_mats if any(any(r) for r in m)]
+    while True:
+        dim = _rational_span_dim([flat(m) for m in basis_mats]) if basis_mats else 0
+        new = list(basis_mats)
+        for x in basis_mats:
+            for y in basis_mats:
+                b = _fraction_bracket(x, y)
+                if any(any(r) for r in b):
+                    new.append(b)
+        new_dim = _rational_span_dim([flat(m) for m in new]) if new else 0
+        if new_dim == dim:
+            return dim
+        basis_mats = new
+
+
+@st.composite
+def unitriangular(draw, k):
+    return tuple(
+        tuple(1 if i == j else (draw(st.integers(-3, 3)) if j > i else 0)
+              for j in range(k))
+        for i in range(k)
+    )
+
+
+@st.composite
+def groups(draw):
+    k = draw(st.sampled_from([3, 4]))
+    gens = draw(st.lists(unitriangular(k), min_size=1, max_size=3))
+    return UnitriangularGroup(k, tuple(gens))
+
+
+@SETTINGS
+@given(groups())
+def test_hirsch_rank_matches_round_closure(g):
+    assert hirsch_rank(g) == round_closure_rank(g)
+
+
+@SETTINGS
+@given(groups(), st.randoms(use_true_random=False))
+def test_hirsch_rank_invariant_under_generating_set_changes(g, rng):
+    k, gens = g.size, list(g.generators)
+    rank = hirsch_rank(g)
+    assert rank <= k * (k - 1) // 2
+    a, b = rng.choice(gens), rng.choice(gens)
+    variants = [
+        rng.sample(gens, len(gens)),
+        gens + [a],
+        gens + [identity(k)],
+        gens + [mat_mul(a, b)],
+        gens + [mat_inv_unitriangular(a)],
+    ]
+    for other in variants:
+        assert hirsch_rank(UnitriangularGroup(k, tuple(other))) == rank
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4]).flatmap(unitriangular))
+def test_scaled_log_is_factorial_times_log(m):
+    f = factorial(len(m) - 1)
+    scaled = _scaled_log(m)
+    assert all(isinstance(v, int) for row in scaled for v in row)
+    assert [[f * v for v in row] for row in unitriangular_log(m)] == [
+        list(row) for row in scaled]
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4]).flatmap(unitriangular))
+def test_exp_of_log_is_the_matrix(m):
+    """exp(L) = sum L^t / t! terminates at t = k - 1, since L is nilpotent."""
+    k = len(m)
+    log = unitriangular_log(m)
+    out = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    power = [row[:] for row in out]
+    for t in range(1, k):
+        power = [[sum(power[i][s] * log[s][j] for s in range(k)) for j in range(k)]
+                 for i in range(k)]
+        for i in range(k):
+            for j in range(k):
+                out[i][j] += power[i][j] / factorial(t)
+    assert out == [list(row) for row in m]
