@@ -4,6 +4,7 @@ the homology assembly bound."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .homology import (
@@ -106,12 +107,26 @@ def saturate(nv: NerveComplex, alpha: tuple, cover: Cover) -> tuple:
 @dataclass(frozen=True)
 class ReducedNerve:
     """Order complex of the saturated simplices; along every chain the
-    intersections strictly decrease."""
+    intersections strictly decrease.
+
+    ``subdivision`` (the barycentric subdivision of the nerve) and
+    ``retraction`` (its self-map sending each nerve simplex to its
+    saturation) are built, and the map validated, on first read.
+    """
 
     complex: SimplicialComplex
     vertex_intersections: dict  # saturated simplex -> frozenset
-    retraction: SimplicialMap = field(compare=False)
-    subdivision: SimplicialComplex = field(compare=False)
+    nerve_complex: SimplicialComplex = field(compare=False)
+    saturation: dict = field(compare=False)  # nerve simplex -> saturated simplex
+
+    @cached_property
+    def subdivision(self) -> SimplicialComplex:
+        return barycentric_subdivision(self.nerve_complex)
+
+    @cached_property
+    def retraction(self) -> SimplicialMap:
+        sd = self.subdivision
+        return SimplicialMap(sd, sd, dict(self.saturation))
 
     def chains(self):
         """Simplices as inclusion-ordered chains of saturated simplices."""
@@ -141,10 +156,8 @@ def reduced_nerve(cover: Cover, nv: NerveComplex | None = None) -> ReducedNerve:
     for a in saturated:
         extend([a])
     rn = SimplicialComplex(frozenset(chains))
-
-    sd = barycentric_subdivision(nv.complex)
-    p = SimplicialMap(sd, sd, {alpha: sat[alpha] for alpha in nv.intersections})
-    return ReducedNerve(complex=rn, vertex_intersections=vx, retraction=p, subdivision=sd)
+    return ReducedNerve(complex=rn, vertex_intersections=vx,
+                        nerve_complex=nv.complex, saturation=sat)
 
 
 def fattening(cover: Cover, nv: NerveComplex | None = None) -> TotalComplex:

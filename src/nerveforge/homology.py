@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .simplicial import SimplicialComplex, SimplicialMap
-from .snf import identity_matrix, smith_normal_form, solve_integer
+from .snf import smith_normal_form, solve_integer
 
 
 class ChainComplexError(ValueError):
@@ -182,9 +182,11 @@ class DegreeHomology:
     lattice and coordinates in it.  Columns r..n-1 of ``V`` are a basis of
     the cycles.  A cycle ``x = V y`` has ``U⁻¹ D y = ∂x = 0``, so
     ``y[:r] = 0`` and its kernel coordinates are ``(V⁻¹ x)[r:]``.  Rows
-    r..n-1 of ``V⁻¹`` are kept sparse and indexed by chain position, so a
-    sparse cycle touches only its own entries.  Whether a vector is a cycle is
-    decided by an exact sparse product with the boundary columns of ∂_d.
+    r..n-1 of ``V⁻¹`` are regrouped by chain position, so a sparse cycle
+    touches only its own entries; both transforms are read as the sparse
+    lines the normal form keeps, and no dense n×n matrix is built.  Whether
+    a vector is a cycle is decided by an exact sparse product with the
+    boundary columns of ∂_d.
     The boundaries of ∂_{d+1} in these coordinates are the relations whose
     own normal form picks the generators and their orders.
     """
@@ -204,13 +206,11 @@ class DegreeHomology:
             res = smith_normal_form(cc.dense_boundary(d), want_u=False,
                                     want_v=True, want_v_inv=True)
             r = res.rank
-            kernel = [{i: res.v[i][j] for i in range(n) if res.v[i][j]}
-                      for j in range(r, n)]
+            kernel = res.v_cols[r:]
             self._coord_cols = [{} for _ in range(n)]
-            for k, row in enumerate(res.v_inv[r:]):
-                for i, v in enumerate(row):
-                    if v:
-                        self._coord_cols[i][k] = v
+            for k, row in enumerate(res.v_inv_rows[r:]):
+                for i, v in row.items():
+                    self._coord_cols[i][k] = v
         z = len(kernel)
         self.z = z
 
@@ -224,22 +224,20 @@ class DegreeHomology:
             rel = [[col[i] for col in relation_cols] for i in range(z)]
             res = smith_normal_form(rel, want_u=True, want_v=False, want_u_inv=True)
             dfac = list(res.factors) + [0] * (z - res.rank)
-            u, u_inv = res.u, res.u_inv
+            u_rows, u_inv_cols = res.u_rows, res.u_inv_cols
         else:
             dfac = [0] * z
-            u = u_inv = identity_matrix(z)
+            u_rows = u_inv_cols = [{i: 1} for i in range(z)]
         self.kept = [i for i in range(z) if dfac[i] != 1]
         self.orders = [dfac[i] for i in self.kept]
         # only the kept rows of U matter for coordinates
-        self._u_rows = [{k: v for k, v in enumerate(u[i]) if v} for i in self.kept]
+        self._u_rows = [u_rows[i] for i in self.kept]
         self.generators = []
         for i in self.kept:
             gen = [0] * n
-            for k in range(z):
-                c = u_inv[k][i]
-                if c:
-                    for row, v in kernel[k].items():
-                        gen[row] += c * v
+            for k, c in u_inv_cols[i].items():
+                for row, v in kernel[k].items():
+                    gen[row] += c * v
             self.generators.append(gen)
 
     def _kernel_coords(self, chain: dict[int, int]) -> list[int]:
@@ -428,10 +426,9 @@ def _group_map_is_bijective(matrix, source_orders, target_orders) -> bool:
         # target trivial: injective iff source trivial
         return all(o == 1 for o in source_orders) or cols == 0
     res = smith_normal_form(stacked, want_u=False, want_v=True)
-    n = cols + rows
-    for j in range(res.rank, n):
-        x = [res.v[i][j] for i in range(cols)]
-        for xi, o in zip(x, source_orders):
+    for col in res.v_cols[res.rank:]:
+        for i, o in enumerate(source_orders):
+            xi = col.get(i, 0)
             if o == 0:
                 if xi != 0:
                     return False

@@ -4,12 +4,21 @@ Everything here works over arbitrary-precision Python ints; fixed-width
 arithmetic is deliberately avoided.  Matrices are lists of lists (dense) or
 sparse ``{row: {col: value}}`` dicts; all public entry points accept dense
 input and choose sparse internals.
+
+``smith_normal_form`` keeps the matrix being reduced as row dicts with a
+column index and a heap of pivot candidates, and the unimodular transforms
+as sparse lines: the rows of ``U`` and columns of ``V`` that its elementary
+operations act on, and the columns of ``U⁻¹`` and rows of ``V⁻¹`` that the
+inverse operations act on.  ``SNFResult`` hands those lines to callers;
+dense transform matrices are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from heapq import heappop, heappush
 from math import gcd
 
 
@@ -38,25 +47,62 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, x):
-    return [sum(r[j] * x[j] for j in range(len(x)) if r[j]) for r in a]
+Line = dict[int, int]
+
+
+def _dense(lines: list[Line] | None, n: int, as_rows: bool):
+    """The n×n matrix whose rows (or columns) are ``lines``."""
+    if lines is None:
+        return None
+    out = [[0] * n for _ in range(n)]
+    for k, line in enumerate(lines):
+        for x, v in line.items():
+            if as_rows:
+                out[k][x] = v
+            else:
+                out[x][k] = v
+    return out
 
 
 @dataclass
 class SNFResult:
-    """U @ m @ V == D, with U, V unimodular and D the diagonal normal form."""
+    """U @ m @ V == D, with U, V unimodular and D the diagonal normal form.
+
+    The transforms are sparse lines ``{index: value}``, each ``None`` unless
+    requested: ``u_rows[i]`` is row i of U, ``v_cols[j]`` column j of V,
+    ``u_inv_cols[j]`` column j of U⁻¹ and ``v_inv_rows[i]`` row i of V⁻¹.
+    So columns rank.. of V span the right kernel and rows rank.. of U the
+    left kernel.  ``u``, ``v``, ``u_inv`` and ``v_inv`` are dense views,
+    built on first read and cached.
+    """
 
     factors: tuple[int, ...]  # nonzero diagonal entries, divisibility chain
     rows: int
     cols: int
-    u: list[list[int]] | None = None
-    v: list[list[int]] | None = None
-    u_inv: list[list[int]] | None = None
-    v_inv: list[list[int]] | None = None
+    u_rows: list[Line] | None = None
+    v_cols: list[Line] | None = None
+    u_inv_cols: list[Line] | None = None
+    v_inv_rows: list[Line] | None = None
 
     @property
     def rank(self) -> int:
         return len(self.factors)
+
+    @cached_property
+    def u(self) -> list[list[int]] | None:
+        return _dense(self.u_rows, self.rows, as_rows=True)
+
+    @cached_property
+    def v(self) -> list[list[int]] | None:
+        return _dense(self.v_cols, self.cols, as_rows=False)
+
+    @cached_property
+    def u_inv(self) -> list[list[int]] | None:
+        return _dense(self.u_inv_cols, self.rows, as_rows=False)
+
+    @cached_property
+    def v_inv(self) -> list[list[int]] | None:
+        return _dense(self.v_inv_rows, self.cols, as_rows=True)
 
     def diagonal_matrix(self) -> list[list[int]]:
         d = [[0] * self.cols for _ in range(self.rows)]
@@ -66,21 +112,33 @@ class SNFResult:
 
 
 class _Sparse:
-    """Mutable sparse integer matrix with row dicts and a column index."""
+    """Mutable sparse integer matrix with row dicts, a column index and a
+    heap of pivot keys ``(|v|, i, j)``.
+
+    Every write of a nonzero entry, and every entry a row swap moves, pushes
+    its key; keys are never updated in place.  So each nonzero entry has a
+    key for its current magnitude and position, and a key that no longer
+    matches its entry is stale and is dropped when it reaches the top.
+    """
 
     def __init__(self, dense):
         self.rows: dict[int, dict[int, int]] = {}
         self.col_index: dict[int, set[int]] = {}
+        heap = []
         for i, row in enumerate(dense):
             for j, v in enumerate(row):
                 if v:
                     self.rows.setdefault(i, {})[j] = v
                     self.col_index.setdefault(j, set()).add(i)
+                    heap.append((abs(v), i, j))
+        heap.sort()
+        self.heap = heap
 
     def set(self, i, j, v):
         if v:
             self.rows.setdefault(i, {})[j] = v
             self.col_index.setdefault(j, set()).add(i)
+            heappush(self.heap, (abs(v), i, j))
         else:
             row = self.rows.get(i)
             if row and j in row:
@@ -133,6 +191,10 @@ class _Sparse:
             del self.rows[a]
         else:
             self.rows[a], self.rows[b] = rb, ra
+        heap = self.heap
+        for i in (a, b):
+            for j, v in self.rows.get(i, {}).items():
+                heappush(heap, (abs(v), i, j))
 
     def swap_cols(self, a, b):
         if a == b:
@@ -148,72 +210,70 @@ class _Sparse:
         for j in list(self.rows.get(i, {}).keys()):
             self.rows[i][j] *= c
 
-    def nonzero_in_region(self, start):
-        """Iterate (|v|, i, j, v) over entries with i >= start and j >= start."""
-        for i, row in self.rows.items():
-            if i < start:
-                continue
-            for j, v in row.items():
-                if j >= start:
-                    yield (abs(v), i, j, v)
+    def smallest_in_region(self, t):
+        """The least key ``(|v|, i, j)`` over nonzero entries with
+        ``i >= t`` and ``j >= t``, or None.
+
+        Top keys that fail these tests are dropped for good: the
+        region only shrinks as ``t`` grows, and an entry that regains a
+        dropped magnitude pushes a new key when it is written.
+        """
+        heap = self.heap
+        rows = self.rows
+        while heap:
+            key = heap[0]
+            mag, i, j = key
+            if i >= t and j >= t and abs(rows.get(i, {}).get(j, 0)) == mag:
+                return key
+            heappop(heap)
+        return None
+
+
+def _axpy(y: Line, x: Line, c: int):
+    """y += c * x on sparse lines, for c != 0; entries that cancel leave y."""
+    for k, v in x.items():
+        w = y.get(k, 0) + c * v
+        if w:
+            y[k] = w
+        else:
+            del y[k]
 
 
 class _Transform:
-    """Tracks a unimodular matrix and its inverse under elementary ops."""
+    """A unimodular matrix, and optionally its inverse, as sparse lines.
+
+    ``lines[k]`` is line k of the tracked matrix, the kind of line its
+    operations act on: a row of U, whose operations are row operations, or a
+    column of V, whose operations are column operations.  ``inv_lines[k]``
+    is line k of the inverse, of the other kind (a column of U⁻¹, a row of
+    V⁻¹), where the inverse operation acts.  Each operation touches only
+    nonzero entries.
+    """
 
     def __init__(self, n, want_inverse):
-        self.m = identity_matrix(n)
-        self.inv = identity_matrix(n) if want_inverse else None
-        self.n = n
+        self.lines: list[Line] = [{k: 1} for k in range(n)]
+        self.inv_lines: list[Line] | None = (
+            [{k: 1} for k in range(n)] if want_inverse else None)
 
-    # Row operation E applied on the left of the tracked product: m := E m,
-    # inv := inv E^{-1} (column ops on inv).
-    def row_add(self, src, dst, c):
-        m = self.m
-        for j in range(self.n):
-            if m[src][j]:
-                m[dst][j] += c * m[src][j]
-        if self.inv is not None:
-            inv = self.inv
-            for i in range(self.n):
-                if inv[i][dst]:
-                    inv[i][src] -= c * inv[i][dst]
+    def add(self, src, dst, c):
+        """line[dst] += c * line[src]; on the inverse, line[src] -= c * line[dst]."""
+        if not c:
+            return
+        _axpy(self.lines[dst], self.lines[src], c)
+        if self.inv_lines is not None:
+            _axpy(self.inv_lines[src], self.inv_lines[dst], -c)
 
-    def row_swap(self, a, b):
-        self.m[a], self.m[b] = self.m[b], self.m[a]
-        if self.inv is not None:
-            for r in self.inv:
-                r[a], r[b] = r[b], r[a]
+    def swap(self, a, b):
+        lines = self.lines
+        lines[a], lines[b] = lines[b], lines[a]
+        if self.inv_lines is not None:
+            inv = self.inv_lines
+            inv[a], inv[b] = inv[b], inv[a]
 
-    def row_scale(self, i, c):  # c = ±1 only
-        self.m[i] = [c * x for x in self.m[i]]
-        if self.inv is not None:
-            for r in self.inv:
-                r[i] = c * r[i]
-
-    # Column operation: m := m E, inv := E^{-1} inv (row ops on inv).
-    def col_add(self, src, dst, c):
-        m = self.m
-        for i in range(self.n):
-            if m[i][src]:
-                m[i][dst] += c * m[i][src]
-        if self.inv is not None:
-            inv = self.inv
-            for j in range(self.n):
-                if inv[dst][j]:
-                    inv[src][j] -= c * inv[dst][j]
-
-    def col_swap(self, a, b):
-        for r in self.m:
-            r[a], r[b] = r[b], r[a]
-        if self.inv is not None:
-            self.inv[a], self.inv[b] = self.inv[b], self.inv[a]
-
-    def col_scale(self, j, c):
-        for r in self.m:
-            r[j] = c * r[j]
-        if self.inv is not None:
-            self.inv[j] = [c * x for x in self.inv[j]]
+    def negate(self, k):
+        self.lines[k] = {x: -v for x, v in self.lines[k].items()}
+        if self.inv_lines is not None:
+            self.inv_lines[k] = {x: -v for x, v in self.inv_lines[k].items()}
 
 
 def smith_normal_form(matrix, want_u=True, want_v=True,
@@ -222,8 +282,12 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
 
     Pivot choice is the smallest-magnitude nonzero entry of the remaining
     block, ties broken by (row, column) index, so the output is
-    deterministic.  Returns invariant factors (positive, each dividing the
-    next) and the requested unimodular transforms with U @ m @ V diagonal.
+    deterministic.  The pivot comes from the heap of ``(|v|, i, j)`` keys
+    that every write pushes, not from a rescan of the block; stale keys are
+    dropped, so the pivot is the block's least key exactly as a full scan
+    would find it.  Returns invariant factors (positive, each dividing the
+    next) and the requested unimodular transforms with U @ m @ V diagonal,
+    as the sparse lines that ``SNFResult`` describes.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
@@ -234,38 +298,37 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
     def row_add(src, dst, c):
         a.add_row(src, dst, c)
         if tu:
-            tu.row_add(src, dst, c)
+            tu.add(src, dst, c)
 
     def col_add(src, dst, c):
         a.add_col(src, dst, c)
         if tv:
-            tv.col_add(src, dst, c)
+            tv.add(src, dst, c)
+
+    def row_swap(i, j):
+        a.swap_rows(i, j)
+        if tu:
+            tu.swap(i, j)
+
+    def col_swap(i, j):
+        a.swap_cols(i, j)
+        if tv:
+            tv.swap(i, j)
+
+    def row_negate(i):
+        a.scale_row(i, -1)
+        if tu:
+            tu.negate(i)
 
     limit = min(m, n)
     t = 0
     while t < limit:
-        pivot = None
-        for key in a.nonzero_in_region(t):
-            if pivot is None or key[:3] < pivot[:3]:
-                pivot = key
-                if key[0] == 1:
-                    # magnitude 1 can still lose ties; finish the scan only
-                    # over other magnitude-1 entries
-                    best = key
-                    for other in a.nonzero_in_region(t):
-                        if other[0] == 1 and other[:3] < best[:3]:
-                            best = other
-                    pivot = best
-                    break
+        pivot = a.smallest_in_region(t)
         if pivot is None:
             break
-        _, pi, pj, _ = pivot
-        a.swap_rows(t, pi)
-        if tu:
-            tu.row_swap(t, pi)
-        a.swap_cols(t, pj)
-        if tv:
-            tv.col_swap(t, pj)
+        _, pi, pj = pivot
+        row_swap(t, pi)
+        col_swap(t, pj)
 
         while True:
             p = a.get(t, t)
@@ -280,9 +343,7 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
                 row_add(t, i, -q)
                 if a.get(i, t):
                     # remainder smaller than pivot: swap it up and restart
-                    a.swap_rows(t, i)
-                    if tu:
-                        tu.row_swap(t, i)
+                    row_swap(t, i)
                     done = False
                     break
             if not done:
@@ -295,9 +356,7 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
                 q = v // p
                 col_add(t, j, -q)
                 if a.get(t, j):
-                    a.swap_cols(t, j)
-                    if tv:
-                        tv.col_swap(t, j)
+                    col_swap(t, j)
                     done = False
                     break
             if done:
@@ -310,9 +369,7 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
     # Normalize signs.
     for i in range(rank):
         if diag[i] < 0:
-            a.scale_row(i, -1)
-            if tu:
-                tu.row_scale(i, -1)
+            row_negate(i)
             diag[i] = -diag[i]
 
     # Enforce the divisibility chain d_i | d_{i+1}.
@@ -332,9 +389,7 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
                 q = v // p
                 row_add(i, i + 1, -q)
                 if a.get(i + 1, i):
-                    a.swap_rows(i, i + 1)
-                    if tu:
-                        tu.row_swap(i, i + 1)
+                    row_swap(i, i + 1)
             # clear fill-in at (i, i+1)
             p = a.get(i, i)
             v = a.get(i, i + 1)
@@ -343,19 +398,17 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
             col_add(i, i + 1, -(v // p))
             for k in (i, i + 1):
                 if a.get(k, k) < 0:
-                    a.scale_row(k, -1)
-                    if tu:
-                        tu.row_scale(k, -1)
+                    row_negate(k)
 
     factors = tuple(a.get(i, i) for i in range(limit) if a.get(i, i))
     return SNFResult(
         factors=factors,
         rows=m,
         cols=n,
-        u=tu.m if (tu and want_u) else None,
-        v=tv.m if (tv and want_v) else None,
-        u_inv=tu.inv if tu else None,
-        v_inv=tv.inv if tv else None,
+        u_rows=tu.lines if (tu and want_u) else None,
+        v_cols=tv.lines if (tv and want_v) else None,
+        u_inv_cols=tu.inv_lines if tu else None,
+        v_inv_rows=tv.inv_lines if tv else None,
     )
 
 
@@ -395,7 +448,7 @@ def kernel_basis(matrix) -> list[list[int]]:
     if m == 0:
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     res = smith_normal_form(matrix, want_u=False, want_v=True)
-    return [[res.v[i][j] for i in range(n)] for j in range(res.rank, n)]
+    return [[col.get(i, 0) for i in range(n)] for col in res.v_cols[res.rank:]]
 
 
 def row_kernel_basis(matrix) -> list[list[int]]:
@@ -407,30 +460,32 @@ def row_kernel_basis(matrix) -> list[list[int]]:
     if n == 0:
         return identity_matrix(m)
     res = smith_normal_form(matrix, want_u=True, want_v=False)
-    return [list(res.u[i]) for i in range(res.rank, m)]
+    return [[row.get(j, 0) for j in range(m)] for row in res.u_rows[res.rank:]]
 
 
 def solve_integer(matrix, b, snf: SNFResult | None = None):
     """One integer solution x of matrix @ x = b, or None if unsolvable.
 
-    A precomputed SNF (with u and v) may be passed to amortize repeated
-    solves against the same matrix.
+    A precomputed SNF (with ``u_rows`` and ``v_cols``) may be passed to
+    amortize repeated solves against the same matrix.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if snf is None:
         snf = smith_normal_form(matrix)
-    c = mat_vec(snf.u, b) if m else []
-    y = [0] * n
-    for i in range(m):
+    x = [0] * n
+    for i, row in enumerate(snf.u_rows):
+        c = sum(v * b[k] for k, v in row.items())
         d = snf.factors[i] if i < snf.rank else 0
         if d:
-            if c[i] % d:
+            if c % d:
                 return None
-            y[i] = c[i] // d
-        elif c[i]:
+            q = c // d  # y[i], and x = V y
+            for k, v in snf.v_cols[i].items():
+                x[k] += q * v
+        elif c:
             return None
-    return mat_vec(snf.v, y) if n else []
+    return x
 
 
 def determinant(matrix) -> int:

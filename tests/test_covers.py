@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nerveforge import covers as covers_module
 from nerveforge.construct import (
     cycle_complex,
     grid_complex,
@@ -22,7 +23,7 @@ from nerveforge.covers import (
     saturate,
 )
 from nerveforge.homology import HomologySummary, homology, homology_of_complex
-from nerveforge.simplicial import SimplicialComplex
+from nerveforge.simplicial import SimplicialComplex, barycentric_subdivision
 
 
 def interval_cover(path, spans):
@@ -145,6 +146,25 @@ def test_reduced_nerve_nested_pieces():
     # retraction is idempotent on vertices
     for v in p.source.vertices:
         assert p.vertex_map[p.vertex_map[v]] == p.vertex_map[v]
+
+
+def test_reduced_nerve_builds_subdivision_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return barycentric_subdivision(c)
+
+    monkeypatch.setattr(covers_module, "barycentric_subdivision", counted)
+    cov = interval_cover(path_complex(5), [(1, 2), (0, 4)])
+    assembly_bound_check(cov, 1)
+    assert calls == []
+    rn = reduced_nerve(cov)
+    assert calls == []
+    p = rn.retraction
+    assert len(calls) == 1
+    assert rn.retraction is p and rn.subdivision is p.source
+    assert len(calls) == 1
 
 
 def test_reduced_nerve_strict_decrease_rule():

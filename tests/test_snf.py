@@ -1,6 +1,21 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nerveforge import homology as homology_module
+from nerveforge.construct import projective_plane_6, torus_7
+from nerveforge.homology import (
+    chain_complex,
+    degree_homology,
+    induced_homology_map,
+    induced_map_is_isomorphism,
+)
+from nerveforge.simplicial import SimplicialMap
 from nerveforge.snf import (
+    SNFResult,
+    _Sparse,
     determinant,
     identity_matrix,
     integer_rank,
@@ -142,3 +157,101 @@ def test_ranks_agree():
         n = rng.randrange(1, 5)
         mat = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
         assert integer_rank(mat) == rational_rank(mat)
+
+
+# ---------------------------------------------------------------------------
+# the heap pivot against a full scan, and the sparse transform lines
+# ---------------------------------------------------------------------------
+
+SETTINGS = settings(max_examples=150, deadline=None)
+# few magnitudes, so pivot ties between equal |v| are common
+small_entries = st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 2, 3])
+
+
+def scan_smallest(self, t):
+    """Reference pivot: the least (|v|, i, j) over a full scan of the block."""
+    return min(((abs(v), i, j) for i, row in self.rows.items() if i >= t
+                for j, v in row.items() if j >= t), default=None)
+
+
+@st.composite
+def tie_matrices(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    mat = [[draw(small_entries) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        mat[i] = [0] * n
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        for row in mat:
+            row[j] = 0
+    return mat
+
+
+def all_transforms(mat):
+    res = smith_normal_form(mat, want_u=True, want_v=True,
+                            want_u_inv=True, want_v_inv=True)
+    return res.factors, res.u, res.v, res.u_inv, res.v_inv
+
+
+@SETTINGS
+@given(tie_matrices())
+def test_heap_pivots_match_full_scan(mat):
+    heap_out = all_transforms(mat)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Sparse, "smallest_in_region", scan_smallest)
+        scan_out = all_transforms(mat)
+    assert heap_out == scan_out
+
+
+sparse_ops = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 4), st.integers(0, 4), small_entries),
+    st.tuples(st.just("add_row"), st.integers(0, 4), st.integers(0, 4), small_entries),
+    st.tuples(st.just("add_col"), st.integers(0, 4), st.integers(0, 4), small_entries),
+    st.tuples(st.just("swap_rows"), st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.just("swap_cols"), st.integers(0, 4), st.integers(0, 4)),
+)
+
+
+@SETTINGS
+@given(st.lists(st.lists(small_entries, min_size=5, max_size=5), min_size=5, max_size=5),
+       st.lists(st.tuples(sparse_ops, st.booleans()), max_size=30))
+def test_smallest_in_region_after_random_ops(dense, steps):
+    a = _Sparse(dense)
+    t = 0
+    for (name, *args), advance in steps:
+        if name in ("add_row", "add_col") and args[0] == args[1]:
+            continue  # adding a line to itself is not an elementary operation
+        getattr(a, name)(*args)
+        # the region only shrinks, as in the elimination
+        t += advance
+        assert a.smallest_in_region(t) == scan_smallest(a, t)
+
+
+def test_dense_views_are_cached():
+    res = smith_normal_form([[2, 4], [6, 8]], want_u_inv=True, want_v_inv=True)
+    assert res.u is res.u
+    assert res.v is res.v
+    assert res.u_inv is res.u_inv
+    assert res.v_inv is res.v_inv
+
+
+def test_transform_callers_read_sparse_lines(monkeypatch):
+    def densified(self):
+        raise AssertionError("a caller built a dense transform")
+
+    for name in ("u", "v", "u_inv", "v_inv"):
+        monkeypatch.setattr(SNFResult, name, property(densified))
+    rp2 = projective_plane_6()
+    cc = chain_complex(rp2)
+    h = degree_homology(cc, 1)
+    assert h.orders == [2]
+    assert h.coordinates(h.generators[0]) == [1]
+    assert degree_homology(chain_complex(torus_7()), 1).orders == [0, 0]
+    identity = SimplicialMap(rp2, rp2, {v: v for v in rp2.vertices})
+    assert induced_map_is_isomorphism(induced_homology_map(identity, 1))
+    # Z² -> Z by (1, 0) is onto, and its kernel is read from V's columns
+    assert not homology_module._group_map_is_bijective([[1, 0]], [0, 0], [0])
+    assert solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
+    assert solve_integer([[2]], [3]) is None
+    assert kernel_basis([[1, 2, 3]]) != []
+    assert row_kernel_basis([[1, 2], [2, 4]]) != []
