@@ -92,9 +92,6 @@ class PatchSystem:
     def union_support(self) -> frozenset:
         return union_all([p.support for p in self.patches.values()])
 
-    def has_enlargements(self) -> bool:
-        return bool(self.enlargements)
-
     def enlargement_of(self, sigma: tuple) -> frozenset:
         """Per-simplex enlargement: explicit entry, else intersection of the
         member patches' entries, else the plain intersection (identity)."""
@@ -317,17 +314,6 @@ class UnfoldingSpace:
     unfolded: TotalComplex       # coefficients: big supports
     folded: TotalComplex         # coefficients: plain supports
     union_support: frozenset
-
-    def chain_map_folded_to_unfolded(self):
-        """Basis-identity chain map between the two total complexes."""
-        cm: dict[int, dict[int, dict[int, int]]] = {}
-        for d, labels in self.folded.cc.basis.items():
-            cols = {}
-            tgt = self.unfolded.index.get(d, {})
-            for col, lab in enumerate(labels):
-                cols[col] = {tgt[lab]: 1}
-            cm[d] = cols
-        return cm
 
     def push_cycle(self, cycle: dict, d: int) -> list[int]:
         """Lift a cycle of the clump union through the folded model and push

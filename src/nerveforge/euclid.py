@@ -5,14 +5,20 @@ distances are made on squares, and the one place where sums of square roots
 must be compared (the isometry subadditivity check) groups the radicands
 into square classes, exact within a class, with interval refinement between
 classes.
+
+Matrix products are taken over integers: ``mat_mul`` scales each operand to
+an ``int`` matrix over one common denominator. ``EuclideanIsometry.of``
+validates its input; the isometries derived from validated ones (products,
+inverses, powers) are exactly orthogonal and are built without a re-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
+from . import snf
 from .homology import HomologySummary, homology_of_complex
 from .simplicial import SimplicialComplex, SimplicialMap
 
@@ -57,13 +63,18 @@ def mat_apply(m, x: Vec) -> Vec:
     return tuple(vdot(vec(row), x) for row in m)
 
 
+def _scaled(m):
+    """(int matrix, d) with m = int matrix / d, d the lcm of the denominators."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
 def mat_mul(a, b):
-    n = len(a)
-    k = len(b[0])
-    return [
-        [sum(_frac(a[i][t]) * _frac(b[t][j]) for t in range(len(b))) for j in range(k)]
-        for i in range(n)
-    ]
+    """Exact product of int or Fraction matrices, taken over integers."""
+    ia, da = _scaled(a)
+    ib, db = _scaled(b)
+    d = da * db
+    return [[Fraction(v, d) for v in row] for row in snf.mat_mul(ia, ib)]
 
 
 def mat_transpose(a):
@@ -251,7 +262,12 @@ def intersect_all_subspaces(spaces):
 
 @dataclass(frozen=True)
 class EuclideanIsometry:
-    """x -> A x + b with A exactly orthogonal and rational."""
+    """x -> A x + b with A exactly orthogonal and rational.
+
+    ``of`` is the validating constructor and checks ``AᵀA = I``. ``compose``,
+    ``inverse``, ``power``, ``identity`` and ``translation`` trust their
+    inputs: a product or transpose of orthogonal matrices is orthogonal.
+    """
 
     a: tuple[tuple[Fraction, ...], ...]
     b: Vec
@@ -263,19 +279,23 @@ class EuclideanIsometry:
         n = len(bv)
         if len(am) != n or any(len(r) != n for r in am):
             raise EuclidError("shape mismatch")
-        ata = mat_mul(mat_transpose([list(r) for r in am]), [list(r) for r in am])
-        if ata != identity_mat(n):
+        if mat_mul(mat_transpose(am), am) != identity_mat(n):
             raise EuclidError("linear part is not orthogonal")
         return EuclideanIsometry(am, bv)
 
     @staticmethod
+    def _trusted(a, b) -> "EuclideanIsometry":
+        """Build from a linear part known to be orthogonal, without the check."""
+        return EuclideanIsometry(tuple(map(tuple, a)), tuple(b))
+
+    @staticmethod
     def translation(v) -> "EuclideanIsometry":
         v = vec(v)
-        return EuclideanIsometry.of(identity_mat(len(v)), v)
+        return EuclideanIsometry._trusted(identity_mat(len(v)), v)
 
     @staticmethod
     def identity(dim: int) -> "EuclideanIsometry":
-        return EuclideanIsometry.of(identity_mat(dim), [0] * dim)
+        return EuclideanIsometry._trusted(identity_mat(dim), (Fraction(0),) * dim)
 
     @property
     def dim(self) -> int:
@@ -286,31 +306,31 @@ class EuclideanIsometry:
 
     def compose(self, other: "EuclideanIsometry") -> "EuclideanIsometry":
         """self after other."""
-        a = mat_mul([list(r) for r in self.a], [list(r) for r in other.a])
+        a = mat_mul(self.a, other.a)
         b = vadd(mat_apply(self.a, other.b), self.b)
-        return EuclideanIsometry.of(a, b)
+        return EuclideanIsometry._trusted(a, b)
 
     def inverse(self) -> "EuclideanIsometry":
-        at = mat_transpose([list(r) for r in self.a])
-        return EuclideanIsometry.of(at, vscale(-1, mat_apply(at, self.b)))
+        at = mat_transpose(self.a)
+        return EuclideanIsometry._trusted(at, vscale(-1, mat_apply(at, self.b)))
 
     def power(self, k: int) -> "EuclideanIsometry":
+        """Square-and-multiply from ``self``; no squaring after the top bit."""
         if k < 0:
             return self.inverse().power(-k)
-        out = EuclideanIsometry.identity(self.dim)
-        base = self
-        while k:
+        if k == 0:
+            return EuclideanIsometry.identity(self.dim)
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out.compose(base)
-            base = base.compose(base)
+                out = base if out is None else out.compose(base)
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base.compose(base)
 
     def commutes_with(self, other: "EuclideanIsometry") -> bool:
         return self.compose(other) == other.compose(self)
-
-    def is_identity(self) -> bool:
-        return self == EuclideanIsometry.identity(self.dim)
 
     def displacement_sq(self, x) -> Fraction:
         return norm_sq(vsub(self.apply(x), vec(x)))
@@ -456,19 +476,27 @@ def closest_point_projection(c: AffineSubspace, x) -> Vec:
 class Arrangement:
     """Commuting-where-intersecting abelian isometry groups with a power
     ladder base; ``pieces`` lists the index sets whose minset intersections
-    make up the modeled union."""
+    make up the modeled union.
+
+    Each ladder level ``(i, k)`` is computed once per instance: its
+    generators ``g^(base^k)`` and, when asked for, their minset. The memo is
+    not part of ``==``, ``hash`` or ``repr``, and ``dataclasses.replace``
+    starts a new one.
+    """
 
     dim: int
     base: int
     groups: tuple[tuple[EuclideanIsometry, ...], ...]
     pieces: tuple[tuple[int, ...], ...] = ()
+    _levels: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.base < 1:
             raise EuclidError("ladder base must be >= 1")
-        for gens in self.groups:
-            check_commuting(list(gens))
         mins = [minset_of_group(list(g), dim=self.dim) for g in self.groups]
+        for i, (gens, sub) in enumerate(zip(self.groups, mins)):
+            self._levels[(i, 0)] = (tuple(gens), sub)
         for i in range(len(self.groups)):
             for j in range(i + 1, len(self.groups)):
                 if mins[i].intersect(mins[j]) is not None:
@@ -481,12 +509,23 @@ class Arrangement:
     def effective_pieces(self):
         return self.pieces if self.pieces else tuple((i,) for i in range(len(self.groups)))
 
+    def _level(self, i: int, k: int):
+        """Memo entry (generators, minset or None) of level k of group i."""
+        entry = self._levels.get((i, k))
+        if entry is None:
+            e = self.base ** k
+            entry = self._levels[(i, k)] = (tuple(g.power(e) for g in self.groups[i]), None)
+        return entry
+
     def level_generators(self, i: int, k: int):
-        e = self.base ** k
-        return [g.power(e) for g in self.groups[i]]
+        return list(self._level(i, k)[0])
 
     def level_minset(self, i: int, k: int) -> AffineSubspace:
-        return minset_of_group(self.level_generators(i, k), dim=self.dim)
+        gens, sub = self._level(i, k)
+        if sub is None:
+            sub = minset_of_group(list(gens), dim=self.dim)
+            self._levels[(i, k)] = (gens, sub)
+        return sub
 
 
 def ladder(arr: Arrangement, k_max: int):
@@ -545,20 +584,6 @@ def nerve_of_subspaces(spaces: list[AffineSubspace]) -> SimplicialComplex:
     return SimplicialComplex(frozenset(simplices))
 
 
-def nerve_of_piece_intersections(arr: Arrangement, k: int):
-    """Cover of the modeled union by the per-piece minset intersections at
-    ladder level k; returns (nerve complex, piece subspaces dict)."""
-    pieces = arr.effective_pieces()
-    spaces = []
-    kept = []
-    for sigma in pieces:
-        sub = intersect_all_subspaces([arr.level_minset(i, k) for i in sigma])
-        if sub is not None:
-            spaces.append(sub)
-            kept.append(sigma)
-    return nerve_of_subspaces(spaces), dict(zip(range(len(kept)), kept))
-
-
 @dataclass(frozen=True)
 class VanishingVerdict:
     ok: bool
@@ -568,7 +593,6 @@ class VanishingVerdict:
 
 def sigma_group_rank(arr: Arrangement, sigma, level: int = 1) -> int:
     gens = [g for i in sigma for g in arr.level_generators(i, level)]
-    check_commuting(gens)
     sub = minset_of_group(gens, dim=arr.dim)
     rank, _ = translation_lattice_on(sub, gens)
     return rank
@@ -584,7 +608,6 @@ def semisimple_vanish_check(arr: Arrangement, common_gens, k: int, n: int) -> Va
             if g.det() != 1:
                 violations.append("orientation-reversing generator")
     common = [g for g in common_gens]
-    check_commuting(common)
     min_n = minset_of_group(common, dim=arr.dim)
     r, t_basis = translation_lattice_on(min_n, common)
 

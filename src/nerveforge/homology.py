@@ -112,9 +112,6 @@ class HomologySummary:
     def is_trivial_at_or_above(self, n: int) -> bool:
         return all(d < n for d in self.data)
 
-    def top_nonzero_degree(self):
-        return max(self.data) if self.data else None
-
     def __eq__(self, other):
         return isinstance(other, HomologySummary) and self.data == other.data
 

@@ -196,23 +196,32 @@ class BoxUnion:
 
     def window_complex(self, w) -> SimplicialComplex:
         """Nerve of the window's boxes; simplices are subsets with a common
-        point, decided on the integer corners."""
+        point, decided on the integer corners.
+
+        A simplex is only tried with the later boxes that meet each of its
+        vertices; each try still meets the box common to the whole simplex.
+        """
         verts = self.window_vertices(w)
         boxes = [self._int_box(v) for v in verts]
-        inter = {(v,): box for v, box in zip(verts, boxes)}
-        frontier = [((v,), i) for i, v in enumerate(verts)]
+        n = len(verts)
+        nbrs = [
+            {j for j in range(i + 1, n) if _meet(boxes[i], boxes[j]) is not None}
+            for i in range(n)
+        ]
+        simplices = [(v,) for v in verts]
+        frontier = [((v,), box, sorted(nbrs[i]))
+                    for i, (v, box) in enumerate(zip(verts, boxes))]
         while frontier:
             new = []
-            for alpha, last in frontier:
-                base = inter[alpha]
-                for i in range(last + 1, len(verts)):
+            for alpha, base, cands in frontier:
+                for p, i in enumerate(cands):
                     meet = _meet(base, boxes[i])
                     if meet is not None:
                         beta = alpha + (verts[i],)
-                        inter[beta] = meet
-                        new.append((beta, i))
+                        simplices.append(beta)
+                        new.append((beta, meet, [j for j in cands[p + 1:] if j in nbrs[i]]))
             frontier = new
-        return SimplicialComplex(frozenset(inter))
+        return SimplicialComplex(frozenset(simplices))
 
     def stabilization(self, w_max: int = 16) -> StabilizationResult:
         """``stabilization_check`` of the window nerves in every degree.

@@ -91,9 +91,6 @@ class SimplicialComplex:
         return len(self.simplices)
 
 
-EMPTY_COMPLEX = SimplicialComplex()
-
-
 @dataclass(frozen=True)
 class Subcomplex:
     """A downward-closed simplex set inside a fixed ambient complex."""
@@ -132,15 +129,6 @@ class Subcomplex:
 
     def __len__(self):
         return len(self.simplices)
-
-
-def intersect_all(subs: list[frozenset]) -> frozenset:
-    if not subs:
-        return frozenset()
-    out = subs[0]
-    for s in subs[1:]:
-        out = out & s
-    return out
 
 
 def union_all(subs: list[frozenset]) -> frozenset:

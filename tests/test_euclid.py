@@ -1,8 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nerveforge import euclid
 from nerveforge.euclid import (
     AffineSubspace,
     Arrangement,
@@ -12,6 +16,7 @@ from nerveforge.euclid import (
     block_diagonal,
     closest_point_projection,
     ladder,
+    mat_mul,
     minset,
     minset_of_group,
     nerve_of_subspaces,
@@ -363,3 +368,153 @@ def test_subadditivity_random_triples():
             gs.append(EuclideanIsometry.of(a, b))
         x = [Fraction(rng.randrange(-4, 5)) for _ in range(3)]
         assert subadditivity_check(gs, x).ok
+
+
+# ---------------------------------------------------------------------------
+# trusted isometry arithmetic and the ladder memo (properties)
+# ---------------------------------------------------------------------------
+
+SETTINGS = settings(max_examples=60, deadline=None)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def fraction_mat_mul(a, b):
+    """Reference product: a Fraction triple loop."""
+    return [
+        [sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(len(b))), Fraction(0))
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@st.composite
+def orthogonal_matrices(draw, n):
+    """Signed permutation times a block diagonal of Pythagorean rotations."""
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    p = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    blocks, left = [], n
+    while left:
+        if left >= 2 and draw(st.booleans()):
+            blocks.append(pythagorean_rotation(draw(st.integers(1, 4)), draw(st.integers(0, 4))))
+            left -= 2
+        else:
+            blocks.append([[1]])
+            left -= 1
+    return fraction_mat_mul(p, block_diagonal(blocks))
+
+
+@st.composite
+def isometries(draw, n):
+    a = draw(orthogonal_matrices(n))
+    return EuclideanIsometry.of(a, draw(st.lists(small_fractions, min_size=n, max_size=n)))
+
+
+dims = st.integers(1, 4)
+
+
+@SETTINGS
+@given(dims.flatmap(lambda n: st.tuples(isometries(n), isometries(n))), st.integers(-4, 9))
+def test_derived_isometries_pass_validation(pair, k):
+    g, h = pair
+    for r in (g.compose(h), g.inverse(), g.power(k)):
+        assert all(isinstance(x, Fraction) for row in r.a for x in row + r.b)
+        assert EuclideanIsometry.of(r.a, r.b) == r
+
+
+@SETTINGS
+@given(dims.flatmap(isometries), st.integers(-4, 9))
+def test_power_is_repeated_compose(g, k):
+    step = g if k >= 0 else g.inverse()
+    out = EuclideanIsometry.identity(g.dim)
+    for _ in range(abs(k)):
+        out = step.compose(out)
+    assert g.power(k) == out
+    assert g.compose(g.inverse()) == EuclideanIsometry.identity(g.dim)
+
+
+@st.composite
+def rational_matrices(draw, rows, cols):
+    entries = st.one_of(st.just(0), st.integers(-5, 5), small_fractions)
+    m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        m[i] = [0] * cols
+    return m
+
+
+@SETTINGS
+@given(st.tuples(dims, dims, dims).flatmap(
+    lambda s: st.tuples(rational_matrices(s[0], s[1]), rational_matrices(s[1], s[2]))))
+def test_mat_mul_matches_fraction_reference(ab):
+    a, b = ab
+    assert mat_mul(a, b) == fraction_mat_mul(a, b)
+
+
+@st.composite
+def arrangements(draw):
+    """Groups of products of powers of one commuting pair, so every two
+    generators commute."""
+    rng = draw(st.randoms(use_true_random=False))
+    (ga,), (gb,) = random_commuting_pair(rng, draw(st.integers(2, 4)))
+    exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    groups = draw(st.lists(st.lists(exps, min_size=1, max_size=2), min_size=1, max_size=3))
+    return Arrangement(
+        dim=ga.dim, base=draw(st.integers(1, 3)),
+        groups=tuple(tuple(ga.power(i).compose(gb.power(j)) for i, j in g) for g in groups),
+    )
+
+
+@SETTINGS
+@given(arrangements())
+def test_level_minset_matches_fresh_computation(arr):
+    for k in range(3):
+        for i, gens in enumerate(arr.groups):
+            fresh = [g.power(arr.base ** k) for g in gens]
+            assert arr.level_generators(i, k) == fresh
+            assert arr.level_minset(i, k) == minset_of_group(fresh, dim=arr.dim)
+
+
+def test_level_memo_once_per_level_and_instance(monkeypatch):
+    counts = {"minset": 0, "power": 0}
+    real_minset, real_power = euclid.minset_of_group, EuclideanIsometry.power
+
+    def counting_minset(*args, **kwargs):
+        counts["minset"] += 1
+        return real_minset(*args, **kwargs)
+
+    def counting_power(self, k):
+        counts["power"] += 1
+        return real_power(self, k)
+
+    monkeypatch.setattr(euclid, "minset_of_group", counting_minset)
+    monkeypatch.setattr(EuclideanIsometry, "power", counting_power)
+    levels = [(i, k) for i in range(4) for k in range(3)]
+
+    def walk(arr):
+        for _ in range(2):
+            for i, k in levels:
+                arr.level_generators(i, k)
+                arr.level_minset(i, k)
+
+    arr = square_cylinder_arrangement()
+    assert counts == {"minset": 4, "power": 0}      # level 0 comes from __post_init__
+    walk(arr)
+    assert counts == {"minset": 12, "power": 8}     # levels 1 and 2 of four groups, once
+
+    twin = square_cylinder_arrangement()
+    assert twin == arr and hash(twin) == hash(arr) and repr(twin) == repr(arr)
+    assert "_levels" not in repr(arr)
+    walk(twin)
+    assert counts == {"minset": 24, "power": 16}    # an equal instance keeps its own memo
+
+    copy = dataclasses.replace(arr)
+    assert copy == arr and set(copy._levels) == {(i, 0) for i in range(4)}
+    walk(copy)
+    assert counts == {"minset": 36, "power": 24}
+
+    gens = arr.level_generators(0, 1)
+    kept = list(gens)
+    gens.append(EuclideanIsometry.identity(3))
+    gens[0] = EuclideanIsometry.identity(3)
+    assert arr.level_generators(0, 1) == kept
+    assert counts == {"minset": 36, "power": 24}
