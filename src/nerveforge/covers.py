@@ -13,7 +13,8 @@ from .homology import (
     homology,
     homology_of_complex,
 )
-from .simplicial import ComplexError, SimplicialComplex, SimplicialMap, barycentric_subdivision
+from .simplicial import (ComplexError, SimplicialComplex, SimplicialMap,
+                         barycentric_subdivision, order_complex)
 
 
 class CoverError(ValueError):
@@ -141,22 +142,7 @@ def reduced_nerve(cover: Cover, nv: NerveComplex | None = None) -> ReducedNerve:
     sat = {alpha: saturate(nv, alpha, cover) for alpha in nv.intersections}
     saturated = sorted(set(sat.values()), key=lambda a: (len(a), a))
     vx = {a: nv.intersections[a] for a in saturated}
-
-    chains: set[tuple] = set()
-
-    def extend(chain):
-        chains.add(tuple(sorted(chain)))
-        last = chain[-1]
-        for b in saturated:
-            if len(b) > len(last) and set(last) < set(b):
-                chain.append(b)
-                extend(chain)
-                chain.pop()
-
-    for a in saturated:
-        extend([a])
-    rn = SimplicialComplex(frozenset(chains))
-    return ReducedNerve(complex=rn, vertex_intersections=vx,
+    return ReducedNerve(complex=order_complex(saturated), vertex_intersections=vx,
                         nerve_complex=nv.complex, saturation=sat)
 
 

@@ -86,64 +86,48 @@ def identity_mat(n):
 
 
 def solve_rational(a, b):
-    """One solution of a x = b over Q plus a nullspace basis, or None."""
-    rows = [list(map(_frac, row)) + [_frac(bb)] for row, bb in zip(a, b)]
+    """One solution of a x = b over Q plus a nullspace basis, or None.
+
+    Both are read off the echelon form of ``[a | b]``: a pivot in the last
+    column means no solution; otherwise ``x`` is the last column at the
+    pivots, and each free column gives one null vector.
+    """
     n = len(a[0]) if a else 0
-    pivots = []
-    rank = 0
-    for j in range(n):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][j]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(j)
-        rank += 1
-    for i in range(rank, len(rows)):
-        if rows[i][n]:
-            return None
+    rows = snf.echelon([list(row) + [bb] for row, bb in zip(a, b)])
+    if rows and rows[-1][0] == n:
+        return None
     x = [Fraction(0)] * n
-    for i, j in enumerate(pivots):
-        x[j] = rows[i][n]
+    for p, row in rows:
+        x[p] = Fraction(row[n], row[p])
+    pivots = {p for p, _ in rows}
     null = []
-    free = [j for j in range(n) if j not in pivots]
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, j in enumerate(pivots):
-            v[j] = -rows[i][f]
-        null.append(tuple(v))
+    for f in range(n):
+        if f not in pivots:
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            for p, row in rows:
+                v[p] = Fraction(-row[f], row[p])
+            null.append(tuple(v))
     return tuple(x), null
 
 
 def rational_row_space_basis(rows):
     """Reduced row echelon basis of the span (canonical over Q)."""
-    work = [list(map(_frac, r)) for r in rows if any(r)]
-    n = len(work[0]) if work else 0
-    rank = 0
-    for j in range(n):
-        pivot = next((i for i in range(rank, len(work)) if work[i][j]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][j]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][j]:
-                c = work[i][j]
-                work[i] = [x - c * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return [tuple(r) for r in work[:rank]]
+    return [tuple(Fraction(x, row[p]) for x in row) for p, row in snf.echelon(rows)]
 
 
 def in_row_space(v, basis) -> bool:
-    return rational_row_space_basis(list(basis) + [v]) == rational_row_space_basis(basis) \
-        if basis else not any(v)
+    """Whether ``v`` lies in the span of ``basis``, which must be in reduced
+    row echelon form, as ``AffineSubspace.directions`` are.
+
+    Subtracting ``v[p]·row`` for each row's pivot ``p`` leaves ``v`` zero at
+    every pivot; what is left is zero exactly when ``v`` is in the span.
+    """
+    for row in basis:
+        c = v[next(j for j, x in enumerate(row) if x)]
+        if c:
+            v = [x - c * y for x, y in zip(v, row)]
+    return not any(v)
 
 
 @dataclass(frozen=True)
@@ -336,24 +320,8 @@ class EuclideanIsometry:
         return norm_sq(vsub(self.apply(x), vec(x)))
 
     def det(self) -> Fraction:
-        # expansion via rational elimination
-        m = [list(r) for r in self.a]
-        n = len(m)
-        det = Fraction(1)
-        for j in range(n):
-            pivot = next((i for i in range(j, n) if m[i][j]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != j:
-                m[j], m[pivot] = m[pivot], m[j]
-                det = -det
-            det *= m[j][j]
-            pv = m[j][j]
-            for i in range(j + 1, n):
-                if m[i][j]:
-                    c = m[i][j] / pv
-                    m[i] = [x - c * y for x, y in zip(m[i], m[j])]
-        return det
+        m, d = _scaled(self.a)
+        return Fraction(snf.determinant(m), d ** len(m))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .snf import determinant, row_kernel_basis
+from .snf import determinant, identity_matrix, row_kernel_basis
 
 
 class LatticeError(ValueError):
@@ -79,9 +79,7 @@ class LatticeSubgroup:
 
     @staticmethod
     def full(ambient: int) -> "LatticeSubgroup":
-        return LatticeSubgroup.from_generators(
-            [[1 if i == j else 0 for j in range(ambient)] for i in range(ambient)], ambient
-        )
+        return LatticeSubgroup.from_generators(identity_matrix(ambient), ambient)
 
     @property
     def rank(self) -> int:
@@ -98,13 +96,7 @@ class LatticeSubgroup:
         v = list(map(int, vec))
         if len(v) != self.ambient:
             raise LatticeError("vector has the wrong length")
-        for row in self.basis:
-            col = next(j for j in range(self.ambient) if row[j])
-            q = v[col] // row[col]
-            if q:
-                for j in range(self.ambient):
-                    v[j] -= q * row[j]
-        return v
+        return _back_substitute(self.basis, v)[1]
 
     def contains_vector(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -164,19 +156,25 @@ def finite_index_in(sub: LatticeSubgroup, sup: LatticeSubgroup):
     return True, abs(determinant(coeffs))
 
 
+def _back_substitute(basis, v: list[int]):
+    """(coefficients, residue) of the int vector v over an HNF basis: each
+    row in turn subtracts the floor quotient at its pivot."""
+    coeffs = []
+    for row in basis:
+        col = next(j for j, x in enumerate(row) if x)
+        q = v[col] // row[col]
+        coeffs.append(q)
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return coeffs, v
+
+
 def _solve_in_basis(g: LatticeSubgroup, vec):
     """Coefficients expressing vec over g's HNF basis (vec must be a member)."""
-    v = list(map(int, vec))
-    out = []
-    for row in g.basis:
-        col = next(j for j in range(g.ambient) if row[j])
-        q = v[col] // row[col]
-        out.append(q)
-        for j in range(g.ambient):
-            v[j] -= q * row[j]
-    if any(v):
+    coeffs, residue = _back_substitute(g.basis, list(map(int, vec)))
+    if any(residue):
         raise LatticeError("vector not in subgroup")
-    return out
+    return coeffs
 
 
 def virtually_contains(big: LatticeSubgroup, small: LatticeSubgroup) -> bool:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
+
+from . import snf
 
 
 class NilpotentError(ValueError):
@@ -21,15 +23,11 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def identity(k: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+    return tuple(map(tuple, snf.identity_matrix(k)))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    k = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k))
-        for i in range(k)
-    )
+    return tuple(map(tuple, snf.mat_mul(a, b)))
 
 
 def mat_inv_unitriangular(m: Matrix) -> Matrix:
@@ -199,29 +197,6 @@ def _bracket(x: Matrix, y: Matrix) -> Matrix:
     )
 
 
-def _add_to_echelon(rows: dict, m: Matrix) -> bool:
-    """Add the entries of the integer matrix ``m``, as one vector ``v``, to the
-    echelon ``rows`` (pivot -> primitive row, in insertion order) unless ``v``
-    lies in their rational span.
-
-    Each row is zero at the pivots of the rows inserted before it, so one pass
-    in insertion order leaves ``v`` zero at every pivot; what remains is zero
-    exactly when ``v`` was in the span.
-    """
-    v = [x for row in m for x in row]
-    for p, row in rows.items():
-        if v[p]:
-            g = gcd(row[p], v[p])
-            a, b = row[p] // g, v[p] // g
-            v = [a * x - b * y for x, y in zip(v, row)]
-    g = gcd(*v)
-    if not g:
-        return False
-    v = [x // g for x in v]
-    rows[next(j for j, x in enumerate(v) if x)] = v
-    return True
-
-
 def hirsch_rank(g: UnitriangularGroup) -> int:
     """Dimension over Q of the Lie algebra generated by generator logarithms.
 
@@ -233,12 +208,16 @@ def hirsch_rank(g: UnitriangularGroup) -> int:
     span is the Lie algebra; its dimension is at most k(k-1)/2.
     """
     rows: dict = {}
-    basis = [x for x in map(_scaled_log, g.generators) if _add_to_echelon(rows, x)]
+
+    def join(m: Matrix) -> bool:
+        return snf.add_to_echelon(rows, [x for row in m for x in row])
+
+    basis = [x for x in map(_scaled_log, g.generators) if join(x)]
     i = 0
     while i < len(basis):
         for j in range(i):
             b = _bracket(basis[j], basis[i])
-            if _add_to_echelon(rows, b):
+            if join(b):
                 basis.append(b)
         i += 1
     return len(basis)

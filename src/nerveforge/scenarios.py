@@ -23,6 +23,7 @@ from .jsonio import (
 )
 from .lattices import LatticeSubgroup
 from .simplicial import SimplicialComplex
+from .snf import identity_matrix
 
 
 class ScenarioError(ValueError):
@@ -276,8 +277,8 @@ def _gen_patch_system(params, rng, seed) -> Scenario:
 
 
 def _glide_plane(dim, axis, offset, shift_axis):
-    a = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    a[axis][axis] = Fraction(-1)
+    a = identity_matrix(dim)
+    a[axis][axis] = -1
     b = [Fraction(0)] * dim
     b[axis] = 2 * Fraction(offset)
     b[shift_axis] = Fraction(1)
@@ -310,17 +311,13 @@ def _gen_arrangement(params, rng, seed) -> Scenario:
         payload.update({"n": 3, "r": 1})
     elif style == "square-cycle-4d":
         side = int(params.get("side", rng.choice([2, 3])))
-        def glide4(axis, offset):
-            a = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
-            a[axis][axis] = Fraction(-1)
-            b = [Fraction(0)] * 4
-            b[axis] = 2 * Fraction(offset)
-            b[2] = Fraction(1)
-            return EuclideanIsometry.of(a, b)
         trans_w = EuclideanIsometry.translation([0, 0, 0, 1])
         groups = tuple(
             (g, trans_w) for g in (
-                glide4(0, 0), glide4(1, 0), glide4(0, side), glide4(1, side),
+                _glide_plane(4, 0, 0, 2),
+                _glide_plane(4, 1, 0, 2),
+                _glide_plane(4, 0, side, 2),
+                _glide_plane(4, 1, side, 2),
             )
         )
         arr = Arrangement(dim=4, base=2, groups=groups)
@@ -382,9 +379,6 @@ def random_commuting_pair(rng, dim):
             blocks.append(1)
             remaining -= 1
 
-    def identity_block(k):
-        return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
     def build():
         mats = []
         for k in blocks:
@@ -392,7 +386,7 @@ def random_commuting_pair(rng, dim):
                 m, c = rng.choice([(2, 1), (3, 2), (4, 1), (3, 1)])
                 mats.append(pythagorean_rotation(m, c))
             else:
-                mats.append(identity_block(k))
+                mats.append(identity_matrix(k))
         return mats
 
     a_blocks = build()
@@ -401,7 +395,7 @@ def random_commuting_pair(rng, dim):
     tb = [Fraction(0)] * dim
     pos = 0
     for k, ab, bb in zip(blocks, a_blocks, b_blocks):
-        ident = identity_block(k)
+        ident = identity_matrix(k)
         if ab == ident and bb == ident:
             for t in range(k):
                 ta[pos + t] = Fraction(rng.randrange(-2, 3))

@@ -5,6 +5,11 @@ arithmetic is deliberately avoided.  Matrices are lists of lists (dense) or
 sparse ``{row: {col: value}}`` dicts; all public entry points accept dense
 input and choose sparse internals.
 
+This module is the package's exact linear-algebra kernel: ``mat_mul`` and
+``identity_matrix`` for integer matrices, the Bareiss ``determinant``, and
+one fraction-free elimination, ``echelon`` over ``add_to_echelon``, behind
+every rational rank, row space, membership test and linear solve.
+
 ``smith_normal_form`` keeps the matrix being reduced as row dicts with a
 column index and a heap of pivot candidates, and the unimodular transforms
 as sparse lines: the rows of ``U`` and columns of ``V`` that its elementary
@@ -16,10 +21,9 @@ dense transform matrices are built only when a caller reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 class SNFError(ValueError):
@@ -418,25 +422,58 @@ def integer_rank(matrix) -> int:
     return smith_normal_form(matrix, want_u=False, want_v=False).rank
 
 
+def _cancel(x: list[int], y: list[int], p: int) -> list[int]:
+    """A multiple of x minus a multiple of y, zero at p (for y[p] != 0)."""
+    g = gcd(x[p], y[p])
+    a, b = y[p] // g, x[p] // g
+    return [a * s - b * t for s, t in zip(x, y)]
+
+
+def add_to_echelon(rows: dict[int, list[int]], v: list[int]) -> bool:
+    """Add the int vector ``v`` to the echelon ``rows`` (pivot -> primitive
+    int row) unless it lies in their rational span; True when it was added.
+
+    Every row is zero at every other row's pivot, so one cancelling pass
+    leaves ``v`` zero at every pivot, and what remains is zero exactly when
+    ``v`` was in the span.  Otherwise it is divided by its content and stored
+    under its first nonzero column, which is first cancelled from the earlier
+    rows the same way.
+    """
+    for p, row in rows.items():
+        if v[p]:
+            v = _cancel(v, row, p)
+    g = gcd(*v)
+    if not g:
+        return False
+    v = [x // g for x in v]
+    p = next(j for j, x in enumerate(v) if x)
+    for q, row in rows.items():
+        if row[p]:
+            row = _cancel(row, v, p)
+            g = gcd(*row)
+            rows[q] = [x // g for x in row]
+    rows[p] = v
+    return True
+
+
+def echelon(rows) -> list[tuple[int, list[int]]]:
+    """Fraction-free reduced echelon form of ``int`` or ``Fraction`` rows.
+
+    Each row is scaled to integers over the lcm of its denominators and
+    folded in by ``add_to_echelon``.  Returns ``(pivot, primitive int row)``
+    pairs sorted by pivot; dividing each row by its pivot entry gives the
+    reduced row echelon form over Q.
+    """
+    out: dict[int, list[int]] = {}
+    for r in rows:
+        d = lcm(*(x.denominator for x in r))
+        add_to_echelon(out, [x.numerator * (d // x.denominator) for x in r])
+    return sorted(out.items())
+
+
 def rational_rank(matrix) -> int:
-    """Rank over Q by fraction-free Gaussian elimination (independent of SNF)."""
-    rows = [[Fraction(x) for x in r] for r in matrix]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for j in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][j]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                c = rows[i][j] / pv
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank over Q by fraction-free elimination (independent of SNF)."""
+    return len(echelon(matrix))
 
 
 def kernel_basis(matrix) -> list[list[int]]:
@@ -446,7 +483,7 @@ def kernel_basis(matrix) -> list[list[int]]:
     if n == 0:
         return []
     if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        return identity_matrix(n)
     res = smith_normal_form(matrix, want_u=False, want_v=True)
     return [[col.get(i, 0) for i in range(n)] for col in res.v_cols[res.rank:]]
 
@@ -509,7 +546,3 @@ def determinant(matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // gcd(a, b) if a and b else 0

@@ -15,13 +15,16 @@ from nerveforge.euclid import (
     almost_abelian_vanishing_check,
     block_diagonal,
     closest_point_projection,
+    in_row_space,
     ladder,
     mat_mul,
     minset,
     minset_of_group,
     nerve_of_subspaces,
     pythagorean_rotation,
+    rational_row_space_basis,
     semisimple_vanish_check,
+    solve_rational,
     splitting_check,
     sqrt_leq_sum_of_sqrts,
     subadditivity_check,
@@ -518,3 +521,143 @@ def test_level_memo_once_per_level_and_instance(monkeypatch):
     gens[0] = EuclideanIsometry.identity(3)
     assert arr.level_generators(0, 1) == kept
     assert counts == {"minset": 36, "power": 24}
+
+
+# ---------------------------------------------------------------------------
+# rational elimination on the fraction-free echelon, against Fraction
+# Gauss-Jordan references (properties)
+# ---------------------------------------------------------------------------
+
+
+def fraction_solve(a, b):
+    """Reference: one solution of a x = b over Q plus a nullspace basis, or
+    None, by Gauss-Jordan elimination over Fractions."""
+    rows = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(a, b)]
+    n = len(a[0]) if a else 0
+    pivots = []
+    rank = 0
+    for j in range(n):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][j]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                c = rows[i][j]
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(j)
+        rank += 1
+    for i in range(rank, len(rows)):
+        if rows[i][n]:
+            return None
+    x = [Fraction(0)] * n
+    for i, j in enumerate(pivots):
+        x[j] = rows[i][n]
+    null = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, j in enumerate(pivots):
+            v[j] = -rows[i][f]
+        null.append(tuple(v))
+    return tuple(x), null
+
+
+def fraction_rref(rows):
+    """Reference: reduced row echelon basis of the span over Fractions."""
+    work = [[Fraction(x) for x in r] for r in rows if any(r)]
+    n = len(work[0]) if work else 0
+    rank = 0
+    for j in range(n):
+        pivot = next((i for i in range(rank, len(work)) if work[i][j]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][j]
+        work[rank] = [x / pv for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][j]:
+                c = work[i][j]
+                work[i] = [x - c * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return [tuple(r) for r in work[:rank]]
+
+
+def cofactor_det(m):
+    """Reference determinant by cofactor expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum((-1) ** j * Fraction(m[0][j]) * cofactor_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)))
+
+
+ELIM_SETTINGS = settings(max_examples=200, deadline=None)
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-4, 4), small_fractions)
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """0-6 rows of 1-7 entries, mostly zeros, denominators 1-6; sometimes a
+    last row that is a combination of two others."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    mat = [[draw(sparse_entries) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        a, b = draw(st.integers(-3, 3)), draw(small_fractions)
+        mat.append([a * x + b * y for x, y in zip(mat[i], mat[j])])
+    return mat
+
+
+def mat_vec(a, x):
+    return [sum((Fraction(v) * y for v, y in zip(row, x)), Fraction(0)) for row in a]
+
+
+@ELIM_SETTINGS
+@given(sparse_rational_matrices())
+def test_row_space_basis_matches_reference(mat):
+    assert repr(rational_row_space_basis(mat)) == repr(fraction_rref(mat))
+
+
+@st.composite
+def linear_systems(draw):
+    """(a, b) with b either arbitrary or a·x for an arbitrary x."""
+    a = draw(sparse_rational_matrices())
+    n = len(a[0]) if a else draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        b = mat_vec(a, draw(st.lists(sparse_entries, min_size=n, max_size=n)))
+    else:
+        b = draw(st.lists(sparse_entries, min_size=len(a), max_size=len(a)))
+    return a, b
+
+
+@ELIM_SETTINGS
+@given(linear_systems())
+def test_solve_rational_matches_reference(system):
+    a, b = system
+    got = solve_rational(a, b)
+    assert repr(got) == repr(fraction_solve(a, b))
+    if got is not None:
+        x, null = got
+        assert mat_vec(a, x) == [Fraction(v) for v in b]
+        for z in null:
+            assert not any(mat_vec(a, z))
+
+
+@ELIM_SETTINGS
+@given(sparse_rational_matrices(), st.lists(sparse_entries, min_size=7, max_size=7),
+       st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+def test_in_row_space_matches_reference(mat, entries, coeffs):
+    n = len(mat[0]) if mat else len(entries)
+    basis = rational_row_space_basis(mat)
+    v = entries[:n]
+    assert in_row_space(v, basis) == (fraction_rref(basis + [v]) == fraction_rref(basis))
+    combo = [sum((c * row[j] for c, row in zip(coeffs, basis)), Fraction(0)) for j in range(n)]
+    assert in_row_space(combo, basis)
+
+
+@SETTINGS
+@given(dims.flatmap(isometries))
+def test_det_matches_cofactor_reference(g):
+    assert g.det() == cofactor_det(g.a)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerveforge.construct import full_simplex, grid_complex, path_complex, rect_subcomplex
 from nerveforge.simplicial import (
@@ -7,6 +9,7 @@ from nerveforge.simplicial import (
     SimplicialMap,
     Subcomplex,
     barycentric_subdivision,
+    order_complex,
 )
 
 
@@ -75,3 +78,29 @@ def test_simplicial_map_validation_and_signs():
     assert sign == 0
     with pytest.raises(ComplexError):
         SimplicialMap(src, dst, {0: 0, 1: 1})
+
+
+def scanned_chains(elements):
+    """Reference: every strictly increasing chain, extended by a scan of all
+    elements."""
+    chains = set()
+
+    def grow(chain):
+        chains.add(tuple(sorted(chain)))
+        for s in elements:
+            if set(chain[-1]) < set(s):
+                grow(chain + [s])
+
+    for s in elements:
+        grow([s])
+    return frozenset(chains)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+                min_size=1, max_size=4))
+def test_order_complex_matches_scanned_chains(maximal):
+    c = SimplicialComplex.from_maximal(maximal)
+    assert barycentric_subdivision(c).simplices == scanned_chains(sorted(c.simplices))
+    tops = sorted({tuple(sorted(m)) for m in maximal})
+    assert order_complex(tops).simplices == scanned_chains(tops)

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from nerveforge.simplicial import SimplicialMap
 from nerveforge.snf import (
     SNFResult,
     _Sparse,
+    add_to_echelon,
     determinant,
+    echelon,
     identity_matrix,
     integer_rank,
     kernel_basis,
@@ -255,3 +259,76 @@ def test_transform_callers_read_sparse_lines(monkeypatch):
     assert solve_integer([[2]], [3]) is None
     assert kernel_basis([[1, 2, 3]]) != []
     assert row_kernel_basis([[1, 2], [2, 4]]) != []
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free echelon against a Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def fraction_rank(matrix):
+    """Reference rank: Gauss-Jordan elimination over Fractions."""
+    rows = [[Fraction(x) for x in r] for r in matrix]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for j in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][j]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                c = rows[i][j] / pv
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """0-6 rows of 1-7 entries, mostly zeros, denominators 1-6; sometimes a
+    last row that is a combination of two others."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    entries = st.one_of(st.just(0), st.just(0), st.integers(-4, 4),
+                        st.fractions(-3, 3, max_denominator=6))
+    mat = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        a, b = draw(st.integers(-3, 3)), draw(st.fractions(-2, 2, max_denominator=6))
+        mat.append([a * x + b * y for x, y in zip(mat[i], mat[j])])
+    return mat
+
+
+@SETTINGS
+@given(sparse_rational_matrices())
+def test_rational_rank_matches_fraction_reference(mat):
+    assert rational_rank(mat) == fraction_rank(mat)
+
+
+@SETTINGS
+@given(sparse_rational_matrices())
+def test_echelon_rows_are_primitive_and_reduced(mat):
+    rows = echelon(mat)
+    pivots = [p for p, _ in rows]
+    assert pivots == sorted(set(pivots))
+    for p, row in rows:
+        assert all(isinstance(x, int) for x in row)
+        assert gcd(*row) == 1
+        assert next(j for j, x in enumerate(row) if x) == p
+        assert all(row[q] == 0 for q in pivots if q != p)
+
+
+@SETTINGS
+@given(sparse_rational_matrices(), st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+def test_add_to_echelon_rejects_the_span_only(mat, coeffs):
+    n = len(mat[0]) if mat else 1
+    rows = dict(echelon(mat))
+    combo = [sum(c * row[j] for c, row in zip(coeffs, rows.values())) for j in range(n)]
+    assert not add_to_echelon(rows, combo)
+    assert rows == dict(echelon(mat))
+    unit = [0] * n
+    unit[coeffs[0] % n] = 1
+    grows = fraction_rank(list(rows.values()) + [unit]) > len(rows)
+    assert add_to_echelon(rows, unit) == grows
+    assert len(rows) == fraction_rank(mat + [unit])
