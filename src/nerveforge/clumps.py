@@ -374,17 +374,25 @@ class UnfoldingVanishingVerdict:
 
 def unfolding_vanishing_check(ps: PatchSystem, n: int, r: int) -> UnfoldingVanishingVerdict:
     """Per-chain coefficient vanishing implies the unfolding complex has no
-    homology in degrees >= n-1-r and the union's classes die there."""
+    homology in degrees >= n-1-r and the union's classes die there.
+
+    A chain's coefficients are its last clump's enlarged support; each
+    clump's reduced homology is computed once, however many chains end at
+    it."""
     threshold = n - 1 - r
     if threshold < 1:
         raise ClumpError("degree threshold below 1; scenario constants invalid")
     us = unfolding_space(ps)
     violations = []
+    coeff_homology: dict[int, HomologySummary] = {}
     for chain in us.chains:
         k = len(chain) - 1
         need = n - 1 - (k + r)
-        coeff = SimplicialComplex(us.clumps[chain[-1]].big_support)
-        summ = homology_of_complex(coeff, reduced=True)
+        last = chain[-1]
+        if last not in coeff_homology:
+            coeff_homology[last] = homology_of_complex(
+                SimplicialComplex(us.clumps[last].big_support), reduced=True)
+        summ = coeff_homology[last]
         if not summ.is_trivial_at_or_above(max(need, 1)):
             violations.append(
                 {"chain": chain, "required_degree": need, "homology": summ.as_json()}

@@ -27,6 +27,12 @@ class Cover:
 
     Pieces must be distinct, nonempty and downward closed; a cover declared
     ``covering`` must exhaust the ambient simplices.
+
+    ``_reduced_homology`` memoizes, per instance, the reduced homology of
+    each intersection the cover checks read, keyed on the intersection's
+    simplex ``frozenset``. A set's homology is a function of the set alone,
+    so an entry cannot go stale; the memo is not a field, so ``==`` and
+    ``repr`` ignore it, and it is dropped with the cover.
     """
 
     ambient: SimplicialComplex
@@ -63,6 +69,19 @@ class Cover:
 
     def union_complex(self) -> SimplicialComplex:
         return SimplicialComplex(self.union())
+
+    @cached_property
+    def _homology_memo(self) -> dict:
+        return {}
+
+    def _reduced_homology(self, simplices: frozenset) -> HomologySummary:
+        """Reduced homology of the subcomplex ``simplices``, computed once."""
+        memo = self._homology_memo
+        summ = memo.get(simplices)
+        if summ is None:
+            summ = memo[simplices] = homology_of_complex(
+                SimplicialComplex(simplices), reduced=True)
+        return summ
 
 
 @dataclass(frozen=True)
@@ -183,12 +202,15 @@ class GoodnessReport:
 
 
 def goodness_check(cover: Cover, nv: NerveComplex | None = None) -> GoodnessReport:
-    """Reduced homology of every nonempty intersection; good iff all vanish."""
+    """Reduced homology of every nonempty intersection; good iff all vanish.
+
+    Each distinct intersection is computed once, through the cover's memo.
+    """
     nv = nv or nerve(cover)
     items = nv.simplices()
 
     def one(alpha):
-        summ = homology_of_complex(SimplicialComplex(nv.intersections[alpha]), reduced=True)
+        summ = cover._reduced_homology(nv.intersections[alpha])
         return alpha, (summ == HomologySummary.of({}), summ)
 
     entries = dict(sorted(one(a) for a in items))
@@ -209,21 +231,22 @@ def assembly_bound_check(cover: Cover, n: int) -> AssemblyVerdict:
     """If every k-simplex of the reduced nerve has coefficient homology
     vanishing in degrees >= n-k and the reduced nerve has no homology in
     degrees >= n, then the union has none either; a certificate is returned
-    when the implication fails (which must never happen)."""
+    when the implication fails (which must never happen).
+
+    A chain's coefficient homology is that of its smallest intersection,
+    read from the cover's memo (``Cover._reduced_homology``): each distinct
+    intersection is computed once, however many chains end at it, and not
+    again if ``goodness_check`` already ran on the same cover. The memo is
+    keyed on the intersection's simplex set, whose homology cannot change.
+    """
     nv = nerve(cover)
     rn = reduced_nerve(cover, nv)
 
     coeff_ok = True
-    coeff_detail = {}
     for chain in rn.chains():
         k = len(chain) - 1
-        smallest = chain[-1]
-        summ = homology_of_complex(
-            SimplicialComplex(rn.vertex_intersections[smallest]), reduced=True
-        )
-        ok = summ.is_trivial_at_or_above(n - k)
-        coeff_detail[chain] = ok
-        coeff_ok = coeff_ok and ok
+        summ = cover._reduced_homology(rn.vertex_intersections[chain[-1]])
+        coeff_ok = coeff_ok and summ.is_trivial_at_or_above(n - k)
 
     rn_summary = homology_of_complex(rn.complex)
     nerve_ok = rn_summary.is_trivial_at_or_above(n)

@@ -220,18 +220,11 @@ class AffineSubspace:
         sol = solve_rational(a, list(b))
         if sol is None:
             return None
-        s = sol[0][: len(self.directions)]
+        k = len(self.directions)
         base = self.base
-        for c, d in zip(s, self.directions):
+        for c, d in zip(sol[0][:k], self.directions):
             base = vadd(base, vscale(c, d))
-        null = sol[1]
-        dirs = []
-        for z in null:
-            v = tuple(
-                sum((z[j] * d[i] for j, d in enumerate(self.directions)), Fraction(0))
-                for i in range(n)
-            )
-            dirs.append(v)
+        dirs = mat_mul([z[:k] for z in sol[1]], self.directions) if k else []
         return AffineSubspace.of(base, dirs)
 
 

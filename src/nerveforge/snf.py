@@ -27,7 +27,8 @@ from math import gcd, lcm
 
 
 class SNFError(ValueError):
-    """The normal-form reduction reached a state its invariants exclude."""
+    """An integer routine got a non-integer entry, or the normal-form
+    reduction reached a state its invariants exclude."""
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -526,11 +527,17 @@ def solve_integer(matrix, b, snf: SNFResult | None = None):
 
 
 def determinant(matrix) -> int:
-    """Exact integer determinant (Bareiss)."""
+    """Exact integer determinant (Bareiss).
+
+    Entries must be integers (``int``, or ``Fraction`` with denominator 1);
+    any other entry raises ``SNFError`` instead of being truncated.
+    """
     n = len(matrix)
     if n == 0:
         return 1
-    a = [list(map(int, r)) for r in matrix]
+    if any(getattr(x, "denominator", None) != 1 for r in matrix for x in r):
+        raise SNFError("determinant needs integer entries")
+    a = [[x.numerator for x in r] for r in matrix]
     sign = 1
     prev = 1
     for k in range(n - 1):

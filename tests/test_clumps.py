@@ -2,8 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nerveforge.construct import grid_complex, path_complex, rect_subcomplex, two_ball_gluing
+from nerveforge.construct import (cycle_complex, grid_complex, path_complex, rect_subcomplex,
+                                  two_ball_gluing)
 from nerveforge.clumps import (
     Clump,
     ClumpError,
@@ -350,3 +353,64 @@ def test_engulfing_default_scheme_and_violation():
         },
     )
     assert not engulfing_check(bad).ok
+
+
+# ---------------------------------------------------------------------------
+# one homology computation per clump against the per-chain loop (property)
+# ---------------------------------------------------------------------------
+
+def loop_unfolding_violations(ps, n, r):
+    """Reference: the coefficient hypothesis with one homology computation
+    per clump chain."""
+    us = unfolding_space(ps)
+    violations = []
+    for chain in us.chains:
+        need = n - 1 - (len(chain) - 1 + r)
+        summ = homology_of_complex(
+            SimplicialComplex(us.clumps[chain[-1]].big_support), reduced=True)
+        if not summ.is_trivial_at_or_above(max(need, 1)):
+            violations.append(
+                {"chain": chain, "required_degree": need, "homology": summ.as_json()})
+    return tuple(tuple(sorted(v.items())) for v in violations)
+
+
+CIRCLE = cycle_complex(6)
+
+
+def arc(start, length):
+    """Full subcomplex of the 6-cycle on ``length + 1`` consecutive vertices
+    from ``start``; length 5 or more is the whole circle."""
+    vs = {(start + t) % 6 for t in range(length + 1)}
+    return frozenset(s for s in CIRCLE.simplices if set(s) <= vs)
+
+
+@st.composite
+def circle_patch_systems(draw):
+    """2-4 patches on a 6-cycle, each an arc or the whole circle, labelled
+    from the alphabet; sometimes each patch is enlarged to a longer arc, so
+    clump supports and enlarged supports with a 1-cycle are common."""
+    count = draw(st.integers(2, 4))
+    starts = draw(st.lists(st.integers(0, 5), min_size=count, max_size=count))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=count, max_size=count))
+    supports = [arc(a, b) for a, b in zip(starts, lengths)]
+    assume(len(set(supports)) == count)
+    patches = {k: Patch(support=sup, group=draw(st.sampled_from(LABEL_ALPHABET)))
+               for k, sup in enumerate(supports)}
+    enlargements = {}
+    if draw(st.booleans()):
+        grow = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+        enlargements = {(k,): arc(a, b + g)
+                        for k, (a, b, g) in enumerate(zip(starts, lengths, grow))}
+    return PatchSystem(ambient=CIRCLE, patches=patches, enlargements=enlargements)
+
+
+@settings(max_examples=120, deadline=None)
+@given(circle_patch_systems(), st.integers(3, 5), st.integers(0, 2))
+def test_unfolding_vanishing_matches_per_chain_loop(ps, n, r):
+    assume(n - 1 - r >= 1 and maximal_clumps(ps))
+    v = unfolding_vanishing_check(ps, n, r)
+    ref = loop_unfolding_violations(ps, n, r)
+    assert v.violations == ref
+    assert v.hypotheses_hold == (not ref)
+    assert v.ok == (not ref and v.detail["unfolding_vanishes"]
+                    and v.detail["composite_zero"])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerveforge import covers as covers_module
 from nerveforge.construct import (
@@ -31,15 +33,19 @@ def interval_cover(path, spans):
                         for i, (a, b) in enumerate(spans)})
 
 
-def random_rect_cover(rng, nx=3, ny=3, n_pieces=4):
+def random_rect_cover(rng, nx=3, ny=3, n_pieces=4, max_parts=1):
+    """Up to ``n_pieces`` distinct pieces of a grid, each a union of 1 to
+    ``max_parts`` random rectangles (so disconnected or annular when > 1)."""
     grid = grid_complex(nx, ny)
     pieces = {}
     for i in range(n_pieces):
-        i0 = rng.randrange(nx)
-        j0 = rng.randrange(ny)
-        i1 = min(nx, i0 + rng.randrange(1, 3))
-        j1 = min(ny, j0 + rng.randrange(1, 3))
-        sub = rect_subcomplex(grid, i0, i1, j0, j1).simplices
+        sub = frozenset()
+        for _ in range(rng.randrange(1, max_parts + 1) if max_parts > 1 else 1):
+            i0 = rng.randrange(nx)
+            j0 = rng.randrange(ny)
+            i1 = min(nx, i0 + rng.randrange(1, 3))
+            j1 = min(ny, j0 + rng.randrange(1, 3))
+            sub |= rect_subcomplex(grid, i0, i1, j0, j1).simplices
         if sub not in pieces.values():
             pieces[i] = sub
     return Cover(grid, pieces)
@@ -266,3 +272,116 @@ def test_assembly_never_violated_random():
         v = assembly_bound_check(cov, rng.randrange(1, 4))
         assert v.implication_holds
         assert v.certificate is None
+
+
+# ---------------------------------------------------------------------------
+# the per-cover homology memo against the per-chain loops (properties)
+# ---------------------------------------------------------------------------
+
+def loop_goodness_check(cover):
+    """Reference: one homology computation per nerve simplex."""
+    nv = nerve(cover)
+    entries = {}
+    for alpha in nv.simplices():
+        summ = homology_of_complex(SimplicialComplex(nv.intersections[alpha]), reduced=True)
+        entries[alpha] = (summ == HomologySummary.of({}), summ)
+    return covers_module.GoodnessReport(good=all(f for f, _ in entries.values()),
+                                        entries=entries)
+
+
+def loop_assembly_bound_check(cover, n):
+    """Reference: one homology computation per reduced-nerve chain."""
+    rn = reduced_nerve(cover)
+    coeff_ok = True
+    for chain in rn.chains():
+        summ = homology_of_complex(
+            SimplicialComplex(rn.vertex_intersections[chain[-1]]), reduced=True)
+        coeff_ok = coeff_ok and summ.is_trivial_at_or_above(n - (len(chain) - 1))
+    rn_summary = homology_of_complex(rn.complex)
+    nerve_ok = rn_summary.is_trivial_at_or_above(n)
+    union_summary = homology_of_complex(cover.union_complex())
+    conclusion = union_summary.is_trivial_at_or_above(n)
+    hypotheses = coeff_ok and nerve_ok
+    certificate = None
+    if hypotheses and not conclusion:
+        certificate = {"union_homology": union_summary.as_json(), "degree_bound": n}
+    return covers_module.AssemblyVerdict(
+        hypotheses_hold=hypotheses,
+        conclusion_holds=conclusion,
+        implication_holds=not (hypotheses and not conclusion),
+        degree_bound=n,
+        detail={
+            "coefficients_vanish": coeff_ok,
+            "reduced_nerve_vanishes": nerve_ok,
+            "reduced_nerve_homology": rn_summary.as_json(),
+            "union_homology": union_summary.as_json(),
+        },
+        certificate=certificate,
+    )
+
+
+MEMO_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def random_covers(draw):
+    """``random_rect_cover`` on a 3x3 or 4x4 grid with 2-5 pieces, each a
+    union of up to two rectangles, so intersections with homology are
+    common."""
+    rng = draw(st.randoms(use_true_random=False))
+    size = draw(st.integers(3, 4))
+    return random_rect_cover(rng, nx=size, ny=size, n_pieces=draw(st.integers(2, 5)),
+                             max_parts=draw(st.integers(1, 2)))
+
+
+@MEMO_SETTINGS
+@given(random_covers(), st.booleans())
+def test_cover_checks_match_per_chain_loops(cov, assembly_first):
+    # every degree bound on one cover, so later checks read a filled memo
+    verdicts = {}
+    if assembly_first:
+        verdicts = {n: assembly_bound_check(cov, n) for n in range(4)}
+    assert goodness_check(cov).as_json() == loop_goodness_check(cov).as_json()
+    for n in range(4):
+        asm = verdicts.get(n) or assembly_bound_check(cov, n)
+        ref = loop_assembly_bound_check(cov, n)
+        assert asm == ref
+        assert repr(asm.detail) == repr(ref.detail)
+
+
+def test_cover_homology_once_per_distinct_intersection(monkeypatch):
+    calls = []
+
+    def counted(c, degrees=None, reduced=False):
+        calls.append(c)
+        return homology_of_complex(c, degrees=degrees, reduced=reduced)
+
+    monkeypatch.setattr(covers_module, "homology_of_complex", counted)
+    rng = random.Random(11)
+    shared = 0
+    for _ in range(30):
+        cov = random_rect_cover(rng, n_pieces=rng.randrange(2, 6), max_parts=2)
+        nv = nerve(cov)
+        distinct = len(set(nv.intersections.values()))
+        shared += len(nv.intersections) > distinct
+        calls.clear()
+        goodness_check(cov)
+        assembly_bound_check(cov, rng.randrange(0, 3))
+        assert len(calls) == distinct + 2
+        # an equal but distinct cover starts from an empty memo
+        twin = Cover(cov.ambient, dict(cov.pieces))
+        assert twin == cov and twin is not cov
+        calls.clear()
+        goodness_check(twin)
+        assert len(calls) == distinct
+    assert shared  # some nerve simplices share an intersection
+
+
+def test_cover_memo_is_not_part_of_equality_or_repr():
+    cov = interval_cover(path_complex(6), [(0, 3), (2, 5), (1, 4)])
+    before = repr(cov)
+    goodness_check(cov)
+    assembly_bound_check(cov, 1)
+    fresh = interval_cover(path_complex(6), [(0, 3), (2, 5), (1, 4)])
+    assert repr(cov) == before == repr(fresh)
+    assert cov == fresh and fresh == cov

@@ -661,3 +661,51 @@ def test_in_row_space_matches_reference(mat, entries, coeffs):
 @given(dims.flatmap(isometries))
 def test_det_matches_cofactor_reference(g):
     assert g.det() == cofactor_det(g.a)
+
+
+def loop_intersect(s, t):
+    """Reference: ``AffineSubspace.intersect`` with each direction formed as a
+    ``Fraction`` sum over ``s.directions``, entry by entry."""
+    n = s.ambient_dim
+    cols = len(s.directions) + len(t.directions)
+    a = [[Fraction(0)] * cols for _ in range(n)]
+    for j, d in enumerate(s.directions):
+        for i in range(n):
+            a[i][j] = d[i]
+    for j, d in enumerate(t.directions):
+        for i in range(n):
+            a[i][len(s.directions) + j] = -d[i]
+    sol = solve_rational(a, list(euclid.vsub(t.base, s.base)))
+    if sol is None:
+        return None
+    base = s.base
+    for c, d in zip(sol[0][: len(s.directions)], s.directions):
+        base = euclid.vadd(base, euclid.vscale(c, d))
+    dirs = [
+        tuple(sum((z[j] * d[i] for j, d in enumerate(s.directions)), Fraction(0))
+              for i in range(n))
+        for z in sol[1]
+    ]
+    return AffineSubspace.of(base, dirs)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two affine subspaces of one ambient space (dimension 1-4), each with
+    0-4 sparse rational directions; sometimes the second shares a direction
+    or the base of the first, so positive-dimensional meets are common."""
+    n = draw(st.integers(1, 4))
+    vectors = st.lists(sparse_entries, min_size=n, max_size=n)
+    s = AffineSubspace.of(draw(vectors), draw(st.lists(vectors, max_size=4)))
+    dirs = draw(st.lists(vectors, max_size=4))
+    if s.directions and draw(st.booleans()):
+        dirs.append(s.directions[0])
+    base = s.base if draw(st.booleans()) else draw(vectors)
+    return s, AffineSubspace.of(base, dirs)
+
+
+@ELIM_SETTINGS
+@given(subspace_pairs())
+def test_intersect_matches_fraction_loop(pair):
+    s, t = pair
+    assert repr(s.intersect(t)) == repr(loop_intersect(s, t))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerveforge.construct import (
     annulus,
@@ -161,3 +163,31 @@ def test_functoriality_on_inclusion_triples():
             lhs = induced_homology_map(gf, d)
             rhs = induced_homology_map(g, d).compose_after(induced_homology_map(f, d))
             assert lhs.matrix == rhs.matrix
+
+
+# ---------------------------------------------------------------------------
+# SNF homology against independent counts on random complexes (properties)
+# ---------------------------------------------------------------------------
+
+random_complexes = st.lists(
+    st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+    min_size=1, max_size=7,
+).map(SimplicialComplex.from_maximal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes)
+def test_betti_numbers_give_euler_characteristic(c):
+    chi = sum((-1) ** (len(s) - 1) for s in c.simplices)
+    degrees = range(c.dimension + 1)
+    h = homology_of_complex(c)
+    assert sum((-1) ** d * h.betti(d) for d in degrees) == chi
+    reduced = homology_of_complex(c, reduced=True)
+    assert sum((-1) ** d * reduced.betti(d) for d in degrees) == chi - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes)
+def test_betti_numbers_match_rational_ranks(c):
+    h = homology_of_complex(c)
+    assert {d: h.betti(d) for d in range(c.dimension + 1)} == rational_betti_oracle(c)

@@ -16,6 +16,7 @@ from nerveforge.homology import (
 )
 from nerveforge.simplicial import SimplicialMap
 from nerveforge.snf import (
+    SNFError,
     SNFResult,
     _Sparse,
     add_to_echelon,
@@ -332,3 +333,14 @@ def test_add_to_echelon_rejects_the_span_only(mat, coeffs):
     grows = fraction_rank(list(rows.values()) + [unit]) > len(rows)
     assert add_to_echelon(rows, unit) == grows
     assert len(rows) == fraction_rank(mat + [unit])
+
+
+def test_determinant_rejects_non_integer_entries():
+    with pytest.raises(SNFError):
+        determinant([[Fraction(1, 2)]])
+    with pytest.raises(SNFError):
+        determinant([[Fraction(3, 2), 0], [0, 2]])
+    with pytest.raises(SNFError):
+        determinant([[1, 0], [0, 0.5]])
+    assert determinant([[Fraction(3), 1], [Fraction(4, 2), 2]]) == 4
+    assert determinant([[2, 1], [1, 3]]) == 5
