@@ -20,7 +20,7 @@ from math import isqrt, lcm
 
 from . import snf
 from .homology import HomologySummary, homology_of_complex
-from .simplicial import SimplicialComplex, SimplicialMap
+from .simplicial import SimplicialComplex, SimplicialMap, nerve_of
 
 
 class EuclidError(ValueError):
@@ -523,26 +523,8 @@ def ladder(arr: Arrangement, k_max: int):
 
 def nerve_of_subspaces(spaces: list[AffineSubspace]) -> SimplicialComplex:
     """Nerve of affine subspaces; intersections decided by exact feasibility."""
-    simplices = []
-    inter = {}
-    frontier = []
-    for i, s in enumerate(spaces):
-        inter[(i,)] = s
-        frontier.append((i,))
-        simplices.append((i,))
-    while frontier:
-        new = []
-        for alpha in frontier:
-            base = inter[alpha]
-            for j in range(alpha[-1] + 1, len(spaces)):
-                meet = base.intersect(spaces[j])
-                if meet is not None:
-                    beta = alpha + (j,)
-                    inter[beta] = meet
-                    new.append(beta)
-                    simplices.append(beta)
-        frontier = new
-    return SimplicialComplex(frozenset(simplices))
+    return SimplicialComplex(frozenset(
+        alpha for alpha, _ in nerve_of(dict(enumerate(spaces)), AffineSubspace.intersect)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ transforms, so induced-map matrices are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .simplicial import SimplicialComplex, SimplicialMap
 from .snf import smith_normal_form, solve_integer
@@ -53,6 +54,37 @@ class IntegerChainComplex:
             if any(acc.values()):
                 raise ChainComplexError(f"boundary squared is nonzero in degree {d + 1}")
 
+    @staticmethod
+    def of_cells(basis: dict[int, list], faces) -> "IntegerChainComplex":
+        """Chain complex on the labelled cells ``basis[d]``, where
+        ``faces(label)`` lists the ``(sign, face label)`` pairs of a cell's
+        boundary; a face must be a label of the degree below.
+
+        A column maps each face's index to its sign, so a face listed twice
+        would keep one sign where their sum is due. No caller lists one
+        twice: a simplex's faces are distinct; two faces of one quotient
+        simplex in the same lattice orbit would put a box and its own
+        translate in one simplex, which ``BoxUnion`` rejects; and a
+        ``TotalComplex`` cell's vertical faces ``(o, f)`` and horizontal
+        faces ``(face(o, l), s)`` differ in their object.
+        """
+        boundaries: dict[int, dict[int, dict[int, int]]] = {}
+        for d, labels in basis.items():
+            if d == 0:
+                continue
+            index = {f: i for i, f in enumerate(basis.get(d - 1, ()))}
+            cols = {}
+            for col, label in enumerate(labels):
+                cell_faces = faces(label)
+                try:
+                    cols[col] = {index[f]: sign for sign, f in cell_faces}
+                except KeyError as e:
+                    raise ChainComplexError(
+                        f"face {e.args[0]!r} of {label!r} is not a cell of "
+                        f"degree {d - 1}") from None
+            boundaries[d] = cols
+        return IntegerChainComplex(basis=basis, boundaries=boundaries)
+
     def degrees(self):
         return sorted(self.basis)
 
@@ -72,19 +104,9 @@ class IntegerChainComplex:
 
 def chain_complex(c: SimplicialComplex) -> IntegerChainComplex:
     """Simplicial chain complex with bases sorted lexicographically."""
-    basis: dict[int, list] = {}
-    index: dict[tuple, int] = {}
-    for d in range(c.dimension + 1):
-        basis[d] = c.simplices_of_dim(d)
-        for i, s in enumerate(basis[d]):
-            index[s] = i
-    boundaries: dict[int, dict[int, dict[int, int]]] = {}
-    for d in range(1, c.dimension + 1):
-        cols = {}
-        for col, s in enumerate(basis[d]):
-            cols[col] = {index[f]: sign for sign, f in simplex_boundary(s)}
-        boundaries[d] = cols
-    return IntegerChainComplex(basis=basis, boundaries=boundaries)
+    return IntegerChainComplex.of_cells(
+        {d: c.simplices_of_dim(d) for d in range(c.dimension + 1)},
+        simplex_boundary)
 
 
 @dataclass(frozen=True)
@@ -460,40 +482,28 @@ class TotalComplex:
         basis: dict[int, list] = {}
         for o in self.objects:
             k = len(o) - 1
-            for s in sorted(self.coeff[o]):
+            for s in self.coeff[o]:
                 basis.setdefault(k + len(s) - 1, []).append((o, s))
         for d in basis:
             basis[d].sort()
-        index = {d: {lab: i for i, lab in enumerate(labels)} for d, labels in basis.items()}
-        boundaries: dict[int, dict[int, dict[int, int]]] = {}
-        for d, labels in basis.items():
-            if d == 0:
-                continue
-            cols = {}
-            low = index.get(d - 1, {})
-            for col, (o, s) in enumerate(labels):
-                k = len(o) - 1
-                entry: dict[int, int] = {}
-                for sign, f in simplex_boundary(s):
-                    row = low.get((o, f))
-                    if row is None:
-                        raise ChainComplexError("coefficient complex not downward closed")
-                    entry[row] = entry.get(row, 0) + sign
-                vsign = (-1) ** (len(s) - 1)
-                for l in range(k + 1):
-                    fo = face(o, l)
-                    if fo is None:
-                        continue
-                    row = low.get((fo, s))
-                    if row is None:
-                        raise ChainComplexError(
-                            f"face coefficient does not contain simplex {s}")
-                    entry[row] = entry.get(row, 0) + vsign * ((-1) ** l)
-                cols[col] = {r: v for r, v in entry.items() if v}
-            if cols:
-                boundaries[d] = cols
-        self.cc = IntegerChainComplex(basis=basis, boundaries=boundaries)
-        self.index = index
+
+        def faces(cell):
+            o, s = cell
+            vsign = (-1) ** (len(s) - 1)
+            out = [(sign, (o, f)) for sign, f in simplex_boundary(s)]
+            for l in range(len(o)):
+                fo = face(o, l)
+                if fo is not None:
+                    out.append((vsign * (-1) ** l, (fo, s)))
+            return out
+
+        self.cc = IntegerChainComplex.of_cells(basis, faces)
+
+    @cached_property
+    def index(self) -> dict:
+        """Per degree, each cell label's basis position."""
+        return {d: {lab: i for i, lab in enumerate(labels)}
+                for d, labels in self.cc.basis.items()}
 
     def column_objects(self, k: int):
         return [o for o in self.objects if len(o) - 1 == k]

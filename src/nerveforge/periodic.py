@@ -23,7 +23,7 @@ from .homology import (
     simplex_boundary,
 )
 from .lattices import LatticeSubgroup
-from .simplicial import ComplexError, SimplicialComplex, SimplicialMap
+from .simplicial import ComplexError, SimplicialComplex, SimplicialMap, nerve_of
 
 
 class PeriodicError(ValueError):
@@ -195,33 +195,10 @@ class BoxUnion:
         return sorted(out)
 
     def window_complex(self, w) -> SimplicialComplex:
-        """Nerve of the window's boxes; simplices are subsets with a common
-        point, decided on the integer corners.
-
-        A simplex is only tried with the later boxes that meet each of its
-        vertices; each try still meets the box common to the whole simplex.
-        """
-        verts = self.window_vertices(w)
-        boxes = [self._int_box(v) for v in verts]
-        n = len(verts)
-        nbrs = [
-            {j for j in range(i + 1, n) if _meet(boxes[i], boxes[j]) is not None}
-            for i in range(n)
-        ]
-        simplices = [(v,) for v in verts]
-        frontier = [((v,), box, sorted(nbrs[i]))
-                    for i, (v, box) in enumerate(zip(verts, boxes))]
-        while frontier:
-            new = []
-            for alpha, base, cands in frontier:
-                for p, i in enumerate(cands):
-                    meet = _meet(base, boxes[i])
-                    if meet is not None:
-                        beta = alpha + (verts[i],)
-                        simplices.append(beta)
-                        new.append((beta, meet, [j for j in cands[p + 1:] if j in nbrs[i]]))
-            frontier = new
-        return SimplicialComplex(frozenset(simplices))
+        """Nerve of the window's boxes (``simplicial.nerve_of``); simplices
+        are subsets with a common point, decided on the integer corners."""
+        boxes = {v: self._int_box(v) for v in self.window_vertices(w)}
+        return SimplicialComplex(frozenset(alpha for alpha, _ in nerve_of(boxes, _meet)))
 
     def stabilization(self, w_max: int = 16) -> StabilizationResult:
         """``stabilization_check`` of the window nerves in every degree.
@@ -550,39 +527,18 @@ def quotient_complex(bu: BoxUnion) -> IntegerChainComplex:
                 if v > base_vertex:
                     candidates.append(v)
         candidates.sort()
-        boxes = [bu._int_box(v) for v in candidates]
-
-        def extend(simplex, inter, start):
-            reps.add(tuple(simplex))
-            for i in range(start, len(candidates)):
-                meet = _meet(inter, boxes[i])
-                if meet is not None:
-                    simplex.append(candidates[i])
-                    extend(simplex, meet, i + 1)
-                    simplex.pop()
-
-        extend([base_vertex], bu._int_box(base_vertex), 0)
+        base_box = bu._int_box(base_vertex)
+        meets = {v: _meet(base_box, bu._int_box(v)) for v in candidates}
+        reps.add((base_vertex,))
+        reps.update((base_vertex,) + alpha for alpha, _ in nerve_of(meets, _meet))
 
     by_degree: dict[int, list] = {}
     for s in reps:
         by_degree.setdefault(len(s) - 1, []).append(s)
     for d in by_degree:
         by_degree[d].sort()
-    index = {d: {s: i for i, s in enumerate(lst)} for d, lst in by_degree.items()}
-    boundaries: dict[int, dict[int, dict[int, int]]] = {}
-    for d, lst in by_degree.items():
-        if d == 0:
-            continue
-        cols = {}
-        for col, s in enumerate(lst):
-            entry: dict[int, int] = {}
-            for sign, f in simplex_boundary(s):
-                norm = _orbit_normalize(f, bu.lattice)
-                row = index[d - 1][norm]
-                entry[row] = entry.get(row, 0) + sign
-            cols[col] = {k: v for k, v in entry.items() if v}
-        boundaries[d] = cols
-    return IntegerChainComplex(basis=by_degree, boundaries=boundaries)
+    return IntegerChainComplex.of_cells(by_degree, lambda s: [
+        (sign, _orbit_normalize(f, bu.lattice)) for sign, f in simplex_boundary(s)])
 
 
 @dataclass(frozen=True)
@@ -713,11 +669,6 @@ class CoverWindow:
         return (v[0], v[1])
 
 
-def _vertex_map_into(small: CoverWindow, big: CoverWindow, vmap):
-    """Simplicial map from small.complex into big.complex given a vertex map."""
-    return SimplicialMap(small.complex, big.complex, vmap)
-
-
 @dataclass(frozen=True)
 class CoverLiftVerdict:
     ok: bool
@@ -786,7 +737,7 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
     lift_maps = {}
     for e in units:
         try:
-            lift_maps[e] = _vertex_map_into(small, big, small.lift(e))
+            lift_maps[e] = SimplicialMap(small.complex, big.complex, small.lift(e))
         except ComplexError:
             simplicial_ok = False
     checks["lift_simplicial"] = simplicial_ok

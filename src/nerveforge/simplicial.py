@@ -3,6 +3,10 @@
 A simplex is a tuple of vertex ids sorted in the ambient vertex order
 (orientation convention: boundary signs alternate by position in that
 order).  Complexes are immutable after construction.
+
+``nerve_of`` is the one enumerator of nerves: every set of keys whose
+values have a common meet. The nerves of covers, of affine subspaces, of
+periodic box windows and of their lattice quotients are all built by it.
 """
 
 from __future__ import annotations
@@ -52,14 +56,14 @@ class SimplicialComplex:
         return SimplicialComplex(closed)
 
     @staticmethod
-    def from_simplices(simplices, *, strict: bool = True) -> "SimplicialComplex":
-        """Build from an explicit simplex list; with strict=True the list must
-        already be downward closed and duplicate-free."""
+    def from_simplices(simplices) -> "SimplicialComplex":
+        """Build from an explicit simplex list, which must already be
+        downward closed and duplicate-free."""
         given = [normalize_simplex(s) for s in simplices]
-        if strict and len(set(given)) != len(given):
+        if len(set(given)) != len(given):
             raise ComplexError("duplicate simplices")
         closed = close_downward(given)
-        if strict and set(given) != set(closed):
+        if set(given) != set(closed):
             missing = sorted(closed - set(given))[:3]
             raise ComplexError(f"not downward closed, e.g. missing {missing}")
         _check_vertex_types({v for s in closed for v in s})
@@ -136,6 +140,42 @@ def union_all(subs: list[frozenset]) -> frozenset:
     for s in subs:
         out = out | s
     return out
+
+
+def nerve_of(items: dict, meet):
+    """``(key tuple, meet)`` for every set of keys of ``items`` whose values
+    have a common meet, smaller sets first and each size in lexicographic
+    order; key tuples follow the dict order.
+
+    ``meet(a, b)`` returns the meet of two values, or None when it is empty.
+    Each pair of values is met once. A set is then tried only with the later
+    keys that meet every one of its members, and each try meets the set's
+    own meet with the new value.
+    """
+    keys = list(items)
+    values = list(items.values())
+    later = []  # later[i]: {j: meet of values i and j} over j > i
+    for i, a in enumerate(values):
+        yield (keys[i],), a
+        later.append({j: m for j in range(i + 1, len(values))
+                      if (m := meet(a, values[j])) is not None})
+    frontier = []
+    for i, row in enumerate(later):
+        cands = list(row)
+        for p, j in enumerate(cands):
+            alpha = (keys[i], keys[j])
+            yield alpha, row[j]
+            frontier.append((alpha, row[j], [k for k in cands[p + 1:] if k in later[j]]))
+    while frontier:
+        new = []
+        for alpha, base, cands in frontier:
+            for p, i in enumerate(cands):
+                m = meet(base, values[i])
+                if m is not None:
+                    beta = alpha + (keys[i],)
+                    yield beta, m
+                    new.append((beta, m, [j for j in cands[p + 1:] if j in later[i]]))
+        frontier = new
 
 
 def order_complex(elements) -> SimplicialComplex:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerveforge.construct import (
@@ -20,12 +20,14 @@ from nerveforge.homology import (
     ChainComplexError,
     HomologySummary,
     IntegerChainComplex,
+    TotalComplex,
     chain_complex,
     degree_homology,
     homology_of_complex,
     induced_homology_map,
     induced_map_is_isomorphism,
     is_acyclic,
+    simplex_boundary,
 )
 from nerveforge.simplicial import SimplicialComplex, SimplicialMap, barycentric_subdivision
 from nerveforge.snf import rational_rank
@@ -191,3 +193,85 @@ def test_betti_numbers_give_euler_characteristic(c):
 def test_betti_numbers_match_rational_ranks(c):
     h = homology_of_complex(c)
     assert {d: h.betti(d) for d in range(c.dimension + 1)} == rational_betti_oracle(c)
+
+
+def loop_chain_complex(c):
+    """The per-degree basis/index/boundary loop ``chain_complex`` replaced."""
+    basis = {}
+    index = {}
+    for d in range(c.dimension + 1):
+        basis[d] = c.simplices_of_dim(d)
+        for i, s in enumerate(basis[d]):
+            index[s] = i
+    boundaries = {}
+    for d in range(1, c.dimension + 1):
+        cols = {}
+        for col, s in enumerate(basis[d]):
+            cols[col] = {index[f]: sign for sign, f in simplex_boundary(s)}
+        boundaries[d] = cols
+    return IntegerChainComplex(basis=basis, boundaries=boundaries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes)
+def test_chain_complex_matches_loop(c):
+    cc, ref = chain_complex(c), loop_chain_complex(c)
+    assert cc.basis == ref.basis
+    assert cc.boundaries == ref.boundaries
+
+
+def test_of_cells_rejects_faces_outside_the_basis():
+    with pytest.raises(ChainComplexError):
+        IntegerChainComplex.of_cells({0: [(0,)], 1: [(0, 1)]}, simplex_boundary)
+    with pytest.raises(ChainComplexError):
+        IntegerChainComplex.of_cells({1: [(0, 1)]}, simplex_boundary)
+
+
+def drop(o, l):
+    return o[:l] + o[l + 1:] if len(o) > 1 else None
+
+
+def test_total_complex_rejects_coefficients_not_downward_closed():
+    # the edge's vertices are missing from its own coefficient set
+    with pytest.raises(ChainComplexError):
+        TotalComplex([(0,)], lambda o: {(0, 1)}, drop)
+    # the edge object's coefficient vertex (5,) is missing from face (1,)
+    coeff = {(0,): {(5,)}, (1,): {(6,)}, (0, 1): {(5,)}}
+    with pytest.raises(ChainComplexError):
+        TotalComplex(list(coeff), coeff.get, drop)
+    coeff[(1,)] = {(5,), (6,)}
+    assert TotalComplex(list(coeff), coeff.get, drop).cc.dim(1) == 1
+
+
+@st.composite
+def inclusion_chains(draw):
+    """Complexes A ⊆ B ⊆ C, each spanned by faces of the next."""
+    c = draw(random_complexes)
+    b = SimplicialComplex.from_maximal(
+        draw(st.lists(st.sampled_from(sorted(c.simplices)), min_size=1, max_size=6)))
+    a = SimplicialComplex.from_maximal(
+        draw(st.lists(st.sampled_from(sorted(b.simplices)), min_size=1, max_size=4)))
+    return a, b, c
+
+
+# a loop of RP² through a subcomplex whose H_1 generator it meets with
+# sign -1, so the composite's Z/2 coordinate must be reduced
+LOOP_IN_RP2 = [(1, 2), (1, 5), (2, 5)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(inclusion_chains())
+@example((SimplicialComplex.from_maximal(LOOP_IN_RP2),
+          SimplicialComplex.from_maximal(LOOP_IN_RP2 + [(3, 4, 6), (1, 4, 6)]),
+          projective_plane_6()))
+def test_compose_after_matches_composite_map(chain):
+    a, b, c = chain
+    f = SimplicialMap.inclusion(a, b)
+    g = SimplicialMap.inclusion(b, c)
+    for d in range(c.dimension + 1):
+        direct = induced_homology_map(g.compose(f), d)
+        composed = induced_homology_map(g, d).compose_after(induced_homology_map(f, d))
+        assert composed.matrix == direct.matrix
+        assert composed.source_orders == direct.source_orders
+        assert composed.target_orders == direct.target_orders
+        assert composed.is_zero == direct.is_zero

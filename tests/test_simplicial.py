@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from nerveforge.simplicial import (
     SimplicialMap,
     Subcomplex,
     barycentric_subdivision,
+    nerve_of,
     order_complex,
 )
 
@@ -104,3 +107,76 @@ def test_order_complex_matches_scanned_chains(maximal):
     assert barycentric_subdivision(c).simplices == scanned_chains(sorted(c.simplices))
     tops = sorted({tuple(sorted(m)) for m in maximal})
     assert order_complex(tops).simplices == scanned_chains(tops)
+
+
+def folded_nerve(items, meet):
+    """Reference: every key subset, in dict order, whose left-fold meet is
+    not None, mapped to that meet."""
+    keys = list(items)
+    out = {}
+    for size in range(1, len(keys) + 1):
+        for alpha in combinations(keys, size):
+            m = items[alpha[0]]
+            for k in alpha[1:]:
+                m = meet(m, items[k])
+                if m is None:
+                    break
+            else:
+                out[alpha] = m
+    return out
+
+
+def check_nerve_of(items, meet):
+    calls = []
+    pairs = list(nerve_of(items, lambda a, b: calls.append(1) or meet(a, b)))
+    got = dict(pairs)
+    assert len(got) == len(pairs)  # each set once
+    assert got == folded_nerve(items, meet)
+    # each pair met once; a set of two or more is tried only with the later
+    # keys that meet each of its members
+    keys = list(items)
+    meets = {(a, b) for a, b in combinations(keys, 2)
+             if meet(items[a], items[b]) is not None}
+    tries = sum(
+        1 for alpha in got if len(alpha) > 1
+        for k in keys[keys.index(alpha[-1]) + 1:]
+        if all((a, k) in meets for a in alpha))
+    assert len(calls) == len(keys) * (len(keys) - 1) // 2 + tries
+    position = {k: i for i, k in enumerate(items)}
+    sizes = [len(alpha) for alpha, _ in pairs]
+    assert sizes == sorted(sizes)
+    for alpha in got:
+        assert [position[k] for k in alpha] == sorted(position[k] for k in alpha)
+        for size in range(1, len(alpha)):
+            assert all(face in got for face in combinations(alpha, size))
+
+
+def set_meet(a, b):
+    return (a & b) or None
+
+
+def box_meet(a, b):
+    lo = tuple(map(max, a[0], b[0]))
+    hi = tuple(map(min, a[1], b[1]))
+    return (lo, hi) if all(x < y for x, y in zip(lo, hi)) else None
+
+
+# keys are drawn unsorted, so dict order is not key order
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=0, max_size=7, unique=True).flatmap(
+    lambda keys: st.lists(st.frozensets(st.integers(0, 4), max_size=4),
+                          min_size=len(keys), max_size=len(keys)).map(
+        lambda values: dict(zip(keys, values)))))
+def test_nerve_of_matches_folded_meets_on_sets(items):
+    check_nerve_of(items, set_meet)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda dim: st.lists(
+    st.tuples(st.lists(st.integers(0, 5), min_size=dim, max_size=dim),
+              st.lists(st.integers(1, 4), min_size=dim, max_size=dim)),
+    max_size=8)))
+def test_nerve_of_matches_folded_meets_on_boxes(corners):
+    items = {f"b{i}": (tuple(lo), tuple(a + s for a, s in zip(lo, size)))
+             for i, (lo, size) in enumerate(corners)}
+    check_nerve_of(items, box_meet)
