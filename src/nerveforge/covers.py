@@ -1,9 +1,9 @@
-"""Covers of simplicial complexes: nerves, reduced nerves, fattenings, and
-the homology assembly bound."""
+"""Covers of simplicial complexes: nerves, saturation, fattenings, and the
+homology assembly bound."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -13,9 +13,7 @@ from .homology import (
     homology,
     homology_of_complex,
 )
-from .simplicial import (SimplicialComplex, SimplicialMap,
-                         barycentric_subdivision, nerve_of, order_complex,
-                         union_all)
+from .simplicial import SimplicialComplex, nerve_of, union_all
 
 
 class CoverError(ValueError):
@@ -26,8 +24,8 @@ class CoverError(ValueError):
 class Cover:
     """Indexed subcomplexes of a shared ambient complex.
 
-    Pieces must be distinct, nonempty and downward closed; a cover declared
-    ``covering`` must exhaust the ambient simplices.
+    Pieces must be distinct, nonempty and downward closed frozensets; a
+    cover declared ``covering`` must exhaust the ambient simplices.
 
     ``_reduced_homology`` memoizes, per instance, the reduced homology of
     each intersection the cover checks read, keyed on the intersection's
@@ -43,6 +41,8 @@ class Cover:
     def __post_init__(self):
         seen = {}
         for i, sub in self.pieces.items():
+            if not isinstance(sub, frozenset):
+                raise CoverError(f"piece {i!r} is not a frozenset")
             if not sub:
                 raise CoverError(f"piece {i!r} is empty")
             if not sub <= self.ambient.simplices:
@@ -102,49 +102,10 @@ def nerve(cover: Cover) -> NerveComplex:
 
 def saturate(nv: NerveComplex, alpha: tuple, cover: Cover) -> tuple:
     """The largest simplex with the same intersection: {i | X_i >= X_alpha}."""
-    x = nv.intersections[tuple(sorted(alpha))]
+    x = nv.intersections.get(tuple(sorted(alpha)))
+    if x is None:
+        raise CoverError(f"{alpha!r} is not a simplex of the nerve")
     return tuple(sorted(i for i in cover.indices if x <= cover.pieces[i]))
-
-
-@dataclass(frozen=True)
-class ReducedNerve:
-    """Order complex of the saturated simplices; along every chain the
-    intersections strictly decrease.
-
-    ``subdivision`` (the barycentric subdivision of the nerve) and
-    ``retraction`` (its self-map sending each nerve simplex to its
-    saturation) are built, and the map validated, on first read.
-    """
-
-    complex: SimplicialComplex
-    vertex_intersections: dict  # saturated simplex -> frozenset
-    nerve_complex: SimplicialComplex = field(compare=False)
-    saturation: dict = field(compare=False)  # nerve simplex -> saturated simplex
-
-    @cached_property
-    def subdivision(self) -> SimplicialComplex:
-        return barycentric_subdivision(self.nerve_complex)
-
-    @cached_property
-    def retraction(self) -> SimplicialMap:
-        sd = self.subdivision
-        return SimplicialMap(sd, sd, dict(self.saturation))
-
-    def chains(self):
-        """Simplices as inclusion-ordered chains of saturated simplices."""
-        return [
-            tuple(sorted(ch, key=len))
-            for ch in sorted(self.complex.simplices, key=lambda s: (len(s), s))
-        ]
-
-
-def reduced_nerve(cover: Cover, nv: NerveComplex | None = None) -> ReducedNerve:
-    nv = nv or nerve(cover)
-    sat = {alpha: saturate(nv, alpha, cover) for alpha in nv.intersections}
-    saturated = sorted(set(sat.values()), key=lambda a: (len(a), a))
-    vx = {a: nv.intersections[a] for a in saturated}
-    return ReducedNerve(complex=order_complex(saturated), vertex_intersections=vx,
-                        nerve_complex=nv.complex, saturation=sat)
 
 
 def fattening(cover: Cover, nv: NerveComplex | None = None) -> TotalComplex:
@@ -210,28 +171,35 @@ class AssemblyVerdict:
 
 
 def assembly_bound_check(cover: Cover, n: int) -> AssemblyVerdict:
-    """If every k-simplex of the reduced nerve has coefficient homology
-    vanishing in degrees >= n-k and the reduced nerve has no homology in
-    degrees >= n, then the union has none either; a certificate is returned
-    when the implication fails (which must never happen).
+    """If every k-simplex of the reduced nerve (the chains of saturated
+    simplices under strict inclusion) has coefficient homology vanishing in
+    degrees >= n-k and the reduced nerve has no homology in degrees >= n,
+    then the union has none either; a certificate is returned when the
+    implication fails (which must never happen).
 
-    A chain's coefficient homology is that of its smallest intersection,
-    read from the cover's memo (``Cover._reduced_homology``): each distinct
-    intersection is computed once, however many chains end at it, and not
-    again if ``goodness_check`` already ran on the same cover. The memo is
-    keyed on the intersection's simplex set, whose homology cannot change.
+    A chain's coefficient homology is that of the intersection at its top
+    simplex, and its test gets stronger as k grows, so at each saturated
+    simplex s the longest chain ending there binds: s is tested at its
+    height, 0 with no saturated simplex strictly inside s, else one more
+    than the largest height among those. Distinct saturated simplices have
+    distinct intersections, so each is read once from the cover's memo
+    (``Cover._reduced_homology``), keyed on the intersection's simplex set.
 
     The reduced nerve's homology is read off the nerve itself, which has
     the same homology and fewer simplices.
     """
     nv = nerve(cover)
-    rn = reduced_nerve(cover, nv)
-
-    coeff_ok = True
-    for chain in rn.chains():
-        k = len(chain) - 1
-        summ = cover._reduced_homology(rn.vertex_intersections[chain[-1]])
-        coeff_ok = coeff_ok and summ.is_trivial_at_or_above(n - k)
+    saturated = sorted({saturate(nv, a, cover) for a in nv.intersections},
+                       key=lambda s: (len(s), s))
+    height = {}
+    for s in saturated:
+        # every saturated subset of s is already placed, and is strict
+        vs = set(s)
+        height[s] = max((h + 1 for t, h in height.items() if vs.issuperset(t)),
+                        default=0)
+    coeff_ok = all(
+        cover._reduced_homology(nv.intersections[s]).is_trivial_at_or_above(n - k)
+        for s, k in height.items())
 
     # saturation is a closure operator on the nerve's face poset, so the
     # reduced nerve is homotopy equivalent to the (smaller) nerve (Quillen)

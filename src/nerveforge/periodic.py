@@ -30,10 +30,6 @@ class PeriodicError(ValueError):
     pass
 
 
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class Box:
     """Open axis-aligned box with rational corners."""
@@ -43,8 +39,8 @@ class Box:
 
     @staticmethod
     def of(lo, hi) -> "Box":
-        lo = tuple(_frac(x) for x in lo)
-        hi = tuple(_frac(x) for x in hi)
+        lo = tuple(Fraction(x) for x in lo)
+        hi = tuple(Fraction(x) for x in hi)
         if len(lo) != len(hi) or any(a >= b for a, b in zip(lo, hi)):
             raise PeriodicError("degenerate box")
         return Box(lo, hi)
@@ -69,7 +65,7 @@ class Box:
         return Box(lo, hi)
 
     def meets_cube(self, w) -> bool:
-        w = _frac(w)
+        w = Fraction(w)
         return all(a < w and b > -w for a, b in zip(self.lo, self.hi))
 
 
@@ -184,7 +180,7 @@ class BoxUnion:
     def window_vertices(self, w) -> list:
         """(box index, coefficient tuple) pairs whose boxes meet [-w, w]^dim."""
         out = []
-        w = _frac(w) * self._den
+        w = Fraction(w) * self._den
         if w.denominator == 1:
             w = w.numerator
         for j, (blo, bhi) in enumerate(self._scaled):

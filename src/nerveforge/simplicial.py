@@ -178,31 +178,6 @@ def nerve_of(items: dict, meet):
         frontier = new
 
 
-def order_complex(elements) -> SimplicialComplex:
-    """Complex of the chains of ``elements`` (simplices, as vertex tuples)
-    under strict inclusion; each chain is stored sorted.
-
-    Each element's vertex set is built once, and each chain is extended only
-    by the strict cofaces of its last element.
-    """
-    vertex_sets = {s: frozenset(s) for s in elements}
-    cofaces = {s: [t for t, ts in vertex_sets.items() if vs < ts]
-               for s, vs in vertex_sets.items()}
-    chains: set[tuple] = set()
-    stack = [(s,) for s in vertex_sets]
-    while stack:
-        chain = stack.pop()
-        chains.add(tuple(sorted(chain)))
-        stack.extend(chain + (t,) for t in cofaces[chain[-1]])
-    return SimplicialComplex(frozenset(chains))
-
-
-def barycentric_subdivision(c: SimplicialComplex) -> SimplicialComplex:
-    """Subdivision whose vertices are simplices of c and whose k-simplices
-    are strictly increasing chains of length k+1."""
-    return order_complex(c.simplices)
-
-
 @dataclass(frozen=True)
 class SimplicialMap:
     """Vertex assignment inducing a map of complexes; images of simplices may

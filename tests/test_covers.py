@@ -21,11 +21,12 @@ from nerveforge.covers import (
     goodness_check,
     nerve,
     nerve_homology,
-    reduced_nerve,
     saturate,
 )
 from nerveforge.homology import HomologySummary, homology, homology_of_complex
-from nerveforge.simplicial import SimplicialComplex, barycentric_subdivision
+from nerveforge.simplicial import SimplicialComplex
+
+from chain_helpers import scanned_chains
 
 
 def interval_cover(path, spans):
@@ -60,6 +61,9 @@ def test_cover_validation():
         Cover(path, {0: sub, 1: sub})
     with pytest.raises(CoverError):
         Cover(path, {0: sub}, covering=True)
+    # a set piece would later break the frozenset-keyed homology memo
+    with pytest.raises(CoverError, match="not a frozenset"):
+        Cover(path, {0: set(sub)})
 
 
 def test_nerve_disjoint_pieces():
@@ -131,66 +135,29 @@ def test_saturate_exhaustive_small():
                 assert meet == nv.intersections[alpha]
 
 
-def test_reduced_nerve_identity_when_already_reduced():
-    path = path_complex(5)
-    cov = interval_cover(path, [(0, 2), (2, 5)])
-    rn = reduced_nerve(cov)
-    p = rn.retraction
-    assert all(p.vertex_map[v] == v for v in p.source.vertices)
-
-
-def test_reduced_nerve_nested_pieces():
-    path = path_complex(5)
-    # X_0 strictly inside X_1 and the double intersection equals X_0
-    cov = interval_cover(path, [(1, 2), (0, 4)])
-    rn = reduced_nerve(cov)
-    assert rn.complex.vertices == frozenset({(0, 1), (1,)})
-    # single edge: the chain (1,) < (0,1) with strictly decreasing pieces
-    assert (tuple(sorted([(1,), (0, 1)]))) in rn.complex.simplices
-    p = rn.retraction
-    assert p.vertex_map[(0,)] == (0, 1)
-    # retraction is idempotent on vertices
-    for v in p.source.vertices:
-        assert p.vertex_map[p.vertex_map[v]] == p.vertex_map[v]
-
-
-def test_reduced_nerve_builds_subdivision_on_first_read(monkeypatch):
-    calls = []
-
-    def counted(c):
-        calls.append(c)
-        return barycentric_subdivision(c)
-
-    monkeypatch.setattr(covers_module, "barycentric_subdivision", counted)
-    cov = interval_cover(path_complex(5), [(1, 2), (0, 4)])
-    assembly_bound_check(cov, 1)
-    assert calls == []
-    rn = reduced_nerve(cov)
-    assert calls == []
-    p = rn.retraction
-    assert len(calls) == 1
-    assert rn.retraction is p and rn.subdivision is p.source
-    assert len(calls) == 1
+def test_saturate_rejects_non_simplex():
+    cov = interval_cover(path_complex(5), [(0, 1), (3, 5)])
+    nv = nerve(cov)
+    with pytest.raises(CoverError, match="not a simplex of the nerve"):
+        saturate(nv, (0, 1), cov)
+    assert saturate(nv, (1,), cov) == (1,)
 
 
 def test_reduced_nerve_strict_decrease_rule():
+    # saturated s < t have X_t < X_s, so heights along inclusion are the
+    # chain lengths of strictly decreasing intersections
     rng = random.Random(2)
+    pairs = 0
     for _ in range(10):
         cov = random_rect_cover(rng)
-        rn = reduced_nerve(cov)
-        for chain in rn.chains():
-            sizes = [len(rn.vertex_intersections[a]) for a in chain]
-            assert all(x > y for x, y in zip(sizes, sizes[1:]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(3, 4), st.integers(2, 5))
-def test_reduced_nerve_homology_matches_nerve(rng, size, n_pieces):
-    # assembly_bound_check reports the nerve's homology as the reduced nerve's
-    cov = random_rect_cover(rng, nx=size, ny=size, n_pieces=n_pieces, max_parts=2)
-    nv = nerve(cov)
-    rn = reduced_nerve(cov, nv)
-    assert homology_of_complex(rn.complex) == homology_of_complex(nv.complex)
+        nv = nerve(cov)
+        saturated = {saturate(nv, a, cov) for a in nv.intersections}
+        for s in saturated:
+            for t in saturated:
+                if set(s) < set(t):
+                    pairs += 1
+                    assert nv.intersections[t] < nv.intersections[s]
+    assert pairs
 
 
 def test_fattening_single_piece():
@@ -291,14 +258,16 @@ def loop_goodness_check(cover):
 
 
 def loop_assembly_bound_check(cover, n):
-    """Reference: one homology computation per reduced-nerve chain."""
-    rn = reduced_nerve(cover)
+    """Reference: one homology computation per chain of saturated simplices,
+    and the homology of the complex of those chains (the reduced nerve)."""
+    nv = nerve(cover)
+    chains = scanned_chains(sorted({saturate(nv, a, cover) for a in nv.intersections}))
     coeff_ok = True
-    for chain in rn.chains():
-        summ = homology_of_complex(
-            SimplicialComplex(rn.vertex_intersections[chain[-1]]), reduced=True)
+    for chain in chains:
+        top = max(chain, key=len)
+        summ = homology_of_complex(SimplicialComplex(nv.intersections[top]), reduced=True)
         coeff_ok = coeff_ok and summ.is_trivial_at_or_above(n - (len(chain) - 1))
-    rn_summary = homology_of_complex(rn.complex)
+    rn_summary = homology_of_complex(SimplicialComplex(chains))
     nerve_ok = rn_summary.is_trivial_at_or_above(n)
     union_summary = homology_of_complex(cover.union_complex())
     conclusion = union_summary.is_trivial_at_or_above(n)

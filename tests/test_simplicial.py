@@ -10,9 +10,7 @@ from nerveforge.simplicial import (
     SimplicialComplex,
     SimplicialMap,
     Subcomplex,
-    barycentric_subdivision,
     nerve_of,
-    order_complex,
 )
 
 
@@ -57,20 +55,6 @@ def test_subcomplex_inclusion_exclusion_random():
         assert len(u) == len(a) + len(b) - len(i)
 
 
-def test_barycentric_edge():
-    c = path_complex(1)
-    sd = barycentric_subdivision(c)
-    assert len(sd.simplices_of_dim(0)) == 3
-    assert len(sd.simplices_of_dim(1)) == 2
-
-
-def test_barycentric_triangle():
-    sd = barycentric_subdivision(full_simplex(3))
-    assert len(sd.simplices_of_dim(0)) == 7
-    assert len(sd.simplices_of_dim(1)) == 12
-    assert len(sd.simplices_of_dim(2)) == 6
-
-
 def test_simplicial_map_validation_and_signs():
     src = path_complex(2)
     dst = full_simplex(2)
@@ -81,32 +65,6 @@ def test_simplicial_map_validation_and_signs():
     assert sign == 0
     with pytest.raises(ComplexError):
         SimplicialMap(src, dst, {0: 0, 1: 1})
-
-
-def scanned_chains(elements):
-    """Reference: every strictly increasing chain, extended by a scan of all
-    elements."""
-    chains = set()
-
-    def grow(chain):
-        chains.add(tuple(sorted(chain)))
-        for s in elements:
-            if set(chain[-1]) < set(s):
-                grow(chain + [s])
-
-    for s in elements:
-        grow([s])
-    return frozenset(chains)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
-                min_size=1, max_size=4))
-def test_order_complex_matches_scanned_chains(maximal):
-    c = SimplicialComplex.from_maximal(maximal)
-    assert barycentric_subdivision(c).simplices == scanned_chains(sorted(c.simplices))
-    tops = sorted({tuple(sorted(m)) for m in maximal})
-    assert order_complex(tops).simplices == scanned_chains(tops)
 
 
 def folded_nerve(items, meet):
