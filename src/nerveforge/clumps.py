@@ -15,14 +15,13 @@ from .covers import Cover, nerve
 from .homology import (
     HomologySummary,
     TotalComplex,
+    chain_complex,
     degree_homology,
     homology,
     homology_of_complex,
-    induced_map_on_homology,
 )
 from .lattices import (
     LatticeSubgroup,
-    finite_index_in,
     intersect,
     join,
     join_all,
@@ -342,18 +341,8 @@ def unfolding_space(ps: PatchSystem, pn: PatchNerve | None = None) -> UnfoldingS
     if not clumps_list:
         raise ClumpError("no maximal clumps: unfolding space is empty")
     chains = clump_chains(clumps_list)
-
-    def face(o, l):
-        if len(o) == 1:
-            return None
-        return o[:l] + o[l + 1:]
-
-    unfolded = TotalComplex(
-        chains, lambda o: clumps_list[o[-1]].big_support, face
-    )
-    folded = TotalComplex(
-        chains, lambda o: clumps_list[o[-1]].support, face
-    )
+    unfolded = TotalComplex(chains, lambda o: clumps_list[o[-1]].big_support)
+    folded = TotalComplex(chains, lambda o: clumps_list[o[-1]].support)
     union = union_all([c.support for c in clumps_list])
     return UnfoldingSpace(
         clumps=clumps_list,
@@ -403,11 +392,8 @@ def unfolding_vanishing_check(ps: PatchSystem, n: int, r: int) -> UnfoldingVanis
     vanish = u_summary.is_trivial_at_or_above(threshold)
 
     union_cx = SimplicialComplex(us.union_support)
-    union_cc = us.folded.cc  # quasi-isomorphic model of the union
     composite_zero = True
     top = union_cx.dimension
-    from .homology import chain_complex
-
     plain_cc = chain_complex(union_cx)
     for d in range(threshold, max(top, threshold - 1) + 1):
         h = degree_homology(plain_cc, d)

@@ -112,14 +112,7 @@ def fattening(cover: Cover, nv: NerveComplex | None = None) -> TotalComplex:
     """Total complex of the intersection diagram over the nerve; its homology
     equals the homology of the union of the pieces."""
     nv = nv or nerve(cover)
-    objects = list(nv.intersections)
-
-    def face(alpha, l):
-        if len(alpha) == 1:
-            return None
-        return alpha[:l] + alpha[l + 1:]
-
-    return TotalComplex(objects, lambda a: nv.intersections[a], face)
+    return TotalComplex(nv.intersections, nv.intersections.get)
 
 
 def fattening_homology(cover: Cover, degrees=None, reduced=False) -> HomologySummary:

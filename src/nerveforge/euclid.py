@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from . import snf
-from .homology import HomologySummary, homology_of_complex
+from .homology import homology_of_complex, induced_homology_map
 from .simplicial import SimplicialComplex, SimplicialMap, nerve_of
 
 
@@ -593,8 +593,6 @@ def semisimple_vanish_check(arr: Arrangement, common_gens, k: int, n: int) -> Va
 def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> VanishingVerdict:
     """The level inclusion M -> M^K with K = 2^(n-2-r) kills homology in
     degrees >= n-1-r, given every piece group has level-1 rank >= r."""
-    from .homology import induced_homology_map
-
     if n - 2 - r < 0:
         raise EuclidError("need r <= n-2")
     violations = []

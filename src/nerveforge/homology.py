@@ -66,7 +66,8 @@ class IntegerChainComplex:
         simplex in the same lattice orbit would put a box and its own
         translate in one simplex, which ``BoxUnion`` rejects; and a
         ``TotalComplex`` cell's vertical faces ``(o, f)`` and horizontal
-        faces ``(face(o, l), s)`` differ in their object.
+        faces ``(o', s)`` differ in their object, and the faces o' of o are
+        distinct.
         """
         boundaries: dict[int, dict[int, dict[int, int]]] = {}
         for d, labels in basis.items():
@@ -468,17 +469,21 @@ def induced_map_is_isomorphism(m: InducedMap) -> bool:
 class TotalComplex:
     """Total complex of a one-directional coefficient diagram.
 
-    ``objects`` index the horizontal direction; an object o has horizontal
-    degree ``len(o) - 1``.  ``coeff(o)`` is the simplex set of its coefficient
-    subcomplex and ``face(o, l)`` the object under dropping position l (or
-    None to omit the face).  Coefficient maps along faces are simplex-identity
-    inclusions, so coeff(face(o, l)) must contain coeff(o).
+    ``objects`` are vertex tuples indexing the horizontal direction; an
+    object o has horizontal degree ``len(o) - 1``, and its faces are o with
+    one position dropped (a 1-tuple has none).  ``coeff(o)`` is the simplex
+    set of its coefficient subcomplex.  Coefficient maps along faces are
+    simplex-identity inclusions, so the coefficients of each face of o must
+    contain coeff(o).
+
+    A cell ``(o, s)`` has vertical faces ``(o, f)`` for the faces f of s and
+    horizontal faces ``(o', s)`` for the faces o' of o; both carry the signs
+    of ``simplex_boundary``, the horizontal ones times ``(-1) ** dim s``.
     """
 
-    def __init__(self, objects, coeff, face):
+    def __init__(self, objects, coeff):
         self.objects = sorted(objects, key=lambda o: (len(o), o))
         self.coeff = {o: frozenset(coeff(o)) for o in self.objects}
-        self.face = face
         basis: dict[int, list] = {}
         for o in self.objects:
             k = len(o) - 1
@@ -491,10 +496,7 @@ class TotalComplex:
             o, s = cell
             vsign = (-1) ** (len(s) - 1)
             out = [(sign, (o, f)) for sign, f in simplex_boundary(s)]
-            for l in range(len(o)):
-                fo = face(o, l)
-                if fo is not None:
-                    out.append((vsign * (-1) ** l, (fo, s)))
+            out += [(vsign * sign, (f, s)) for sign, f in simplex_boundary(o)]
             return out
 
         self.cc = IntegerChainComplex.of_cells(basis, faces)
@@ -505,49 +507,36 @@ class TotalComplex:
         return {d: {lab: i for i, lab in enumerate(labels)}
                 for d, labels in self.cc.basis.items()}
 
-    def column_objects(self, k: int):
-        return [o for o in self.objects if len(o) - 1 == k]
-
-    def inject_colored_chain(self, colored: dict[tuple, dict[tuple, int]], d: int) -> list[int]:
-        """Vector for a chain assigned to horizontal-degree-0 objects."""
-        vec = [0] * self.cc.dim(d)
-        for o, chain in colored.items():
-            for s, v in chain.items():
-                vec[self.index[d][(o, s)]] += v
-        return vec
-
     def lift_cycle(self, cycle: dict[tuple, int], d: int):
         """Zig-zag a degree-d cycle of the union into a total-complex cycle.
 
+        Each simplex of the cycle goes to the first horizontal-degree-0
+        object whose coefficients hold it; then, column by column, a chain
+        one column to the right cancels what is left of the boundary.
         Returns the lifted vector; raises if some stage is unsolvable (which
         would mean the diagram's rows are not exact).
         """
-        zero_objs = self.column_objects(0)
-        colored: dict[tuple, dict[tuple, int]] = {}
+        homes = [o for o in self.objects if len(o) == 1]
+        current = [0] * self.cc.dim(d)
         for s, v in cycle.items():
             if not v:
                 continue
-            home = next((o for o in zero_objs if s in self.coeff[o]), None)
+            home = next((o for o in homes if s in self.coeff[o]), None)
             if home is None:
                 raise ChainComplexError(f"cycle simplex {s} not covered by the diagram")
-            colored.setdefault(home, {})[s] = v
-        total = self.inject_colored_chain(colored, d)
-        # correct column by column
-        current = list(total)
-        for k in range(0, d):
+            current[self.index[d][(home, s)]] += v
+        for k in range(d):
             defect = self._vertical_defect(current, d, k)
-            if not any(defect.values()):
+            if not defect:
                 break
-            sol = self._solve_horizontal(defect, k, d - k - 1)
-            for lab, v in sol.items():
-                current[self.index[d][lab]] += v
+            for col, v in self._solve_horizontal(defect, k, d).items():
+                current[col] += v
         return current
 
     def _vertical_defect(self, vec, d, k):
         """Component of the boundary of vec in (horizontal k, vertical d-1-k)."""
         out: dict[tuple, int] = {}
         bnd = self.cc.boundaries.get(d, {})
-        labels = self.cc.basis[d]
         low = self.cc.basis.get(d - 1, [])
         for col, v in enumerate(vec):
             if not v:
@@ -559,35 +548,27 @@ class TotalComplex:
                     out[key] = out.get(key, 0) + v * w
         return {k2: v for k2, v in out.items() if v}
 
-    def _solve_horizontal(self, defect, k, j):
-        """Find a (k+1, j)-chain whose total-boundary horizontal part equals
-        -defect.  Uses the horizontal component matrix only."""
-        sources = [
-            (o, s) for o in self.column_objects(k + 1) for s in sorted(self.coeff[o])
-            if len(s) - 1 == j
-        ]
-        targets = [
-            (o, s) for o in self.column_objects(k) for s in sorted(self.coeff[o])
-            if len(s) - 1 == j
-        ]
-        tindex = {lab: i for i, lab in enumerate(targets)}
-        matrix = [[0] * len(sources) for _ in targets]
-        vsign = (-1) ** j
-        for col, (o, s) in enumerate(sources):
-            for l in range(len(o)):
-                fo = self.face(o, l)
-                if fo is None:
-                    continue
-                row = tindex.get((fo, s))
-                if row is None:
-                    raise ChainComplexError("face outside diagram")
-                matrix[row][col] += vsign * ((-1) ** l)
-        b = [-defect.get(lab, 0) for lab in targets]
-        if not sources:
+    def _solve_horizontal(self, defect, k, d):
+        """A degree-d chain on horizontal-degree-(k+1) cells whose boundary's
+        horizontal-degree-k part is -defect, as ``{basis index: value}``.
+        The matrix is the block of the boundary ``cc.boundaries[d]`` between
+        those two columns."""
+        cols = [i for i, (o, _) in enumerate(self.cc.basis[d]) if len(o) == k + 2]
+        low = self.cc.basis[d - 1]
+        rows = {i: p for p, i in enumerate(
+            i for i, (o, _) in enumerate(low) if len(o) == k + 1)}
+        b = [-defect.get(low[i], 0) for i in rows]
+        if not cols:
             if any(b):
                 raise ChainComplexError("horizontal lift unsolvable: no sources")
             return {}
+        matrix = [[0] * len(cols) for _ in rows]
+        bnd = self.cc.boundaries[d]
+        for c, col in enumerate(cols):
+            for row, v in bnd[col].items():
+                if row in rows:
+                    matrix[rows[row]][c] = v
         x = solve_integer(matrix, b)
         if x is None:
             raise ChainComplexError("horizontal lift unsolvable (rows not exact?)")
-        return {lab: x[i] for i, lab in enumerate(sources) if x[i]}
+        return {col: x[c] for c, col in enumerate(cols) if x[c]}

@@ -16,11 +16,14 @@ from operator import lt
 from .homology import (
     HomologySummary,
     IntegerChainComplex,
+    chain_complex,
+    degree_homology,
     homology,
     homology_of_complex,
-    induced_homology_map,
     induced_map_is_isomorphism,
+    induced_map_on_homology,
     simplex_boundary,
+    simplicial_chain_map,
 )
 from .lattices import LatticeSubgroup
 from .simplicial import ComplexError, SimplicialComplex, SimplicialMap, nerve_of
@@ -252,6 +255,17 @@ class StabilizationResult:
             for d in degs
         )
 
+    def nonvanishing_from(self, threshold: int):
+        """``(inconclusive, bad)`` over the degrees from ``threshold`` to
+        ``top_degree``: whether one of them is inconclusive, and the sorted
+        resolved ones that are not stabilized trivial."""
+        found = [(d, self.outcomes[d]) for d in range(threshold, self.top_degree + 1)
+                 if d in self.outcomes]
+        inconclusive = any(o.status == "inconclusive" for _, o in found)
+        bad = [d for d, o in found
+               if o.status != "inconclusive" and not o.stabilized_trivial()]
+        return inconclusive, bad
+
     def top_nonzero_reduced_degree(self) -> int:
         best = 0
         for d, o in sorted(self.outcomes.items()):
@@ -296,8 +310,6 @@ def stabilization_check(builder, degrees=None, w_max: int = 16) -> Stabilization
     and inconclusive otherwise; the scan stops at the first radius triple
     that resolves every requested degree, or at w_max.
     """
-    from .homology import chain_complex, degree_homology, induced_map_on_homology, simplicial_chain_map
-
     if w_max < 2:
         raise PeriodicError("w_max must be at least 2")
     radii = [1]
@@ -460,18 +472,7 @@ def local_vanishing_check(bu: BoxUnion, n: int, r: int, w_max: int = 16) -> Loca
         )
     threshold = n - 1 - r
     result = bu.stabilization(w_max)
-    relevant = [d for d in range(threshold, result.top_degree + 1)]
-    inconclusive = any(
-        result.outcomes.get(d, DegreeOutcome("stable", 0)).status == "inconclusive"
-        for d in relevant
-    )
-    bad = {
-        d: result.outcomes[d]
-        for d in relevant
-        if d in result.outcomes
-        and result.outcomes[d].status != "inconclusive"
-        and not result.outcomes[d].stabilized_trivial()
-    }
+    inconclusive, bad = result.nonvanishing_from(threshold)
     ok = not inconclusive and not bad
     return LocalVanishingVerdict(
         ok=ok,
@@ -486,7 +487,7 @@ def local_vanishing_check(bu: BoxUnion, n: int, r: int, w_max: int = 16) -> Loca
             },
         },
         certificate=(
-            {"nonvanishing_degrees": sorted(bad)} if bad else None
+            {"nonvanishing_degrees": bad} if bad else None
         ),
     )
 
@@ -678,7 +679,12 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
     """The translation action lifts through chosen sheets to a group action
     commuting with the deck group, acting trivially on stabilized cover
     homology, with the cover's reduced homology vanishing from degree
-    n-1-r; a full-rank tiling lifts to |G| disjoint copies."""
+    n-1-r; a full-rank tiling lifts to |G| disjoint copies.
+
+    Acting trivially is checked from a small window into a big one that
+    holds its unit translates: in each degree d >= 1 the induced map of
+    every unit lift on H_d must equal the inclusion's, and in degree 0 every
+    lifted vertex must stay in the inclusion's component."""
     if r != bu.rank:
         raise PeriodicError("declared rank differs from lattice rank")
     if n - 1 != bu.dim:
@@ -757,53 +763,30 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
     result = stabilization_check(
         lambda w: CoverWindow(bu, spec, w).complex, degrees=None, w_max=w_max
     )
-    relevant = range(threshold, result.top_degree + 1)
-    inconclusive = any(
-        result.outcomes.get(d, DegreeOutcome("stable", 0)).status == "inconclusive"
-        for d in relevant
-    )
-    vanish = not inconclusive and all(
-        result.outcomes.get(d, DegreeOutcome("stable", 0)).stabilized_trivial()
-        for d in relevant
-    )
+    inconclusive, bad = result.nonvanishing_from(threshold)
+    vanish = not inconclusive and not bad
     checks["cover_vanishing"] = vanish
 
-    # (c) trivial on homology: for every generator cycle z of the small
-    # window, lift(z) - z bounds in the big window (checked by an exact
-    # integer solve), and components are preserved
+    # (c) trivial on homology: in each degree d >= 1 where the small window
+    # has classes, every unit lift induces the same map H_d(small) ->
+    # H_d(big) as the inclusion
     trivial_ok = simplicial_ok
     if simplicial_ok:
-        from .homology import chain_complex, degree_homology
-        from .snf import smith_normal_form, solve_integer
-
         small_cc = chain_complex(small.complex)
         big_cc = chain_complex(big.complex)
-        big_index = {
-            d: {s: i for i, s in enumerate(big_cc.basis.get(d, []))}
-            for d in big_cc.basis
-        }
+        inclusion = SimplicialMap.inclusion(small.complex, big.complex)
+        maps = [simplicial_chain_map(f, small_cc, big_cc)
+                for f in [inclusion] + [lift_maps[e] for e in units]]
         for d in range(1, max(small.complex.dimension, 0) + 1):
-            h = degree_homology(small_cc, d)
-            if not h.generators:
+            src_h = degree_homology(small_cc, d)
+            if not src_h.generators:
                 continue
-            bmat = big_cc.dense_boundary(d + 1)
-            bsnf = smith_normal_form(bmat) if bmat and bmat[0] else None
-            for e in units:
-                f = lift_maps[e]
-                for gen in h.generators:
-                    diff = [0] * big_cc.dim(d)
-                    for col, v in enumerate(gen):
-                        if not v:
-                            continue
-                        s = small_cc.basis[d][col]
-                        diff[big_index[d][s]] += v
-                        img, sign = f.image_simplex(s)
-                        if sign == 0:
-                            raise PeriodicError("lift collapsed a simplex")
-                        diff[big_index[d][img]] -= v * sign
-                    if any(diff):
-                        if bsnf is None or solve_integer(bmat, diff, bsnf) is None:
-                            trivial_ok = False
+            dst_h = degree_homology(big_cc, d)
+            expected, *lifted = [
+                induced_map_on_homology(small_cc, big_cc, cm, d, src_h, dst_h).matrix
+                for cm in maps]
+            if any(m != expected for m in lifted):
+                trivial_ok = False
         # degree 0: each component maps into the same component as inclusion
         comp_big = _component_labels(big.complex)
         for e in units:

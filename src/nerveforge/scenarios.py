@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import construct
@@ -13,7 +13,6 @@ from .clumps import Patch, PatchSystem
 from .covers import Cover
 from .euclid import Arrangement, EuclideanIsometry
 from .jsonio import (
-    FormatError,
     arrangement_to_json,
     cover_to_json,
     isometry_to_json,
@@ -22,7 +21,6 @@ from .jsonio import (
     rational_to_json,
 )
 from .lattices import LatticeSubgroup
-from .simplicial import SimplicialComplex
 from .snf import identity_matrix
 
 

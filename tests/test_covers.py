@@ -11,6 +11,7 @@ from nerveforge.construct import (
     interval_subcomplex,
     path_complex,
     rect_subcomplex,
+    simplex_boundary_complex,
 )
 from nerveforge.covers import (
     Cover,
@@ -23,7 +24,14 @@ from nerveforge.covers import (
     nerve_homology,
     saturate,
 )
-from nerveforge.homology import HomologySummary, homology, homology_of_complex
+from nerveforge.homology import (
+    ChainComplexError,
+    HomologySummary,
+    chain_complex,
+    degree_homology,
+    homology,
+    homology_of_complex,
+)
 from nerveforge.simplicial import SimplicialComplex
 
 from chain_helpers import scanned_chains
@@ -178,6 +186,69 @@ def test_fattening_matches_union_and_nerve_on_good_covers():
             assert h_total == nerve_homology(cov)
 
 
+def union_cycles(cx, d):
+    """The generator cycles of H_d(cx), as ``{simplex: value}``."""
+    cc = chain_complex(cx)
+    return [{cc.basis[d][i]: v for i, v in enumerate(gen) if v}
+            for gen in degree_homology(cc, d).generators]
+
+
+def checked_lift(total, cycle, d):
+    """Lift ``cycle`` through ``total``; assert that the lift is a cycle of
+    the total complex whose horizontal-degree-0 part sums to ``cycle``, and
+    return the highest horizontal degree it reaches."""
+    vec = total.lift_cycle(cycle, d)
+    boundary = {}
+    for col, v in enumerate(vec):
+        for row, w in total.cc.boundaries[d][col].items():
+            boundary[row] = boundary.get(row, 0) + v * w
+    assert not any(boundary.values())
+    base = {}
+    for (o, s), v in zip(total.cc.basis[d], vec):
+        if len(o) == 1:
+            base[s] = base.get(s, 0) + v
+    assert {s: v for s, v in base.items() if v} == cycle
+    return max(len(o) - 1 for (o, _), v in zip(total.cc.basis[d], vec) if v)
+
+
+def test_fattening_lifts_union_cycles():
+    rng = random.Random(8)
+    lifted = 0
+    for _ in range(60):
+        cov = random_rect_cover(rng, nx=5, ny=5, n_pieces=8, max_parts=2)
+        total = fattening(cov)
+        union = cov.union_complex()
+        for d in range(1, union.dimension + 1):
+            for cycle in union_cycles(union, d):
+                checked_lift(total, cycle, d)
+                lifted += 1
+    assert lifted >= 10
+
+
+def test_fattening_lift_of_sphere_reaches_triple_overlaps():
+    # the boundary of a tetrahedron covered by its four closed triangles:
+    # double overlaps are edges and triple overlaps vertices, so the
+    # fundamental class needs a correction in horizontal degree 2
+    sphere = simplex_boundary_complex(4)
+    cov = Cover(sphere, {
+        i: SimplicialComplex.from_maximal([t]).simplices
+        for i, t in enumerate(sphere.simplices_of_dim(2))
+    }, covering=True)
+    [cycle] = union_cycles(sphere, 2)
+    assert checked_lift(fattening(cov), cycle, 2) == 2
+
+
+def test_fattening_lift_rejects_simplex_outside_every_piece():
+    c = cycle_complex(6)
+    pieces = {
+        0: SimplicialComplex.from_maximal([(0, 1), (1, 2), (2, 3)]).simplices,
+        1: SimplicialComplex.from_maximal([(3, 4), (4, 5)]).simplices,
+    }
+    [cycle] = union_cycles(c, 1)
+    with pytest.raises(ChainComplexError, match="not covered"):
+        fattening(Cover(c, pieces)).lift_cycle(cycle, 1)
+
+
 def test_fattening_annulus_union():
     # two interval pieces overlapping at both ends of a circle: union is the
     # circle even though each piece is contractible
@@ -203,12 +274,6 @@ def test_goodness_cover_by_simplices():
 
 def test_goodness_annular_intersection():
     grid = grid_complex(3, 3)
-    ring = rect_subcomplex(grid, 0, 3, 0, 3).simplices - frozenset(
-        s for s in grid.simplices
-        if all(1 <= v[0] <= 2 and 1 <= v[1] <= 2 for v in s) and len(s) >= 1
-        and all((v[0], v[1]) not in [(0, 0)] for v in s)
-        and max(len(s), 1) and all(1 <= v[0] <= 2 and 1 <= v[1] <= 2 for v in s)
-    )
     # build an annular piece: full grid minus the open star of the center block
     inner = frozenset(
         s for s in grid.simplices if any(v == (1, 1) or v == (2, 2) or v == (1, 2) or v == (2, 1) for v in s)

@@ -230,20 +230,16 @@ def test_of_cells_rejects_faces_outside_the_basis():
         IntegerChainComplex.of_cells({1: [(0, 1)]}, simplex_boundary)
 
 
-def drop(o, l):
-    return o[:l] + o[l + 1:] if len(o) > 1 else None
-
-
 def test_total_complex_rejects_coefficients_not_downward_closed():
     # the edge's vertices are missing from its own coefficient set
     with pytest.raises(ChainComplexError):
-        TotalComplex([(0,)], lambda o: {(0, 1)}, drop)
+        TotalComplex([(0,)], lambda o: {(0, 1)})
     # the edge object's coefficient vertex (5,) is missing from face (1,)
     coeff = {(0,): {(5,)}, (1,): {(6,)}, (0, 1): {(5,)}}
     with pytest.raises(ChainComplexError):
-        TotalComplex(list(coeff), coeff.get, drop)
+        TotalComplex(list(coeff), coeff.get)
     coeff[(1,)] = {(5,), (6,)}
-    assert TotalComplex(list(coeff), coeff.get, drop).cc.dim(1) == 1
+    assert TotalComplex(list(coeff), coeff.get).cc.dim(1) == 1
 
 
 @st.composite

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from nerveforge.construct import hollow_tube_boxes, strip_boxes
 from nerveforge.homology import HomologySummary, homology, homology_of_complex
 from nerveforge.lattices import LatticeSubgroup
 from nerveforge.periodic import (
@@ -261,6 +262,39 @@ def test_cover_lift_strip_z2():
     spec = FiniteCoverSpec.of([[2]], 1)
     v = cover_lift_check(bu, spec, n=3, r=1)
     assert v.ok, v.checks
+
+
+@pytest.mark.parametrize("family, n", [
+    ("strip", 3),
+    ("hollow-tube", 4),
+])
+def test_cover_lift_rejects_lift_off_its_sheets(monkeypatch, family, n):
+    bu = strip_boxes(spacing=2, dim=2) if family == "strip" else hollow_tube_boxes(spacing=3)
+    spec = FiniteCoverSpec.of([[2]], 1)
+    assert cover_lift_check(bu, spec, n=n, r=1).checks["acts_trivially_on_homology"]
+    monkeypatch.setattr(CoverWindow, "lift", CoverWindow.alternative_lift)
+    assert not cover_lift_check(bu, spec, n=n, r=1).checks["acts_trivially_on_homology"]
+
+
+def test_cover_lift_rejects_mirrored_lift(monkeypatch):
+    # the lift followed by the mirror y -> -y of the hollow tube keeps every
+    # component but reverses the loop around the core, so only the degree-1
+    # comparison sees it
+    bu = hollow_tube_boxes(spacing=3)
+
+    def flip(b):
+        return Box.of([b.lo[0], -b.hi[1], b.lo[2]], [b.hi[0], -b.lo[1], b.hi[2]])
+
+    mirror = {j: bu.boxes.index(flip(b)) for j, b in enumerate(bu.boxes)}
+    lift = CoverWindow.lift
+
+    def mirrored(self, coeff_shift):
+        return {v: (mirror[w[0]],) + w[1:] for v, w in lift(self, coeff_shift).items()}
+
+    monkeypatch.setattr(CoverWindow, "lift", mirrored)
+    checks = cover_lift_check(bu, FiniteCoverSpec.of([[2]], 1), n=4, r=1).checks
+    assert checks["lift_simplicial"]
+    assert not checks["acts_trivially_on_homology"]
 
 
 def test_cover_lift_slab():
