@@ -1,11 +1,17 @@
 """Integer chain complexes, exact homology, and induced maps on homology.
 
-Homology bases are chosen deterministically from the Smith normal form
-transforms, so induced-map matrices are reproducible across runs.
+Homology is read from a collapsed complex: greedy elementary collapses
+(Kaczynski, Mischaikow and Mrozek, *Computational Homology*, ch. 4) remove
+each free face together with its only coface, and what is left is a
+subcomplex whose inclusion is a chain equivalence.  Homology bases come
+from the collapse order, which is fixed by the basis order, plus the Smith
+normal form transforms of the collapsed boundaries, so induced-map
+matrices are reproducible across runs.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -86,6 +92,68 @@ class IntegerChainComplex:
             boundaries[d] = cols
         return IntegerChainComplex(basis=basis, boundaries=boundaries)
 
+    @staticmethod
+    def _trusted(basis, boundaries) -> "IntegerChainComplex":
+        """Build without the ∂∂ = 0 check, for boundaries known to square
+        to zero."""
+        cc = object.__new__(IntegerChainComplex)
+        object.__setattr__(cc, "basis", basis)
+        object.__setattr__(cc, "boundaries", boundaries)
+        return cc
+
+    @cached_property
+    def collapse(self) -> "Collapse":
+        """Greedy elementary collapses, computed once per instance.
+
+        A cell σ is free when it has exactly one coface τ left and
+        ⟨∂τ,σ⟩ = ±1; the pair (σ, τ) is then removed.  No coface η of τ is
+        left, since ⟨∂∂η,σ⟩ = ⟨∂η,τ⟩⟨∂τ,σ⟩ must vanish; so the cells left
+        stay closed under faces, and their boundaries are restrictions of
+        the parent's and square to zero without a new check.  The queue is
+        seeded in (degree, basis index) order, and a cell joins it again
+        when its cofaces drop to one.
+        """
+        bnd = self.boundaries
+        cof = {d: [[] for _ in labels] for d, labels in self.basis.items()}
+        for d in self.basis:
+            for col, chain in bnd.get(d, {}).items():
+                for row, v in chain.items():
+                    if v:
+                        cof[d - 1][row].append(col)
+        left = {d: [len(c) for c in cs] for d, cs in cof.items()}
+        alive = {d: [True] * len(cs) for d, cs in cof.items()}
+        pairs: dict[int, list[tuple[int, int, int]]] = {d: [] for d in self.basis}
+        queue = deque((d, i) for d in sorted(left)
+                      for i, k in enumerate(left[d]) if k == 1)
+        while queue:
+            d, s = queue.popleft()
+            # a removed cell has no coface left
+            if left[d][s] != 1:
+                continue
+            t = next(u for u in cof[d][s] if alive[d + 1][u])
+            c = bnd[d + 1][t][s]
+            if c not in (1, -1):
+                continue
+            alive[d][s] = alive[d + 1][t] = False
+            pairs[d].append((s, t, c))
+            for e, faces in ((d, bnd[d + 1][t]), (d - 1, bnd.get(d, {}).get(s, {}))):
+                for r, v in faces.items():
+                    if v:
+                        left[e][r] -= 1
+                        if left[e][r] == 1:
+                            queue.append((e, r))
+
+        cells = {d: [i for i, a in enumerate(flags) if a] for d, flags in alive.items()}
+        index = {d: {i: k for k, i in enumerate(cs)} for d, cs in cells.items()}
+        boundaries = {}
+        for d, cols in bnd.items():
+            rows = index.get(d - 1, {})
+            boundaries[d] = {
+                k: {rows[r]: v for r, v in cols[i].items() if v}
+                for k, i in enumerate(cells.get(d, ())) if i in cols}
+        basis = {d: [self.basis[d][i] for i in cs] for d, cs in cells.items()}
+        return Collapse(IntegerChainComplex._trusted(basis, boundaries), cells, pairs)
+
     def degrees(self):
         return sorted(self.basis)
 
@@ -101,6 +169,22 @@ class IntegerChainComplex:
             for row, v in chain.items():
                 out[row][col] = v
         return out
+
+
+@dataclass(frozen=True)
+class Collapse:
+    """A complex's collapsed subcomplex ``cc``.
+
+    ``cells[d]`` lists the parent's degree-d basis positions of the cells
+    left, in order, so ``cc.basis[d][k]`` is the parent's
+    ``basis[d][cells[d][k]]``.  ``pairs[d]`` lists the removed pairs
+    ``(σ, τ, ⟨∂τ,σ⟩)`` whose free face σ has degree d, as parent basis
+    positions, in collapse order.
+    """
+
+    cc: IntegerChainComplex
+    cells: dict[int, list[int]]
+    pairs: dict[int, list[tuple[int, int, int]]]
 
 
 def chain_complex(c: SimplicialComplex) -> IntegerChainComplex:
@@ -154,25 +238,26 @@ def _boundary_rank_and_factors(cc: IntegerChainComplex, d: int):
 
 
 def homology(cc: IntegerChainComplex, degrees=None, reduced: bool = False) -> HomologySummary:
-    """Betti numbers and torsion of ker(boundary)/im(boundary) per degree."""
+    """Betti numbers and torsion of ker(boundary)/im(boundary) per degree,
+    read from the Smith normal forms of the collapsed complex."""
     if degrees is None:
         degrees = cc.degrees()
+    small = cc.collapse.cc
     ranks: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def rk(d):
         if d not in ranks:
-            ranks[d] = _boundary_rank_and_factors(cc, d)
+            ranks[d] = _boundary_rank_and_factors(small, d)
         return ranks[d]
 
     entries = {}
     nonempty = any(cc.dim(d) for d in cc.degrees())
     for d in degrees:
-        n = cc.dim(d)
-        if n == 0:
+        if cc.dim(d) == 0:
             continue
-        rank_d = rk(d)[0] if cc.dim(d - 1) else 0
-        rank_up, factors_up = rk(d + 1) if cc.dim(d + 1) else (0, ())
-        betti = n - rank_d - rank_up
+        rank_d = rk(d)[0] if small.dim(d - 1) else 0
+        rank_up, factors_up = rk(d + 1) if small.dim(d + 1) else (0, ())
+        betti = small.dim(d) - rank_d - rank_up
         torsion = tuple(f for f in factors_up if f > 1)
         if reduced and d == 0 and nonempty:
             betti -= 1
@@ -198,15 +283,24 @@ class DegreeHomology:
     torsion order otherwise.  ``coordinates`` expresses any cycle in this
     basis (torsion coordinates reduced into [0, order)).
 
-    One Smith normal form ``U ∂_d V = D`` (rank r) gives both the cycle
-    lattice and coordinates in it.  Columns r..n-1 of ``V`` are a basis of
-    the cycles.  A cycle ``x = V y`` has ``U⁻¹ D y = ∂x = 0``, so
-    ``y[:r] = 0`` and its kernel coordinates are ``(V⁻¹ x)[r:]``.  Rows
-    r..n-1 of ``V⁻¹`` are regrouped by chain position, so a sparse cycle
-    touches only its own entries; both transforms are read as the sparse
-    lines the normal form keeps, and no dense n×n matrix is built.  Whether
-    a vector is a cycle is decided by an exact sparse product with the
-    boundary columns of ∂_d.
+    The normal forms run on ``cc.collapse.cc``, the collapsed subcomplex,
+    so the basis comes from the collapse order plus the Smith normal form.
+    Its cycles are cycles of ``cc`` and the inclusion is a chain
+    equivalence, so generators are embedded back into ``cc``'s degree-d
+    basis.  A cycle of ``cc`` is pushed into the subcomplex by walking the
+    degree-d pairs (σ, τ) in collapse order and subtracting
+    ``x_σ·⟨∂τ,σ⟩·∂τ`` at each: every step changes x by a boundary and clears
+    σ, and a later ∂τ never has an earlier σ as a face.
+
+    In the subcomplex, one Smith normal form ``U ∂_d V = D`` (rank r) gives
+    both the cycle lattice and coordinates in it.  Columns r..n-1 of ``V``
+    are a basis of the cycles.  A cycle ``x = V y`` has
+    ``U⁻¹ D y = ∂x = 0``, so ``y[:r] = 0`` and its kernel coordinates are
+    ``(V⁻¹ x)[r:]``.  Rows r..n-1 of ``V⁻¹`` are regrouped by chain
+    position, so a sparse cycle touches only its own entries; both
+    transforms are read as the sparse lines the normal form keeps, and no
+    dense n×n matrix is built.  Whether a vector is a cycle is decided by an
+    exact sparse product with the boundary columns of ``cc``'s ∂_d.
     The boundaries of ∂_{d+1} in these coordinates are the relations whose
     own normal form picks the generators and their orders.
     """
@@ -214,16 +308,22 @@ class DegreeHomology:
     def __init__(self, cc: IntegerChainComplex, d: int):
         self.cc = cc
         self.d = d
-        n = cc.dim(d)
-        self.n = n
+        self.n = cc.dim(d)
         self._boundary = cc.boundaries.get(d, {}) if cc.dim(d - 1) else {}
+        collapse = cc.collapse
+        small = collapse.cc
+        cells = collapse.cells.get(d, [])
+        self._index = {i: k for k, i in enumerate(cells)}
+        self._pairs = collapse.pairs.get(d, ())
+        n = small.dim(d)
+        boundary = small.boundaries.get(d, {}) if small.dim(d - 1) else {}
         # kernel basis columns of V, and per chain index i the nonzero
         # entries {k: V⁻¹[r + k][i]}
-        if not self._boundary:
+        if not boundary:
             kernel = [{j: 1} for j in range(n)]
             self._coord_cols = [{i: 1} for i in range(n)]
         else:
-            res = smith_normal_form(cc.dense_boundary(d), want_u=False,
+            res = smith_normal_form(small.dense_boundary(d), want_u=False,
                                     want_v=True, want_v_inv=True)
             r = res.rank
             kernel = res.v_cols[r:]
@@ -236,9 +336,9 @@ class DegreeHomology:
 
         # boundaries are cycles (IntegerChainComplex checks ∂∂ = 0), so
         # their kernel coordinates need no cycle check
-        up = cc.boundaries.get(d + 1, {})
+        up = small.boundaries.get(d + 1, {})
         relation_cols = [
-            self._kernel_coords(up.get(col, {})) for col in range(cc.dim(d + 1))
+            self._kernel_coords(up.get(col, {})) for col in range(small.dim(d + 1))
         ] if z else []
         if relation_cols:
             rel = [[col[i] for col in relation_cols] for i in range(z)]
@@ -254,20 +354,34 @@ class DegreeHomology:
         self._u_rows = [u_rows[i] for i in self.kept]
         self.generators = []
         for i in self.kept:
-            gen = [0] * n
+            gen = [0] * self.n
             for k, c in u_inv_cols[i].items():
                 for row, v in kernel[k].items():
-                    gen[row] += c * v
+                    gen[cells[row]] += c * v
             self.generators.append(gen)
 
     def _kernel_coords(self, chain: dict[int, int]) -> list[int]:
-        """(V⁻¹ x)[r:] for a cycle x given as {index: value}."""
+        """(V⁻¹ x)[r:] for a cycle x of the collapsed complex given as
+        {index: value}."""
         y = [0] * self.z
         cols = self._coord_cols
         for i, x in chain.items():
             for k, v in cols[i].items():
                 y[k] += x * v
         return y
+
+    def _collapsed(self, chain: dict[int, int]) -> dict[int, int]:
+        """A cycle of ``cc``, moved by boundaries onto the collapsed
+        complex and indexed by its basis."""
+        if self._pairs:
+            up = self.cc.boundaries[self.d + 1]
+            for s, t, c in self._pairs:
+                x = chain.get(s)
+                if x:
+                    for r, v in up[t].items():
+                        chain[r] = chain.get(r, 0) - x * c * v
+        index = self._index
+        return {index[i]: x for i, x in chain.items() if x}
 
     def _is_cycle(self, chain: dict[int, int]) -> bool:
         acc: dict[int, int] = {}
@@ -287,10 +401,14 @@ class DegreeHomology:
     def coordinates(self, cycle: list[int]):
         """Coordinates of a cycle's class in the generator basis, or None if
         the vector is not a cycle."""
+        if len(cycle) != self.n:
+            raise ChainComplexError(
+                f"vector of length {len(cycle)} in degree {self.d}, "
+                f"which has {self.n} cells")
         chain = {i: x for i, x in enumerate(cycle) if x}
         if not self._is_cycle(chain):
             return None
-        y = self._kernel_coords(chain)
+        y = self._kernel_coords(self._collapsed(chain))
         out = []
         for row, o in zip(self._u_rows, self.orders):
             w = sum(v * y[k] for k, v in row.items())

@@ -758,11 +758,17 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
                     commute_ok = False
     checks["commutes_with_deck"] = commute_ok
 
-    # (d) stabilized vanishing on the cover
+    # (d) stabilized vanishing on the cover; the radius triples reuse the
+    # small and big windows
     threshold = n - 1 - r
-    result = stabilization_check(
-        lambda w: CoverWindow(bu, spec, w).complex, degrees=None, w_max=w_max
-    )
+    windows = {w_small: small, w_big: big}
+
+    def window(w):
+        if w not in windows:
+            windows[w] = CoverWindow(bu, spec, w)
+        return windows[w].complex
+
+    result = stabilization_check(window, degrees=None, w_max=w_max)
     inconclusive, bad = result.nonvanishing_from(threshold)
     vanish = not inconclusive and not bad
     checks["cover_vanishing"] = vanish

@@ -5,11 +5,14 @@ import itertools
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerveforge import periodic
+from nerveforge.construct import hollow_tube_boxes
 from nerveforge.euclid import sqrt_leq_sum_of_sqrts
+from nerveforge.homology import Collapse, IntegerChainComplex
 from nerveforge.lattices import LatticeSubgroup
 from nerveforge.periodic import (
     Box,
@@ -17,6 +20,7 @@ from nerveforge.periodic import (
     local_vanishing_check,
     quotient_complex,
     quotient_corner_check,
+    stabilization_check,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -114,6 +118,21 @@ def test_window_invariant_under_permuting_boxes(bu, rng, w):
 
     assert ({relabel(s) for s in shuffled.window_complex(w).simplices}
             == {frozenset(s) for s in bu.window_complex(w).simplices})
+
+
+def no_collapse(cc):
+    return Collapse(cc, {d: list(range(cc.dim(d))) for d in cc.basis}, {})
+
+
+@SETTINGS
+@given(box_unions())
+@example(hollow_tube_boxes())  # a stable H_1 = Z
+def test_stabilization_outcomes_do_not_depend_on_the_collapse(bu):
+    collapsed = stabilization_check(bu.window_complex, w_max=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntegerChainComplex, "collapse", property(no_collapse))
+        plain = stabilization_check(bu.window_complex, w_max=8)
+    assert collapsed == plain
 
 
 def test_rank_zero_window_keeps_only_boxes_meeting_it():

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerveforge.construct import full_simplex, projective_plane_6, torus_7
+from nerveforge.construct import full_simplex, grid_complex, projective_plane_6, torus_7
+from nerveforge.covers import Cover, fattening
 from nerveforge.homology import (
     ChainComplexError,
+    HomologySummary,
     IntegerChainComplex,
     chain_complex,
     chain_map_of_simplicial,
@@ -59,6 +61,23 @@ def complexes(draw, max_vertices=6):
         st.lists(st.integers(0, nv - 1), min_size=1, max_size=4, unique=True),
         min_size=1, max_size=6))
     return SimplicialComplex.from_maximal(facets)
+
+
+def maximal_simplices(c):
+    return sorted(s for s in c.simplices
+                  if not any(set(s) < set(t) for t in c.simplices))
+
+
+@st.composite
+def total_complexes(draw):
+    """Total complex of the intersection diagram of a random cover by up to
+    three pieces, each spanned by some facets."""
+    c = draw(complexes())
+    tops = maximal_simplices(c)
+    pieces = [SimplicialComplex.from_maximal(draw(st.lists(
+        st.sampled_from(tops), min_size=1, unique=True))).simplices
+        for _ in range(draw(st.integers(1, 3)))]
+    return fattening(Cover(c, dict(enumerate(dict.fromkeys(pieces))))).cc
 
 
 chain_complexes = st.one_of(
@@ -117,6 +136,91 @@ def test_orders_match_homology(cc):
                 summary.betti(d), summary.torsion(d))
 
 
+def unreduced_homology(cc):
+    """Betti numbers and torsion from the normal forms of the full
+    boundaries, with no collapse."""
+    def rank_and_factors(d):
+        if not cc.dim(d) or not cc.dim(d - 1):
+            return 0, ()
+        res = smith_normal_form(cc.dense_boundary(d), want_u=False, want_v=False)
+        return res.rank, res.factors
+
+    entries = {}
+    for d in cc.degrees():
+        rank_up, factors_up = rank_and_factors(d + 1)
+        entries[d] = (cc.dim(d) - rank_and_factors(d)[0] - rank_up,
+                      tuple(f for f in factors_up if f > 1))
+    return HomologySummary.of(entries)
+
+
+@SETTINGS
+@given(st.one_of(chain_complexes, total_complexes()))
+def test_collapse_keeps_a_subcomplex_of_equal_homology(cc):
+    col = cc.collapse
+    removed = set()
+    for d, pairs in col.pairs.items():
+        for s, t, c in pairs:
+            assert c in (1, -1)
+            assert cc.boundaries[d + 1][t][s] == c
+            removed |= {(d, s), (d + 1, t)}
+    kept = {(d, i) for d, cells in col.cells.items() for i in cells}
+    everything = {(d, i) for d in cc.degrees() for i in range(cc.dim(d))}
+    assert kept | removed == everything and not kept & removed
+    assert len(removed) == 2 * sum(len(p) for p in col.pairs.values())
+    for d, cells in col.cells.items():
+        assert col.cc.basis[d] == [cc.basis[d][i] for i in cells]
+        for k, i in enumerate(cells):
+            faces = {r: v for r, v in cc.boundaries.get(d, {}).get(i, {}).items() if v}
+            # closed under faces, with the parent's boundary restricted
+            assert all((d - 1, r) in kept for r in faces)
+            below = col.cells.get(d - 1, [])
+            assert {below[r]: v for r, v in
+                    col.cc.boundaries.get(d, {}).get(k, {}).items()} == faces
+    euler = sum((-1) ** d * cc.dim(d) for d in cc.degrees())
+    assert sum((-1) ** d * col.cc.dim(d) for d in col.cc.degrees()) == euler
+    assert homology(cc) == unreduced_homology(cc)
+
+
+@pytest.mark.parametrize("c", [full_simplex(5), grid_complex(3, 3)])
+def test_collapsible_complexes_collapse_to_a_vertex(c):
+    small = chain_complex(c).collapse.cc
+    assert [small.dim(d) for d in small.degrees()] == [1] + [0] * c.dimension
+
+
+def test_cycle_through_collapsed_cells():
+    # a square 0-1-2-3 with a triangle 0-1-4 on its first edge: the edge
+    # (0, 1) collapses into the triangle, and the square's cycle runs on it
+    c = SimplicialComplex.from_maximal([(0, 1, 4), (1, 2), (2, 3), (0, 3)])
+    cc = chain_complex(c)
+    edges = cc.basis[1]
+    assert edges.index((0, 1)) not in cc.collapse.cells[1]
+    h = degree_homology(cc, 1)
+    assert h.orders == [0]
+
+    def cycle(signed_edges):
+        x = [0] * len(edges)
+        for sign, e in signed_edges:
+            x[edges.index(e)] += sign
+        return x
+
+    square = cycle([(1, (0, 1)), (1, (1, 2)), (1, (2, 3)), (-1, (0, 3))])
+    detour = cycle([(1, (0, 4)), (-1, (1, 4)), (1, (1, 2)), (1, (2, 3)), (-1, (0, 3))])
+    assert h.coordinates(square) == h.coordinates(detour)
+    assert h.coordinates(square) in ([1], [-1])
+    assert h.coordinates(h.generators[0]) == [1]
+    assert h.class_is_zero(cycle([(1, (0, 1)), (-1, (0, 4)), (1, (1, 4))]))
+
+
+def test_wrong_length_vector_is_rejected():
+    triangle = chain_complex(SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)]))
+    h = degree_homology(triangle, 1)
+    for x in ([1, -1, 1, 5], [0, 0], []):
+        with pytest.raises(ChainComplexError):
+            h.coordinates(x)
+        with pytest.raises(ChainComplexError):
+            h.class_is_zero(x)
+
+
 @SETTINGS
 @given(chain_complexes, st.data())
 def test_non_cycle_has_no_coordinates(cc, data):
@@ -137,9 +241,7 @@ def test_non_cycle_has_no_coordinates(cc, data):
 def simplicial_maps(draw):
     c = draw(complexes())
     if draw(st.booleans()):
-        facets = sorted(s for s in c.simplices
-                        if not any(set(s) < set(t) for t in c.simplices))
-        kept = draw(st.lists(st.sampled_from(facets), min_size=1, unique=True))
+        kept = draw(st.lists(st.sampled_from(maximal_simplices(c)), min_size=1, unique=True))
         return SimplicialMap.inclusion(SimplicialComplex.from_maximal(kept), c)
     # any vertex map into a full simplex is simplicial
     k = draw(st.integers(1, 4))
