@@ -506,17 +506,6 @@ def induced_map_on_homology(
     src_h: DegreeHomology | None = None,
     dst_h: DegreeHomology | None = None,
 ) -> InducedMap:
-    if src_cc.dim(d) == 0 or dst_cc.dim(d) == 0:
-        src_h = src_h or degree_homology(src_cc, d)
-        dst_h = dst_h or degree_homology(dst_cc, d)
-        flagged = src_cc.dim(d) == 0 and dst_cc.dim(d) == 0
-        return InducedMap(
-            matrix=[[0] * len(src_h.orders) for _ in dst_h.orders],
-            source_orders=list(src_h.orders),
-            target_orders=list(dst_h.orders),
-            is_zero=True,
-            degree_flagged=flagged,
-        )
     src_h = src_h or degree_homology(src_cc, d)
     dst_h = dst_h or degree_homology(dst_cc, d)
     cols = []
@@ -535,6 +524,7 @@ def induced_map_on_homology(
         source_orders=list(src_h.orders),
         target_orders=list(dst_h.orders),
         is_zero=zero,
+        degree_flagged=src_cc.dim(d) == 0 and dst_cc.dim(d) == 0,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import lt
 
@@ -582,56 +583,45 @@ class FiniteCoverSpec:
 
     sublattice: LatticeSubgroup  # ambient rank = bu.rank
 
+    def __post_init__(self):
+        if self.sublattice.rank != self.sublattice.ambient:
+            raise PeriodicError("sublattice must have finite index")
+
     @staticmethod
     def of(rows, rank: int) -> "FiniteCoverSpec":
-        sub = LatticeSubgroup.from_generators(rows, rank)
-        if sub.rank != rank:
-            raise PeriodicError("sublattice must have finite index")
-        return FiniteCoverSpec(sub)
+        return FiniteCoverSpec(LatticeSubgroup.from_generators(rows, rank))
 
     def reduce(self, g):
         return tuple(self.sublattice.reduce(list(g)))
 
     def elements(self) -> list[tuple[int, ...]]:
-        rank = self.sublattice.ambient
-        zero = tuple([0] * rank)
-        seen = {self.reduce(zero)}
-        frontier = [self.reduce(zero)]
-        while frontier:
-            new = []
-            for g in frontier:
-                for i in range(rank):
-                    for sgn in (1, -1):
-                        h = list(g)
-                        h[i] += sgn
-                        h = self.reduce(h)
-                        if h not in seen:
-                            seen.add(h)
-                            new.append(h)
-            frontier = new
-        return sorted(seen)
+        """The residues in sorted order: the box of vectors with entry i in
+        [0, pivot_i). The sublattice has full rank, so row i of its HNF basis
+        has its pivot at column i, and ``reduce`` leaves entry i below it."""
+        return list(product(*(range(row[i]) for i, row in enumerate(self.sublattice.basis))))
 
     def add(self, g, h):
         return self.reduce(tuple(a + b for a, b in zip(g, h)))
 
 
 class CoverWindow:
-    """Regular G-cover of a window nerve via the coefficient cocycle."""
+    """Regular G-cover of a window nerve via the coefficient cocycle.
+
+    In sheet h the vertex (j, c) is labelled h + [c], where [c] is the
+    residue of c. The cocycle rule labels a simplex with least vertex
+    (j0, c0) in sheet g by g + [c - c0] = (g - [c0]) + [c], and h = g - [c0]
+    runs over G as g does, so both rules give the same simplices."""
 
     def __init__(self, bu: BoxUnion, spec: FiniteCoverSpec, w):
         self.bu = bu
         self.spec = spec
         self.base = bu.window_complex(w)
+        residue = {v: spec.reduce(v[1]) for v in self.base.vertices}
         simplices = set()
-        elements = spec.elements()
-        for s in self.base.simplices:
-            c0 = min(s)[1]
-            for g in elements:
-                lifted = tuple(sorted(
-                    (j, c, spec.add(g, tuple(x - y for x, y in zip(c, c0))))
-                    for j, c in s
-                ))
-                simplices.add(lifted)
+        for h in spec.elements():
+            sheet = {v: v + (spec.add(h, r),) for v, r in residue.items()}
+            # appending a label keeps the distinct, sorted (j, c) pairs sorted
+            simplices.update(tuple(map(sheet.__getitem__, s)) for s in self.base.simplices)
         self.complex = SimplicialComplex(frozenset(simplices))
 
     def deck(self, g0):
@@ -715,47 +705,41 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
     small = CoverWindow(bu, spec, w_small)
     big = CoverWindow(bu, spec, w_big)
     units = [tuple(1 if i == j else 0 for j in range(bu.rank)) for i in range(bu.rank)]
+    lifts = {e: small.lift(e) for e in units}
+    decks = {g: small.deck(g) for g in elements}
+    vertices = small.complex.vertices
+
+    def deck_moved(w, g):
+        """Vertex w moved by the deck element g."""
+        return (w[0], w[1], spec.add(w[2], g))
 
     # (a) group action: composing unit lifts agrees with the combined lift
     action_ok = True
     for e1 in units:
         for e2 in units:
-            l1 = small.lift(e1)
+            g2 = spec.reduce(e2)
             combined = {
-                v: (
-                    w[0],
-                    tuple(a + b for a, b in zip(w[1], e2)),
-                    spec.add(w[2], spec.reduce(e2)),
-                )
-                for v, w in l1.items()
+                v: deck_moved((w[0], tuple(a + b for a, b in zip(w[1], e2)), w[2]), g2)
+                for v, w in lifts[e1].items()
             }
-            direct = small.lift(tuple(a + b for a, b in zip(e1, e2)))
-            if combined != direct:
+            if combined != small.lift(tuple(a + b for a, b in zip(e1, e2))):
                 action_ok = False
     checks["group_action"] = action_ok
 
     # lifted maps are simplicial into the bigger window
     simplicial_ok = True
     lift_maps = {}
-    for e in units:
+    for e, lift in lifts.items():
         try:
-            lift_maps[e] = SimplicialMap(small.complex, big.complex, small.lift(e))
+            lift_maps[e] = SimplicialMap(small.complex, big.complex, lift)
         except ComplexError:
             simplicial_ok = False
     checks["lift_simplicial"] = simplicial_ok
 
     # (b) commutes with the deck group
-    commute_ok = True
-    for e in units:
-        lift = small.lift(e)
-        for g0 in elements:
-            deck_small = small.deck(g0)
-            for v in small.complex.vertices:
-                left = lift[deck_small[v]]
-                moved = lift[v]
-                right = (moved[0], moved[1], spec.add(moved[2], g0))
-                if left != right:
-                    commute_ok = False
+    commute_ok = all(
+        lift[deck[v]] == deck_moved(lift[v], g)
+        for lift in lifts.values() for g, deck in decks.items() for v in vertices)
     checks["commutes_with_deck"] = commute_ok
 
     # (d) stabilized vanishing on the cover; the radius triples reuse the
@@ -795,24 +779,18 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
                 trivial_ok = False
         # degree 0: each component maps into the same component as inclusion
         comp_big = _component_labels(big.complex)
-        for e in units:
-            lift = small.lift(e)
-            for v in small.complex.vertices:
-                if comp_big[lift[v]] != comp_big[v]:
-                    trivial_ok = False
+        if any(comp_big[lift[v]] != comp_big[v] for lift in lifts.values() for v in vertices):
+            trivial_ok = False
     checks["acts_trivially_on_homology"] = trivial_ok
 
     # sheet independence: the alternative sheet system's lift differs from
     # the canonical one by exactly the deck transformation of the shift
     sheet_ok = True
-    for e in units:
-        canonical = small.lift(e)
+    for e, lift in lifts.items():
         alt = small.alternative_lift(e)
-        g0 = spec.reduce(e)
-        for v in small.complex.vertices:
-            a = alt[v]
-            if canonical[v] != (a[0], a[1], spec.add(a[2], g0)):
-                sheet_ok = False
+        g = spec.reduce(e)
+        if any(lift[v] != deck_moved(alt[v], g) for v in vertices):
+            sheet_ok = False
     checks["sheet_choice_deck_difference"] = sheet_ok
 
     ok = (

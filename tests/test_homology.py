@@ -142,6 +142,23 @@ def test_out_of_range_degree_flagged():
     assert m.is_zero and m.degree_flagged
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_degree_empty_on_one_side_only(side):
+    circle = cycle_complex(3)
+    if side == "source":
+        points = SimplicialComplex.from_maximal([(v,) for v in circle.vertices])
+        f = SimplicialMap.inclusion(points, circle)
+    else:
+        point = SimplicialComplex.from_maximal([(0,)])
+        f = SimplicialMap(circle, point, {v: 0 for v in circle.vertices})
+    m = induced_homology_map(f, 1)
+    assert m.is_zero and not m.degree_flagged
+    if side == "source":
+        assert (m.matrix, m.source_orders, m.target_orders) == ([[]], [], [0])
+    else:
+        assert (m.matrix, m.source_orders, m.target_orders) == ([], [0], [])
+
+
 def test_torsion_aware_zero_flag():
     rp2 = projective_plane_6()
     m = induced_homology_map(SimplicialMap.identity(rp2), 1)

@@ -239,6 +239,91 @@ def test_finite_cover_spec_elements():
     assert len(spec2.elements()) == 4
     with pytest.raises(PeriodicError):
         FiniteCoverSpec.of([[0, 1]], 2)
+    # an infinite deck group is rejected when the spec is built, not only by
+    # ``of``
+    with pytest.raises(PeriodicError):
+        FiniteCoverSpec(LatticeSubgroup.from_generators([[0, 1]], 2))
+    with pytest.raises(PeriodicError):
+        FiniteCoverSpec(LatticeSubgroup.trivial(1))
+
+
+SPECS = [
+    ([], 0),
+    ([[3]], 1),
+    ([[2, 0], [0, 2]], 2),
+    ([[2, 1], [0, 2]], 2),  # cyclic of order 4
+    ([[3, 1], [0, 2]], 2),
+    ([[2, 1, 0], [0, 1, 1], [0, 0, 2]], 3),
+]
+
+
+def reference_elements(spec):
+    """Breadth-first closure of the zero residue under unit steps."""
+    rank = spec.sublattice.ambient
+    zero = spec.reduce((0,) * rank)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        new = []
+        for g in frontier:
+            for i in range(rank):
+                for sgn in (1, -1):
+                    h = list(g)
+                    h[i] += sgn
+                    h = spec.reduce(h)
+                    if h not in seen:
+                        seen.add(h)
+                        new.append(h)
+        frontier = new
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("rows, rank", SPECS)
+def test_elements_match_breadth_first_closure(rows, rank):
+    spec = FiniteCoverSpec.of(rows, rank)
+    assert spec.elements() == reference_elements(spec)
+    if rank == 0:
+        assert spec.elements() == [()]
+
+
+def x_strips(rank):
+    """Two overlapping boxes per period along x, one strip per lattice
+    translate in the other directions: a rank-r box union in R^max(r, 1)."""
+    dim = max(rank, 1)
+    rows = [[2 if j == 0 else 0 for j in range(dim)]] + [
+        [3 if j == i else 0 for j in range(dim)] for i in range(1, rank)]
+    lattice = LatticeSubgroup.from_generators(rows[:rank], dim)
+    rest = [F(0)] * (dim - 1), [F(1)] * (dim - 1)
+    boxes = tuple(Box.of([F(-1, 4) + k] + rest[0], [F(5, 4) + k] + rest[1])
+                  for k in range(2))
+    return BoxUnion(dim=dim, lattice=lattice, boxes=boxes)
+
+
+def reference_cover_simplices(bu, spec, w):
+    """Each base simplex lifted to sheet g + [c - c0] from its least vertex
+    (j0, c0), for every deck element g."""
+    simplices = set()
+    elements = spec.elements()
+    for s in bu.window_complex(w).simplices:
+        c0 = min(s)[1]
+        for g in elements:
+            simplices.add(tuple(sorted(
+                (j, c, spec.add(g, tuple(x - y for x, y in zip(c, c0))))
+                for j, c in s)))
+    return frozenset(simplices)
+
+
+@pytest.mark.parametrize("w", [2, 4])
+@pytest.mark.parametrize("rows, rank", SPECS)
+def test_cover_window_matches_least_vertex_cocycle(rows, rank, w):
+    spec = FiniteCoverSpec.of(rows, rank)
+    bases = [x_strips(rank)]
+    if rank == 1:
+        bases.append(strip_ladder())
+    if rank == 2:
+        bases.append(full_tiling())
+    for bu in bases:
+        cw = CoverWindow(bu, spec, w)
+        assert cw.complex.simplices == reference_cover_simplices(bu, spec, w)
 
 
 def test_cover_window_projects_onto_base():
@@ -295,6 +380,42 @@ def test_cover_lift_rejects_mirrored_lift(monkeypatch):
     checks = cover_lift_check(bu, FiniteCoverSpec.of([[2]], 1), n=4, r=1).checks
     assert checks["lift_simplicial"]
     assert not checks["acts_trivially_on_homology"]
+
+
+def test_cover_lift_rejects_broken_group_action(monkeypatch):
+    # with [[2]] the shift 2 is a deck-trivial class, so both lifts of it
+    # agree; under [[3]] they differ by the deck element [2]
+    bu = strip_ladder()
+    spec = FiniteCoverSpec.of([[3]], 1)
+    assert cover_lift_check(bu, spec, n=3, r=1).checks["group_action"]
+    lift = CoverWindow.lift
+
+    def off_sheet_for_non_units(self, coeff_shift):
+        if sorted(coeff_shift) != [0] * (len(coeff_shift) - 1) + [1]:
+            return self.alternative_lift(coeff_shift)
+        return lift(self, coeff_shift)
+
+    monkeypatch.setattr(CoverWindow, "lift", off_sheet_for_non_units)
+    assert not cover_lift_check(bu, spec, n=3, r=1).checks["group_action"]
+
+
+def test_cover_lift_rejects_deck_that_does_not_commute(monkeypatch):
+    bu = strip_ladder()
+    spec = FiniteCoverSpec.of([[2]], 1)
+    assert cover_lift_check(bu, spec, n=3, r=1).checks["commutes_with_deck"]
+    monkeypatch.setattr(
+        CoverWindow, "deck", lambda self, g0: {v: v for v in self.complex.vertices})
+    assert not cover_lift_check(bu, spec, n=3, r=1).checks["commutes_with_deck"]
+
+
+def test_cover_lift_rejects_sheet_choice_without_deck_difference(monkeypatch):
+    bu = strip_ladder()
+    spec = FiniteCoverSpec.of([[2]], 1)
+    checks = cover_lift_check(bu, spec, n=3, r=1).checks
+    assert checks["sheet_choice_deck_difference"]
+    monkeypatch.setattr(CoverWindow, "alternative_lift", CoverWindow.lift)
+    checks = cover_lift_check(bu, spec, n=3, r=1).checks
+    assert not checks["sheet_choice_deck_difference"]
 
 
 def test_cover_lift_slab():
