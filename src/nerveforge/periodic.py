@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
-from operator import lt
+from operator import add, sub
 
 from .homology import (
     HomologySummary,
@@ -27,7 +28,7 @@ from .homology import (
     simplicial_chain_map,
 )
 from .lattices import LatticeSubgroup
-from .simplicial import ComplexError, SimplicialComplex, SimplicialMap, nerve_of
+from .simplicial import ComplexError, SimplicialComplex, SimplicialMap, cliques_of
 
 
 class PeriodicError(ValueError):
@@ -123,14 +124,19 @@ class BoxUnion:
     nonzero lattice translates, the structural form of the elementwise
     invariance hypothesis.
 
-    Nerves are built on integer corners: at construction every corner is
-    scaled once by the lcm of the corner denominators, and a vertex box is the
-    scaled box moved by that lcm times its lattice vector. A nerve depends
+    Everything is decided on integer corners: at construction every corner
+    is scaled once by the lcm of the corner denominators, and a vertex box is
+    the scaled box moved by that lcm times its lattice vector. A nerve depends
     only on the order of corners, so scaling leaves every simplex unchanged.
 
-    ``stabilization`` keeps its result in a per-instance memo. The memo is not
-    part of ``==`` or ``hash`` and lives and dies with the instance, so an
-    equal but distinct ``BoxUnion`` computes its own.
+    Vertex (j, c) meets vertex (j2, c + e) exactly when box j2 moved by e
+    meets box j, a condition on (j, j2, e) alone. ``_stencil[j][j2]`` lists
+    those e, computed once per instance on first use; window and quotient
+    nerves read their edges from it instead of meeting pairs of boxes.
+
+    ``stabilization`` keeps its result in a per-instance memo. The memo and
+    the stencil are not part of ``==``, ``hash`` or ``repr`` and live and die
+    with the instance, so an equal but distinct ``BoxUnion`` computes its own.
     """
 
     dim: int
@@ -148,15 +154,8 @@ class BoxUnion:
             raise PeriodicError("lattice rank exceeds the dimension")
         if len(set(self.boxes)) != len(self.boxes):
             raise PeriodicError("duplicate boxes")
-        for b in self.boxes:
-            if len(b.lo) != self.dim:
-                raise PeriodicError("box dimension mismatch")
-            size = tuple(h - l for l, h in zip(b.lo, b.hi))
-            lo = tuple(-s for s in size)
-            for c in _lattice_points_in_open_box(self.lattice, lo, size):
-                if any(c):
-                    raise PeriodicError(
-                        "a box properly overlaps its own lattice translate")
+        if any(len(b.lo) != self.dim for b in self.boxes):
+            raise PeriodicError("box dimension mismatch")
         den = lcm(*(x.denominator for b in self.boxes for x in b.lo + b.hi))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_scaled", tuple(
@@ -164,6 +163,9 @@ class BoxUnion:
              tuple(x.numerator * (den // x.denominator) for x in b.hi))
             for b in self.boxes
         ))
+        for j in range(len(self.boxes)):
+            if any(any(e) for e in self._shifts_meeting(j, j)):
+                raise PeriodicError("a box properly overlaps its own lattice translate")
 
     @property
     def rank(self) -> int:
@@ -194,11 +196,62 @@ class BoxUnion:
                 out.append((j, c))
         return sorted(out)
 
+    def _shifts_meeting(self, j, j2):
+        """Coefficient differences e for which box j2 moved by e meets box
+        j: the lattice points of the open box (lo_j - hi_j2, hi_j - lo_j2),
+        on the integer corners."""
+        (lo, hi), (lo2, hi2) = self._scaled[j], self._scaled[j2]
+        return _lattice_points_in_open_box(
+            self.lattice, tuple(map(sub, lo, hi2)), tuple(map(sub, hi, lo2)), self._den)
+
+    @cached_property
+    def _stencil(self) -> tuple:
+        """``_stencil[j][j2]``: the sorted e for which box j2 moved by e meets
+        box j."""
+        n = len(self.boxes)
+        return tuple(tuple(sorted(self._shifts_meeting(j, j2)) for j2 in range(n))
+                     for j in range(n))
+
+    @cached_property
+    def _later_neighbours(self) -> tuple:
+        """Per box j, the sorted (j2, e) with (j2, e) > (j, 0) in the stencil:
+        vertex (j, c) meets exactly the later vertices (j2, c + e), which
+        come in the same order."""
+        zero = (0,) * self.rank
+        return tuple(
+            tuple((j2, e) for j2, shifts in enumerate(row) for e in shifts
+                  if (j2, e) > (j, zero))
+            for j, row in enumerate(self._stencil))
+
+    def _nerve(self, vertices):
+        """Simplices of the nerve of the boxes of the sorted ``vertices``:
+        the cliques of their intersection graph, whose edges come from the
+        stencil (see ``window_complex``)."""
+        index = {v: i for i, v in enumerate(vertices)}
+        later = []
+        for j, c in vertices:
+            row = []
+            for j2, e in self._later_neighbours[j]:
+                k = index.get((j2, tuple(map(add, c, e))))
+                if k is not None:
+                    row.append(k)
+            later.append(row)
+        return cliques_of(vertices, later)
+
     def window_complex(self, w) -> SimplicialComplex:
-        """Nerve of the window's boxes (``simplicial.nerve_of``); simplices
-        are subsets with a common point, decided on the integer corners."""
-        boxes = {v: self._int_box(v) for v in self.window_vertices(w)}
-        return SimplicialComplex(frozenset(alpha for alpha, _ in nerve_of(boxes, _meet)))
+        """Nerve of the window's boxes: the subsets with a common point.
+
+        It is the clique complex of the window's intersection graph, by
+        Helly's theorem for boxes: open axis-parallel boxes that meet
+        pairwise have a common point. Per axis, the open intervals (a_i, b_i)
+        meet pairwise, so a_i < b_k for all i, k, hence max a_i < min b_k and
+        the interval (max a_i, min b_k) lies in all of them; the product of
+        these intervals over the axes lies in every box. So only the pairs
+        are decided on corners, through the stencil, and each vertex is
+        paired with the few vertices its stencil names, not with the whole
+        window; the sets of three or more are cliques
+        (``simplicial.cliques_of``)."""
+        return SimplicialComplex(frozenset(self._nerve(self.window_vertices(w))))
 
     def stabilization(self, w_max: int = 16) -> StabilizationResult:
         """``stabilization_check`` of the window nerves in every degree.
@@ -212,14 +265,6 @@ class BoxUnion:
             result = stabilization_check(self.window_complex, degrees=None, w_max=w_max)
             self._stabilizations[w_max] = result
         return result
-
-
-def _meet(a, b):
-    """Intersection of two open boxes given as (lo, hi) integer tuples, or
-    None when it is empty."""
-    lo = tuple(map(max, a[0], b[0]))
-    hi = tuple(map(min, a[1], b[1]))
-    return (lo, hi) if all(map(lt, lo, hi)) else None
 
 
 def window_nerve_homology(bu: BoxUnion, w, reduced=False) -> HomologySummary:
@@ -386,64 +431,55 @@ def stabilization_check(builder, degrees=None, w_max: int = 16) -> Stabilization
 # ---------------------------------------------------------------------------
 
 
-def _covers_closed_box(boxes: list[Box], lo, hi) -> bool:
-    """Exact test that open boxes cover the closed box [lo, hi]."""
+def _covers_closed_box(boxes: list, lo, hi) -> bool:
+    """Exact test that open boxes, given as (lo, hi) integer corner tuples,
+    cover the closed box [lo, hi].
+
+    Along each axis the corners inside [lo, hi] cut it into points and open
+    intervals; a box holds all or none of such a piece, and every piece must
+    be covered by the boxes that hold it, on the remaining axes."""
     dim = len(lo)
 
-    def rec(axis, constraints, candidates):
+    def rec(axis, candidates):
         if axis == dim:
             return bool(candidates)
         a, b = lo[axis], hi[axis]
-        cuts = sorted({x for box in candidates for x in (box.lo[axis], box.hi[axis])
+        cuts = sorted({x for blo, bhi in candidates for x in (blo[axis], bhi[axis])
                        if a < x < b})
         points = [a] + cuts + [b]
-        # degenerate fragments at each cut point and open fragments between
-        fragments = []
-        for p in points:
-            fragments.append((p, p))
-        for s, t in zip(points, points[1:]):
-            fragments.append((s, t))
-        for s, t in fragments:
-            if s == t:
-                sub = [box for box in candidates if box.lo[axis] < s < box.hi[axis]]
-            else:
-                sub = [box for box in candidates if box.lo[axis] <= s and box.hi[axis] >= t]
-            if not rec(axis + 1, None, sub):
-                return False
-        return True
+        return all(
+            rec(axis + 1, [(blo, bhi) for blo, bhi in candidates if blo[axis] < p < bhi[axis]])
+            for p in points
+        ) and all(
+            rec(axis + 1, [(blo, bhi) for blo, bhi in candidates
+                           if blo[axis] <= s and bhi[axis] >= t])
+            for s, t in zip(points, points[1:])
+        )
 
-    return rec(0, None, list(boxes))
+    return rec(0, list(boxes))
 
 
 def full_coverage_check(bu: BoxUnion) -> bool:
     """For a full-rank lattice: do the box translates cover R^dim?
 
     The staircase cell [0, d_1] x ... x [0, d_dim] of the HNF diagonal is a
-    fundamental domain, so covering it is equivalent.
+    fundamental domain, so covering it is equivalent. Only the translates
+    that meet the open cell hold a point of the closed one. The test runs on
+    the integer corners, with the cell scaled by the same lcm.
     """
     if bu.rank != bu.dim:
         raise PeriodicError("full coverage is only defined for full-rank lattices")
-    diag = []
-    for i, row in enumerate(bu.lattice.basis):
+    cell = [0] * bu.dim
+    for row in bu.lattice.basis:
         pivot = next(j for j in range(bu.dim) if row[j])
-        diag.append((pivot, row[pivot]))
-    cell_hi = [Fraction(0)] * bu.dim
-    for pivot, v in diag:
-        cell_hi[pivot] = Fraction(abs(v))
-    lo = [Fraction(0)] * bu.dim
-    candidates = []
-    for j, b in enumerate(bu.boxes):
-        blo = tuple(-h for h in b.hi)
-        bhi = tuple(c - l for c, l in zip(cell_hi, b.lo))
+        cell[pivot] = bu._den * abs(row[pivot])
+    candidates = [
+        bu._int_box((j, c))
+        for j, (lo, hi) in enumerate(bu._scaled)
         for c in _lattice_points_in_open_box(
-            bu.lattice,
-            tuple(x - 1 for x in blo),
-            tuple(x + 1 for x in bhi),
-        ):
-            candidates.append(b.translated(lattice_vector(bu.lattice, c)))
-    candidates = [b for b in candidates
-                  if all(x < ch and y > 0 for x, ch, y in zip(b.lo, cell_hi, b.hi))]
-    return _covers_closed_box(candidates, lo, cell_hi)
+            bu.lattice, tuple(-h for h in hi), tuple(map(sub, cell, lo)), bu._den)
+    ]
+    return _covers_closed_box(candidates, (0,) * bu.dim, tuple(cell))
 
 
 @dataclass(frozen=True)
@@ -510,25 +546,19 @@ def quotient_complex(bu: BoxUnion) -> IntegerChainComplex:
     """Quotient of the infinite periodic nerve by the free lattice action,
     as a chain complex over orbit representatives.
 
+    Each orbit is represented by its simplex whose least vertex has zero
+    coefficients. The simplices with least vertex (j, 0) are (j, 0) followed
+    by a clique of the later vertices that meet it, which the stencil lists
+    (``BoxUnion._later_neighbours``); by Helly's theorem for boxes (see
+    ``BoxUnion.window_complex``) every such set has a common point.
+
     The global vertex order is translation invariant, so face signs descend.
     """
     reps: set[tuple] = set()
-    for j, box in enumerate(bu.boxes):
-        base_vertex = (j, tuple([0] * bu.rank))
-        # neighbors whose boxes meet box j
-        candidates = []
-        for j2, b2 in enumerate(bu.boxes):
-            lo = tuple(l - h2 for l, h2 in zip(box.lo, b2.hi))
-            hi = tuple(h - l2 for h, l2 in zip(box.hi, b2.lo))
-            for c in _lattice_points_in_open_box(bu.lattice, lo, hi):
-                v = (j2, c)
-                if v > base_vertex:
-                    candidates.append(v)
-        candidates.sort()
-        base_box = bu._int_box(base_vertex)
-        meets = {v: _meet(base_box, bu._int_box(v)) for v in candidates}
+    for j, neighbours in enumerate(bu._later_neighbours):
+        base_vertex = (j, (0,) * bu.rank)
         reps.add((base_vertex,))
-        reps.update((base_vertex,) + alpha for alpha, _ in nerve_of(meets, _meet))
+        reps.update((base_vertex,) + alpha for alpha in bu._nerve(neighbours))
 
     by_degree: dict[int, list] = {}
     for s in reps:

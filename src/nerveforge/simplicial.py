@@ -4,14 +4,18 @@ A simplex is a tuple of vertex ids sorted in the ambient vertex order
 (orientation convention: boundary signs alternate by position in that
 order).  Complexes are immutable after construction.
 
-``nerve_of`` is the one enumerator of nerves: every set of keys whose
-values have a common meet. The nerves of covers, of affine subspaces, of
-periodic box windows and of their lattice quotients are all built by it.
+``nerve_of`` enumerates nerves: every set of keys whose values have a
+common meet. The nerves of covers and of affine subspaces are built by it.
+``cliques_of`` enumerates the cliques of a graph by the same frontier walk,
+with no meet: the nerves of periodic box windows and of their lattice
+quotients are clique complexes (Helly's theorem for boxes, see
+``periodic.BoxUnion.window_complex``) and are built by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 
@@ -69,8 +73,10 @@ class SimplicialComplex:
         _check_vertex_types({v for s in closed for v in s})
         return SimplicialComplex(closed)
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset:
+        """Computed once per instance; not part of ``==``, ``hash`` or
+        ``repr``."""
         return frozenset(v for s in self.simplices for v in s)
 
     @property
@@ -159,6 +165,34 @@ def nerve_of(items: dict, meet):
         yield (keys[i],), a
         later.append({j: m for j in range(i + 1, len(values))
                       if (m := meet(a, values[j])) is not None})
+    yield from _frontier_walk(keys, later, values, meet)
+
+
+def cliques_of(keys: list, later: list):
+    """Key tuple of every clique of a graph on ``keys``, smaller cliques
+    first and each size in lexicographic order of positions in ``keys``.
+
+    ``later[i]`` lists, in increasing order, the positions j > i whose keys
+    are adjacent to key i. This is ``nerve_of`` for values whose sets meet
+    as soon as they meet pairwise: no meet is taken beyond the pairs.
+    """
+    for k in keys:
+        yield (k,)
+    rows = [dict.fromkeys(row, True) for row in later]
+    for alpha, _ in _frontier_walk(keys, rows, None, None):
+        yield alpha
+
+
+def _frontier_walk(keys, later, values, meet):
+    """``(key tuple, meet)`` for the sets of two or more keys that the
+    ``later`` rows and ``meet`` admit, size by size.
+
+    ``later[i]`` maps each position j > i adjacent to i, in increasing order,
+    to the meet of the pair. A set is tried only with the later positions
+    adjacent to every one of its members, and a try meets the set's meet
+    with ``values`` at the new position. With ``meet`` None every such try
+    succeeds.
+    """
     frontier = []
     for i, row in enumerate(later):
         cands = list(row)
@@ -170,7 +204,7 @@ def nerve_of(items: dict, meet):
         new = []
         for alpha, base, cands in frontier:
             for p, i in enumerate(cands):
-                m = meet(base, values[i])
+                m = base if meet is None else meet(base, values[i])
                 if m is not None:
                     beta = alpha + (keys[i],)
                     yield beta, m

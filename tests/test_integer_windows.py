@@ -1,22 +1,26 @@
-"""Integer-corner window nerves, the per-instance stabilization memo, and the
-exact radical comparison, checked against Fraction references."""
+"""Integer-corner window nerves, the neighbour stencil, the per-instance
+stabilization memo, and the exact radical comparison, checked against
+Fraction references and Euler-characteristic oracles."""
 
 import itertools
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nerveforge import periodic
-from nerveforge.construct import hollow_tube_boxes
+from nerveforge.construct import hollow_tube_boxes, tiling_boxes
 from nerveforge.euclid import sqrt_leq_sum_of_sqrts
 from nerveforge.homology import Collapse, IntegerChainComplex
 from nerveforge.lattices import LatticeSubgroup
 from nerveforge.periodic import (
     Box,
     BoxUnion,
+    CoverWindow,
+    FiniteCoverSpec,
+    full_coverage_check,
     local_vanishing_check,
     quotient_complex,
     quotient_corner_check,
@@ -105,6 +109,160 @@ def test_quotient_complex_matches_fraction_reference(bu):
 
 
 @SETTINGS
+@given(box_unions())
+def test_stencil_matches_fraction_scan(bu):
+    """``_stencil[j][j2]`` is every e in [-K, K]^rank for which box j2 moved
+    by e meets box j."""
+    n = len(bu.boxes)
+    for j, box in enumerate(bu.boxes):
+        near = [v for v in all_vertices(bu) if box.meets(bu.vertex_box(v))]
+        assert all(abs(x) < K for _, c in near for x in c)
+        for j2 in range(n):
+            assert set(bu._stencil[j][j2]) == {c for k, c in near if k == j2}
+
+
+def clique_complex(simplices):
+    """Every set of vertices that are pairwise joined by an edge of
+    ``simplices``."""
+    verts = sorted(s[0] for s in simplices if len(s) == 1)
+    edges = {s for s in simplices if len(s) == 2}
+    out = set()
+
+    def extend(clique, cands):
+        out.add(clique)
+        for i, v in enumerate(cands):
+            extend(clique + (v,), [u for u in cands[i + 1:] if (v, u) in edges])
+
+    for i, v in enumerate(verts):
+        extend((v,), [u for u in verts[i + 1:] if (v, u) in edges])
+    return out
+
+
+@SETTINGS
+@given(box_unions(), st.integers(1, 4))
+def test_window_complex_is_the_clique_complex_of_its_edges(bu, w):
+    simplices = bu.window_complex(w).simplices
+    assert simplices == clique_complex(simplices)
+
+
+def euler_characteristic(simplices):
+    return sum((-1) ** (len(s) - 1) for s in simplices)
+
+
+def signed_cell_count(boxes, dim):
+    """Sum of (-1)^(dim of cell) over the open cells of the corner grid that
+    lie in the union of the open ``boxes`` (Fraction corners).
+
+    Axis by axis, the corners of the boxes still in play cut the line into
+    points and open intervals; pieces held by the same boxes are summed
+    together, so each set of boxes recurses once."""
+    def rec(axis, active):
+        if axis == dim:
+            return 1
+        cuts = sorted({x for b in active for x in (b.lo[axis], b.hi[axis])})
+        weight: dict[tuple, int] = {}
+        for p in cuts:
+            held = tuple(b for b in active if b.lo[axis] < p < b.hi[axis])
+            if held:
+                weight[held] = weight.get(held, 0) + 1
+        for s, t in zip(cuts, cuts[1:]):
+            held = tuple(b for b in active if b.lo[axis] <= s and t <= b.hi[axis])
+            if held:
+                weight[held] = weight.get(held, 0) - 1
+        return sum(sign * rec(axis + 1, held) for held, sign in weight.items())
+
+    return rec(0, boxes)
+
+
+@SETTINGS
+@given(box_unions(), st.integers(1, 2))
+def test_window_euler_characteristic_matches_signed_cell_count(bu, w):
+    """The window union U is open in R^dim and a union of open grid cells, so
+    chi(U) = (-1)^dim * sum over those cells of (-1)^(dim of cell), by
+    Poincare duality for the compactly supported Euler characteristic; by
+    the nerve theorem chi(U) is chi of the window nerve."""
+    boxes = [bu.vertex_box(v) for v in bu.window_vertices(w)]
+    expected = (-1) ** bu.dim * signed_cell_count(boxes, bu.dim)
+    assert euler_characteristic(bu.window_complex(w).simplices) == expected
+
+
+def triangular_rows(draw, n, off):
+    """Rows of an upper-triangular n x n matrix with diagonal 1-3 and
+    entries in [-off, off] above it: a lattice of full rank."""
+    return [[0] * i + [draw(st.integers(1, 3))]
+            + [draw(st.integers(-off, off)) for _ in range(n - i - 1)]
+            for i in range(n)]
+
+
+@st.composite
+def cover_specs(draw, rank):
+    return FiniteCoverSpec.of(triangular_rows(draw, rank, 2), rank)
+
+
+@SETTINGS
+@given(box_unions().flatmap(lambda bu: st.tuples(st.just(bu), cover_specs(bu.rank))),
+       st.integers(1, 2))
+def test_cover_window_euler_characteristic_is_multiplicative(bu_spec, w):
+    """chi(cover) = |G| * chi(base) for a |G|-sheeted cover."""
+    bu, spec = bu_spec
+    cw = CoverWindow(bu, spec, w)
+    assert (euler_characteristic(cw.complex.simplices)
+            == len(spec.elements()) * euler_characteristic(cw.base.simplices))
+
+
+@st.composite
+def full_rank_box_unions(draw):
+    """A full-rank lattice with short HNF rows; the boxes are the products of
+    two intervals per axis, which cover the line modulo that axis's period
+    when both of their joins overlap. Joins that only touch or leave a gap
+    give unions that miss points."""
+    dim = draw(st.integers(1, 2))
+    rows = triangular_rows(draw, dim, 1)
+    lattice = LatticeSubgroup.from_generators(rows, dim)
+    joins = st.sampled_from([Fraction(-1, 8), Fraction(0), Fraction(1, 8), Fraction(1, 4)])
+    axes = []
+    for i in range(dim):
+        period = rows[i][i]
+        a = Fraction(draw(st.integers(-4, 0)), 4)
+        b = a + Fraction(draw(st.integers(1, 4 * period - 1)), 4)
+        x, y = draw(joins), draw(joins)
+        axes.append([(a - y, b + x), (b - x, a + period + y)])
+    try:  # drop empty intervals and boxes that meet their own translates
+        boxes = tuple(Box.of(*zip(*corners)) for corners in itertools.product(*axes))
+        return BoxUnion(dim=dim, lattice=lattice, boxes=boxes)
+    except periodic.PeriodicError:
+        assume(False)
+
+
+def reference_covers(bu):
+    """Every point and open interval of the grid cut by the translated corners
+    inside the closed cell [0, d] has a sample point inside some translate."""
+    cell = [Fraction(0)] * bu.dim
+    for row in bu.lattice.basis:
+        pivot = next(j for j, x in enumerate(row) if x)
+        cell[pivot] = Fraction(abs(row[pivot]))
+    translates = [bu.vertex_box(v) for v in all_vertices(bu)]
+    near = [b for b in translates
+            if all(a < c and h > 0 for a, c, h in zip(b.lo, cell, b.hi))]
+    assert all(abs(x) < K for b in near for x in b.lo)
+    samples = []
+    for axis in range(bu.dim):
+        cuts = sorted({Fraction(0), cell[axis]} | {
+            x for b in near for x in (b.lo[axis], b.hi[axis]) if 0 < x < cell[axis]})
+        samples.append(cuts + [(s + t) / 2 for s, t in zip(cuts, cuts[1:])])
+    return all(any(all(a < x < h for a, x, h in zip(b.lo, p, b.hi)) for b in near)
+               for p in itertools.product(*samples))
+
+
+@SETTINGS
+@given(full_rank_box_unions())
+@example(tiling_boxes(dim=2, spacing=2))
+@example(tiling_boxes(dim=2, spacing=3, overlap=Fraction(1, 3)))
+def test_full_coverage_matches_fraction_reference(bu):
+    assert full_coverage_check(bu) == reference_covers(bu)
+
+
+@SETTINGS
 @given(box_unions(), st.randoms(use_true_random=False), st.integers(1, 2))
 def test_window_invariant_under_permuting_boxes(bu, rng, w):
     perm = list(range(len(bu.boxes)))
@@ -188,6 +346,14 @@ def test_equal_box_unions_keep_separate_memos(monkeypatch):
     b.stabilization()
     assert len(calls) == 2
     assert a.stabilization() is not b.stabilization()
+
+
+def test_stencil_is_lazy_and_outside_equality():
+    a, b = strip(), strip()
+    assert "_stencil" not in vars(a)
+    a.window_complex(2)
+    assert "_stencil" in vars(a) and "_stencil" not in vars(b)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 def test_mutating_verdict_radii_leaves_memo_alone():

@@ -10,6 +10,7 @@ from nerveforge.simplicial import (
     SimplicialComplex,
     SimplicialMap,
     Subcomplex,
+    cliques_of,
     nerve_of,
 )
 
@@ -19,6 +20,14 @@ def test_downward_closure_from_maximal():
     assert len(c) == 7
     assert c.dimension == 2
     assert (0, 1) in c.simplices
+
+
+def test_cached_vertices_leave_equality_hash_and_repr_alone():
+    a = SimplicialComplex.from_maximal([(0, 1, 2), (2, 3)])
+    b = SimplicialComplex.from_maximal([(0, 1, 2), (2, 3)])
+    assert a.vertices == frozenset({0, 1, 2, 3})
+    assert "vertices" in vars(a) and "vertices" not in vars(b)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 def test_strict_loader_rejects_gaps_and_duplicates():
@@ -138,3 +147,19 @@ def test_nerve_of_matches_folded_meets_on_boxes(corners):
     items = {f"b{i}": (tuple(lo), tuple(a + s for a, s in zip(lo, size)))
              for i, (lo, size) in enumerate(corners)}
     check_nerve_of(items, box_meet)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.tuples(st.lists(st.integers(0, 5), min_size=dim, max_size=dim),
+              st.lists(st.integers(1, 4), min_size=dim, max_size=dim)),
+    max_size=8)))
+def test_box_nerve_is_the_clique_complex_of_its_pairs(corners):
+    """Helly's theorem for open boxes: boxes that meet pairwise have a common
+    point, so ``cliques_of`` over the pairs gives ``nerve_of``, in order."""
+    items = {i: (tuple(lo), tuple(a + s for a, s in zip(lo, size)))
+             for i, (lo, size) in enumerate(corners)}
+    keys = list(items)
+    later = [[j for j in keys[i + 1:] if box_meet(items[i], items[j]) is not None]
+             for i in keys]
+    assert list(cliques_of(keys, later)) == [alpha for alpha, _ in nerve_of(items, box_meet)]
