@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .simplicial import SimplicialComplex, SimplicialMap
+from .simplicial import ComplexError, SimplicialComplex, SimplicialMap
 from .snf import smith_normal_form, solve_integer
 
 
@@ -35,8 +35,12 @@ class IntegerChainComplex:
     """Per-degree bases (label lists) and sparse boundaries.
 
     ``boundaries[d]`` maps a degree-d basis index to ``{row: value}`` over
-    degree-(d-1) basis indices.  The identity boundary-of-boundary == 0 is
-    checked exactly at construction.
+    degree-(d-1) basis indices.  Direct construction and ``of_cells`` check
+    the identity boundary-of-boundary == 0 exactly.  ``_trusted`` does not:
+    it builds the collapsed subcomplex (``collapse``) and the restriction to
+    a simplicial subcomplex (``restricted_chain_complex``), whose boundaries
+    are restrictions of a checked complex's to a set of cells closed under
+    faces, and so inherit the identity.
     """
 
     basis: dict[int, list]
@@ -125,23 +129,37 @@ class IntegerChainComplex:
         pairs: dict[int, list[tuple[int, int, int]]] = {d: [] for d in self.basis}
         queue = deque((d, i) for d in sorted(left)
                       for i, k in enumerate(left[d]) if k == 1)
+        popleft, push = queue.popleft, queue.append
         while queue:
-            d, s = queue.popleft()
+            d, s = popleft()
+            counts = left[d]
             # a removed cell has no coface left
-            if left[d][s] != 1:
+            if counts[s] != 1:
                 continue
-            t = next(u for u in cof[d][s] if alive[d + 1][u])
-            c = bnd[d + 1][t][s]
-            if c not in (1, -1):
+            up = alive[d + 1]
+            for t in cof[d][s]:
+                if up[t]:
+                    break
+            col = bnd[d + 1][t]
+            c = col[s]
+            if c != 1 and c != -1:
                 continue
-            alive[d][s] = alive[d + 1][t] = False
+            alive[d][s] = up[t] = False
             pairs[d].append((s, t, c))
-            for e, faces in ((d, bnd[d + 1][t]), (d - 1, bnd.get(d, {}).get(s, {}))):
+            # t's faces lose a coface, then so do s's
+            for r, v in col.items():
+                if v:
+                    counts[r] -= 1
+                    if counts[r] == 1:
+                        push((d, r))
+            faces = bnd[d].get(s) if d in bnd else None
+            if faces:
+                counts = left[d - 1]
                 for r, v in faces.items():
                     if v:
-                        left[e][r] -= 1
-                        if left[e][r] == 1:
-                            queue.append((e, r))
+                        counts[r] -= 1
+                        if counts[r] == 1:
+                            push((d - 1, r))
 
         cells = {d: [i for i, a in enumerate(flags) if a] for d, flags in alive.items()}
         index = {d: {i: k for k, i in enumerate(cs)} for d, cs in cells.items()}
@@ -189,9 +207,49 @@ class Collapse:
 
 def chain_complex(c: SimplicialComplex) -> IntegerChainComplex:
     """Simplicial chain complex with bases sorted lexicographically."""
-    return IntegerChainComplex.of_cells(
-        {d: c.simplices_of_dim(d) for d in range(c.dimension + 1)},
-        simplex_boundary)
+    basis: list[list] = [[] for _ in range(c.dimension + 1)]
+    for s in c.simplices:
+        basis[len(s) - 1].append(s)
+    for labels in basis:
+        labels.sort()
+    return IntegerChainComplex.of_cells(dict(enumerate(basis)), simplex_boundary)
+
+
+def restricted_chain_complex(cc: IntegerChainComplex, sub: SimplicialComplex
+                             ) -> tuple[IntegerChainComplex, ChainMap]:
+    """``(chain_complex(sub), inclusion chain map)``, read off
+    ``cc = chain_complex(c)`` for a subcomplex ``sub`` of c.
+
+    The cells of ``cc.basis[d]`` that lie in ``sub`` keep their sorted order,
+    so the bases and the boundary columns are those ``chain_complex(sub)``
+    builds; boundary rows are re-indexed, and the inclusion sends each kept
+    cell to its position in ``cc`` with sign +1.  The cells are closed under
+    faces, so the boundaries square to zero because ``cc``'s do, and the
+    result is built with ``_trusted``.  Raises ``ComplexError`` when ``sub``
+    is not inside c.
+    """
+    keep = sub.simplices
+    basis, boundaries, cm = {}, {}, {}
+    found = 0
+    index: dict[int, int] = {}
+    try:
+        for d, labels in cc.basis.items():
+            cells = [i for i, s in enumerate(labels) if s in keep]
+            if not cells:
+                break
+            found += len(cells)
+            basis[d] = [labels[i] for i in cells]
+            cm[d] = {k: {i: 1} for k, i in enumerate(cells)}
+            if d:
+                cols = cc.boundaries[d]
+                boundaries[d] = {k: {index[r]: v for r, v in cols[i].items()}
+                                 for k, i in enumerate(cells)}
+            index = {i: k for k, i in enumerate(cells)}
+    except KeyError:
+        raise ChainComplexError("restricted cells are not closed under faces") from None
+    if found != len(keep):
+        raise ComplexError("inclusion source is not a subcomplex of the target")
+    return IntegerChainComplex._trusted(basis, boundaries), cm
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .homology import (
     homology_of_complex,
     induced_map_is_isomorphism,
     induced_map_on_homology,
+    restricted_chain_complex,
     simplex_boundary,
     simplicial_chain_map,
 )
@@ -223,10 +224,10 @@ class BoxUnion:
                   if (j2, e) > (j, zero))
             for j, row in enumerate(self._stencil))
 
-    def _nerve(self, vertices):
-        """Simplices of the nerve of the boxes of the sorted ``vertices``:
-        the cliques of their intersection graph, whose edges come from the
-        stencil (see ``window_complex``)."""
+    def _later(self, vertices) -> list[list[int]]:
+        """Per position i of the sorted ``vertices``, the increasing
+        positions of the later vertices whose boxes meet box i, from the
+        stencil: the edges of the vertices' nerve."""
         index = {v: i for i, v in enumerate(vertices)}
         later = []
         for j, c in vertices:
@@ -236,7 +237,12 @@ class BoxUnion:
                 if k is not None:
                     row.append(k)
             later.append(row)
-        return cliques_of(vertices, later)
+        return later
+
+    def _nerve(self, vertices):
+        """Simplices of the nerve of the boxes of the sorted ``vertices``:
+        the cliques of their intersection graph (see ``window_complex``)."""
+        return cliques_of(vertices, self._later(vertices))
 
     def window_complex(self, w) -> SimplicialComplex:
         """Nerve of the window's boxes: the subsets with a common point.
@@ -320,11 +326,9 @@ class StabilizationResult:
         return best
 
 
-def _component_map_outcome(small: SimplicialComplex, big: SimplicialComplex,
-                           bigger: SimplicialComplex) -> DegreeOutcome:
-    """Reduced degree-0 stabilization via component tracking."""
-    c_small, c_big, c_bigger = (
-        _component_labels(small), _component_labels(big), _component_labels(bigger))
+def _component_map_outcome(c_small: dict, c_big: dict, c_bigger: dict) -> DegreeOutcome:
+    """Reduced degree-0 stabilization via component tracking, from the
+    windows' component labels (``_chain_component_labels``)."""
 
     def outcome(cs, cb):
         reps_small = {}
@@ -355,6 +359,13 @@ def stabilization_check(builder, degrees=None, w_max: int = 16) -> Stabilization
     (w -> 2w -> 4w) are isomorphisms, zero-image when both kill every class,
     and inconclusive otherwise; the scan stops at the first radius triple
     that resolves every requested degree, or at w_max.
+
+    The builder's windows must be nested. It is asked once per radius, the
+    largest of a triple first. Only that largest window's chain complex is
+    built from its simplices; the smaller windows' chain complexes and the
+    inclusion chain maps are restrictions of it (``restricted_chain_complex``),
+    which raises ``ComplexError`` when a window is not inside the next.
+    Degree-0 component labels come once per window from its chain complex.
     """
     if w_max < 2:
         raise PeriodicError("w_max must be at least 2")
@@ -364,15 +375,28 @@ def stabilization_check(builder, degrees=None, w_max: int = 16) -> Stabilization
     if len(radii) < 3:
         raise PeriodicError("w_max admits no doubling triple")
     complexes: dict[int, SimplicialComplex] = {}
-    ccs: dict[int, object] = {}
+    ccs: dict[int, IntegerChainComplex] = {}
+    labels: dict[int, dict] = {}
     hcache: dict[tuple[int, int], object] = {}
     cmaps: dict[tuple[int, int], dict] = {}
 
-    def cx(w):
-        if w not in complexes:
-            complexes[w] = builder(w)
-            ccs[w] = chain_complex(complexes[w])
-        return complexes[w]
+    def prepare(w1, w2, w4):
+        """Build the triple's windows, the largest first, and read the
+        smaller chain complexes and the inclusions off the largest."""
+        for w in (w4, w2, w1):
+            if w not in complexes:
+                complexes[w] = builder(w)
+        if w4 not in ccs:
+            ccs[w4] = chain_complex(complexes[w4])
+        for lo, hi in ((w2, w4), (w1, w2)):
+            if (lo, hi) not in cmaps:
+                cc, cmaps[lo, hi] = restricted_chain_complex(ccs[hi], complexes[lo])
+                ccs.setdefault(lo, cc)
+
+    def components(w):
+        if w not in labels:
+            labels[w] = _chain_component_labels(ccs[w])
+        return labels[w]
 
     def hdeg(w, d):
         key = (w, d)
@@ -381,9 +405,6 @@ def stabilization_check(builder, degrees=None, w_max: int = 16) -> Stabilization
         return hcache[key]
 
     def induced(w1, w2, d):
-        if (w1, w2) not in cmaps:
-            incl = SimplicialMap.inclusion(complexes[w1], complexes[w2])
-            cmaps[w1, w2] = simplicial_chain_map(incl, ccs[w1], ccs[w2])
         return induced_map_on_homology(
             ccs[w1], ccs[w2], cmaps[w1, w2], d, src_h=hdeg(w1, d), dst_h=hdeg(w2, d)
         )
@@ -394,14 +415,16 @@ def stabilization_check(builder, degrees=None, w_max: int = 16) -> Stabilization
     for i in range(len(radii) - 2):
         w1, w2, w4 = radii[i], radii[i + 1], radii[i + 2]
         used = (w1, w2, w4)
-        small, big, bigger = cx(w1), cx(w2), cx(w4)
-        top = max(small.dimension, big.dimension, bigger.dimension, 0)
+        prepare(w1, w2, w4)
+        # the smaller windows lie inside the largest
+        top = max(complexes[w4].dimension, 0)
         top_seen = max(top_seen, top)
         degs = degrees if degrees is not None else range(0, top + 1)
         outcomes = {}
         for d in degs:
             if d == 0:
-                outcomes[0] = _component_map_outcome(small, big, bigger)
+                outcomes[0] = _component_map_outcome(
+                    components(w1), components(w2), components(w4))
                 continue
             if d > top:
                 outcomes[d] = DegreeOutcome("stable", betti=0)
@@ -704,7 +727,13 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
     Acting trivially is checked from a small window into a big one that
     holds its unit translates: in each degree d >= 1 the induced map of
     every unit lift on H_d must equal the inclusion's, and in degree 0 every
-    lifted vertex must stay in the inclusion's component."""
+    lifted vertex must stay in the inclusion's component. The big window's
+    chain complex is built once; the small window's chain complex and the
+    inclusion chain map are its restriction. The stabilized vanishing runs
+    ``stabilization_check`` on the cover windows.
+
+    For a full-rank tiling the components of the w = 4 cover window are
+    counted on its 1-skeleton (``_cover_component_counts``)."""
     if r != bu.rank:
         raise PeriodicError("declared rank differs from lattice rank")
     if n - 1 != bu.dim:
@@ -716,9 +745,7 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
     if bu.rank == bu.dim:
         if not full_coverage_check(bu):
             raise PeriodicError("full-rank cover scenario without full coverage")
-        cw = CoverWindow(bu, spec, 4)
-        comp = _component_count(cw.complex)
-        base_comp = _component_count(cw.base)
+        comp, base_comp = _cover_component_counts(bu, spec, 4)
         checks["components"] = comp
         checks["expected_components"] = order * base_comp
         ok = comp == order * base_comp
@@ -792,11 +819,10 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
     # H_d(big) as the inclusion
     trivial_ok = simplicial_ok
     if simplicial_ok:
-        small_cc = chain_complex(small.complex)
         big_cc = chain_complex(big.complex)
-        inclusion = SimplicialMap.inclusion(small.complex, big.complex)
-        maps = [simplicial_chain_map(f, small_cc, big_cc)
-                for f in [inclusion] + [lift_maps[e] for e in units]]
+        small_cc, inclusion = restricted_chain_complex(big_cc, small.complex)
+        maps = [inclusion] + [simplicial_chain_map(lift_maps[e], small_cc, big_cc)
+                              for e in units]
         for d in range(1, max(small.complex.dimension, 0) + 1):
             src_h = degree_homology(small_cc, d)
             if not src_h.generators:
@@ -808,7 +834,7 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
             if any(m != expected for m in lifted):
                 trivial_ok = False
         # degree 0: each component maps into the same component as inclusion
-        comp_big = _component_labels(big.complex)
+        comp_big = _chain_component_labels(big_cc)
         if any(comp_big[lift[v]] != comp_big[v] for lift in lifts.values() for v in vertices):
             trivial_ok = False
     checks["acts_trivially_on_homology"] = trivial_ok
@@ -840,12 +866,30 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
     )
 
 
-def _component_count(cx: SimplicialComplex) -> int:
-    return len(set(_component_labels(cx).values()))
+def _cover_component_counts(bu: BoxUnion, spec: FiniteCoverSpec, w) -> tuple[int, int]:
+    """Components of ``CoverWindow(bu, spec, w)`` and of its base window,
+    counted on the 1-skeleton without building either complex.
+
+    The stencil gives the base edges (``BoxUnion._later``). As in
+    ``CoverWindow``, a base edge (u, v) lifts in sheet h to
+    (u, h + [c_u]) -- (v, h + [c_v]), and one union-find over the base
+    vertices times G counts the cover's components."""
+    vertices = bu.window_vertices(w)
+    edges = [(i, k) for i, row in enumerate(bu._later(vertices)) for k in row]
+    base = _component_labels(range(len(vertices)), edges)
+    elements = spec.elements()
+    residues = [spec.reduce(c) for _, c in vertices]
+    add = {(h, r): spec.add(h, r) for h in elements for r in set(residues)}
+    lifted = (((i, add[h, residues[i]]), (k, add[h, residues[k]]))
+              for h in elements for i, k in edges)
+    cover = _component_labels(product(range(len(vertices)), elements), lifted)
+    return len(set(cover.values())), len(set(base.values()))
 
 
-def _component_labels(cx: SimplicialComplex):
-    parent = {v: v for v in cx.vertices}
+def _component_labels(vertices, edges) -> dict:
+    """Union-find over a graph: each vertex's component root. Every edge is
+    a pair of vertices."""
+    parent = {v: v for v in vertices}
 
     def find(x):
         while parent[x] != x:
@@ -853,9 +897,14 @@ def _component_labels(cx: SimplicialComplex):
             x = parent[x]
         return x
 
-    for s in cx.simplices:
-        if len(s) == 2:
-            a, b = find(s[0]), find(s[1])
-            if a != b:
-                parent[a] = b
-    return {v: find(v) for v in cx.vertices}
+    for a, b in edges:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    return {v: find(v) for v in parent}
+
+
+def _chain_component_labels(cc: IntegerChainComplex) -> dict:
+    """Component labels of a simplicial complex's vertices, read from its
+    chain complex's degree-0 and degree-1 bases."""
+    return _component_labels((s[0] for s in cc.basis.get(0, ())), cc.basis.get(1, ()))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from operator import lt
 
 
 class ComplexError(ValueError):
@@ -79,11 +80,11 @@ class SimplicialComplex:
         ``repr``."""
         return frozenset(v for s in self.simplices for v in s)
 
-    @property
+    @cached_property
     def dimension(self) -> int:
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        """Computed once per instance, -1 when empty; not part of ``==``,
+        ``hash`` or ``repr``."""
+        return max(map(len, self.simplices), default=0) - 1
 
     def simplices_of_dim(self, d: int) -> list[tuple]:
         return sorted(s for s in self.simplices if len(s) == d + 1)
@@ -234,6 +235,9 @@ class SimplicialMap:
         """Image tuple (sorted, deduplicated) and parity sign; sign is 0 when
         the image is degenerate."""
         img = [self.vertex_map[v] for v in s]
+        if all(map(lt, img, img[1:])):
+            # inclusions and cover lifts keep the order
+            return tuple(img), 1
         if len(set(img)) != len(img):
             return None, 0
         order = sorted(range(len(img)), key=lambda i: img[i])

@@ -27,12 +27,13 @@ from nerveforge.homology import (
     induced_homology_map,
     induced_map_is_isomorphism,
     is_acyclic,
+    restricted_chain_complex,
     simplex_boundary,
 )
-from nerveforge.simplicial import SimplicialComplex, SimplicialMap
+from nerveforge.simplicial import ComplexError, SimplicialComplex, SimplicialMap
 from nerveforge.snf import rational_rank
 
-from chain_helpers import scanned_chains
+from chain_helpers import assert_restriction_matches, scanned_chains
 
 
 def rational_betti_oracle(c):
@@ -238,6 +239,34 @@ def test_chain_complex_matches_loop(c):
     cc, ref = chain_complex(c), loop_chain_complex(c)
     assert cc.basis == ref.basis
     assert cc.boundaries == ref.boundaries
+
+
+@st.composite
+def subcomplex_pairs(draw):
+    """A complex and a subcomplex spanned by some of its simplices, possibly
+    none."""
+    c = draw(random_complexes)
+    sub = SimplicialComplex.from_maximal(
+        draw(st.lists(st.sampled_from(sorted(c.simplices)), max_size=5)))
+    return sub, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(subcomplex_pairs())
+def test_restricted_chain_complex_is_the_subcomplex_chain_complex(pair):
+    assert_restriction_matches(*pair)
+
+
+def test_restriction_to_a_complex_outside_raises_like_inclusion():
+    c = SimplicialComplex.from_maximal([(0, 1), (1, 2)])
+    outside = SimplicialComplex.from_maximal([(0, 2)])
+    with pytest.raises(ComplexError):
+        SimplicialMap.inclusion(outside, c)
+    with pytest.raises(ComplexError):
+        restricted_chain_complex(chain_complex(c), outside)
+    faces_missing = SimplicialComplex(frozenset({(0,), (0, 1)}))
+    with pytest.raises(ChainComplexError):
+        restricted_chain_complex(chain_complex(c), faces_missing)
 
 
 def test_of_cells_rejects_faces_outside_the_basis():

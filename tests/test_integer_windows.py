@@ -13,19 +13,33 @@ from hypothesis import strategies as st
 from nerveforge import periodic
 from nerveforge.construct import hollow_tube_boxes, tiling_boxes
 from nerveforge.euclid import sqrt_leq_sum_of_sqrts
-from nerveforge.homology import Collapse, IntegerChainComplex
+from nerveforge.homology import (
+    Collapse,
+    IntegerChainComplex,
+    chain_complex,
+    degree_homology,
+    induced_map_is_isomorphism,
+    induced_map_on_homology,
+    simplicial_chain_map,
+)
 from nerveforge.lattices import LatticeSubgroup
 from nerveforge.periodic import (
     Box,
     BoxUnion,
     CoverWindow,
+    DegreeOutcome,
     FiniteCoverSpec,
+    StabilizationResult,
+    cover_lift_check,
     full_coverage_check,
     local_vanishing_check,
     quotient_complex,
     quotient_corner_check,
     stabilization_check,
 )
+from nerveforge.simplicial import SimplicialMap
+
+from chain_helpers import assert_restriction_matches
 
 SETTINGS = settings(max_examples=40, deadline=None)
 # Coefficient range of the reference vertex scan; the tests assert that every
@@ -291,6 +305,133 @@ def test_stabilization_outcomes_do_not_depend_on_the_collapse(bu):
         mp.setattr(IntegerChainComplex, "collapse", property(no_collapse))
         plain = stabilization_check(bu.window_complex, w_max=8)
     assert collapsed == plain
+
+
+@SETTINGS
+@given(box_unions(), st.sampled_from([(1, 2), (2, 4), (1, 4)]))
+def test_window_restriction_is_the_smaller_window_chain_complex(bu, radii):
+    w, big = radii
+    assert_restriction_matches(bu.window_complex(w), bu.window_complex(big))
+
+
+def graph_components(cx):
+    """Vertex -> least vertex of its component, by a walk over the edges."""
+    adjacent = {v: [] for v in cx.vertices}
+    for s in cx.simplices:
+        if len(s) == 2:
+            adjacent[s[0]].append(s[1])
+            adjacent[s[1]].append(s[0])
+    label = {}
+    for v in sorted(adjacent):
+        if v not in label:
+            label[v] = v
+            stack = [v]
+            while stack:
+                for u in adjacent[stack.pop()]:
+                    if u not in label:
+                        label[u] = v
+                        stack.append(u)
+    return label
+
+
+def reference_scan(builder, w_max):
+    """The doubling scan with every window's chain complex built from its
+    simplices, every inclusion chain map through ``SimplicialMap`` and the
+    components found by walking each window's edges."""
+    complexes, ccs, hs = {}, {}, {}
+
+    def cc(w):
+        if w not in ccs:
+            complexes[w] = builder(w)
+            ccs[w] = chain_complex(complexes[w])
+        return ccs[w]
+
+    def h(w, d):
+        if (w, d) not in hs:
+            hs[w, d] = degree_homology(cc(w), d)
+        return hs[w, d]
+
+    def induced(a, b, d):
+        incl = SimplicialMap.inclusion(complexes[a], complexes[b])
+        cm = simplicial_chain_map(incl, cc(a), cc(b))
+        return induced_map_on_homology(cc(a), cc(b), cm, d, h(a, d), h(b, d))
+
+    best, top_seen, used, w = {}, 0, (), 1
+    while 4 * w <= w_max:
+        used = (w, 2 * w, 4 * w)
+        for x in used:
+            cc(x)
+        top = max(max(complexes[x].dimension for x in used), 0)
+        top_seen = max(top_seen, top)
+        outcomes = {0: periodic._component_map_outcome(
+            *(graph_components(complexes[x]) for x in used))}
+        for d in range(1, top + 1):
+            m1, m2 = induced(w, 2 * w, d), induced(2 * w, 4 * w, d)
+            if induced_map_is_isomorphism(m1) and induced_map_is_isomorphism(m2):
+                betti, torsion = h(2 * w, d).summary_entry()
+                outcomes[d] = DegreeOutcome("stable", betti=betti, torsion=torsion)
+            elif m1.is_zero and m2.is_zero:
+                outcomes[d] = DegreeOutcome("zero_image")
+            else:
+                outcomes[d] = DegreeOutcome("inconclusive")
+        for d, o in outcomes.items():
+            if best.get(d, DegreeOutcome("inconclusive")).status == "inconclusive":
+                best[d] = o
+        if all(o.status != "inconclusive" for o in best.values()):
+            break
+        w *= 2
+    return StabilizationResult(outcomes=best, radii=used, top_degree=top_seen)
+
+
+@SETTINGS
+@given(box_unions())
+@example(hollow_tube_boxes())
+def test_scan_matches_a_scan_that_builds_every_window(bu):
+    assert stabilization_check(bu.window_complex, w_max=8) == reference_scan(
+        bu.window_complex, 8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(box_unions().flatmap(lambda bu: st.tuples(st.just(bu), cover_specs(bu.rank))))
+@example((hollow_tube_boxes(), FiniteCoverSpec.of([[2]], 1)))
+def test_cover_scan_matches_a_scan_that_builds_every_window(bu_spec):
+    bu, spec = bu_spec
+
+    def builder(w):
+        return CoverWindow(bu, spec, w).complex
+
+    assert stabilization_check(builder, w_max=4) == reference_scan(builder, 4)
+
+
+@settings(max_examples=18, deadline=None)
+@given(st.data())
+def test_product_cover_components_match_the_cover_window(data):
+    """The union-find over base vertices times G counts what the w = 4 cover
+    window's edges connect; decks of order 3 to 18 (at most 4 in dim 3)."""
+    dim = data.draw(st.integers(1, 3))
+    bu = tiling_boxes(dim=dim, spacing=data.draw(st.sampled_from([2, 3]) if dim < 3
+                                                 else st.just(3)))
+    spec = FiniteCoverSpec.of(triangular_rows(data.draw, dim, 2), dim)
+    order = len(spec.elements())
+    assume(2 < order <= (4 if dim == 3 else 18))
+    checks = cover_lift_check(bu, spec, n=dim + 1, r=dim).checks
+    cw = CoverWindow(bu, spec, 4)
+    assert checks["components"] == len(set(graph_components(cw.complex).values()))
+    assert checks["expected_components"] == order * len(
+        set(graph_components(cw.base).values()))
+
+
+@SETTINGS
+@given(full_rank_box_unions().flatmap(
+    lambda bu: st.tuples(st.just(bu), cover_specs(bu.rank))), st.integers(1, 4))
+def test_cover_component_counts_match_the_cover_window(bu_spec, w):
+    """Also on unions that leave gaps, whose windows have loops that a
+    sheet can close or leave open."""
+    bu, spec = bu_spec
+    cw = CoverWindow(bu, spec, w)
+    assert periodic._cover_component_counts(bu, spec, w) == (
+        len(set(graph_components(cw.complex).values())),
+        len(set(graph_components(cw.base).values())))
 
 
 def test_rank_zero_window_keeps_only_boxes_meeting_it():

@@ -5,11 +5,16 @@ them ``BoxUnion.window_complex``, ``quotient_complex``,
 ``full_coverage_check``, ``CoverWindow.__init__``, ``stabilization_check``
 and ``Box.intersect`` (counted, although no package code calls it). A
 rename breaks the traced benchmark run; installing and uninstalling the
-tracer here catches it.
+tracer here catches it. The tracer counts the windows a scan asks for by
+wrapping the builder that ``stabilization_check`` receives, so a cover scan
+that stopped going through it would vanish from the trace.
 """
 
 import importlib.util
 import pathlib
+
+from nerveforge.construct import strip_boxes
+from nerveforge.periodic import FiniteCoverSpec, cover_lift_check, local_vanishing_check
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +38,22 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is fn for (owner, attr), fn in zip(wrapped, originals))
+
+
+def test_tracer_counts_the_base_and_cover_scans():
+    tracing = load_tracing()
+    bu = strip_boxes()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert local_vanishing_check(bu, n=3, r=1).ok
+        assert cover_lift_check(bu, FiniteCoverSpec.of([[2]], 1), n=3, r=1).ok
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["periodic.stabilization_check.calls"] == 2
+    # each scan asks for at least one radius triple
+    assert metrics["periodic.stabilization_check.windows"] >= 6
+    assert metrics["periodic.stabilization_check.max_radius"] >= 4
+    assert metrics["homology.chain_complex.calls"] >= 2
+    assert metrics["homology.chain_complex.cells"] > 0

@@ -19,6 +19,7 @@ from nerveforge.periodic import (
     stabilization_check,
     window_nerve_homology,
 )
+from nerveforge.simplicial import ComplexError, SimplicialComplex
 
 
 def F(a, b=1):
@@ -151,6 +152,19 @@ def test_stabilization_disjoint_boxes():
     assert res.outcomes[0].status == "inconclusive"
     for d in range(1, res.top_degree + 1):
         assert res.outcomes[d].stabilized_trivial()
+
+
+EDGE = SimplicialComplex.from_maximal([(0, 1)])
+TWO_POINTS = SimplicialComplex.from_maximal([(0,), (1,)])
+
+
+@pytest.mark.parametrize("windows", [
+    {1: EDGE, 2: TWO_POINTS, 4: EDGE},  # w = 1 is not inside w = 2
+    {1: EDGE, 2: EDGE, 4: TWO_POINTS},  # w = 2 is not inside w = 4
+])
+def test_scan_of_windows_that_are_not_nested_raises_complex_error(windows):
+    with pytest.raises(ComplexError):
+        stabilization_check(windows.__getitem__, w_max=4)
 
 
 def test_local_vanishing_strip_r1_d2():

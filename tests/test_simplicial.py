@@ -30,6 +30,15 @@ def test_cached_vertices_leave_equality_hash_and_repr_alone():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
+def test_cached_dimension_leaves_equality_hash_and_repr_alone():
+    a = SimplicialComplex.from_maximal([(0, 1, 2), (2, 3)])
+    b = SimplicialComplex.from_maximal([(0, 1, 2), (2, 3)])
+    assert a.dimension == 2
+    assert "dimension" in vars(a) and "dimension" not in vars(b)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert SimplicialComplex().dimension == -1
+
+
 def test_strict_loader_rejects_gaps_and_duplicates():
     with pytest.raises(ComplexError):
         SimplicialComplex.from_simplices([(0, 1)])  # missing vertices
@@ -74,6 +83,45 @@ def test_simplicial_map_validation_and_signs():
     assert sign == 0
     with pytest.raises(ComplexError):
         SimplicialMap(src, dst, {0: 0, 1: 1})
+
+
+def permutation_sign(perm) -> int:
+    """(-1) ** (length - number of cycles)."""
+    seen, cycles = set(), 0
+    for i in range(len(perm)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return (-1) ** (len(perm) - cycles)
+
+
+@st.composite
+def vertex_images(draw):
+    """Images of the vertices 0..k-1: any values (repeats make degenerate
+    images), distinct values, or distinct values in decreasing order."""
+    k = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["any", "distinct", "reversed"]))
+    if kind == "any":
+        return draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    img = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k, unique=True))
+    return sorted(img, reverse=True) if kind == "reversed" else img
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_images())
+def test_image_simplex_sign_is_permutation_parity(img):
+    k = len(img)
+    f = SimplicialMap(full_simplex(k), full_simplex(7), dict(enumerate(img)))
+    got, sign = f.image_simplex(tuple(range(k)))
+    if len(set(img)) < k:
+        assert (got, sign) == (None, 0)
+        return
+    # perm[i]: the source position of the i-th smallest image
+    perm = sorted(range(k), key=img.__getitem__)
+    assert got == tuple(sorted(img))
+    assert sign == permutation_sign(perm)
 
 
 def folded_nerve(items, meet):
