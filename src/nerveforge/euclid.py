@@ -1,22 +1,37 @@
 """Exact rational Euclidean isometries, minsets and arrangements.
 
-All geometry is affine-subspace arithmetic over Fractions; comparisons of
-distances are made on squares, and the one place where sums of square roots
-must be compared (the isometry subadditivity check) groups the radicands
-into square classes, exact within a class, with interval refinement between
-classes.
+The public fields are exact ``Fraction``s: an isometry's ``a`` and ``b``, a
+subspace's ``base`` and its ``directions`` in reduced row echelon form.
+Beside them each instance has an integer form, computed once (or handed
+over by the operation that built the instance) and not part of ``==``,
+``hash`` or ``repr``:
 
-Matrix products are taken over integers: ``mat_mul`` scales each operand to
-an ``int`` matrix over one common denominator. ``EuclideanIsometry.of``
-validates its input; the isometries derived from validated ones (products,
-inverses, powers) are exactly orthogonal and are built without a re-check.
+- an isometry ``x -> a x + b`` is ``(A, b, d)`` with ``a = A/d`` and
+  ``b = b/d`` over ``int``s, ``d`` the least common denominator;
+- an affine subspace is its base over one denominator and the primitive
+  ``int`` rows that ``snf.echelon`` returns for its directions.
+
+Composition, powers, inverses, commutation, minsets, intersections,
+containment and projections run on these forms and set their linear
+systems up over ``int``s for the one fraction-free elimination,
+``snf.echelon``; ``Fraction``s are built only for the public fields of a
+result. ``EuclideanIsometry.of`` validates its input (``AᵀA = d²I``); the
+isometries derived from validated ones (products, inverses, powers) are
+exactly orthogonal and are built without a re-check.
+
+Distances are compared on their squares, and the one place where sums of
+square roots must be compared (the isometry subadditivity check) groups
+the radicands into square classes, exact within a class, with interval
+refinement between classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import cached_property
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import snf
 from .homology import homology_of_complex, induced_homology_map
@@ -47,7 +62,8 @@ def vsub(a: Vec, b: Vec) -> Vec:
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    (ia, ib), d = _scaled([a, b])
+    return Fraction(sum(map(mul, ia, ib)), d * d)
 
 
 def vscale(c, a: Vec) -> Vec:
@@ -60,96 +76,154 @@ def norm_sq(a: Vec) -> Fraction:
 
 
 def mat_apply(m, x: Vec) -> Vec:
-    return tuple(vdot(vec(row), x) for row in m)
+    im, dm = _scaled(m)
+    (ix,), dx = _scaled([x])
+    return _fracs(_mat_vec(im, ix), dm * dx)
 
 
 def _scaled(m):
-    """(int matrix, d) with m = int matrix / d, d the lcm of the denominators."""
+    """(int matrix, d) with m = int matrix / d, d the lcm of the denominators
+    of the ``int`` or ``Fraction`` entries."""
     d = lcm(*(x.denominator for row in m for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
 
-def mat_mul(a, b):
-    """Exact product of int or Fraction matrices, taken over integers."""
-    ia, da = _scaled(a)
-    ib, db = _scaled(b)
-    d = da * db
-    return [[Fraction(v, d) for v in row] for row in snf.mat_mul(ia, ib)]
+def _fracs(xs, d) -> Vec:
+    """The vector xs / d of ``int``s xs as ``Fraction``s."""
+    if d == 1:
+        return tuple(map(Fraction, xs))
+    return tuple(Fraction(x, d) for x in xs)
 
 
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
+def _mat_vec(m, v) -> list[int]:
+    return [sum(map(mul, row, v)) for row in m]
 
 
-def identity_mat(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
 
 
-def solve_rational(a, b):
-    """One solution of a x = b over Q plus a nullspace basis, or None.
+def _solve(a, b):
+    """Integer form of one solution of a x = b and of a nullspace basis:
+    ``(x, den, null)`` with the solution ``x / den`` (``int``s) and the
+    ``int`` null vectors ``null``, or None when there is no solution.
 
-    Both are read off the echelon form of ``[a | b]``: a pivot in the last
-    column means no solution; otherwise ``x`` is the last column at the
-    pivots, and each free column gives one null vector.
+    Both are read off the fraction-free echelon form of ``[a | b]``: a pivot
+    in the last column means no solution; otherwise the solution is the last
+    column over the pivot entries, zero at the free columns, and each free
+    column gives one null vector. ``den`` is the lcm of the pivot entries.
     """
     n = len(a[0]) if a else 0
     rows = snf.echelon([list(row) + [bb] for row, bb in zip(a, b)])
     if rows and rows[-1][0] == n:
         return None
-    x = [Fraction(0)] * n
+    den = lcm(*(row[p] for p, row in rows))
+    x = [0] * n
     for p, row in rows:
-        x[p] = Fraction(row[n], row[p])
+        x[p] = row[n] * (den // row[p])
     pivots = {p for p, _ in rows}
     null = []
     for f in range(n):
         if f not in pivots:
-            v = [Fraction(0)] * n
-            v[f] = Fraction(1)
+            v = [0] * n
+            v[f] = den
             for p, row in rows:
-                v[p] = Fraction(-row[f], row[p])
-            null.append(tuple(v))
-    return tuple(x), null
+                v[p] = -row[f] * (den // row[p])
+            null.append(v)
+    return x, den, null
+
+
+def solve_rational(a, b):
+    """One solution of a x = b over Q plus a nullspace basis, or None.
+
+    The solution is zero at the free columns; the null vector of a free
+    column is 1 there and zero at the other free columns.
+    """
+    sol = _solve(a, b)
+    if sol is None:
+        return None
+    x, den, null = sol
+    return _fracs(x, den), [_fracs(v, den) for v in null]
+
+
+def _rref(rows) -> list[Vec]:
+    """``snf.echelon`` rows divided by their pivot entries."""
+    return [tuple(Fraction(x, row[p]) for x in row) for p, row in rows]
 
 
 def rational_row_space_basis(rows):
     """Reduced row echelon basis of the span (canonical over Q)."""
-    return [tuple(Fraction(x, row[p]) for x in row) for p, row in snf.echelon(rows)]
+    return _rref(snf.echelon(rows))
+
+
+def _echelon_rows(basis) -> dict[int, list[int]]:
+    """Pivot -> primitive ``int`` row of a basis in reduced row echelon form."""
+    out = {}
+    for row in basis:
+        (ints,), _ = _scaled([row])
+        out[next(j for j, x in enumerate(ints) if x)] = ints
+    return out
+
+
+def _in_span(v: list[int], rows: dict[int, list[int]]) -> bool:
+    """Whether the ``int`` vector ``v`` lies in the span of echelon ``rows``."""
+    return not snf.add_to_echelon(dict(rows), v)
 
 
 def in_row_space(v, basis) -> bool:
     """Whether ``v`` lies in the span of ``basis``, which must be in reduced
     row echelon form, as ``AffineSubspace.directions`` are.
 
-    Subtracting ``v[p]·row`` for each row's pivot ``p`` leaves ``v`` zero at
-    every pivot; what is left is zero exactly when ``v`` is in the span.
+    Each row is zero at every other row's pivot, so cancelling ``v`` against
+    each row at its pivot leaves ``v`` zero at every pivot; what is left is
+    zero exactly when ``v`` is in the span.
     """
-    for row in basis:
-        c = v[next(j for j, x in enumerate(row) if x)]
-        if c:
-            v = [x - c * y for x, y in zip(v, row)]
-    return not any(v)
+    (ints,), _ = _scaled([v])
+    return _in_span(ints, _echelon_rows(basis))
 
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """base + span(directions); directions kept in reduced echelon form."""
+    """base + span(directions); directions kept in reduced echelon form.
+
+    ``_ints`` is the integer form ``(base, den, rows)``: the base is
+    ``base / den`` over ``int``s, and ``rows`` maps each pivot to the
+    primitive ``int`` row that spans the same line as that direction.
+    """
 
     base: Vec
     directions: tuple[Vec, ...]
 
     @staticmethod
     def of(base, directions) -> "AffineSubspace":
-        b = vec(base)
-        dirs = tuple(rational_row_space_basis([vec(d) for d in directions]))
-        return AffineSubspace(b, dirs)
+        (b,), d = _scaled([vec(base)])
+        return AffineSubspace._of_ints(b, d, snf.echelon([vec(r) for r in directions]))
+
+    @staticmethod
+    def _of_ints(base: list[int], den: int, rows) -> "AffineSubspace":
+        """The subspace base / den + span(rows), from ``int``s: ``rows`` are
+        the ``(pivot, row)`` pairs of ``snf.echelon``. Seeds ``_ints``."""
+        g = gcd(den, *base)
+        if g > 1:
+            base, den = [x // g for x in base], den // g
+        out = AffineSubspace(_fracs(base, den), tuple(_rref(rows)))
+        out.__dict__["_ints"] = (base, den, dict(rows))
+        return out
 
     @staticmethod
     def full(dim: int) -> "AffineSubspace":
-        return AffineSubspace.of([0] * dim, identity_mat(dim))
+        return AffineSubspace._of_ints([0] * dim, 1, list(enumerate(snf.identity_matrix(dim))))
 
     @staticmethod
     def point(p) -> "AffineSubspace":
         return AffineSubspace.of(p, [])
+
+    @cached_property
+    def _ints(self):
+        """Computed once per instance unless seeded; not part of ``==``,
+        ``hash`` or ``repr``."""
+        (base,), den = _scaled([self.base])
+        return base, den, _echelon_rows(self.directions)
 
     @property
     def dim(self) -> int:
@@ -159,13 +233,27 @@ class AffineSubspace:
     def ambient_dim(self) -> int:
         return len(self.base)
 
+    def _offsets(self, x: list[int], dx: int):
+        """(x / dx - base) as ``(ints, den)``."""
+        base, den, _ = self._ints
+        return [u * den - v * dx for u, v in zip(x, base)], den * dx
+
+    def _has_point(self, x: list[int], dx: int) -> bool:
+        """Whether the point x / dx (``int``s) lies in the subspace."""
+        return _in_span(self._offsets(x, dx)[0], self._ints[2])
+
+    def _has_direction(self, v) -> bool:
+        (ints,), _ = _scaled([v])
+        return _in_span(ints, self._ints[2])
+
     def contains_point(self, p) -> bool:
-        return in_row_space(vsub(vec(p), self.base), self.directions)
+        (x,), dx = _scaled([vec(p)])
+        return self._has_point(x, dx)
 
     def contains(self, other: "AffineSubspace") -> bool:
-        if not self.contains_point(other.base):
-            return False
-        return all(in_row_space(d, self.directions) for d in other.directions)
+        base, den, rows = other._ints
+        mine = self._ints[2]
+        return self._has_point(base, den) and all(_in_span(r, mine) for r in rows.values())
 
     def __eq__(self, other):
         return (
@@ -181,51 +269,67 @@ class AffineSubspace:
     def translate(self, v) -> "AffineSubspace":
         return AffineSubspace(vadd(self.base, vec(v)), self.directions)
 
+    def _project(self, vectors):
+        """Orthogonal projections of ``int`` vectors onto the direction
+        space, as ``(images, den)`` with each projection ``image / den``.
+
+        The Gram system ``R Rᵀ c = R v`` of the direction rows ``R`` is
+        eliminated once for every right-hand side; it is nonsingular, so
+        each echelon row has one pivot among the first ``k`` columns and the
+        coefficients are the right-hand columns over the pivot entries.
+        """
+        rows = list(self._ints[2].values())
+        k = len(rows)
+        gram = [[sum(map(mul, r, s)) for s in rows] + [sum(map(mul, r, v)) for v in vectors]
+                for r in rows]
+        ech = snf.echelon(gram)
+        den = lcm(*(row[p] for p, row in ech))
+        coeffs = [[c * (den // row[p]) for c in row[k:]] for p, row in ech]
+        images = [[sum(c[j] * r[i] for c, r in zip(coeffs, rows)) for i in range(len(v))]
+                  for j, v in enumerate(vectors)]
+        return images, den
+
     def project_point(self, x) -> Vec:
         """Orthogonal (closest point) projection of x onto the subspace."""
-        x = vec(x)
         if not self.directions:
             return self.base
-        diff = vsub(x, self.base)
-        gram = [[vdot(d, e) for e in self.directions] for d in self.directions]
-        rhs = [vdot(d, diff) for d in self.directions]
-        sol = solve_rational(gram, rhs)
-        coeffs = sol[0]
-        out = self.base
-        for c, d in zip(coeffs, self.directions):
-            out = vadd(out, vscale(c, d))
-        return out
+        (xs,), dx = _scaled([vec(x)])
+        diff, dd = self._offsets(xs, dx)
+        [img], den = self._project([diff])
+        base = self._ints[0]
+        return _fracs([u * dx * den + v for u, v in zip(base, img)], dd * den)
 
     def project_subspace(self, other: "AffineSubspace") -> "AffineSubspace":
         """Image of another affine subspace under the orthogonal projection."""
-        base = self.project_point(other.base)
-        imgs = []
-        for d in other.directions:
-            img = vsub(self.project_point(vadd(other.base, d)), base)
-            imgs.append(img)
-        return AffineSubspace.of(base, imgs)
+        if not self.directions:
+            return AffineSubspace._of_ints(*self._ints[:2], [])
+        obase, oden, orows = other._ints
+        diff, dd = self._offsets(obase, oden)
+        (img, *dirs), den = self._project([diff, *orows.values()])
+        base = self._ints[0]
+        return AffineSubspace._of_ints(
+            [u * oden * den + v for u, v in zip(base, img)], dd * den, snf.echelon(dirs))
 
     def intersect(self, other: "AffineSubspace"):
-        """Intersection subspace, or None when empty."""
-        n = self.ambient_dim
-        cols = len(self.directions) + len(other.directions)
-        a = [[Fraction(0)] * cols for _ in range(n)]
-        for j, d in enumerate(self.directions):
-            for i in range(n):
-                a[i][j] = d[i]
-        for j, d in enumerate(other.directions):
-            for i in range(n):
-                a[i][len(self.directions) + j] = -d[i]
-        b = vsub(other.base, self.base)
-        sol = solve_rational(a, list(b))
+        """Intersection subspace, or None when empty.
+
+        Solves ``Σ x_i r_i - Σ y_j s_j = other.base - self.base`` over the
+        direction rows ``r`` of ``self`` and ``s`` of ``other``.
+        """
+        base, den, rows = self._ints
+        obase, oden, orows = other._ints
+        mine, theirs = list(rows.values()), list(orows.values())
+        a = [[r[i] for r in mine] + [-s[i] for s in theirs] for i in range(len(base))]
+        sol = _solve(a, [u * den - v * oden for u, v in zip(obase, base)])
         if sol is None:
             return None
-        k = len(self.directions)
-        base = self.base
-        for c, d in zip(sol[0][:k], self.directions):
-            base = vadd(base, vscale(c, d))
-        dirs = mat_mul([z[:k] for z in sol[1]], self.directions) if k else []
-        return AffineSubspace.of(base, dirs)
+        x, xden, null = sol
+        k = len(mine)
+        dirs = [[sum(z[j] * r[i] for j, r in enumerate(mine)) for i in range(len(base))]
+                for z in null] if k else []
+        point = [u * oden * xden + sum(c * r[i] for c, r in zip(x, mine))
+                 for i, u in enumerate(base)]
+        return AffineSubspace._of_ints(point, den * oden * xden, snf.echelon(dirs))
 
 
 def intersect_all_subspaces(spaces):
@@ -237,6 +341,22 @@ def intersect_all_subspaces(spaces):
     return out
 
 
+def _reduced(m, b, d):
+    """The integer form (m, b, d) over its least common denominator."""
+    g = gcd(d, *b, *(x for row in m for x in row))
+    if g == 1:
+        return m, b, d
+    return [[x // g for x in row] for row in m], [x // g for x in b], d // g
+
+
+def _compose(f, g):
+    """Integer form of f after g, both integer forms."""
+    m1, b1, d1 = f
+    m2, b2, d2 = g
+    return _reduced(snf.mat_mul(m1, m2),
+                    [x + d2 * y for x, y in zip(_mat_vec(m1, b2), b1)], d1 * d2)
+
+
 @dataclass(frozen=True)
 class EuclideanIsometry:
     """x -> A x + b with A exactly orthogonal and rational.
@@ -244,6 +364,7 @@ class EuclideanIsometry:
     ``of`` is the validating constructor and checks ``AᵀA = I``. ``compose``,
     ``inverse``, ``power``, ``identity`` and ``translation`` trust their
     inputs: a product or transpose of orthogonal matrices is orthogonal.
+    ``_ints`` is the integer form ``(A, b, d)``: ``a = A/d`` and ``b = b/d``.
     """
 
     a: tuple[tuple[Fraction, ...], ...]
@@ -256,65 +377,107 @@ class EuclideanIsometry:
         n = len(bv)
         if len(am) != n or any(len(r) != n for r in am):
             raise EuclidError("shape mismatch")
-        if mat_mul(mat_transpose(am), am) != identity_mat(n):
+        out = EuclideanIsometry(am, bv)
+        m, _, d = out._ints
+        if snf.mat_mul(_transpose(m), m) != [[d * d * x for x in row]
+                                              for row in snf.identity_matrix(n)]:
             raise EuclidError("linear part is not orthogonal")
-        return EuclideanIsometry(am, bv)
+        return out
 
     @staticmethod
-    def _trusted(a, b) -> "EuclideanIsometry":
-        """Build from a linear part known to be orthogonal, without the check."""
-        return EuclideanIsometry(tuple(map(tuple, a)), tuple(b))
+    def _trusted(m, b, d) -> "EuclideanIsometry":
+        """Build from an integer form over its least common denominator whose
+        linear part is known to be orthogonal, without the check; the form
+        becomes the instance's ``_ints``."""
+        out = EuclideanIsometry(tuple(_fracs(row, d) for row in m), _fracs(b, d))
+        out.__dict__["_ints"] = (m, b, d)
+        return out
 
     @staticmethod
     def translation(v) -> "EuclideanIsometry":
-        v = vec(v)
-        return EuclideanIsometry._trusted(identity_mat(len(v)), v)
+        (b,), d = _scaled([vec(v)])
+        m = [[d * x for x in row] for row in snf.identity_matrix(len(b))]
+        return EuclideanIsometry._trusted(m, b, d)
 
     @staticmethod
     def identity(dim: int) -> "EuclideanIsometry":
-        return EuclideanIsometry._trusted(identity_mat(dim), (Fraction(0),) * dim)
+        return EuclideanIsometry._trusted(snf.identity_matrix(dim), [0] * dim, 1)
+
+    @cached_property
+    def _ints(self):
+        """Computed once per instance unless seeded; not part of ``==``,
+        ``hash`` or ``repr``."""
+        (*m, b), d = _scaled(self.a + (self.b,))
+        return m, b, d
 
     @property
     def dim(self) -> int:
         return len(self.b)
 
+    def _moved(self, x: list[int], dx: int) -> list[int]:
+        """The image of the point x / dx (``int``s), over ``d * dx``."""
+        m, b, d = self._ints
+        return [y + dx * c for y, c in zip(_mat_vec(m, x), b)]
+
+    def _step(self, x: list[int], dx: int) -> list[int]:
+        """The displacement of the point x / dx (``int``s), over ``d * dx``."""
+        d = self._ints[2]
+        return [y - d * z for y, z in zip(self._moved(x, dx), x)]
+
     def apply(self, x) -> Vec:
-        return vadd(mat_apply(self.a, vec(x)), self.b)
+        (xs,), dx = _scaled([vec(x)])
+        return _fracs(self._moved(xs, dx), self._ints[2] * dx)
 
     def compose(self, other: "EuclideanIsometry") -> "EuclideanIsometry":
         """self after other."""
-        a = mat_mul(self.a, other.a)
-        b = vadd(mat_apply(self.a, other.b), self.b)
-        return EuclideanIsometry._trusted(a, b)
+        return EuclideanIsometry._trusted(*_compose(self._ints, other._ints))
+
+    def _inverse_ints(self):
+        m, b, d = self._ints
+        mt = _transpose(m)
+        return _reduced([[d * x for x in row] for row in mt], [-x for x in _mat_vec(mt, b)], d * d)
 
     def inverse(self) -> "EuclideanIsometry":
-        at = mat_transpose(self.a)
-        return EuclideanIsometry._trusted(at, vscale(-1, mat_apply(at, self.b)))
+        return EuclideanIsometry._trusted(*self._inverse_ints())
 
     def power(self, k: int) -> "EuclideanIsometry":
-        """Square-and-multiply from ``self``; no squaring after the top bit."""
-        if k < 0:
-            return self.inverse().power(-k)
+        """Square-and-multiply on integer forms; no squaring after the top
+        bit, and ``Fraction``s only for the result."""
         if k == 0:
             return EuclideanIsometry.identity(self.dim)
-        out, base = None, self
+        if k == 1:
+            return self
+        out, base = None, self._ints if k > 0 else self._inverse_ints()
+        k = abs(k)
         while True:
             if k & 1:
-                out = base if out is None else out.compose(base)
+                out = base if out is None else _compose(out, base)
             k >>= 1
             if not k:
-                return out
-            base = base.compose(base)
+                return EuclideanIsometry._trusted(*out)
+            base = _compose(base, base)
 
     def commutes_with(self, other: "EuclideanIsometry") -> bool:
-        return self.compose(other) == other.compose(self)
+        """Compares the integer forms of both products, ``(A1 A2, A1 b2 +
+        d2 b1)`` and ``(A2 A1, A2 b1 + d1 b2)``, both over ``d1 d2``."""
+        return _compose(self._ints, other._ints) == _compose(other._ints, self._ints)
 
     def displacement_sq(self, x) -> Fraction:
-        return norm_sq(vsub(self.apply(x), vec(x)))
+        (xs,), dx = _scaled([vec(x)])
+        v = self._step(xs, dx)
+        return Fraction(sum(map(mul, v, v)), (self._ints[2] * dx) ** 2)
 
     def det(self) -> Fraction:
-        m, d = _scaled(self.a)
+        m, _, d = self._ints
         return Fraction(snf.determinant(m), d ** len(m))
+
+    def _maps_into(self, sub: AffineSubspace) -> bool:
+        """Whether the isometry maps ``sub`` into itself (onto it, since an
+        isometry keeps the dimension)."""
+        base, den, rows = sub._ints
+        m = self._ints[0]
+        return (sub._has_point(self._moved(base, den), self._ints[2] * den)
+                and all(_in_span(_mat_vec(m, r), rows) for r in rows.values()))
 
 
 @dataclass(frozen=True)
@@ -331,19 +494,24 @@ class MinsetSubspace:
 
 
 def minset(phi: EuclideanIsometry) -> MinsetSubspace:
-    """Exact least-squares locus of |(A - I)x + b|."""
-    n = phi.dim
-    m = [[phi.a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    mt = mat_transpose(m)
-    mtm = mat_mul(mt, m)
-    rhs = [-v for v in mat_apply(mt, phi.b)]
-    sol = solve_rational(mtm, rhs)
+    """Exact least-squares locus of |(A - I)x + b|.
+
+    With ``a = A/d`` and ``b = b/d`` the normal equations are
+    ``MᵀM x = -Mᵀ b`` for ``M = A - dI``: the factor ``d²`` cancels, so they
+    are set up and solved over ``int``s.
+    """
+    m, b, d = phi._ints
+    mm = [[x - d if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    mt = _transpose(mm)
+    sol = _solve(snf.mat_mul(mt, mm), [-x for x in _mat_vec(mt, b)])
     if sol is None:
         raise EuclidError("normal equations unsolvable (impossible for rational data)")
-    x0, null = sol
-    sub = AffineSubspace.of(x0, null)
-    v = vsub(phi.apply(x0), vec(x0))
-    return MinsetSubspace(subspace=sub, min_displacement_sq=norm_sq(v), translation=v)
+    x0, den, null = sol
+    sub = AffineSubspace._of_ints(x0, den, snf.echelon(null))
+    v = phi._step(x0, den)
+    dv = d * den
+    return MinsetSubspace(subspace=sub, min_displacement_sq=Fraction(sum(map(mul, v, v)), dv * dv),
+                          translation=_fracs(v, dv))
 
 
 def check_commuting(gens: list[EuclideanIsometry]):
@@ -371,10 +539,11 @@ def minset_of_group(gens: list[EuclideanIsometry], dim: int | None = None) -> Af
 def translation_lattice_on(sub: AffineSubspace, gens: list[EuclideanIsometry]):
     """Translation vectors of the generators on an invariant subspace ⊆ the
     common minset; returns (rank, echelon basis of the Q-span)."""
+    base, den, rows = sub._ints
     vs = []
     for g in gens:
-        v = vsub(g.apply(sub.base), sub.base)
-        if not in_row_space(v, sub.directions):
+        v = g._step(base, den)
+        if not _in_span(v, rows):
             raise EuclidError("translation vector leaves the subspace")
         vs.append(v)
     basis = rational_row_space_basis(vs)
@@ -401,23 +570,14 @@ def splitting_check(a_gens, b_gens) -> SplittingReport:
     r, t_basis = translation_lattice_on(min_a, list(a_gens))
 
     checks = {}
-    preserved = True
-    for h in b_gens:
-        img = AffineSubspace.of(
-            h.apply(min_a.base), [mat_apply(h.a, d) for d in min_a.directions]
-        )
-        if img != min_a:
-            preserved = False
-    checks["b_preserves_min_a"] = preserved
+    checks["b_preserves_min_a"] = all(h._maps_into(min_a) for h in b_gens)
 
     dim = len(min_a.base)
     min_b = minset_of_group(list(b_gens), dim=dim)
     inter = min_a.intersect(min_b)
     checks["intersection_nonempty"] = inter is not None
     if inter is not None:
-        checks["same_euclidean_factor"] = all(
-            in_row_space(t, inter.directions) for t in t_basis
-        )
+        checks["same_euclidean_factor"] = all(inter._has_direction(t) for t in t_basis)
         proj = min_a.project_subspace(min_b)
         checks["projection_equals_intersection"] = proj == inter
     ok = all(checks.values())
@@ -535,8 +695,19 @@ class VanishingVerdict:
 
 
 def sigma_group_rank(arr: Arrangement, sigma, level: int = 1) -> int:
+    """Rank of the translations of the piece's level generators on their
+    joint minset.
+
+    The generators of the whole piece must commute. Their joint minset is
+    the intersection of the memoized level minsets of the piece's groups;
+    its base point depends on the order of intersection, but the
+    translation vector of each generator is the same at every point of it.
+    """
     gens = [g for i in sigma for g in arr.level_generators(i, level)]
-    sub = minset_of_group(gens, dim=arr.dim)
+    check_commuting(gens)
+    sub = intersect_all_subspaces([arr.level_minset(i, level) for i in sigma])
+    if sub is None:
+        raise EuclidError("commuting generators with empty joint minset")
     rank, _ = translation_lattice_on(sub, gens)
     return rank
 
@@ -573,7 +744,7 @@ def semisimple_vanish_check(arr: Arrangement, common_gens, k: int, n: int) -> Va
         proj = min_n.project_subspace(sub)
         if inter is None or proj != inter:
             factorization_ok = False
-        elif not all(in_row_space(t, inter.directions) for t in t_basis):
+        elif not all(inter._has_direction(t) for t in t_basis):
             factorization_ok = False
 
     ok = vanish and factorization_ok and not violations
@@ -597,12 +768,13 @@ def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> Vanishin
         raise EuclidError("need r <= n-2")
     violations = []
     pieces = arr.effective_pieces()
-    kept = []
+    kept, spaces0 = [], []
     for sigma in pieces:
         sub = intersect_all_subspaces([arr.level_minset(i, 0) for i in sigma])
         if sub is None:
             continue
         kept.append(sigma)
+        spaces0.append(sub)
         rank_sigma = sigma_group_rank(arr, sigma, level=1)
         if rank_sigma < r:
             violations.append(f"piece {sigma} has level-1 rank {rank_sigma} < {r}")
@@ -610,9 +782,6 @@ def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> Vanishin
         return VanishingVerdict(ok=False, detail={}, hypothesis_violations=tuple(violations))
 
     big_k = 2 ** (n - 2 - r)
-    spaces0 = [
-        intersect_all_subspaces([arr.level_minset(i, 0) for i in sigma]) for sigma in kept
-    ]
     spaces_k = [
         intersect_all_subspaces([arr.level_minset(i, big_k) for i in sigma]) for sigma in kept
     ]

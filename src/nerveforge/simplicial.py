@@ -86,9 +86,6 @@ class SimplicialComplex:
         ``hash`` or ``repr``."""
         return max(map(len, self.simplices), default=0) - 1
 
-    def simplices_of_dim(self, d: int) -> list[tuple]:
-        return sorted(s for s in self.simplices if len(s) == d + 1)
-
     def is_empty(self) -> bool:
         return not self.simplices
 

@@ -1,10 +1,16 @@
-"""Helpers shared by the tests: brute-force chain enumeration for the order
-complexes (reduced nerves, barycentric subdivisions) that the package does
-not build, and the check that a restricted chain complex is the one built
-from the subcomplex."""
+"""Helpers shared by the tests: a complex's sorted simplices of one
+dimension, brute-force chain enumeration for the order complexes (reduced
+nerves, barycentric subdivisions) that the package does not build, and the
+check that a restricted chain complex is the one built from the
+subcomplex."""
 
 from nerveforge.homology import chain_complex, restricted_chain_complex, simplicial_chain_map
 from nerveforge.simplicial import SimplicialMap
+
+
+def simplices_of_dim(c, d):
+    """The d-simplices of the complex ``c``, sorted."""
+    return sorted(s for s in c.simplices if len(s) == d + 1)
 
 
 def scanned_chains(elements):

@@ -34,7 +34,7 @@ from nerveforge.homology import (
 )
 from nerveforge.simplicial import SimplicialComplex
 
-from chain_helpers import scanned_chains
+from chain_helpers import scanned_chains, simplices_of_dim
 
 
 def interval_cover(path, spans):
@@ -232,7 +232,7 @@ def test_fattening_lift_of_sphere_reaches_triple_overlaps():
     sphere = simplex_boundary_complex(4)
     cov = Cover(sphere, {
         i: SimplicialComplex.from_maximal([t]).simplices
-        for i, t in enumerate(sphere.simplices_of_dim(2))
+        for i, t in enumerate(simplices_of_dim(sphere, 2))
     }, covering=True)
     [cycle] = union_cycles(sphere, 2)
     assert checked_lift(fattening(cov), cycle, 2) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerveforge import euclid
+from nerveforge import euclid, snf
 from nerveforge.euclid import (
     AffineSubspace,
     Arrangement,
@@ -17,7 +17,6 @@ from nerveforge.euclid import (
     closest_point_projection,
     in_row_space,
     ladder,
-    mat_mul,
     minset,
     minset_of_group,
     nerve_of_subspaces,
@@ -449,8 +448,12 @@ def rational_matrices(draw, rows, cols):
 @given(st.tuples(dims, dims, dims).flatmap(
     lambda s: st.tuples(rational_matrices(s[0], s[1]), rational_matrices(s[1], s[2]))))
 def test_mat_mul_matches_fraction_reference(ab):
+    # the integer forms multiply as here: each operand over its own common
+    # denominator, the int matrices by ``snf.mat_mul``
     a, b = ab
-    assert mat_mul(a, b) == fraction_mat_mul(a, b)
+    (ia, da), (ib, db) = euclid._scaled(a), euclid._scaled(b)
+    got = [[Fraction(v, da * db) for v in row] for row in snf.mat_mul(ia, ib)]
+    assert got == fraction_mat_mul(a, b)
 
 
 @st.composite
@@ -709,3 +712,189 @@ def subspace_pairs(draw):
 def test_intersect_matches_fraction_loop(pair):
     s, t = pair
     assert repr(s.intersect(t)) == repr(loop_intersect(s, t))
+
+
+# ---------------------------------------------------------------------------
+# the integer forms against the Fraction arithmetic they replaced (properties)
+# ---------------------------------------------------------------------------
+
+
+def ref_dot(a, b):
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def ref_mat_apply(m, x):
+    return tuple(ref_dot(row, x) for row in m)
+
+
+def ref_transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def ref_compose(f, g):
+    """(a, b) of f after g, each an (a, b) pair of Fraction tuples."""
+    a = tuple(map(tuple, fraction_mat_mul(f[0], g[0])))
+    return a, euclid.vadd(ref_mat_apply(f[0], g[1]), f[1])
+
+
+def ref_inverse(f):
+    at = tuple(map(tuple, ref_transpose(f[0])))
+    return at, tuple(-x for x in ref_mat_apply(at, f[1]))
+
+
+def ref_power(f, k):
+    n = len(f[1])
+    out = (tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)),
+           (Fraction(0),) * n)
+    step = f if k >= 0 else ref_inverse(f)
+    for _ in range(abs(k)):
+        out = ref_compose(out, step)
+    return out
+
+
+def fields(g):
+    return g.a, g.b
+
+
+def ref_subspace(base, directions):
+    """(base, directions) as ``AffineSubspace.of`` made them over Fractions."""
+    return tuple(Fraction(x) for x in base), tuple(fraction_rref(directions))
+
+
+def ref_minset(g):
+    """(base, directions, min_displacement_sq, translation) by the Fraction
+    normal equations (A - I)ᵀ(A - I) x = -(A - I)ᵀ b."""
+    n = g.dim
+    m = [[g.a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    mt = ref_transpose(m)
+    x0, null = fraction_solve(fraction_mat_mul(mt, m), [-v for v in ref_mat_apply(mt, g.b)])
+    v = euclid.vsub(euclid.vadd(ref_mat_apply(g.a, x0), g.b), x0)
+    return (*ref_subspace(x0, null), ref_dot(v, v), v)
+
+
+def ref_in_row_space(v, basis):
+    return fraction_rref(list(basis) + [list(v)]) == fraction_rref(basis)
+
+
+def ref_contains(s, t):
+    return (ref_in_row_space(euclid.vsub(t.base, s.base), s.directions)
+            and all(ref_in_row_space(d, s.directions) for d in t.directions))
+
+
+def ref_intersect(s, t):
+    """(base, directions) of the intersection over Fractions, or None."""
+    n, k = s.ambient_dim, s.dim
+    a = [[d[i] for d in s.directions] + [-d[i] for d in t.directions] for i in range(n)]
+    sol = fraction_solve(a, list(euclid.vsub(t.base, s.base)))
+    if sol is None:
+        return None
+    x, null = sol
+    base = s.base
+    for c, d in zip(x[:k], s.directions):
+        base = euclid.vadd(base, tuple(c * y for y in d))
+    dirs = [[sum((z[j] * d[i] for j, d in enumerate(s.directions)), Fraction(0))
+             for i in range(n)] for z in null]
+    return ref_subspace(base, dirs)
+
+
+def ref_project_point(s, x):
+    if not s.directions:
+        return s.base
+    diff = euclid.vsub(tuple(map(Fraction, x)), s.base)
+    gram = [[ref_dot(d, e) for e in s.directions] for d in s.directions]
+    coeffs, _ = fraction_solve(gram, [ref_dot(d, diff) for d in s.directions])
+    out = s.base
+    for c, d in zip(coeffs, s.directions):
+        out = euclid.vadd(out, tuple(c * y for y in d))
+    return out
+
+
+def ref_project_subspace(s, t):
+    base = ref_project_point(s, t.base)
+    imgs = [euclid.vsub(ref_project_point(s, euclid.vadd(t.base, d)), base) for d in t.directions]
+    return ref_subspace(base, imgs)
+
+
+def subspace_fields(s):
+    return None if s is None else (s.base, s.directions)
+
+
+dims6 = st.integers(1, 6)
+isometry_pairs6 = dims6.flatmap(lambda n: st.tuples(isometries(n), isometries(n)))
+
+
+@SETTINGS
+@given(isometry_pairs6, st.integers(-4, 9), st.lists(small_fractions, min_size=6, max_size=6))
+def test_isometry_kernel_matches_fraction_reference(pair, k, point):
+    g, h = pair
+    assert repr(fields(g.compose(h))) == repr(ref_compose(fields(g), fields(h)))
+    assert repr(fields(g.inverse())) == repr(ref_inverse(fields(g)))
+    assert repr(fields(g.power(k))) == repr(ref_power(fields(g), k))
+    x = point[:g.dim]
+    assert repr(g.apply(x)) == repr(euclid.vadd(ref_mat_apply(g.a, x), g.b))
+    assert g.det() == cofactor_det(g.a)
+    assert g.commutes_with(h) == (ref_compose(fields(g), fields(h))
+                                  == ref_compose(fields(h), fields(g)))
+    assert g.commutes_with(g.power(k)) and g.power(k).commutes_with(g)
+
+
+@SETTINGS
+@given(isometry_pairs6)
+def test_minset_and_meets_match_fraction_reference(pair):
+    g, h = pair
+    mg, mh = minset(g), minset(h)
+    for ms, iso in ((mg, g), (mh, h)):
+        got = (ms.subspace.base, ms.subspace.directions, ms.min_displacement_sq, ms.translation)
+        assert repr(got) == repr(ref_minset(iso))
+    s, t = mg.subspace, mh.subspace
+    assert repr(subspace_fields(s.intersect(t))) == repr(ref_intersect(s, t))
+    assert repr(subspace_fields(s.project_subspace(t))) == repr(ref_project_subspace(s, t))
+    assert s.contains(t) == ref_contains(s, t)
+    for d in t.directions:
+        assert in_row_space(d, s.directions) == ref_in_row_space(d, s.directions)
+
+
+@ELIM_SETTINGS
+@given(subspace_pairs())
+def test_subspace_kernel_matches_fraction_reference(pair):
+    s, t = pair
+    assert repr(subspace_fields(s.intersect(t))) == repr(ref_intersect(s, t))
+    assert repr(subspace_fields(s.project_subspace(t))) == repr(ref_project_subspace(s, t))
+    assert repr(s.project_point(t.base)) == repr(ref_project_point(s, t.base))
+    assert s.contains(t) == ref_contains(s, t)
+    assert t.contains(s) == ref_contains(t, s)
+    assert all(s.contains(x) for x in (s, s.intersect(t)) if x is not None)
+
+
+def test_validation_rejects_shapes_and_near_orthogonal_matrices():
+    with pytest.raises(EuclidError):
+        EuclideanIsometry.of([[1, 0]], [0, 0])
+    with pytest.raises(EuclidError):
+        EuclideanIsometry.of([[1, 0], [0, 1]], [0])
+    # unit rows over the denominators 5 and 13 that are not perpendicular
+    with pytest.raises(EuclidError):
+        EuclideanIsometry.of([[Fraction(3, 5), Fraction(4, 5)],
+                              [Fraction(-12, 13), Fraction(5, 13)]], [0, 0])
+    with pytest.raises(EuclidError):
+        EuclideanIsometry.of([[1, 0], [0, Fraction(1000001, 1000000)]], [Fraction(1, 7), 0])
+    g = EuclideanIsometry.of([[Fraction(3, 5), Fraction(-4, 5)],
+                              [Fraction(4, 5), Fraction(3, 5)]], [Fraction(1, 2), 0])
+    assert g._ints == ([[6, -8], [8, 6]], [5, 0], 10)
+
+
+def test_integer_forms_leave_equality_hash_and_repr_alone():
+    g = EuclideanIsometry.of(block_diagonal([pythagorean_rotation(2, 1), [[1]]]),
+                             [Fraction(1, 3), 0, 2])
+    plain = EuclideanIsometry(g.a, g.b)
+    assert "_ints" in vars(g) and "_ints" not in vars(plain)
+    assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+    assert "_ints" not in repr(g)
+    assert plain._ints == g._ints
+    assert "_ints" in vars(g.compose(plain)) and "_ints" in vars(g.power(3))
+
+    s = minset(g).subspace
+    plain = AffineSubspace(s.base, s.directions)
+    assert "_ints" in vars(s) and "_ints" not in vars(plain)
+    assert s == plain and hash(s) == hash(plain) and repr(s) == repr(plain)
+    assert "_ints" not in repr(s)
+    assert plain.contains(s) and s.contains(plain)

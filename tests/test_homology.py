@@ -33,7 +33,7 @@ from nerveforge.homology import (
 from nerveforge.simplicial import ComplexError, SimplicialComplex, SimplicialMap
 from nerveforge.snf import rational_rank
 
-from chain_helpers import assert_restriction_matches, scanned_chains
+from chain_helpers import assert_restriction_matches, scanned_chains, simplices_of_dim
 
 
 def rational_betti_oracle(c):
@@ -221,7 +221,7 @@ def loop_chain_complex(c):
     basis = {}
     index = {}
     for d in range(c.dimension + 1):
-        basis[d] = c.simplices_of_dim(d)
+        basis[d] = simplices_of_dim(c, d)
         for i, s in enumerate(basis[d]):
             index[s] = i
     boundaries = {}

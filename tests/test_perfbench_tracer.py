@@ -7,13 +7,17 @@ and ``Box.intersect`` (counted, although no package code calls it). A
 rename breaks the traced benchmark run; installing and uninstalling the
 tracer here catches it. The tracer counts the windows a scan asks for by
 wrapping the builder that ``stabilization_check`` receives, so a cover scan
-that stopped going through it would vanish from the trace.
+that stopped going through it would vanish from the trace. Likewise the
+arrangement checks must still reach ``minset_of_group``,
+``AffineSubspace.intersect`` and ``nerve_of_subspaces`` by those names.
 """
 
 import importlib.util
 import pathlib
 
 from nerveforge.construct import strip_boxes
+from nerveforge.euclid import (Arrangement, EuclideanIsometry, almost_abelian_vanishing_check,
+                               splitting_check)
 from nerveforge.periodic import FiniteCoverSpec, cover_lift_check, local_vanishing_check
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -57,3 +61,29 @@ def test_tracer_counts_the_base_and_cover_scans():
     assert metrics["periodic.stabilization_check.max_radius"] >= 4
     assert metrics["homology.chain_complex.calls"] >= 2
     assert metrics["homology.chain_complex.cells"] > 0
+
+
+def glide(axis, c):
+    """Reflection across the plane x_axis = c composed with a unit z step."""
+    a = [[-1 if i == j == axis else int(i == j) for j in range(3)] for i in range(3)]
+    b = [2 * c if i == axis else 0 for i in range(3)]
+    b[2] = 1
+    return EuclideanIsometry.of(a, b)
+
+
+def test_tracer_counts_the_arrangement_layers():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        square = Arrangement(dim=3, base=2, groups=tuple(
+            (glide(axis, c),) for c in (0, 3) for axis in (0, 1)))
+        assert almost_abelian_vanishing_check(square, n=3, r=1).ok
+        half_turn = EuclideanIsometry.of([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], [0, 0, 0])
+        assert splitting_check([EuclideanIsometry.translation([0, 0, 1])], [half_turn]).ok
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    for name in ("euclid.minset_of_group", "euclid.AffineSubspace.intersect",
+                 "euclid.nerve_of_subspaces"):
+        assert metrics[f"{name}.calls"] > 0, name
