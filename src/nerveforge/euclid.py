@@ -61,26 +61,6 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vdot(a: Vec, b: Vec) -> Fraction:
-    (ia, ib), d = _scaled([a, b])
-    return Fraction(sum(map(mul, ia, ib)), d * d)
-
-
-def vscale(c, a: Vec) -> Vec:
-    c = _frac(c)
-    return tuple(c * x for x in a)
-
-
-def norm_sq(a: Vec) -> Fraction:
-    return vdot(a, a)
-
-
-def mat_apply(m, x: Vec) -> Vec:
-    im, dm = _scaled(m)
-    (ix,), dx = _scaled([x])
-    return _fracs(_mat_vec(im, ix), dm * dx)
-
-
 def _scaled(m):
     """(int matrix, d) with m = int matrix / d, d the lcm of the denominators
     of the ``int`` or ``Fraction`` entries."""
@@ -167,7 +147,7 @@ def _echelon_rows(basis) -> dict[int, list[int]]:
 
 def _in_span(v: list[int], rows: dict[int, list[int]]) -> bool:
     """Whether the ``int`` vector ``v`` lies in the span of echelon ``rows``."""
-    return not snf.add_to_echelon(dict(rows), v)
+    return not any(snf.reduce_by_echelon(rows, v))
 
 
 def in_row_space(v, basis) -> bool:

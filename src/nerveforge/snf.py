@@ -430,19 +430,29 @@ def _cancel(x: list[int], y: list[int], p: int) -> list[int]:
     return [a * s - b * t for s, t in zip(x, y)]
 
 
-def add_to_echelon(rows: dict[int, list[int]], v: list[int]) -> bool:
-    """Add the int vector ``v`` to the echelon ``rows`` (pivot -> primitive
-    int row) unless it lies in their rational span; True when it was added.
+def reduce_by_echelon(rows: dict[int, list[int]], v: list[int]) -> list[int]:
+    """A nonzero multiple of the int vector ``v`` minus a combination of the
+    echelon ``rows`` (pivot -> primitive int row), zero at every pivot.
 
     Every row is zero at every other row's pivot, so one cancelling pass
     leaves ``v`` zero at every pivot, and what remains is zero exactly when
-    ``v`` was in the span.  Otherwise it is divided by its content and stored
-    under its first nonzero column, which is first cancelled from the earlier
-    rows the same way.
+    ``v`` lies in the rational span of the rows.  Neither argument is changed.
     """
     for p, row in rows.items():
         if v[p]:
             v = _cancel(v, row, p)
+    return v
+
+
+def add_to_echelon(rows: dict[int, list[int]], v: list[int]) -> bool:
+    """Add the int vector ``v`` to the echelon ``rows`` (pivot -> primitive
+    int row) unless it lies in their rational span; True when it was added.
+
+    ``v`` is reduced by ``reduce_by_echelon``; a nonzero remainder is divided
+    by its content and stored under its first nonzero column, which is first
+    cancelled from the earlier rows the same way.
+    """
+    v = reduce_by_echelon(rows, v)
     g = gcd(*v)
     if not g:
         return False

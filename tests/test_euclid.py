@@ -436,9 +436,8 @@ def test_power_is_repeated_compose(g, k):
 
 
 @st.composite
-def rational_matrices(draw, rows, cols):
-    entries = st.one_of(st.just(0), st.integers(-5, 5), small_fractions)
-    m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+def int_matrices(draw, rows, cols):
+    m = [[draw(st.integers(-60, 60)) for _ in range(cols)] for _ in range(rows)]
     for i in draw(st.sets(st.integers(0, rows - 1))):
         m[i] = [0] * cols
     return m
@@ -446,14 +445,12 @@ def rational_matrices(draw, rows, cols):
 
 @SETTINGS
 @given(st.tuples(dims, dims, dims).flatmap(
-    lambda s: st.tuples(rational_matrices(s[0], s[1]), rational_matrices(s[1], s[2]))))
+    lambda s: st.tuples(int_matrices(s[0], s[1]), int_matrices(s[1], s[2]))))
 def test_mat_mul_matches_fraction_reference(ab):
-    # the integer forms multiply as here: each operand over its own common
-    # denominator, the int matrices by ``snf.mat_mul``
+    # the product the integer forms multiply by, on rectangular matrices
+    # with zero rows
     a, b = ab
-    (ia, da), (ib, db) = euclid._scaled(a), euclid._scaled(b)
-    got = [[Fraction(v, da * db) for v in row] for row in snf.mat_mul(ia, ib)]
-    assert got == fraction_mat_mul(a, b)
+    assert snf.mat_mul(a, b) == fraction_mat_mul(a, b)
 
 
 @st.composite
@@ -683,7 +680,7 @@ def loop_intersect(s, t):
         return None
     base = s.base
     for c, d in zip(sol[0][: len(s.directions)], s.directions):
-        base = euclid.vadd(base, euclid.vscale(c, d))
+        base = euclid.vadd(base, tuple(c * y for y in d))
     dirs = [
         tuple(sum((z[j] * d[i] for j, d in enumerate(s.directions)), Fraction(0))
               for i in range(n))

@@ -27,6 +27,7 @@ from nerveforge.snf import (
     kernel_basis,
     mat_mul,
     rational_rank,
+    reduce_by_echelon,
     row_kernel_basis,
     smith_normal_form,
     solve_integer,
@@ -333,6 +334,18 @@ def test_add_to_echelon_rejects_the_span_only(mat, coeffs):
     grows = fraction_rank(list(rows.values()) + [unit]) > len(rows)
     assert add_to_echelon(rows, unit) == grows
     assert len(rows) == fraction_rank(mat + [unit])
+
+
+@SETTINGS
+@given(sparse_rational_matrices(), st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+def test_reduce_by_echelon_is_zero_on_the_span_only(mat, entries):
+    n = len(mat[0]) if mat else 1
+    rows = dict(echelon(mat))
+    v = entries[:n]
+    left = reduce_by_echelon(rows, v)
+    assert rows == dict(echelon(mat)) and v == entries[:n]
+    assert all(left[p] == 0 for p in rows)
+    assert (not any(left)) == (fraction_rank(list(rows.values()) + [v]) == len(rows))
 
 
 def test_determinant_rejects_non_integer_entries():
