@@ -55,9 +55,19 @@ class Patch:
 
 @dataclass(frozen=True)
 class PatchSystem:
+    """Patches over an ambient complex, with optional enlargements.
+
+    ``maximal_clumps`` keeps its result in ``_maximal_clumps``, a
+    per-instance memo that is not part of ``==``, ``hash`` or ``repr``;
+    ``dataclasses.replace`` builds an instance with an empty one.  A patch
+    system is not changed after it is built.
+    """
+
     ambient: SimplicialComplex
     patches: dict  # index -> Patch
     enlargements: dict = field(default_factory=dict)  # key tuple -> frozenset
+    _maximal_clumps: tuple | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         ranks = {p.group.ambient for p in self.patches.values()}
@@ -225,8 +235,16 @@ def _candidate_groups(pn: PatchNerve) -> list[LatticeSubgroup]:
 def maximal_clumps(ps: PatchSystem, pn: PatchNerve | None = None) -> list[MaximalClump]:
     """Clumps definable by infinite minimal groups, each with its largest
     minimal group, filtered to those virtually containing some infinite
-    patch label."""
-    pn = pn or PatchNerve(ps)
+    patch label.
+
+    Computed once per patch system; each call returns a fresh list."""
+    if ps._maximal_clumps is None:
+        found = tuple(_find_maximal_clumps(ps, pn or PatchNerve(ps)))
+        object.__setattr__(ps, "_maximal_clumps", found)
+    return list(ps._maximal_clumps)
+
+
+def _find_maximal_clumps(ps: PatchSystem, pn: PatchNerve) -> list[MaximalClump]:
     candidates = [
         g for g in _candidate_groups(pn)
         if g.is_infinite() and is_minimal(ps, g, pn)
@@ -336,7 +354,6 @@ class UnfoldingSpace:
 def unfolding_space(ps: PatchSystem, pn: PatchNerve | None = None) -> UnfoldingSpace:
     """Total complexes over strictly decreasing maximal-clump chains, with
     coefficients the enlarged (resp. plain) clump supports."""
-    pn = pn or PatchNerve(ps)
     clumps_list = maximal_clumps(ps, pn)
     if not clumps_list:
         raise ClumpError("no maximal clumps: unfolding space is empty")

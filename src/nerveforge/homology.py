@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .simplicial import ComplexError, SimplicialComplex, SimplicialMap
+from .simplicial import ComplexError, SimplicialComplex, SimplicialMap, _component_labels
 from .snf import smith_normal_form, solve_integer
 
 
@@ -324,7 +324,32 @@ def homology(cc: IntegerChainComplex, degrees=None, reduced: bool = False) -> Ho
 
 
 def homology_of_complex(c: SimplicialComplex, degrees=None, reduced: bool = False) -> HomologySummary:
-    return homology(chain_complex(c), degrees=degrees, reduced=reduced)
+    """``homology(chain_complex(c), degrees, reduced)``.
+
+    A complex of dimension at most 1 is a graph with V vertices, E edges
+    and C components: H_0 = Z^C and H_1 = Z^(E - V + C), with no torsion.
+    C comes from one union-find over the edges (Tarjan, JACM 1975), and no
+    chain complex, collapse or Smith normal form is built.  The ∂∂ = 0
+    check that path skips is vacuous on a graph, which has no ∂_0.  An edge
+    whose endpoint is not a vertex raises ``ChainComplexError`` as
+    ``IntegerChainComplex.of_cells`` does.
+    """
+    if c.dimension > 1:
+        return homology(chain_complex(c), degrees=degrees, reduced=reduced)
+    vertices = [s[0] for s in c.simplices if len(s) == 1]
+    edges = [s for s in c.simplices if len(s) == 2]
+    try:
+        components = len(set(_component_labels(vertices, edges).values()))
+    except KeyError as e:
+        raise ChainComplexError(
+            f"face {(e.args[0],)!r} of an edge is not a cell of degree 0") from None
+    wanted = range(c.dimension + 1) if degrees is None else set(degrees)
+    entries = {}
+    if 0 in wanted and vertices:
+        entries[0] = (components - 1 if reduced else components, ())
+    if 1 in wanted and edges:
+        entries[1] = (len(edges) - len(vertices) + components, ())
+    return HomologySummary.of(entries)
 
 
 def is_acyclic(c: SimplicialComplex) -> bool:

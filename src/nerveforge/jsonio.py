@@ -117,9 +117,8 @@ def group_from_json(data: dict):
     if kind == "lattice":
         return LatticeSubgroup.from_generators(data["rows"], int(data["ambient"]))
     if kind == "unitriangular":
-        gens = tuple(tuple(tuple(int(x) for x in row) for row in m)
-                     for m in data["generators"])
-        return UnitriangularGroup(int(data["size"]), gens)
+        # the group checks each generator's shape and entries
+        return UnitriangularGroup(int(data["size"]), tuple(data["generators"]))
     raise FormatError(f"unknown group kind {kind!r}")
 
 

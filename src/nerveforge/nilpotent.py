@@ -1,9 +1,13 @@
 """Upper unitriangular integer matrix groups: words, ranks, central elements.
 
-Supported sizes are 3 and 4, enough for nilpotency classes 2 and 3; the rank
-is computed as the dimension of the rational Lie algebra generated by the
+Supported sizes are 3 and 4, enough for nilpotency classes 2 and 3.  The
+rank is the dimension of the rational Lie algebra generated by the
 logarithms of the generators (a terminating polynomial for unipotent
-matrices).
+matrices), the Mal'cev algebra of the group (Segal, *Polycyclic Groups*,
+ch. 6).  Its closure stops once it spans all k(k-1)/2 strictly upper
+triangular directions.  A central word is found by a commutator descent
+that carries the word's value from step to step instead of evaluating each
+longer word again.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import sub
 
 from . import snf
 
@@ -47,14 +52,17 @@ def mat_inv_unitriangular(m: Matrix) -> Matrix:
 
 
 def is_unitriangular(m, k: int) -> bool:
-    for i in range(k):
-        for j in range(k):
-            v = m[i][j]
-            if i == j and v != 1:
+    """A k x k matrix of ``int`` entries (``bool`` excluded), with ones on
+    the diagonal and zeros below it."""
+    if not isinstance(m, (tuple, list)) or len(m) != k:
+        return False
+    for i, row in enumerate(m):
+        if not isinstance(row, (tuple, list)) or len(row) != k:
+            return False
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool):
                 return False
-            if i > j and v != 0:
-                return False
-            if not isinstance(v, int):
+            if (i == j and v != 1) or (i > j and v != 0):
                 return False
     return True
 
@@ -78,7 +86,10 @@ class UnitriangularGroup:
             raise NilpotentError("only sizes 3 and 4 are supported")
         for g in self.generators:
             if not is_unitriangular(g, self.size):
-                raise NilpotentError("generator is not unitriangular")
+                raise NilpotentError(
+                    f"generator is not a {self.size}x{self.size} unitriangular int matrix")
+        object.__setattr__(
+            self, "generators", tuple(tuple(map(tuple, g)) for g in self.generators))
 
     @property
     def nilpotency_class_bound(self) -> int:
@@ -101,10 +112,17 @@ class GroupWord:
         return len(self.letters)
 
     def evaluate(self) -> Matrix:
+        """Product of the letters; each generator is inverted at most once."""
+        gens = self.group.generators
+        inverses: dict[int, Matrix] = {}
         out = identity(self.group.size)
         for idx, exp in self.letters:
-            g = self.group.generators[idx]
-            out = mat_mul(out, g if exp == 1 else mat_inv_unitriangular(g))
+            if exp == 1:
+                out = mat_mul(out, gens[idx])
+            else:
+                if idx not in inverses:
+                    inverses[idx] = mat_inv_unitriangular(gens[idx])
+                out = mat_mul(out, inverses[idx])
         return out
 
     def inverse_letters(self):
@@ -130,29 +148,33 @@ def small_central_element(g: UnitriangularGroup) -> GroupWord:
     """Nontrivial central word of length at most 3^(size-1).
 
     Commutator descent: start at the first nontrivial generator; while the
-    current word is not central, replace it by its commutator with the first
-    generator it fails to commute with.  Generator scan order is input order,
-    so the output is deterministic.
+    current word w is not central, replace it by its commutator with the
+    first generator h it fails to commute with.  Generator scan order is
+    input order, so the output is deterministic.
+
+    The value W of w is carried from step to step: the products Wh and hW
+    that showed h to be a witness give the next value
+    [w, h] = W^-1 h^-1 W h = (hW)^-1 (Wh), one inverse and one product,
+    while the word's letters grow as ``commutator_word`` spells them.
     """
     if g.is_trivial():
         raise NilpotentError("trivial group has no nontrivial central element")
     ident = identity(g.size)
     start = next(i for i, m in enumerate(g.generators) if m != ident)
     word = GroupWord(g, ((start, 1),))
-    value = word.evaluate()
+    value = g.generators[start]
     while True:
-        witness = None
         for i, h in enumerate(g.generators):
-            if mat_mul(value, h) != mat_mul(h, value):
-                witness = i
+            wh, hw = mat_mul(value, h), mat_mul(h, value)
+            if wh != hw:
                 break
-        if witness is None:
+        else:
             bound = 3 ** g.nilpotency_class_bound
             if word.length > bound:
                 raise NilpotentError("descent exceeded the word-length bound")
             return word
-        word = commutator_word(word, witness)
-        value = word.evaluate()
+        word = commutator_word(word, i)
+        value = mat_mul(mat_inv_unitriangular(hw), wh)
         if value == ident:
             raise NilpotentError("commutator descent reached the identity")
 
@@ -189,12 +211,9 @@ def unitriangular_log(m: Matrix):
 
 
 def _bracket(x: Matrix, y: Matrix) -> Matrix:
-    k = len(x)
-    return tuple(
-        tuple(sum(x[i][s] * y[s][j] - y[i][s] * x[s][j] for s in range(k))
-              for j in range(k))
-        for i in range(k)
-    )
+    """[x, y] = xy - yx from two integer products."""
+    xy, yx = snf.mat_mul(x, y), snf.mat_mul(y, x)
+    return tuple(tuple(map(sub, a, b)) for a, b in zip(xy, yx))
 
 
 def hirsch_rank(g: UnitriangularGroup) -> int:
@@ -205,19 +224,29 @@ def hirsch_rank(g: UnitriangularGroup) -> int:
     basis element is bracketed once with every element before it, and a
     bracket joins only when it lies outside the current span. When the walk
     ends, the bracket of every pair of basis elements lies in the span, so the
-    span is the Lie algebra; its dimension is at most k(k-1)/2.
+    span is the Lie algebra.
+
+    Every logarithm is strictly upper triangular, and so is every bracket of
+    two such matrices, so the span has dimension at most k(k-1)/2.  Once the
+    basis reaches it, no further bracket can join and the walk stops.
     """
+    full = g.size * (g.size - 1) // 2
     rows: dict = {}
+    basis: list[Matrix] = []
 
     def join(m: Matrix) -> bool:
-        return snf.add_to_echelon(rows, [x for row in m for x in row])
+        """Add m to the basis when it is outside the span; True once the
+        basis is full."""
+        if snf.add_to_echelon(rows, [x for row in m for x in row]):
+            basis.append(m)
+        return len(basis) == full
 
-    basis = [x for x in map(_scaled_log, g.generators) if join(x)]
+    if any(join(_scaled_log(m)) for m in g.generators):
+        return full
     i = 0
     while i < len(basis):
         for j in range(i):
-            b = _bracket(basis[j], basis[i])
-            if join(b):
-                basis.append(b)
+            if join(_bracket(basis[j], basis[i])):
+                return full
         i += 1
     return len(basis)

@@ -29,7 +29,8 @@ from .homology import (
     simplicial_chain_map,
 )
 from .lattices import LatticeSubgroup
-from .simplicial import ComplexError, SimplicialComplex, SimplicialMap, cliques_of
+from .simplicial import (ComplexError, SimplicialComplex, SimplicialMap, _component_labels,
+                         cliques_of)
 
 
 class PeriodicError(ValueError):
@@ -884,24 +885,6 @@ def _cover_component_counts(bu: BoxUnion, spec: FiniteCoverSpec, w) -> tuple[int
               for h in elements for i, k in edges)
     cover = _component_labels(product(range(len(vertices)), elements), lifted)
     return len(set(cover.values())), len(set(base.values()))
-
-
-def _component_labels(vertices, edges) -> dict:
-    """Union-find over a graph: each vertex's component root. Every edge is
-    a pair of vertices."""
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        a, b = find(a), find(b)
-        if a != b:
-            parent[a] = b
-    return {v: find(v) for v in parent}
 
 
 def _chain_component_labels(cc: IntegerChainComplex) -> dict:

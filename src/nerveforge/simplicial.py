@@ -210,6 +210,25 @@ def _frontier_walk(keys, later, values, meet):
         frontier = new
 
 
+def _component_labels(vertices, edges) -> dict:
+    """Union-find over a graph: each vertex's component root. Every edge is
+    a pair of vertices; an endpoint that is not among ``vertices`` raises
+    ``KeyError``."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    return {v: find(v) for v in parent}
+
+
 @dataclass(frozen=True)
 class SimplicialMap:
     """Vertex assignment inducing a map of complexes; images of simplices may

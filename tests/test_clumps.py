@@ -302,6 +302,35 @@ def test_unfolding_vanishing_introduction():
     assert v.detail["threshold_degree"] == 2
 
 
+def test_maximal_clumps_memo_is_per_instance(monkeypatch):
+    import dataclasses
+
+    import nerveforge.clumps as clumps_module
+
+    calls = []
+    find = clumps_module._find_maximal_clumps
+
+    def counted(ps, pn):
+        calls.append(ps)
+        return find(ps, pn)
+
+    monkeypatch.setattr(clumps_module, "_find_maximal_clumps", counted)
+    ps, _ = introduction_system()
+    first = maximal_clumps(ps)
+    assert first
+    first.clear()
+    again = maximal_clumps(ps)
+    assert again and again is not maximal_clumps(ps)
+    assert unfolding_space(ps).clumps == again
+    assert len(calls) == 1
+    # the memo takes no part in ==, repr or replace
+    fresh, _ = introduction_system()
+    assert fresh == ps and repr(fresh) == repr(ps)
+    copy = dataclasses.replace(ps)
+    assert maximal_clumps(copy) == again
+    assert len(calls) == 2
+
+
 def test_unfolding_with_cone_enlargements():
     # enlarge each patch to a cone: vanishing becomes easy and the check passes
     path = path_complex(6)

@@ -23,6 +23,7 @@ from nerveforge.homology import (
     TotalComplex,
     chain_complex,
     degree_homology,
+    homology,
     homology_of_complex,
     induced_homology_map,
     induced_map_is_isomorphism,
@@ -267,6 +268,42 @@ def test_restriction_to_a_complex_outside_raises_like_inclusion():
     faces_missing = SimplicialComplex(frozenset({(0,), (0, 1)}))
     with pytest.raises(ChainComplexError):
         restricted_chain_complex(chain_complex(c), faces_missing)
+
+
+# Graphs: vertices 0-7, each simplex an isolated vertex or an edge; the empty
+# complex included.
+random_graphs = st.lists(
+    st.lists(st.integers(0, 7), min_size=1, max_size=2, unique=True), max_size=10,
+).map(SimplicialComplex.from_maximal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs, st.sampled_from([None, [0], [1], [2], [0, 1]]), st.booleans())
+@example(SimplicialComplex(), None, True)
+@example(SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2), (5,)]), None, True)
+def test_graph_homology_matches_the_chain_complex(c, degrees, reduced):
+    assert c.dimension <= 1
+    assert (homology_of_complex(c, degrees=degrees, reduced=reduced)
+            == homology(chain_complex(c), degrees=degrees, reduced=reduced))
+
+
+def test_graph_homology_builds_no_chain_complex(monkeypatch):
+    import nerveforge.homology as homology_module
+
+    def refuse(c):
+        raise AssertionError("chain complex built for a graph")
+
+    monkeypatch.setattr(homology_module, "chain_complex", refuse)
+    theta = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (5,)])
+    assert homology_of_complex(theta) == HomologySummary.of({0: (2, ()), 1: (2, ())})
+
+
+def test_graph_with_a_dangling_edge_raises_like_of_cells():
+    dangling = SimplicialComplex(frozenset({(0,), (0, 1)}))
+    with pytest.raises(ChainComplexError):
+        chain_complex(dangling)
+    with pytest.raises(ChainComplexError):
+        homology_of_complex(dangling)
 
 
 def test_of_cells_rejects_faces_outside_the_basis():

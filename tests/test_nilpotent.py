@@ -3,13 +3,17 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nerveforge import nilpotent
+from nerveforge.jsonio import group_from_json
 from nerveforge.nilpotent import (
     GroupWord,
     NilpotentError,
     UnitriangularGroup,
+    _bracket,
+    commutator_word,
     commutes_with_all_generators,
     elementary,
     hirsch_rank,
@@ -48,6 +52,28 @@ def test_validation():
         UnitriangularGroup(5, ())
     with pytest.raises(NilpotentError):
         UnitriangularGroup(3, (((1, 0, 0), (1, 1, 0), (0, 0, 1)),))
+
+
+@pytest.mark.parametrize("m", [
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),
+    ((1, 0, 0), (0, 1), (0, 0, 1)),
+    ((1, 0), (0, 1)),
+    ((True, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0.0), (0, 0, 1)),
+], ids=["3x4", "4x3", "ragged", "2x2", "bool", "float"])
+def test_malformed_generators_rejected(m):
+    with pytest.raises(NilpotentError):
+        UnitriangularGroup(3, (m,))
+    data = {"kind": "unitriangular", "size": 3, "generators": [[list(row) for row in m]]}
+    with pytest.raises(NilpotentError):
+        group_from_json(data)
+
+
+def test_generators_given_as_lists_are_stored_as_tuples():
+    g = UnitriangularGroup(3, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+    assert g.generators == (identity(3),)
+    assert g.is_trivial()
 
 
 def test_inverse():
@@ -247,3 +273,73 @@ def test_exp_of_log_is_the_matrix(m):
             for j in range(k):
                 out[i][j] += power[i][j] / factorial(t)
     assert out == [list(row) for row in m]
+
+
+# Reference: a descent that evaluates every longer word from scratch, with a
+# fresh inverse for each inverse letter.
+
+
+def _evaluate_from_scratch(g, letters):
+    out = identity(g.size)
+    for idx, exp in letters:
+        m = g.generators[idx]
+        out = mat_mul(out, m if exp == 1 else mat_inv_unitriangular(m))
+    return out
+
+
+def descent_from_scratch(g):
+    ident = identity(g.size)
+    start = next(i for i, m in enumerate(g.generators) if m != ident)
+    word = GroupWord(g, ((start, 1),))
+    value = _evaluate_from_scratch(g, word.letters)
+    while True:
+        witness = next((i for i, h in enumerate(g.generators)
+                        if mat_mul(value, h) != mat_mul(h, value)), None)
+        if witness is None:
+            return word.letters, value
+        word = commutator_word(word, witness)
+        value = _evaluate_from_scratch(g, word.letters)
+        assert value != ident
+
+
+@SETTINGS
+@given(groups())
+def test_central_element_matches_descent_from_scratch(g):
+    assume(not g.is_trivial())
+    letters, value = descent_from_scratch(g)
+    word = small_central_element(g)
+    assert word.letters == letters
+    assert word.evaluate() == value
+
+
+def square_matrices(k):
+    return st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k),
+                    min_size=k, max_size=k)
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4]).flatmap(lambda k: st.tuples(square_matrices(k),
+                                                           square_matrices(k))))
+def test_bracket_is_the_entrywise_commutator(pair):
+    x, y = pair
+    k = len(x)
+    assert _bracket(x, y) == tuple(
+        tuple(sum(x[i][s] * y[s][j] - y[i][s] * x[s][j] for s in range(k))
+              for j in range(k))
+        for i in range(k))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_hirsch_rank_stops_at_full_rank(k, monkeypatch):
+    """Generators whose logarithms span every strictly upper direction give
+    rank k(k-1)/2 with no bracket formed."""
+    brackets = []
+
+    def counted(x, y):
+        brackets.append((x, y))
+        return _bracket(x, y)
+
+    monkeypatch.setattr(nilpotent, "_bracket", counted)
+    gens = tuple(elementary(k, i, j) for i in range(k) for j in range(i + 1, k))
+    assert hirsch_rank(UnitriangularGroup(k, gens)) == k * (k - 1) // 2
+    assert brackets == []

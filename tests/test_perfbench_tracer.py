@@ -9,15 +9,22 @@ tracer here catches it. The tracer counts the windows a scan asks for by
 wrapping the builder that ``stabilization_check`` receives, so a cover scan
 that stopped going through it would vanish from the trace. Likewise the
 arrangement checks must still reach ``minset_of_group``,
-``AffineSubspace.intersect`` and ``nerve_of_subspaces`` by those names.
+``AffineSubspace.intersect`` and ``nerve_of_subspaces`` by those names, the
+unitriangular items ``small_central_element``, ``hirsch_rank`` and the
+counted ``nilpotent.mat_mul``, and the patch-system checks
+``maximal_clumps``.
 """
 
 import importlib.util
 import pathlib
 
-from nerveforge.construct import strip_boxes
+from nerveforge import nilpotent
+from nerveforge.clumps import Patch, PatchSystem, unfolding_vanishing_check
+from nerveforge.construct import strip_boxes, two_ball_gluing
 from nerveforge.euclid import (Arrangement, EuclideanIsometry, almost_abelian_vanishing_check,
                                splitting_check)
+from nerveforge.lattices import LatticeSubgroup
+from nerveforge.nilpotent import UnitriangularGroup, elementary
 from nerveforge.periodic import FiniteCoverSpec, cover_lift_check, local_vanishing_check
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -86,4 +93,28 @@ def test_tracer_counts_the_arrangement_layers():
     metrics = tracing.layer_metrics(tracer)
     for name in ("euclid.minset_of_group", "euclid.AffineSubspace.intersect",
                  "euclid.nerve_of_subspaces"):
+        assert metrics[f"{name}.calls"] > 0, name
+
+
+def test_tracer_counts_the_nilpotent_and_clump_layers():
+    tracing = load_tracing()
+    heisenberg = UnitriangularGroup(3, (elementary(3, 0, 1), elementary(3, 1, 2)))
+    ambient, u, v, membrane, _ = two_ball_gluing()
+    ps = PatchSystem(ambient=ambient, patches={
+        "U": Patch(support=u, group=LatticeSubgroup.from_generators([[1, 0]], 2)),
+        "V": Patch(support=v, group=LatticeSubgroup.from_generators([[0, 1]], 2)),
+        "W": Patch(support=membrane, group=LatticeSubgroup.from_generators([[1, 0], [0, 1]], 2)),
+    })
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # through the module, where the tracer wraps them
+        assert nilpotent.small_central_element(heisenberg).length == 4
+        assert nilpotent.hirsch_rank(heisenberg) == 3
+        assert unfolding_vanishing_check(ps, n=4, r=1).ok
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    for name in ("nilpotent.small_central_element", "nilpotent.hirsch_rank",
+                 "nilpotent.mat_mul", "clumps.maximal_clumps"):
         assert metrics[f"{name}.calls"] > 0, name
