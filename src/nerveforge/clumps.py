@@ -9,7 +9,7 @@ groups together with their largest minimal groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .covers import Cover, nerve
 from .homology import (
@@ -57,10 +57,12 @@ class Patch:
 class PatchSystem:
     """Patches over an ambient complex, with optional enlargements.
 
-    ``maximal_clumps`` keeps its result in ``_maximal_clumps``, a
-    per-instance memo that is not part of ``==``, ``hash`` or ``repr``;
-    ``dataclasses.replace`` builds an instance with an empty one.  A patch
-    system is not changed after it is built.
+    ``maximal_clumps`` keeps its result in ``_maximal_clumps``, and
+    ``_patch_nerve`` keeps the one ``PatchNerve`` that the clump checks
+    share when they are given none.  Both are per-instance memos that are
+    not part of ``==``, ``hash`` or ``repr``; ``dataclasses.replace`` builds
+    an instance with empty ones.  A patch system is not changed after it is
+    built.
     """
 
     ambient: SimplicialComplex
@@ -81,6 +83,10 @@ class PatchSystem:
                 raise ClumpError(f"enlargement for {key} does not contain the patch piece")
             if not sup <= self.ambient.simplices:
                 raise ClumpError(f"enlargement for {key} leaves the ambient complex")
+
+    @cached_property
+    def _patch_nerve(self) -> "PatchNerve":
+        return PatchNerve(self)
 
     def _plain_intersection(self, sigma: tuple):
         out = None
@@ -125,7 +131,6 @@ class PatchNerve:
     """Nerve of the patch supports with cached label joins per simplex."""
 
     def __init__(self, ps: PatchSystem):
-        self.ps = ps
         self.nerve = nerve(ps.cover())
         d = ps.lattice_ambient
         self.groups: dict[tuple, LatticeSubgroup] = {}
@@ -144,7 +149,7 @@ class PatchNerve:
 
 def group_of_simplex(ps: PatchSystem, sigma: tuple, pn: PatchNerve | None = None) -> LatticeSubgroup:
     """Join of the patch labels over a nerve simplex."""
-    pn = pn or PatchNerve(ps)
+    pn = pn or ps._patch_nerve
     key = tuple(sorted(sigma))
     if key not in pn.groups:
         raise ClumpError(f"{sigma} is not a simplex of the patch nerve")
@@ -163,7 +168,7 @@ class Clump:
 
 def clump(ps: PatchSystem, n: LatticeSubgroup, pn: PatchNerve | None = None) -> Clump:
     """Union of the intersections whose generated label contains n."""
-    pn = pn or PatchNerve(ps)
+    pn = pn or ps._patch_nerve
     contributing = tuple(
         sigma for sigma in pn.simplices() if pn.groups[sigma].contains(n)
     )
@@ -181,7 +186,7 @@ def intersection_formula_check(
     ps: PatchSystem, n: LatticeSubgroup, m: LatticeSubgroup, pn: PatchNerve | None = None
 ) -> IntersectionFormulaVerdict:
     """Y_N ∩ Y_M = Y_<N,M> as exact subcomplex equality."""
-    pn = pn or PatchNerve(ps)
+    pn = pn or ps._patch_nerve
     lhs = clump(ps, n, pn).support & clump(ps, m, pn).support
     rhs = clump(ps, _join(n, m), pn).support
     if lhs == rhs:
@@ -192,7 +197,7 @@ def intersection_formula_check(
 
 def is_minimal(ps: PatchSystem, n: LatticeSubgroup, pn: PatchNerve | None = None) -> bool:
     """Every simplex label either contains n or meets it in infinite index."""
-    pn = pn or PatchNerve(ps)
+    pn = pn or ps._patch_nerve
     for sigma in pn.simplices():
         g = pn.groups[sigma]
         if g.contains(n):
@@ -239,7 +244,7 @@ def maximal_clumps(ps: PatchSystem, pn: PatchNerve | None = None) -> list[Maxima
 
     Computed once per patch system; each call returns a fresh list."""
     if ps._maximal_clumps is None:
-        found = tuple(_find_maximal_clumps(ps, pn or PatchNerve(ps)))
+        found = tuple(_find_maximal_clumps(ps, pn or ps._patch_nerve))
         object.__setattr__(ps, "_maximal_clumps", found)
     return list(ps._maximal_clumps)
 
@@ -448,7 +453,7 @@ def engulfing_check(ps: PatchSystem, pn: PatchNerve | None = None) -> EngulfingV
     """Semisimple enlargements reverse inclusion: for semisimple rho inside
     sigma, the rho-enlargement contains the sigma-enlargement; consequently
     the semisimple union engulfs the mixed region."""
-    pn = pn or PatchNerve(ps)
+    pn = pn or ps._patch_nerve
     semisimple = {i for i, p in ps.patches.items() if not p.parabolic}
     failures = []
     simplices = pn.simplices()
@@ -474,7 +479,7 @@ def engulfing_check(ps: PatchSystem, pn: PatchNerve | None = None) -> EngulfingV
 
 def patch_union_decomposition_ok(ps: PatchSystem, pn: PatchNerve | None = None) -> bool:
     """Union of patches = union of maximal clumps plus finite-label patches."""
-    pn = pn or PatchNerve(ps)
+    pn = pn or ps._patch_nerve
     clumps_list = maximal_clumps(ps, pn)
     rhs = union_all(
         [c.support for c in clumps_list]

@@ -44,10 +44,18 @@ def cycle_complex(n: int) -> SimplicialComplex:
     )
 
 
+def _full_subcomplex(c: SimplicialComplex, inside: set) -> Subcomplex:
+    """The simplices of ``c`` with every vertex in ``inside``.
+
+    A face of such a simplex has the same property, so the full
+    subcomplex of a closed complex is closed, and it is built without
+    ``Subcomplex.of``'s closure."""
+    return Subcomplex(c, frozenset(s for s in c.simplices if inside.issuperset(s)))
+
+
 def interval_subcomplex(path: SimplicialComplex, a: int, b: int) -> Subcomplex:
     """Full subcomplex of a path on vertices a..b."""
-    simplices = [s for s in path.simplices if all(a <= v <= b for v in s)]
-    return Subcomplex.of(path, simplices)
+    return _full_subcomplex(path, {v for v in path.vertices if a <= v <= b})
 
 
 def grid_complex(nx: int, ny: int) -> SimplicialComplex:
@@ -62,11 +70,8 @@ def grid_complex(nx: int, ny: int) -> SimplicialComplex:
 
 def rect_subcomplex(grid: SimplicialComplex, i0: int, i1: int, j0: int, j1: int) -> Subcomplex:
     """Full subcomplex on grid vertices with i0 <= i <= i1, j0 <= j <= j1."""
-    simplices = [
-        s for s in grid.simplices
-        if all(i0 <= v[0] <= i1 and j0 <= v[1] <= j1 for v in s)
-    ]
-    return Subcomplex.of(grid, simplices)
+    return _full_subcomplex(grid, {(i, j) for i, j in grid.vertices
+                                   if i0 <= i <= i1 and j0 <= j <= j1})
 
 
 def annulus() -> SimplicialComplex:

@@ -35,12 +35,19 @@ class IntegerChainComplex:
     """Per-degree bases (label lists) and sparse boundaries.
 
     ``boundaries[d]`` maps a degree-d basis index to ``{row: value}`` over
-    degree-(d-1) basis indices.  Direct construction and ``of_cells`` check
-    the identity boundary-of-boundary == 0 exactly.  ``_trusted`` does not:
-    it builds the collapsed subcomplex (``collapse``) and the restriction to
-    a simplicial subcomplex (``restricted_chain_complex``), whose boundaries
-    are restrictions of a checked complex's to a set of cells closed under
-    faces, and so inherit the identity.
+    degree-(d-1) basis indices.  The public constructors, direct
+    construction and ``of_cells``, check the identity boundary-of-boundary
+    == 0 exactly; ``of_cells`` builds the ``TotalComplex`` chain complexes
+    and the lattice quotients of ``periodic.quotient_complex``.
+    ``_trusted`` does not check it.  It builds the chain complexes whose
+    boundaries square to zero by construction:
+
+    - the simplicial chain complex (``chain_complex``), by the sign rule of
+      ``simplex_boundary``;
+    - the collapsed subcomplex (``collapse``) and the restriction to a
+      simplicial subcomplex (``restricted_chain_complex``), whose
+      boundaries are restrictions of a valid complex's to a set of cells
+      closed under faces, and so inherit the identity.
     """
 
     basis: dict[int, list]
@@ -79,22 +86,7 @@ class IntegerChainComplex:
         faces ``(o', s)`` differ in their object, and the faces o' of o are
         distinct.
         """
-        boundaries: dict[int, dict[int, dict[int, int]]] = {}
-        for d, labels in basis.items():
-            if d == 0:
-                continue
-            index = {f: i for i, f in enumerate(basis.get(d - 1, ()))}
-            cols = {}
-            for col, label in enumerate(labels):
-                cell_faces = faces(label)
-                try:
-                    cols[col] = {index[f]: sign for sign, f in cell_faces}
-                except KeyError as e:
-                    raise ChainComplexError(
-                        f"face {e.args[0]!r} of {label!r} is not a cell of "
-                        f"degree {d - 1}") from None
-            boundaries[d] = cols
-        return IntegerChainComplex(basis=basis, boundaries=boundaries)
+        return IntegerChainComplex(basis=basis, boundaries=_cell_boundaries(basis, faces))
 
     @staticmethod
     def _trusted(basis, boundaries) -> "IntegerChainComplex":
@@ -189,6 +181,28 @@ class IntegerChainComplex:
         return out
 
 
+def _cell_boundaries(basis: dict[int, list], faces) -> dict[int, dict[int, dict[int, int]]]:
+    """Sparse boundary columns of the cells ``basis[d]`` from ``faces``, as
+    ``IntegerChainComplex.of_cells`` describes; raises
+    ``ChainComplexError`` when a face is not a cell of the degree below."""
+    boundaries: dict[int, dict[int, dict[int, int]]] = {}
+    for d, labels in basis.items():
+        if d == 0:
+            continue
+        index = {f: i for i, f in enumerate(basis.get(d - 1, ()))}
+        cols = {}
+        for col, label in enumerate(labels):
+            cell_faces = faces(label)
+            try:
+                cols[col] = {index[f]: sign for sign, f in cell_faces}
+            except KeyError as e:
+                raise ChainComplexError(
+                    f"face {e.args[0]!r} of {label!r} is not a cell of "
+                    f"degree {d - 1}") from None
+        boundaries[d] = cols
+    return boundaries
+
+
 @dataclass(frozen=True)
 class Collapse:
     """A complex's collapsed subcomplex ``cc``.
@@ -206,13 +220,26 @@ class Collapse:
 
 
 def chain_complex(c: SimplicialComplex) -> IntegerChainComplex:
-    """Simplicial chain complex with bases sorted lexicographically."""
+    """Simplicial chain complex with bases sorted lexicographically.
+
+    Raises ``ChainComplexError`` when a face of a simplex of ``c`` is not
+    in ``c``.  The complex is built with ``IntegerChainComplex._trusted``:
+    simplicial boundaries square to zero by the sign rule (Kaczynski,
+    Mischaikow and Mrozek, *Computational Homology*, ch. 2).  For a
+    simplex s = (v_0, ..., v_n), ``simplex_boundary`` gives
+    ∂s = Σ_i (-1)^i s∖v_i.  In ∂∂s, the face s∖{v_j, v_i} with j < i comes
+    from dropping v_i first (sign (-1)^i, then v_j sits at position j,
+    sign (-1)^j) and from dropping v_j first (sign (-1)^j, then v_i sits at
+    position i - 1, sign (-1)^(i-1)).  The two terms cancel, and they are
+    the only ones, since the n + 1 facets of s are distinct.
+    """
     basis: list[list] = [[] for _ in range(c.dimension + 1)]
     for s in c.simplices:
         basis[len(s) - 1].append(s)
     for labels in basis:
         labels.sort()
-    return IntegerChainComplex.of_cells(dict(enumerate(basis)), simplex_boundary)
+    basis = dict(enumerate(basis))
+    return IntegerChainComplex._trusted(basis, _cell_boundaries(basis, simplex_boundary))
 
 
 def restricted_chain_complex(cc: IntegerChainComplex, sub: SimplicialComplex
@@ -329,10 +356,9 @@ def homology_of_complex(c: SimplicialComplex, degrees=None, reduced: bool = Fals
     A complex of dimension at most 1 is a graph with V vertices, E edges
     and C components: H_0 = Z^C and H_1 = Z^(E - V + C), with no torsion.
     C comes from one union-find over the edges (Tarjan, JACM 1975), and no
-    chain complex, collapse or Smith normal form is built.  The ∂∂ = 0
-    check that path skips is vacuous on a graph, which has no ∂_0.  An edge
-    whose endpoint is not a vertex raises ``ChainComplexError`` as
-    ``IntegerChainComplex.of_cells`` does.
+    chain complex, collapse or Smith normal form is built.  An edge whose
+    endpoint is not a vertex raises ``ChainComplexError`` as
+    ``chain_complex`` does.
     """
     if c.dimension > 1:
         return homology(chain_complex(c), degrees=degrees, reduced=reduced)

@@ -1,12 +1,25 @@
 """JSON (de)serialization for every wire format the tool exposes.
 
 Rationals travel as "p/q" strings; complexes as vertex/simplex lists with
-faces implied; all loaders validate and raise ValueError subclasses on bad
-input.
+faces implied.
+
+The ``*_from_json`` readers are where input is validated.  Each one builds
+its objects through the validating constructors (``close_downward``,
+``Cover``, ``PatchSystem``, ``Arrangement``, ``EuclideanIsometry.of``,
+``Box.of``, ``BoxUnion``, ...), and raises a ``ValueError`` subclass on bad
+input: ``FormatError`` for input of the wrong shape (a missing key, a value
+of the wrong type, vertex ids of mixed types) and the constructors' own
+errors for well-formed input that violates their conditions.
+
+The ``*_to_json`` writers trust their objects.  ``_cover_json``,
+``_patch_system_json`` and ``_arrangement_json`` write the same payloads
+from the parts, without building the object, for the scenario generators;
+the readers build and validate it once, when the payload is read.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .clumps import Patch, PatchSystem
@@ -20,6 +33,23 @@ from .covers import Cover
 
 class FormatError(ValueError):
     pass
+
+
+def _reader(read):
+    """``read`` with malformed input reported as ``FormatError``.  Inside a
+    reader, a ``KeyError``, ``IndexError``, ``TypeError``,
+    ``AttributeError`` or plain ``ValueError`` (``int("x")``) comes from
+    input of the wrong shape, and a ``ComplexError`` from simplices that are
+    not valid complex input.  The constructors' own errors pass through."""
+    @functools.wraps(read)
+    def checked(*args, **kwargs):
+        try:
+            return read(*args, **kwargs)
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
+            if isinstance(e, ValueError) and type(e) not in (ValueError, ComplexError):
+                raise
+            raise FormatError(f"{read.__name__}: {type(e).__name__}: {e}") from e
+    return checked
 
 
 def rational_to_json(x) -> str:
@@ -40,11 +70,12 @@ def rational_from_json(x) -> Fraction:
     raise FormatError(f"not a rational: {x!r}")
 
 
+def _write_simplices(simplices) -> list:
+    return [list(s) for s in sorted(simplices, key=lambda s: (len(s), s))]
+
+
 def complex_to_json(c: SimplicialComplex) -> dict:
-    return {
-        "vertices": sorted(c.vertices),
-        "simplices": [list(s) for s in sorted(c.simplices, key=lambda s: (len(s), s))],
-    }
+    return {"vertices": sorted(c.vertices), "simplices": _write_simplices(c.simplices)}
 
 
 def _label(x):
@@ -55,42 +86,57 @@ def _label(x):
     return x
 
 
-def _simplex(s) -> tuple:
-    return tuple(_label(v) for v in s)
+def _list(x, what: str) -> list:
+    """``x``, which must be a JSON array: a string or an object would
+    otherwise be read as one, by its characters or keys."""
+    if not isinstance(x, list):
+        raise FormatError(f"{what} must be a list, not {type(x).__name__}")
+    return x
 
 
+def _read_simplices(data, what: str) -> list:
+    """The simplex lists of ``data`` as label tuples."""
+    return [tuple(_label(v) for v in _list(s, "a simplex")) for s in _list(data, what)]
+
+
+@_reader
 def complex_from_json(data: dict) -> SimplicialComplex:
     if not isinstance(data, dict) or "simplices" not in data:
         raise FormatError("complex JSON needs a 'simplices' list")
-    raw = [_simplex(s) for s in data["simplices"]]
+    raw = _read_simplices(data["simplices"], "'simplices'")
     if len(set(raw)) != len(raw):
         raise FormatError("duplicate simplices in complex JSON")
-    verts = [(_label(v),) for v in data.get("vertices", [])]
-    try:
-        simplices = close_downward(list(raw) + verts)
-        return SimplicialComplex(simplices)
-    except ComplexError as e:
-        raise FormatError(str(e)) from e
+    verts = [(_label(v),) for v in _list(data.get("vertices", []), "'vertices'")]
+    return SimplicialComplex(close_downward(raw + verts))
 
 
+@_reader
 def subcomplex_from_json(ambient: SimplicialComplex, data) -> frozenset:
-    simplices = close_downward([_simplex(s) for s in data])
+    simplices = close_downward(_read_simplices(data, "a piece"))
     if not simplices <= ambient.simplices:
         raise FormatError("piece is not inside the ambient complex")
     return simplices
 
 
+def _by_str_key(items: dict) -> list:
+    return sorted(items.items(), key=lambda kv: str(kv[0]))
+
+
 def cover_to_json(cover: Cover) -> dict:
+    return _cover_json(cover.ambient, cover.pieces, cover.covering)
+
+
+def _cover_json(ambient: SimplicialComplex, pieces: dict, covering: bool = False) -> dict:
+    """``cover_to_json(Cover(ambient, pieces, covering))``, written from the
+    parts without building the cover."""
     return {
-        "ambient": complex_to_json(cover.ambient),
-        "pieces": {
-            str(i): [list(s) for s in sorted(sub, key=lambda s: (len(s), s))]
-            for i, sub in sorted(cover.pieces.items(), key=lambda kv: str(kv[0]))
-        },
-        "covering": cover.covering,
+        "ambient": complex_to_json(ambient),
+        "pieces": {str(i): _write_simplices(sub) for i, sub in _by_str_key(pieces)},
+        "covering": covering,
     }
 
 
+@_reader
 def cover_from_json(data: dict) -> Cover:
     ambient = complex_from_json(data["ambient"])
     pieces = {
@@ -112,6 +158,7 @@ def group_to_json(g) -> dict:
     raise FormatError(f"unknown group object {type(g).__name__}")
 
 
+@_reader
 def group_from_json(data: dict):
     kind = data.get("kind")
     if kind == "lattice":
@@ -123,34 +170,35 @@ def group_from_json(data: dict):
 
 
 def patch_system_to_json(ps: PatchSystem) -> dict:
-    cover = {
-        "ambient": complex_to_json(ps.ambient),
-        "pieces": {
-            str(i): [list(s) for s in sorted(p.support, key=lambda s: (len(s), s))]
-            for i, p in sorted(ps.patches.items(), key=lambda kv: str(kv[0]))
+    return _patch_system_json(ps.ambient, ps.patches, ps.enlargements)
+
+
+def _patch_system_json(ambient: SimplicialComplex, patches: dict, enlargements: dict) -> dict:
+    """``patch_system_to_json(PatchSystem(ambient, patches, enlargements))``,
+    written from the parts without building the patch system."""
+    order = _by_str_key(patches)
+    out = {
+        "ambient": complex_to_json(ambient),
+        "pieces": {str(i): _write_simplices(p.support) for i, p in order},
+        "groups": {str(i): group_to_json(p.group) for i, p in order},
+        "flags": {
+            str(i): {"parabolic": p.parabolic, "rank": p.rank_annotation}
+            for i, p in order if p.parabolic or p.rank_annotation is not None
         },
     }
-    cover["groups"] = {
-        str(i): group_to_json(p.group)
-        for i, p in sorted(ps.patches.items(), key=lambda kv: str(kv[0]))
-    }
-    cover["flags"] = {
-        str(i): {"parabolic": p.parabolic, "rank": p.rank_annotation}
-        for i, p in sorted(ps.patches.items(), key=lambda kv: str(kv[0]))
-        if p.parabolic or p.rank_annotation is not None
-    }
-    if ps.enlargements:
-        cover["enlargements"] = {
-            ",".join(map(str, key)): [list(s) for s in sorted(sub, key=lambda s: (len(s), s))]
-            for key, sub in sorted(ps.enlargements.items(), key=lambda kv: tuple(map(str, kv[0])))
+    if enlargements:
+        out["enlargements"] = {
+            ",".join(map(str, key)): _write_simplices(sub)
+            for key, sub in sorted(enlargements.items(), key=lambda kv: tuple(map(str, kv[0])))
         }
-    return cover
+    return out
 
 
 def _parse_index(raw: str):
     return int(raw) if raw.lstrip("-").isdigit() else raw
 
 
+@_reader
 def patch_system_from_json(data: dict) -> PatchSystem:
     ambient = complex_from_json(data["ambient"])
     groups = data.get("groups", {})
@@ -184,6 +232,7 @@ def isometry_to_json(g: EuclideanIsometry) -> dict:
     }
 
 
+@_reader
 def isometry_from_json(data: dict) -> EuclideanIsometry:
     a = [[rational_from_json(x) for x in row] for row in data["A"]]
     b = [rational_from_json(x) for x in data["b"]]
@@ -191,16 +240,23 @@ def isometry_from_json(data: dict) -> EuclideanIsometry:
 
 
 def arrangement_to_json(arr: Arrangement) -> dict:
+    return _arrangement_json(arr.dim, arr.base, arr.groups, arr.pieces)
+
+
+def _arrangement_json(dim: int, base: int, groups, pieces=()) -> dict:
+    """``arrangement_to_json(Arrangement(dim, base, groups, pieces))``,
+    written from the parts without building the arrangement."""
     out = {
-        "dim": arr.dim,
-        "base": arr.base,
-        "groups": [[isometry_to_json(g) for g in gens] for gens in arr.groups],
+        "dim": dim,
+        "base": base,
+        "groups": [[isometry_to_json(g) for g in gens] for gens in groups],
     }
-    if arr.pieces:
-        out["pieces"] = [list(p) for p in arr.pieces]
+    if pieces:
+        out["pieces"] = [list(p) for p in pieces]
     return out
 
 
+@_reader
 def arrangement_from_json(data: dict) -> Arrangement:
     groups = tuple(
         tuple(isometry_from_json(g) for g in gens) for gens in data["groups"]
@@ -223,6 +279,7 @@ def box_union_to_json(bu: BoxUnion) -> dict:
     }
 
 
+@_reader
 def box_union_from_json(data: dict) -> BoxUnion:
     dim = int(data["dim"])
     lattice = LatticeSubgroup.from_generators(data.get("lattice", []), dim)
@@ -234,5 +291,6 @@ def box_union_from_json(data: dict) -> BoxUnion:
     return BoxUnion(dim=dim, lattice=lattice, boxes=boxes)
 
 
+@_reader
 def cover_spec_from_json(data: dict, rank: int) -> FiniteCoverSpec:
     return FiniteCoverSpec.of(data["sublattice"], rank)

@@ -7,14 +7,15 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import construct
 from .clumps import Patch, PatchSystem
-from .covers import Cover
-from .euclid import Arrangement, EuclideanIsometry
+from .euclid import EuclideanIsometry
 from .jsonio import (
-    arrangement_to_json,
-    cover_to_json,
+    _arrangement_json,
+    _cover_json,
+    _patch_system_json,
     isometry_to_json,
     patch_system_to_json,
     rational_from_json,
@@ -148,7 +149,10 @@ GENERATOR_VERSION = "nerveforge-gen-1"
 LABEL_VECTORS = [(1, 0), (0, 1), (1, 1), (2, 0)]
 
 
-def _label_alphabet():
+@cache
+def _label_alphabet() -> tuple:
+    """The distinct subgroups spanned by subsets of ``LABEL_VECTORS``, in
+    key order; built on first use and kept."""
     from itertools import combinations
 
     seen = {}
@@ -156,12 +160,18 @@ def _label_alphabet():
         for combo in combinations(LABEL_VECTORS, r):
             g = LatticeSubgroup.from_generators([list(v) for v in combo], 2)
             seen[g.key()] = g
-    return [seen[k] for k in sorted(seen)]
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def generate(family: str, params: dict | None = None, seed: int = 0) -> Scenario:
     """Deterministic scenario generation; identical (family, params, seed)
-    yields identical output."""
+    yields identical output.
+
+    Payloads are written from the parts the generator draws, through the
+    same writers as ``jsonio``'s ``*_to_json``, without building the
+    ``Cover``, ``PatchSystem`` or ``Arrangement`` they describe.  They are
+    validated once, by the ``jsonio`` readers that read them.
+    """
     params = dict(params or {})
     rng = random.Random(seed)
     builders = {
@@ -227,10 +237,9 @@ def _gen_box_cover(params, rng, seed) -> Scenario:
         g = int(params.get("grid", 3))
         ambient = grid_complex(g, g)
         pieces = _distinct_rect_pieces(ambient, g, g, n_pieces, rng, mode == "mixed")
-    cover = Cover(ambient, pieces)
     return Scenario(
         kind="cover",
-        payload=cover_to_json(cover),
+        payload=_cover_json(ambient, pieces),
         constants=DEFAULT_CONSTANTS,
         seed=seed,
     )
@@ -265,10 +274,9 @@ def _gen_patch_system(params, rng, seed) -> Scenario:
             enlargements[(k,)] = interval_subcomplex(
                 path, max(0, a - 1), min(6, b + 1)
             ).simplices
-    ps = PatchSystem(ambient=path, patches=patches, enlargements=enlargements)
     return Scenario(
         kind="patch-system",
-        payload=patch_system_to_json(ps),
+        payload=_patch_system_json(path, patches, enlargements),
         constants=DEFAULT_CONSTANTS,
         seed=seed,
     )
@@ -304,8 +312,7 @@ def _gen_arrangement(params, rng, seed) -> Scenario:
                 _glide_plane(3, 1, side, 2),
             )
         )
-        arr = Arrangement(dim=3, base=2, groups=groups)
-        payload.update(arrangement_to_json(arr))
+        payload.update(_arrangement_json(3, 2, groups))
         payload.update({"n": 3, "r": 1})
     elif style == "square-cycle-4d":
         side = int(params.get("side", rng.choice([2, 3])))
@@ -318,16 +325,14 @@ def _gen_arrangement(params, rng, seed) -> Scenario:
                 _glide_plane(4, 1, side, 2),
             )
         )
-        arr = Arrangement(dim=4, base=2, groups=groups)
-        payload.update(arrangement_to_json(arr))
+        payload.update(_arrangement_json(4, 2, groups))
         payload.update({"n": 4, "r": 2})
     elif style == "parallel-planes":
         count = int(params.get("count", rng.randrange(2, 5)))
         groups = tuple(
             (_glide_plane(3, 0, 2 * i + 1, 2),) for i in range(count)
         )
-        arr = Arrangement(dim=3, base=2, groups=groups)
-        payload.update(arrangement_to_json(arr))
+        payload.update(_arrangement_json(3, 2, groups))
         payload.update({"n": 3, "r": 1})
     elif style == "translations":
         count = int(params.get("count", rng.randrange(2, 4)))
@@ -336,13 +341,11 @@ def _gen_arrangement(params, rng, seed) -> Scenario:
                 [rng.randrange(1, 3), rng.randrange(0, 2), 0]),)
             for _ in range(count)
         )
-        arr = Arrangement(dim=3, base=2, groups=groups)
-        payload.update(arrangement_to_json(arr))
+        payload.update(_arrangement_json(3, 2, groups))
         payload.update({"n": 3, "r": 1})
     elif style == "shared-axis":
         groups = ((_screw_z(True),), (_screw_z(False),))
-        arr = Arrangement(dim=3, base=2, groups=groups)
-        payload.update(arrangement_to_json(arr))
+        payload.update(_arrangement_json(3, 2, groups))
         payload.update({"n": 4, "r": 1})
         payload["common_group"] = [
             isometry_to_json(EuclideanIsometry.translation([0, 0, 1]))
@@ -481,11 +484,9 @@ def introduction_patch_system():
 def _gen_introduction(params, rng, seed) -> Scenario:
     n = int(params.get("n", 4))
     ps, cycle = introduction_patch_system()
-    ambient, u, v, membrane, _ = construct.two_ball_gluing()
-    cover = Cover(ambient, {"U": u, "V": v})
     payload = {
         "patch_system": patch_system_to_json(ps),
-        "cover": cover_to_json(cover),
+        "cover": _cover_json(ps.ambient, {k: ps.patches[k].support for k in ("U", "V")}),
         "cycle": [[coeff, list(s)] for s, coeff in sorted(cycle.items())],
         "cycle_degree": 2,
         "n": n,

@@ -4,6 +4,16 @@ A simplex is a tuple of vertex ids sorted in the ambient vertex order
 (orientation convention: boundary signs alternate by position in that
 order).  Complexes are immutable after construction.
 
+Validation happens where simplices enter: ``close_downward``,
+``SimplicialComplex.from_maximal``, ``SimplicialComplex.from_simplices``
+and ``Subcomplex.of`` sort each simplex, reject repeated vertices and
+vertex ids of more than one type, and close downward.  The dataclass
+constructors ``SimplicialComplex(simplices)`` and
+``Subcomplex(ambient, simplices)`` trust their argument to be a closed set
+of sorted simplices; the package uses them for sets that are closed by
+construction (unions and intersections of subcomplexes, full subcomplexes,
+nerves, clique complexes).
+
 ``nerve_of`` enumerates nerves: every set of keys whose values have a
 common meet. The nerves of covers and of affine subspaces are built by it.
 ``cliques_of`` enumerates the cliques of a graph by the same frontier walk,
@@ -24,14 +34,14 @@ class ComplexError(ValueError):
     pass
 
 
-def _check_vertex_types(vertices):
-    kinds = {type(v).__name__ for v in vertices}
+def _check_vertex_types(kinds: set):
+    """Raise on a set of vertex id types with more than one member."""
     if len(kinds) > 1:
-        raise ComplexError(f"mixed vertex id types: {sorted(kinds)}")
+        raise ComplexError(f"mixed vertex id types: {sorted(k.__name__ for k in kinds)}")
 
 
 def normalize_simplex(simplex) -> tuple:
-    _check_vertex_types(simplex)
+    _check_vertex_types(set(map(type, simplex)))
     s = tuple(sorted(simplex))
     if len(set(s)) != len(s):
         raise ComplexError(f"repeated vertex in simplex {simplex}")
@@ -39,12 +49,36 @@ def normalize_simplex(simplex) -> tuple:
 
 
 def close_downward(simplices) -> frozenset:
-    """All faces of the given simplices (including themselves)."""
+    """All faces of the given simplices (including themselves).
+
+    Raises ``ComplexError`` when a simplex repeats a vertex, or when the
+    vertex ids of all the simplices together are of more than one type.
+    The types are checked once, over every vertex; each simplex is then
+    sorted once.  The set built so far is always closed, so a simplex
+    already in it brings no new face, and a new simplex adds only its
+    facets that are not yet present, each of which is expanded in turn.
+    Input that lists faces before their cofaces, as ``complex_to_json``
+    writes it, finds every facet present.
+    """
+    given = [tuple(s) for s in simplices]
+    _check_vertex_types({type(v) for s in given for v in s})
     out = set()
-    for s in simplices:
-        s = normalize_simplex(s)
-        for k in range(1, len(s) + 1):
-            out.update(combinations(s, k))
+    for s in given:
+        s = tuple(sorted(s))
+        if not s or s in out:
+            continue
+        if len(set(s)) != len(s):
+            raise ComplexError(f"repeated vertex in simplex {s}")
+        out.add(s)
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            k = len(t) - 1
+            if k and not out.issuperset(combinations(t, k)):
+                for f in combinations(t, k):
+                    if f not in out:
+                        out.add(f)
+                        stack.append(f)
     return frozenset(out)
 
 
@@ -56,9 +90,7 @@ class SimplicialComplex:
 
     @staticmethod
     def from_maximal(simplices) -> "SimplicialComplex":
-        closed = close_downward(simplices)
-        _check_vertex_types({v for s in closed for v in s})
-        return SimplicialComplex(closed)
+        return SimplicialComplex(close_downward(simplices))
 
     @staticmethod
     def from_simplices(simplices) -> "SimplicialComplex":
@@ -71,7 +103,6 @@ class SimplicialComplex:
         if set(given) != set(closed):
             missing = sorted(closed - set(given))[:3]
             raise ComplexError(f"not downward closed, e.g. missing {missing}")
-        _check_vertex_types({v for s in closed for v in s})
         return SimplicialComplex(closed)
 
     @cached_property

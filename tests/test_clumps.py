@@ -331,6 +331,39 @@ def test_maximal_clumps_memo_is_per_instance(monkeypatch):
     assert len(calls) == 2
 
 
+def test_patch_nerve_built_once_per_patch_system(monkeypatch):
+    import dataclasses
+
+    import nerveforge.clumps as clumps_module
+
+    built = []
+
+    class Counted(PatchNerve):
+        def __init__(self, ps):
+            built.append(ps)
+            super().__init__(ps)
+
+    monkeypatch.setattr(clumps_module, "PatchNerve", Counted)
+    ps, _ = introduction_system()
+    # every check the benchmark runs on a patch system, and the rest that
+    # build a nerve when given none
+    assert maximal_clumps(ps)
+    assert engulfing_check(ps).ok
+    assert unfolding_vanishing_check(ps, n=4, r=1).ok
+    assert patch_union_decomposition_ok(ps)
+    assert is_minimal(ps, E1)
+    assert not clump(ps, E1).is_empty()
+    assert group_of_simplex(ps, ("U", "V")) == Z2
+    assert intersection_formula_check(ps, E1, E2).ok
+    assert built == [ps]
+    # the memo takes no part in ==, repr or replace
+    fresh, _ = introduction_system()
+    assert fresh == ps and repr(fresh) == repr(ps)
+    copy = dataclasses.replace(ps)
+    assert engulfing_check(copy).ok
+    assert len(built) == 2 and built[1] is copy
+
+
 def test_unfolding_with_cone_enlargements():
     # enlarge each patch to a cone: vanishing becomes easy and the check passes
     path = path_complex(6)

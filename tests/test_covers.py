@@ -1,7 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nerveforge import covers as covers_module
@@ -32,7 +33,7 @@ from nerveforge.homology import (
     homology,
     homology_of_complex,
 )
-from nerveforge.simplicial import SimplicialComplex
+from nerveforge.simplicial import SimplicialComplex, close_downward
 
 from chain_helpers import scanned_chains, simplices_of_dim
 
@@ -72,6 +73,34 @@ def test_cover_validation():
     # a set piece would later break the frozenset-keyed homology memo
     with pytest.raises(CoverError, match="not a frozenset"):
         Cover(path, {0: set(sub)})
+
+
+@st.composite
+def pieces_with_gaps(draw):
+    """A complex and a piece of it: the closure of a few of its simplices,
+    minus up to two simplices, so the piece is closed or not."""
+    c = SimplicialComplex.from_maximal(draw(st.lists(
+        st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=5)))
+    closed = close_downward(draw(st.lists(st.sampled_from(sorted(c.simplices)),
+                                          min_size=1, max_size=3)))
+    gaps = draw(st.sets(st.sampled_from(sorted(closed)), max_size=2))
+    return c, closed - gaps
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces_with_gaps())
+def test_facet_check_agrees_with_the_all_faces_check(case):
+    c, piece = case
+    assume(piece)
+    closed = all(f in piece for s in piece for k in range(1, len(s))
+                 for f in combinations(s, k))
+    try:
+        Cover(c, {0: piece})
+        accepted = True
+    except CoverError:
+        accepted = False
+    assert accepted == closed
 
 
 def test_nerve_disjoint_pieces():

@@ -242,6 +242,14 @@ def test_chain_complex_matches_loop(c):
     assert cc.boundaries == ref.boundaries
 
 
+@settings(max_examples=150, deadline=None)
+@given(random_complexes)
+def test_trusted_chain_complex_equals_the_validated_one(c):
+    # chain_complex skips the ∂∂ = 0 check that of_cells makes
+    cc = chain_complex(c)
+    assert cc == IntegerChainComplex.of_cells(cc.basis, simplex_boundary)
+
+
 @st.composite
 def subcomplex_pairs(draw):
     """A complex and a subcomplex spanned by some of its simplices, possibly

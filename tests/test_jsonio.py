@@ -70,3 +70,76 @@ def test_tuple_vertex_labels_come_back_as_tuples():
     payload = generate("random-box-cover", {"dim": 2, "mode": "good"}, 0).payload
     cover = jsonio.cover_from_json(json.loads(json.dumps(payload)))
     assert all(isinstance(v, tuple) for v in cover.ambient.vertices)
+
+
+POINT = {"simplices": [[0]]}
+EDGE = {"simplices": [[0, 1]]}
+LATTICE = {"kind": "lattice", "ambient": 1, "rows": [[1]]}
+
+# (reader, arguments): each argument list is malformed, and every reader
+# must report it as FormatError, not as KeyError, TypeError and the like.
+MALFORMED = [
+    ("rational_from_json", ([1],)),
+    ("rational_from_json", ("1/0",)),
+    ("complex_from_json", ({},)),
+    ("complex_from_json", ({"simplices": 5},)),
+    ("complex_from_json", ({"simplices": [5]},)),
+    ("complex_from_json", ({"simplices": "ab"},)),
+    ("complex_from_json", ({"simplices": [{"0": 1}]},)),
+    ("complex_from_json", ({"simplices": [[0, 1], ["a", "b"]]},)),
+    ("complex_from_json", ({"simplices": [[0, 0]]},)),
+    ("complex_from_json", ({"simplices": [[0]], "vertices": 3},)),
+    ("subcomplex_from_json", (jsonio.complex_from_json(EDGE), 5)),
+    ("subcomplex_from_json", (jsonio.complex_from_json(EDGE), [0])),
+    ("subcomplex_from_json", (jsonio.complex_from_json(EDGE), ["01"])),
+    ("subcomplex_from_json", (jsonio.complex_from_json(EDGE), [[0, "a"]])),
+    ("subcomplex_from_json", (jsonio.complex_from_json(EDGE), [[2]])),
+    ("cover_from_json", ({},)),
+    ("cover_from_json", ({"ambient": POINT},)),
+    ("cover_from_json", ({"ambient": POINT, "pieces": [[0]]},)),
+    ("cover_from_json", ({"ambient": POINT, "pieces": {"0": 0}},)),
+    ("group_from_json", ({},)),
+    ("group_from_json", ([],)),
+    ("group_from_json", ({"kind": "lattice"},)),
+    ("group_from_json", ({"kind": "lattice", "ambient": "x", "rows": []},)),
+    ("group_from_json", ({"kind": "unitriangular", "generators": []},)),
+    ("patch_system_from_json", ({},)),
+    ("patch_system_from_json", ({"ambient": POINT, "pieces": {"0": [[0]]}},)),
+    ("patch_system_from_json", ({"ambient": POINT, "pieces": {"0": [[0]]},
+                                 "groups": {"0": LATTICE}, "flags": []},)),
+    ("patch_system_from_json", ({"ambient": POINT, "pieces": {"0": [[0]]},
+                                 "groups": {"0": LATTICE}, "enlargements": {"0": 5}},)),
+    ("isometry_from_json", ({"A": [[1]]},)),
+    ("isometry_from_json", ({"A": 1, "b": [0]},)),
+    ("isometry_from_json", ({"A": [[1]], "b": ["x"]},)),
+    ("arrangement_from_json", ({},)),
+    ("arrangement_from_json", ({"dim": 1, "base": 2, "groups": 5},)),
+    ("arrangement_from_json", ({"dim": 1, "base": 2, "groups": [[{"A": [[1]]}]]},)),
+    ("box_union_from_json", ({},)),
+    ("box_union_from_json", ({"dim": 2},)),
+    ("box_union_from_json", ({"dim": "x", "boxes": []},)),
+    ("box_union_from_json", ({"dim": 1, "boxes": [{"lo": ["0"]}]},)),
+    ("box_union_from_json", ({"dim": 1, "boxes": [5]},)),
+    ("cover_spec_from_json", ({}, 1)),
+    ("cover_spec_from_json", ({"sublattice": 5}, 1)),
+]
+
+
+def test_every_reader_has_malformed_cases():
+    readers = {name for name in vars(jsonio) if name.endswith("_from_json")}
+    assert readers == {name for name, _ in MALFORMED}
+
+
+@pytest.mark.parametrize("reader,args", MALFORMED,
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(MALFORMED)])
+def test_readers_report_malformed_input_as_format_error(reader, args):
+    with pytest.raises(jsonio.FormatError):
+        getattr(jsonio, reader)(*args)
+
+
+def test_mixed_vertex_types_across_simplices_are_rejected():
+    # each simplex alone is homogeneous; together they mix int and str ids
+    with pytest.raises(jsonio.FormatError, match="mixed vertex id types"):
+        jsonio.complex_from_json({"simplices": [[0, 1], ["a", "b"]]})
+    with pytest.raises(jsonio.FormatError, match="mixed vertex id types"):
+        jsonio.complex_from_json({"simplices": [[0, 1]], "vertices": ["a"]})

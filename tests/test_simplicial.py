@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerveforge.construct import full_simplex, grid_complex, path_complex, rect_subcomplex
+from nerveforge.construct import (full_simplex, grid_complex, interval_subcomplex, path_complex,
+                                  rect_subcomplex)
 from nerveforge.simplicial import (
     ComplexError,
     SimplicialComplex,
     SimplicialMap,
     Subcomplex,
     cliques_of,
+    close_downward,
     nerve_of,
 )
 
@@ -46,6 +48,47 @@ def test_strict_loader_rejects_gaps_and_duplicates():
         SimplicialComplex.from_simplices([(0,), (1,), (0, 1), (0, 1)])
     with pytest.raises(ComplexError):
         SimplicialComplex.from_maximal([(0, "a")])
+
+
+def all_faces(simplices) -> frozenset:
+    """Reference closure: every nonempty vertex subset of every simplex."""
+    return frozenset(f for s in simplices for k in range(1, len(s) + 1)
+                     for f in combinations(sorted(s), k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 6), max_size=5, unique=True), max_size=8))
+def test_close_downward_matches_all_faces(simplices):
+    # unsorted simplices, repeats, faces before or after their cofaces
+    assert close_downward(simplices) == all_faces(simplices)
+
+
+def test_close_downward_rejects_repeats_and_mixed_types():
+    with pytest.raises(ComplexError, match="repeated vertex"):
+        close_downward([(0, 1), (2, 2)])
+    # each simplex alone is homogeneous
+    with pytest.raises(ComplexError, match="mixed vertex id types"):
+        close_downward([(0, 1), ("a", "b")])
+    with pytest.raises(ComplexError, match="mixed vertex id types"):
+        close_downward([(0, "a")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6))
+def test_interval_subcomplex_equals_the_validated_one(a, b):
+    path = path_complex(6)
+    full = [s for s in path.simplices if all(a <= v <= b for v in s)]
+    assert interval_subcomplex(path, a, b) == Subcomplex.of(path, full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=4, max_size=4))
+def test_rect_subcomplex_equals_the_validated_one(corners):
+    i0, i1, j0, j1 = corners
+    grid = grid_complex(3, 4)
+    full = [s for s in grid.simplices
+            if all(i0 <= v[0] <= i1 and j0 <= v[1] <= j1 for v in s)]
+    assert rect_subcomplex(grid, i0, i1, j0, j1) == Subcomplex.of(grid, full)
 
 
 def test_subcomplex_ops():
