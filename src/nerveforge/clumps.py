@@ -28,7 +28,6 @@ from .lattices import (
     virtually_contains,
 )
 from .simplicial import SimplicialComplex, union_all
-from .snf import solve_integer
 
 
 class ClumpError(ValueError):
@@ -145,15 +144,6 @@ class PatchNerve:
 
     def intersection(self, sigma):
         return self.nerve.intersections[tuple(sorted(sigma))]
-
-
-def group_of_simplex(ps: PatchSystem, sigma: tuple, pn: PatchNerve | None = None) -> LatticeSubgroup:
-    """Join of the patch labels over a nerve simplex."""
-    pn = pn or ps._patch_nerve
-    key = tuple(sorted(sigma))
-    if key not in pn.groups:
-        raise ClumpError(f"{sigma} is not a simplex of the patch nerve")
-    return pn.groups[key]
 
 
 @dataclass(frozen=True)
@@ -347,13 +337,6 @@ class UnfoldingSpace:
                 lab = self.folded.cc.basis[d][col]
                 out[self.unfolded.index[d][lab]] += v
         return out
-
-    def fill(self, vector: list[int], d: int):
-        """Explicit chain with boundary equal to the given cycle, or None."""
-        mat = self.unfolded.cc.dense_boundary(d + 1)
-        if not mat or not mat[0]:
-            return None if any(vector) else []
-        return solve_integer(mat, vector)
 
 
 def unfolding_space(ps: PatchSystem, pn: PatchNerve | None = None) -> UnfoldingSpace:

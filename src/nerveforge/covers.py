@@ -1,4 +1,4 @@
-"""Covers of simplicial complexes: nerves, saturation, fattenings, and the
+"""Covers of simplicial complexes: nerves, saturation, goodness, and the
 homology assembly bound."""
 
 from __future__ import annotations
@@ -6,12 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .homology import (
-    HomologySummary,
-    TotalComplex,
-    homology,
-    homology_of_complex,
-)
+from .homology import HomologySummary, homology_of_complex
 from .simplicial import SimplicialComplex, nerve_of, union_all
 
 
@@ -107,17 +102,6 @@ def saturate(nv: NerveComplex, alpha: tuple, cover: Cover) -> tuple:
     if x is None:
         raise CoverError(f"{alpha!r} is not a simplex of the nerve")
     return tuple(sorted(i for i in cover.indices if x <= cover.pieces[i]))
-
-
-def fattening(cover: Cover, nv: NerveComplex | None = None) -> TotalComplex:
-    """Total complex of the intersection diagram over the nerve; its homology
-    equals the homology of the union of the pieces."""
-    nv = nv or nerve(cover)
-    return TotalComplex(nv.intersections, nv.intersections.get)
-
-
-def fattening_homology(cover: Cover, degrees=None, reduced=False) -> HomologySummary:
-    return homology(fattening(cover).cc, degrees=degrees, reduced=reduced)
 
 
 @dataclass(frozen=True)
@@ -223,7 +207,3 @@ def assembly_bound_check(cover: Cover, n: int) -> AssemblyVerdict:
         },
         certificate=certificate,
     )
-
-
-def nerve_homology(cover: Cover, reduced=False) -> HomologySummary:
-    return homology_of_complex(nerve(cover).complex, reduced=reduced)

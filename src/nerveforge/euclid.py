@@ -53,14 +53,6 @@ def vec(xs) -> Vec:
     return tuple(_frac(x) for x in xs)
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _scaled(m):
     """(int matrix, d) with m = int matrix / d, d the lcm of the denominators
     of the ``int`` or ``Fraction`` entries."""
@@ -150,18 +142,6 @@ def _in_span(v: list[int], rows: dict[int, list[int]]) -> bool:
     return not any(snf.reduce_by_echelon(rows, v))
 
 
-def in_row_space(v, basis) -> bool:
-    """Whether ``v`` lies in the span of ``basis``, which must be in reduced
-    row echelon form, as ``AffineSubspace.directions`` are.
-
-    Each row is zero at every other row's pivot, so cancelling ``v`` against
-    each row at its pivot leaves ``v`` zero at every pivot; what is left is
-    zero exactly when ``v`` is in the span.
-    """
-    (ints,), _ = _scaled([v])
-    return _in_span(ints, _echelon_rows(basis))
-
-
 @dataclass(frozen=True)
 class AffineSubspace:
     """base + span(directions); directions kept in reduced echelon form.
@@ -226,10 +206,6 @@ class AffineSubspace:
         (ints,), _ = _scaled([v])
         return _in_span(ints, self._ints[2])
 
-    def contains_point(self, p) -> bool:
-        (x,), dx = _scaled([vec(p)])
-        return self._has_point(x, dx)
-
     def contains(self, other: "AffineSubspace") -> bool:
         base, den, rows = other._ints
         mine = self._ints[2]
@@ -245,9 +221,6 @@ class AffineSubspace:
 
     def __hash__(self):
         return hash((self.dim, self.ambient_dim))
-
-    def translate(self, v) -> "AffineSubspace":
-        return AffineSubspace(vadd(self.base, vec(v)), self.directions)
 
     def _project(self, vectors):
         """Orthogonal projections of ``int`` vectors onto the direction
@@ -268,16 +241,6 @@ class AffineSubspace:
         images = [[sum(c[j] * r[i] for c, r in zip(coeffs, rows)) for i in range(len(v))]
                   for j, v in enumerate(vectors)]
         return images, den
-
-    def project_point(self, x) -> Vec:
-        """Orthogonal (closest point) projection of x onto the subspace."""
-        if not self.directions:
-            return self.base
-        (xs,), dx = _scaled([vec(x)])
-        diff, dd = self._offsets(xs, dx)
-        [img], den = self._project([diff])
-        base = self._ints[0]
-        return _fracs([u * dx * den + v for u, v in zip(base, img)], dd * den)
 
     def project_subspace(self, other: "AffineSubspace") -> "AffineSubspace":
         """Image of another affine subspace under the orthogonal projection."""
@@ -404,10 +367,6 @@ class EuclideanIsometry:
         d = self._ints[2]
         return [y - d * z for y, z in zip(self._moved(x, dx), x)]
 
-    def apply(self, x) -> Vec:
-        (xs,), dx = _scaled([vec(x)])
-        return _fracs(self._moved(xs, dx), self._ints[2] * dx)
-
     def compose(self, other: "EuclideanIsometry") -> "EuclideanIsometry":
         """self after other."""
         return EuclideanIsometry._trusted(*_compose(self._ints, other._ints))
@@ -416,9 +375,6 @@ class EuclideanIsometry:
         m, b, d = self._ints
         mt = _transpose(m)
         return _reduced([[d * x for x in row] for row in mt], [-x for x in _mat_vec(mt, b)], d * d)
-
-    def inverse(self) -> "EuclideanIsometry":
-        return EuclideanIsometry._trusted(*self._inverse_ints())
 
     def power(self, k: int) -> "EuclideanIsometry":
         """Square-and-multiply on integer forms; no squaring after the top
@@ -562,10 +518,6 @@ def splitting_check(a_gens, b_gens) -> SplittingReport:
         checks["projection_equals_intersection"] = proj == inter
     ok = all(checks.values())
     return SplittingReport(ok=ok, rank=r, checks=checks, min_a=min_a, intersection=inter)
-
-
-def closest_point_projection(c: AffineSubspace, x) -> Vec:
-    return c.project_point(x)
 
 
 # ---------------------------------------------------------------------------

@@ -378,13 +378,6 @@ def homology_of_complex(c: SimplicialComplex, degrees=None, reduced: bool = Fals
     return HomologySummary.of(entries)
 
 
-def is_acyclic(c: SimplicialComplex) -> bool:
-    """Vanishing reduced integer homology in every degree."""
-    if c.is_empty():
-        return False
-    return homology_of_complex(c, reduced=True) == HomologySummary.of({})
-
-
 class DegreeHomology:
     """Homology of one degree with an explicit, deterministic generator basis.
 
@@ -583,28 +576,6 @@ class InducedMap:
     target_orders: list[int]
     is_zero: bool
     degree_flagged: bool = False  # degree outside both complexes' ranges
-
-    def compose_after(self, earlier: "InducedMap") -> "InducedMap":
-        rows = len(self.matrix)
-        mid = len(earlier.matrix)
-        cols = len(earlier.matrix[0]) if mid and earlier.matrix else (
-            len(earlier.source_orders))
-        out = [[0] * cols for _ in range(rows)]
-        for i in range(rows):
-            for k in range(mid):
-                a = self.matrix[i][k]
-                if a:
-                    for j in range(cols):
-                        out[i][j] += a * earlier.matrix[k][j]
-        for i, o in enumerate(self.target_orders):
-            if o:
-                out[i] = [x % o for x in out[i]]
-        return InducedMap(
-            matrix=out,
-            source_orders=list(earlier.source_orders),
-            target_orders=list(self.target_orders),
-            is_zero=all(not any(r) for r in out),
-        )
 
 
 def induced_map_on_homology(

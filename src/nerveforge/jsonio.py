@@ -12,9 +12,10 @@ of the wrong type, vertex ids of mixed types) and the constructors' own
 errors for well-formed input that violates their conditions.
 
 The ``*_to_json`` writers trust their objects.  ``_cover_json``,
-``_patch_system_json`` and ``_arrangement_json`` write the same payloads
-from the parts, without building the object, for the scenario generators;
-the readers build and validate it once, when the payload is read.
+``_patch_system_json`` and ``_arrangement_json`` write the cover,
+patch-system and arrangement payloads from the parts, without building the
+object, for the scenario generators; the readers build and validate it
+once, when the payload is read.
 """
 
 from __future__ import annotations
@@ -122,13 +123,10 @@ def _by_str_key(items: dict) -> list:
     return sorted(items.items(), key=lambda kv: str(kv[0]))
 
 
-def cover_to_json(cover: Cover) -> dict:
-    return _cover_json(cover.ambient, cover.pieces, cover.covering)
-
-
 def _cover_json(ambient: SimplicialComplex, pieces: dict, covering: bool = False) -> dict:
-    """``cover_to_json(Cover(ambient, pieces, covering))``, written from the
-    parts without building the cover."""
+    """The payload that ``cover_from_json`` reads as
+    ``Cover(ambient, pieces, covering)``, written from the parts without
+    building the cover."""
     return {
         "ambient": complex_to_json(ambient),
         "pieces": {str(i): _write_simplices(sub) for i, sub in _by_str_key(pieces)},
@@ -206,6 +204,8 @@ def patch_system_from_json(data: dict) -> PatchSystem:
     patches = {}
     for key, val in data["pieces"].items():
         idx = _parse_index(key)
+        if idx in patches:
+            raise FormatError(f"piece keys {key!r} and an earlier one name patch {idx!r}")
         if key not in groups:
             raise FormatError(f"patch {key!r} has no group label")
         g = group_from_json(groups[key])
@@ -221,6 +221,8 @@ def patch_system_from_json(data: dict) -> PatchSystem:
     enlargements = {}
     for key, val in data.get("enlargements", {}).items():
         idx = tuple(sorted(_parse_index(p) for p in key.split(",")))
+        if idx in enlargements:
+            raise FormatError(f"enlargement keys {key!r} and an earlier one name {idx!r}")
         enlargements[idx] = subcomplex_from_json(ambient, val)
     return PatchSystem(ambient=ambient, patches=patches, enlargements=enlargements)
 
@@ -239,13 +241,10 @@ def isometry_from_json(data: dict) -> EuclideanIsometry:
     return EuclideanIsometry.of(a, b)
 
 
-def arrangement_to_json(arr: Arrangement) -> dict:
-    return _arrangement_json(arr.dim, arr.base, arr.groups, arr.pieces)
-
-
 def _arrangement_json(dim: int, base: int, groups, pieces=()) -> dict:
-    """``arrangement_to_json(Arrangement(dim, base, groups, pieces))``,
-    written from the parts without building the arrangement."""
+    """The payload that ``arrangement_from_json`` reads as
+    ``Arrangement(dim, base, groups, pieces)``, written from the parts
+    without building the arrangement."""
     out = {
         "dim": dim,
         "base": base,

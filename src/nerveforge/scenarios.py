@@ -3,7 +3,6 @@ the canonical JSON envelope consumed by the verifier."""
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,7 +79,14 @@ def constants_to_json(c: Constants) -> dict:
     return out
 
 
+def _require(data: dict, keys, what: str):
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ScenarioError(f"missing {', '.join(map(repr, missing))} in {what}")
+
+
 def constants_from_json(data: dict) -> Constants:
+    _require(data, ("n", "base", "epsilon"), "constants")
     return Constants(
         n=int(data["n"]),
         base=int(data["base"]),
@@ -115,15 +121,9 @@ class Scenario:
             out["constants"] = constants_to_json(self.constants)
         return out
 
-    def digest(self) -> str:
-        # hashlib loads OpenSSL (several MB of memory); only digests need it.
-        import hashlib
-
-        canon = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
     @staticmethod
     def from_json(data: dict) -> "Scenario":
+        _require(data, ("kind", "payload"), "scenario envelope")
         constants = None
         if "constants" in data:
             constants = constants_from_json(data["constants"])

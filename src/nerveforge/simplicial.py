@@ -157,9 +157,6 @@ class Subcomplex:
         self._require_same_ambient(other)
         return Subcomplex(self.ambient, self.simplices & other.simplices)
 
-    def as_complex(self) -> SimplicialComplex:
-        return SimplicialComplex(self.simplices)
-
     def is_empty(self) -> bool:
         return not self.simplices
 

@@ -14,14 +14,13 @@ every rational rank, row space, membership test and linear solve.
 column index and a heap of pivot candidates, and the unimodular transforms
 as sparse lines: the rows of ``U`` and columns of ``V`` that its elementary
 operations act on, and the columns of ``U⁻¹`` and rows of ``V⁻¹`` that the
-inverse operations act on.  ``SNFResult`` hands those lines to callers;
-dense transform matrices are built only when a caller reads them.
+inverse operations act on.  ``SNFResult`` hands those lines to callers, and
+no dense transform matrix is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm
 
@@ -55,20 +54,6 @@ def mat_mul(a, b):
 Line = dict[int, int]
 
 
-def _dense(lines: list[Line] | None, n: int, as_rows: bool):
-    """The n×n matrix whose rows (or columns) are ``lines``."""
-    if lines is None:
-        return None
-    out = [[0] * n for _ in range(n)]
-    for k, line in enumerate(lines):
-        for x, v in line.items():
-            if as_rows:
-                out[k][x] = v
-            else:
-                out[x][k] = v
-    return out
-
-
 @dataclass
 class SNFResult:
     """U @ m @ V == D, with U, V unimodular and D the diagonal normal form.
@@ -77,8 +62,7 @@ class SNFResult:
     requested: ``u_rows[i]`` is row i of U, ``v_cols[j]`` column j of V,
     ``u_inv_cols[j]`` column j of U⁻¹ and ``v_inv_rows[i]`` row i of V⁻¹.
     So columns rank.. of V span the right kernel and rows rank.. of U the
-    left kernel.  ``u``, ``v``, ``u_inv`` and ``v_inv`` are dense views,
-    built on first read and cached.
+    left kernel.
     """
 
     factors: tuple[int, ...]  # nonzero diagonal entries, divisibility chain
@@ -92,28 +76,6 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return len(self.factors)
-
-    @cached_property
-    def u(self) -> list[list[int]] | None:
-        return _dense(self.u_rows, self.rows, as_rows=True)
-
-    @cached_property
-    def v(self) -> list[list[int]] | None:
-        return _dense(self.v_cols, self.cols, as_rows=False)
-
-    @cached_property
-    def u_inv(self) -> list[list[int]] | None:
-        return _dense(self.u_inv_cols, self.rows, as_rows=False)
-
-    @cached_property
-    def v_inv(self) -> list[list[int]] | None:
-        return _dense(self.v_inv_rows, self.cols, as_rows=True)
-
-    def diagonal_matrix(self) -> list[list[int]]:
-        d = [[0] * self.cols for _ in range(self.rows)]
-        for i, f in enumerate(self.factors):
-            d[i][i] = f
-        return d
 
 
 class _Sparse:
@@ -417,12 +379,6 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
     )
 
 
-def integer_rank(matrix) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return smith_normal_form(matrix, want_u=False, want_v=False).rank
-
-
 def _cancel(x: list[int], y: list[int], p: int) -> list[int]:
     """A multiple of x minus a multiple of y, zero at p (for y[p] != 0)."""
     g = gcd(x[p], y[p])
@@ -485,18 +441,6 @@ def echelon(rows) -> list[tuple[int, list[int]]]:
 def rational_rank(matrix) -> int:
     """Rank over Q by fraction-free elimination (independent of SNF)."""
     return len(echelon(matrix))
-
-
-def kernel_basis(matrix) -> list[list[int]]:
-    """Basis of the right integer kernel {x : matrix @ x = 0} (as columns)."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return identity_matrix(n)
-    res = smith_normal_form(matrix, want_u=False, want_v=True)
-    return [[col.get(i, 0) for i in range(n)] for col in res.v_cols[res.rank:]]
 
 
 def row_kernel_basis(matrix) -> list[list[int]]:

@@ -18,11 +18,8 @@ from nerveforge.covers import (
     Cover,
     CoverError,
     assembly_bound_check,
-    fattening,
-    fattening_homology,
     goodness_check,
     nerve,
-    nerve_homology,
     saturate,
 )
 from nerveforge.homology import (
@@ -35,7 +32,7 @@ from nerveforge.homology import (
 )
 from nerveforge.simplicial import SimplicialComplex, close_downward
 
-from chain_helpers import scanned_chains, simplices_of_dim
+from chain_helpers import fattening, scanned_chains, simplices_of_dim
 
 
 def interval_cover(path, spans):
@@ -119,7 +116,7 @@ def test_nerve_three_arcs_circle():
     cov = Cover(c, arcs, covering=True)
     nv = nerve(cov)
     assert set(nv.intersections) == {("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("a", "c")}
-    assert nerve_homology(cov) == HomologySummary.of({0: (1, ()), 1: (1, ())})
+    assert homology_of_complex(nv.complex) == HomologySummary.of({0: (1, ()), 1: (1, ())})
 
 
 def test_nerve_common_vertex_full_simplex():
@@ -200,7 +197,7 @@ def test_reduced_nerve_strict_decrease_rule():
 def test_fattening_single_piece():
     path = path_complex(3)
     cov = interval_cover(path, [(0, 3)])
-    assert fattening_homology(cov) == HomologySummary.of({0: (1, ())})
+    assert homology(fattening(cov).cc) == HomologySummary.of({0: (1, ())})
 
 
 def test_fattening_matches_union_and_nerve_on_good_covers():
@@ -212,7 +209,7 @@ def test_fattening_matches_union_and_nerve_on_good_covers():
         h_union = homology_of_complex(cov.union_complex())
         assert h_total == h_union
         if goodness_check(cov).good:
-            assert h_total == nerve_homology(cov)
+            assert h_total == homology_of_complex(nerve(cov).complex)
 
 
 def union_cycles(cx, d):
@@ -287,7 +284,7 @@ def test_fattening_annulus_union():
         1: SimplicialComplex.from_maximal([(3, 4), (4, 5), (0, 5)]).simplices,
     }
     cov = Cover(c, pieces, covering=True)
-    assert fattening_homology(cov) == HomologySummary.of({0: (1, ()), 1: (1, ())})
+    assert homology(fattening(cov).cc) == HomologySummary.of({0: (1, ()), 1: (1, ())})
     # the double overlap has two components, so the cover is not good
     assert not goodness_check(cov).good
 

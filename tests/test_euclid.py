@@ -14,8 +14,6 @@ from nerveforge.euclid import (
     EuclideanIsometry,
     almost_abelian_vanishing_check,
     block_diagonal,
-    closest_point_projection,
-    in_row_space,
     ladder,
     minset,
     minset_of_group,
@@ -31,6 +29,31 @@ from nerveforge.euclid import (
     vec,
 )
 from nerveforge.homology import homology_of_complex
+
+
+def vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def apply(g, x):
+    """g(x) = a x + b, over ``Fraction``s."""
+    return vadd(ref_mat_apply(g.a, x), g.b)
+
+
+def project_point(s, x):
+    """The closest point of ``s`` to ``x``: the projection of the point
+    subspace {x}."""
+    return s.project_subspace(AffineSubspace.point(x)).base
+
+
+def in_row_space(v, basis):
+    """Whether ``v`` lies in the span of ``basis``: the linear subspace it
+    spans contains the point v."""
+    return AffineSubspace.of([0] * len(v), basis).contains(AffineSubspace.point(v))
 
 
 def rot_z_quarter(dim=3):
@@ -98,7 +121,7 @@ def test_minset_random_points_never_beat_base():
             p = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(3)]
             d = g.displacement_sq(p)
             assert d >= ms.min_displacement_sq
-            if not ms.subspace.contains_point(p):
+            if not ms.subspace.contains(AffineSubspace.point(p)):
                 assert d > ms.min_displacement_sq
 
 
@@ -142,9 +165,9 @@ def test_noncommuting_rejected():
 
 def test_closest_point_projection():
     z_axis = AffineSubspace.of([0, 0, 0], [[0, 0, 1]])
-    p = closest_point_projection(z_axis, [3, 4, 7])
+    p = project_point(z_axis, [3, 4, 7])
     assert p == vec([0, 0, 7])
-    assert closest_point_projection(z_axis, [0, 0, 2]) == vec([0, 0, 2])
+    assert project_point(z_axis, [0, 0, 2]) == vec([0, 0, 2])
 
 
 def test_projection_contraction_exact():
@@ -153,7 +176,7 @@ def test_projection_contraction_exact():
     for _ in range(100):
         x = [Fraction(rng.randrange(-8, 9), rng.randrange(1, 5)) for _ in range(3)]
         y = [Fraction(rng.randrange(-8, 9), rng.randrange(1, 5)) for _ in range(3)]
-        px, py = c.project_point(x), c.project_point(y)
+        px, py = project_point(c, x), project_point(c, y)
         dist_proj = sum((a - b) ** 2 for a, b in zip(px, py))
         dist = sum((a - b) ** 2 for a, b in zip(vec(x), vec(y)))
         assert dist_proj <= dist
@@ -166,8 +189,8 @@ def test_projection_equivariance_and_minset_image():
     rng = random.Random(3)
     for _ in range(30):
         x = [Fraction(rng.randrange(-5, 6)) for _ in range(3)]
-        left = z_axis.project_point(gamma.apply(x))
-        right = gamma.apply(z_axis.project_point(x))
+        left = project_point(z_axis, apply(gamma, x))
+        right = apply(gamma, project_point(z_axis, x))
         assert left == right
     # p_C(Min(gamma)) = C ∩ Min(gamma) for invariant C
     ms = minset(gamma).subspace
@@ -419,7 +442,7 @@ dims = st.integers(1, 4)
 @given(dims.flatmap(lambda n: st.tuples(isometries(n), isometries(n))), st.integers(-4, 9))
 def test_derived_isometries_pass_validation(pair, k):
     g, h = pair
-    for r in (g.compose(h), g.inverse(), g.power(k)):
+    for r in (g.compose(h), g.power(-1), g.power(k)):
         assert all(isinstance(x, Fraction) for row in r.a for x in row + r.b)
         assert EuclideanIsometry.of(r.a, r.b) == r
 
@@ -427,12 +450,12 @@ def test_derived_isometries_pass_validation(pair, k):
 @SETTINGS
 @given(dims.flatmap(isometries), st.integers(-4, 9))
 def test_power_is_repeated_compose(g, k):
-    step = g if k >= 0 else g.inverse()
+    step = g if k >= 0 else g.power(-1)
     out = EuclideanIsometry.identity(g.dim)
     for _ in range(abs(k)):
         out = step.compose(out)
     assert g.power(k) == out
-    assert g.compose(g.inverse()) == EuclideanIsometry.identity(g.dim)
+    assert g.compose(g.power(-1)) == EuclideanIsometry.identity(g.dim)
 
 
 @st.composite
@@ -675,12 +698,12 @@ def loop_intersect(s, t):
     for j, d in enumerate(t.directions):
         for i in range(n):
             a[i][len(s.directions) + j] = -d[i]
-    sol = solve_rational(a, list(euclid.vsub(t.base, s.base)))
+    sol = solve_rational(a, list(vsub(t.base, s.base)))
     if sol is None:
         return None
     base = s.base
     for c, d in zip(sol[0][: len(s.directions)], s.directions):
-        base = euclid.vadd(base, tuple(c * y for y in d))
+        base = vadd(base, tuple(c * y for y in d))
     dirs = [
         tuple(sum((z[j] * d[i] for j, d in enumerate(s.directions)), Fraction(0))
               for i in range(n))
@@ -731,7 +754,7 @@ def ref_transpose(m):
 def ref_compose(f, g):
     """(a, b) of f after g, each an (a, b) pair of Fraction tuples."""
     a = tuple(map(tuple, fraction_mat_mul(f[0], g[0])))
-    return a, euclid.vadd(ref_mat_apply(f[0], g[1]), f[1])
+    return a, vadd(ref_mat_apply(f[0], g[1]), f[1])
 
 
 def ref_inverse(f):
@@ -765,7 +788,7 @@ def ref_minset(g):
     m = [[g.a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     mt = ref_transpose(m)
     x0, null = fraction_solve(fraction_mat_mul(mt, m), [-v for v in ref_mat_apply(mt, g.b)])
-    v = euclid.vsub(euclid.vadd(ref_mat_apply(g.a, x0), g.b), x0)
+    v = vsub(vadd(ref_mat_apply(g.a, x0), g.b), x0)
     return (*ref_subspace(x0, null), ref_dot(v, v), v)
 
 
@@ -774,7 +797,7 @@ def ref_in_row_space(v, basis):
 
 
 def ref_contains(s, t):
-    return (ref_in_row_space(euclid.vsub(t.base, s.base), s.directions)
+    return (ref_in_row_space(vsub(t.base, s.base), s.directions)
             and all(ref_in_row_space(d, s.directions) for d in t.directions))
 
 
@@ -782,13 +805,13 @@ def ref_intersect(s, t):
     """(base, directions) of the intersection over Fractions, or None."""
     n, k = s.ambient_dim, s.dim
     a = [[d[i] for d in s.directions] + [-d[i] for d in t.directions] for i in range(n)]
-    sol = fraction_solve(a, list(euclid.vsub(t.base, s.base)))
+    sol = fraction_solve(a, list(vsub(t.base, s.base)))
     if sol is None:
         return None
     x, null = sol
     base = s.base
     for c, d in zip(x[:k], s.directions):
-        base = euclid.vadd(base, tuple(c * y for y in d))
+        base = vadd(base, tuple(c * y for y in d))
     dirs = [[sum((z[j] * d[i] for j, d in enumerate(s.directions)), Fraction(0))
              for i in range(n)] for z in null]
     return ref_subspace(base, dirs)
@@ -797,18 +820,18 @@ def ref_intersect(s, t):
 def ref_project_point(s, x):
     if not s.directions:
         return s.base
-    diff = euclid.vsub(tuple(map(Fraction, x)), s.base)
+    diff = vsub(tuple(map(Fraction, x)), s.base)
     gram = [[ref_dot(d, e) for e in s.directions] for d in s.directions]
     coeffs, _ = fraction_solve(gram, [ref_dot(d, diff) for d in s.directions])
     out = s.base
     for c, d in zip(coeffs, s.directions):
-        out = euclid.vadd(out, tuple(c * y for y in d))
+        out = vadd(out, tuple(c * y for y in d))
     return out
 
 
 def ref_project_subspace(s, t):
     base = ref_project_point(s, t.base)
-    imgs = [euclid.vsub(ref_project_point(s, euclid.vadd(t.base, d)), base) for d in t.directions]
+    imgs = [vsub(ref_project_point(s, vadd(t.base, d)), base) for d in t.directions]
     return ref_subspace(base, imgs)
 
 
@@ -825,10 +848,11 @@ isometry_pairs6 = dims6.flatmap(lambda n: st.tuples(isometries(n), isometries(n)
 def test_isometry_kernel_matches_fraction_reference(pair, k, point):
     g, h = pair
     assert repr(fields(g.compose(h))) == repr(ref_compose(fields(g), fields(h)))
-    assert repr(fields(g.inverse())) == repr(ref_inverse(fields(g)))
+    assert repr(fields(g.power(-1))) == repr(ref_inverse(fields(g)))
     assert repr(fields(g.power(k))) == repr(ref_power(fields(g), k))
     x = point[:g.dim]
-    assert repr(g.apply(x)) == repr(euclid.vadd(ref_mat_apply(g.a, x), g.b))
+    step = vsub(apply(g, x), x)
+    assert g.displacement_sq(x) == ref_dot(step, step)
     assert g.det() == cofactor_det(g.a)
     assert g.commutes_with(h) == (ref_compose(fields(g), fields(h))
                                   == ref_compose(fields(h), fields(g)))
@@ -857,7 +881,7 @@ def test_subspace_kernel_matches_fraction_reference(pair):
     s, t = pair
     assert repr(subspace_fields(s.intersect(t))) == repr(ref_intersect(s, t))
     assert repr(subspace_fields(s.project_subspace(t))) == repr(ref_project_subspace(s, t))
-    assert repr(s.project_point(t.base)) == repr(ref_project_point(s, t.base))
+    assert repr(project_point(s, t.base)) == repr(ref_project_point(s, t.base))
     assert s.contains(t) == ref_contains(s, t)
     assert t.contains(s) == ref_contains(t, s)
     assert all(s.contains(x) for x in (s, s.intersect(t)) if x is not None)

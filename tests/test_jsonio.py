@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nerveforge import jsonio
-from nerveforge.scenarios import Scenario, generate
+from nerveforge.scenarios import Scenario, ScenarioError, constants_from_json, generate
 
 # One entry per generator family and shape of payload.
 CASES = [
@@ -56,12 +56,16 @@ def read_payload(kind, payload):
     raise AssertionError(f"no reader for kind {kind!r}")
 
 
+def canonical(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 @pytest.mark.parametrize("family,params", CASES)
 def test_scenario_survives_json_text(family, params):
     scenario = generate(family, params, 0)
     text = json.dumps(scenario.to_json())
     back = Scenario.from_json(json.loads(text))
-    assert back.digest() == scenario.digest()
+    assert canonical(back.to_json()) == canonical(scenario.to_json())
     assert read_payload(back.kind, back.payload) == read_payload(
         scenario.kind, scenario.payload)
 
@@ -143,3 +147,40 @@ def test_mixed_vertex_types_across_simplices_are_rejected():
         jsonio.complex_from_json({"simplices": [[0, 1], ["a", "b"]]})
     with pytest.raises(jsonio.FormatError, match="mixed vertex id types"):
         jsonio.complex_from_json({"simplices": [[0, 1]], "vertices": ["a"]})
+
+
+@pytest.mark.parametrize("data", [{}, {"kind": "cover"}, {"payload": {}}])
+def test_scenario_envelope_without_kind_or_payload_is_rejected(data):
+    with pytest.raises(ScenarioError, match="missing .* in scenario envelope"):
+        Scenario.from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"base": 2, "epsilon": "1/2"},
+    {"n": 4, "epsilon": "1/2"},
+    {"n": 4, "base": 2},
+])
+def test_constants_without_n_base_or_epsilon_are_rejected(data):
+    with pytest.raises(ScenarioError, match="missing .* in constants"):
+        constants_from_json(data)
+    with pytest.raises(ScenarioError, match="missing .* in constants"):
+        Scenario.from_json({"kind": "cover", "payload": {}, "constants": data})
+
+
+def test_piece_keys_naming_one_patch_are_rejected():
+    # "1" and "01" both parse to patch 1
+    data = {"ambient": EDGE, "pieces": {"1": [[0]], "01": [[1]]},
+            "groups": {"1": LATTICE, "01": LATTICE}}
+    with pytest.raises(jsonio.FormatError, match="piece keys"):
+        jsonio.patch_system_from_json(data)
+
+
+def test_enlargement_keys_naming_one_set_are_rejected():
+    # "0,1" and "1,0" both parse and sort to the patch pair (0, 1)
+    data = {"ambient": EDGE, "pieces": {"0": [[0]], "1": [[1]]},
+            "groups": {"0": LATTICE, "1": LATTICE},
+            "enlargements": {"0,1": [[0, 1]], "1,0": [[0]]}}
+    with pytest.raises(jsonio.FormatError, match="enlargement keys"):
+        jsonio.patch_system_from_json(data)
+    del data["enlargements"]["1,0"]
+    assert set(jsonio.patch_system_from_json(data).enlargements) == {(0, 1)}

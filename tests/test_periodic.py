@@ -17,9 +17,12 @@ from nerveforge.periodic import (
     quotient_complex,
     quotient_corner_check,
     stabilization_check,
-    window_nerve_homology,
 )
 from nerveforge.simplicial import ComplexError, SimplicialComplex
+
+
+def window_nerve_homology(bu, w):
+    return homology_of_complex(bu.window_complex(w))
 
 
 def F(a, b=1):
@@ -345,7 +348,7 @@ def test_cover_window_projects_onto_base():
     spec = FiniteCoverSpec.of([[2]], 1)
     cw = CoverWindow(bu, spec, 2)
     base_verts = set(cw.base.vertices)
-    assert {cw.project(v) for v in cw.complex.vertices} == base_verts
+    assert {v[:2] for v in cw.complex.vertices} == base_verts
     assert len(cw.complex.vertices) == 2 * len(base_verts)
 
 
