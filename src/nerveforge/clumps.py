@@ -57,11 +57,10 @@ class PatchSystem:
     """Patches over an ambient complex, with optional enlargements.
 
     ``maximal_clumps`` keeps its result in ``_maximal_clumps``, and
-    ``_patch_nerve`` keeps the one ``PatchNerve`` that the clump checks
-    share when they are given none.  Both are per-instance memos that are
-    not part of ``==``, ``hash`` or ``repr``; ``dataclasses.replace`` builds
-    an instance with empty ones.  A patch system is not changed after it is
-    built.
+    ``_patch_nerve`` keeps the one ``PatchNerve`` that every clump check
+    reads.  Both are per-instance memos that are not part of ``==``,
+    ``hash`` or ``repr``; ``dataclasses.replace`` builds an instance with
+    empty ones.  A patch system is not changed after it is built.
     """
 
     ambient: SimplicialComplex
@@ -156,9 +155,9 @@ class Clump:
         return not self.support
 
 
-def clump(ps: PatchSystem, n: LatticeSubgroup, pn: PatchNerve | None = None) -> Clump:
+def clump(ps: PatchSystem, n: LatticeSubgroup) -> Clump:
     """Union of the intersections whose generated label contains n."""
-    pn = pn or ps._patch_nerve
+    pn = ps._patch_nerve
     contributing = tuple(
         sigma for sigma in pn.simplices() if pn.groups[sigma].contains(n)
     )
@@ -173,21 +172,20 @@ class IntersectionFormulaVerdict:
 
 
 def intersection_formula_check(
-    ps: PatchSystem, n: LatticeSubgroup, m: LatticeSubgroup, pn: PatchNerve | None = None
+    ps: PatchSystem, n: LatticeSubgroup, m: LatticeSubgroup
 ) -> IntersectionFormulaVerdict:
     """Y_N ∩ Y_M = Y_<N,M> as exact subcomplex equality."""
-    pn = pn or ps._patch_nerve
-    lhs = clump(ps, n, pn).support & clump(ps, m, pn).support
-    rhs = clump(ps, _join(n, m), pn).support
+    lhs = clump(ps, n).support & clump(ps, m).support
+    rhs = clump(ps, _join(n, m)).support
     if lhs == rhs:
         return IntersectionFormulaVerdict(ok=True)
     diff = (lhs - rhs) | (rhs - lhs)
     return IntersectionFormulaVerdict(ok=False, certificate=sorted(diff)[0])
 
 
-def is_minimal(ps: PatchSystem, n: LatticeSubgroup, pn: PatchNerve | None = None) -> bool:
+def is_minimal(ps: PatchSystem, n: LatticeSubgroup) -> bool:
     """Every simplex label either contains n or meets it in infinite index."""
-    pn = pn or ps._patch_nerve
+    pn = ps._patch_nerve
     for sigma in pn.simplices():
         g = pn.groups[sigma]
         if g.contains(n):
@@ -227,26 +225,26 @@ def _candidate_groups(pn: PatchNerve) -> list[LatticeSubgroup]:
     return list(pool.values())
 
 
-def maximal_clumps(ps: PatchSystem, pn: PatchNerve | None = None) -> list[MaximalClump]:
+def maximal_clumps(ps: PatchSystem) -> list[MaximalClump]:
     """Clumps definable by infinite minimal groups, each with its largest
     minimal group, filtered to those virtually containing some infinite
     patch label.
 
     Computed once per patch system; each call returns a fresh list."""
     if ps._maximal_clumps is None:
-        found = tuple(_find_maximal_clumps(ps, pn or ps._patch_nerve))
+        found = tuple(_find_maximal_clumps(ps))
         object.__setattr__(ps, "_maximal_clumps", found)
     return list(ps._maximal_clumps)
 
 
-def _find_maximal_clumps(ps: PatchSystem, pn: PatchNerve) -> list[MaximalClump]:
+def _find_maximal_clumps(ps: PatchSystem) -> list[MaximalClump]:
     candidates = [
-        g for g in _candidate_groups(pn)
-        if g.is_infinite() and is_minimal(ps, g, pn)
+        g for g in _candidate_groups(ps._patch_nerve)
+        if g.is_infinite() and is_minimal(ps, g)
     ]
     by_support: dict[frozenset, list[LatticeSubgroup]] = {}
     for g in candidates:
-        y = clump(ps, g, pn)
+        y = clump(ps, g)
         if y.is_empty():
             continue
         by_support.setdefault(y.support, []).append(g)
@@ -255,9 +253,9 @@ def _find_maximal_clumps(ps: PatchSystem, pn: PatchNerve) -> list[MaximalClump]:
     d = ps.lattice_ambient
     for support, groups in by_support.items():
         n_alpha = join_all(groups, d)
-        if not is_minimal(ps, n_alpha, pn):
+        if not is_minimal(ps, n_alpha):
             raise ClumpError("join of minimal groups failed to be minimal")
-        y = clump(ps, n_alpha, pn)
+        y = clump(ps, n_alpha)
         if y.support != support:
             raise ClumpError("largest minimal group defines a different clump")
         keep = any(
@@ -339,10 +337,10 @@ class UnfoldingSpace:
         return out
 
 
-def unfolding_space(ps: PatchSystem, pn: PatchNerve | None = None) -> UnfoldingSpace:
+def unfolding_space(ps: PatchSystem) -> UnfoldingSpace:
     """Total complexes over strictly decreasing maximal-clump chains, with
     coefficients the enlarged (resp. plain) clump supports."""
-    clumps_list = maximal_clumps(ps, pn)
+    clumps_list = maximal_clumps(ps)
     if not clumps_list:
         raise ClumpError("no maximal clumps: unfolding space is empty")
     chains = clump_chains(clumps_list)
@@ -432,11 +430,11 @@ class EngulfingVerdict:
     failures: tuple = ()
 
 
-def engulfing_check(ps: PatchSystem, pn: PatchNerve | None = None) -> EngulfingVerdict:
+def engulfing_check(ps: PatchSystem) -> EngulfingVerdict:
     """Semisimple enlargements reverse inclusion: for semisimple rho inside
     sigma, the rho-enlargement contains the sigma-enlargement; consequently
     the semisimple union engulfs the mixed region."""
-    pn = pn or ps._patch_nerve
+    pn = ps._patch_nerve
     semisimple = {i for i, p in ps.patches.items() if not p.parabolic}
     failures = []
     simplices = pn.simplices()
@@ -460,10 +458,9 @@ def engulfing_check(ps: PatchSystem, pn: PatchNerve | None = None) -> EngulfingV
     return EngulfingVerdict(ok=not failures, failures=tuple(failures))
 
 
-def patch_union_decomposition_ok(ps: PatchSystem, pn: PatchNerve | None = None) -> bool:
+def patch_union_decomposition_ok(ps: PatchSystem) -> bool:
     """Union of patches = union of maximal clumps plus finite-label patches."""
-    pn = pn or ps._patch_nerve
-    clumps_list = maximal_clumps(ps, pn)
+    clumps_list = maximal_clumps(ps)
     rhs = union_all(
         [c.support for c in clumps_list]
         + [p.support for p in ps.patches.values() if not p.group.is_infinite()]

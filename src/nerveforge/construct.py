@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .simplicial import SimplicialComplex, Subcomplex
+from .simplicial import SimplicialComplex
 
 
 def full_simplex(n_vertices: int) -> SimplicialComplex:
@@ -44,16 +44,16 @@ def cycle_complex(n: int) -> SimplicialComplex:
     )
 
 
-def _full_subcomplex(c: SimplicialComplex, inside: set) -> Subcomplex:
+def _full_subcomplex(c: SimplicialComplex, inside: set) -> frozenset:
     """The simplices of ``c`` with every vertex in ``inside``.
 
     A face of such a simplex has the same property, so the full
     subcomplex of a closed complex is closed, and it is built without
-    ``Subcomplex.of``'s closure."""
-    return Subcomplex(c, frozenset(s for s in c.simplices if inside.issuperset(s)))
+    ``close_downward``."""
+    return frozenset(s for s in c.simplices if inside.issuperset(s))
 
 
-def interval_subcomplex(path: SimplicialComplex, a: int, b: int) -> Subcomplex:
+def interval_subcomplex(path: SimplicialComplex, a: int, b: int) -> frozenset:
     """Full subcomplex of a path on vertices a..b."""
     return _full_subcomplex(path, {v for v in path.vertices if a <= v <= b})
 
@@ -68,7 +68,7 @@ def grid_complex(nx: int, ny: int) -> SimplicialComplex:
     return SimplicialComplex.from_maximal(tris)
 
 
-def rect_subcomplex(grid: SimplicialComplex, i0: int, i1: int, j0: int, j1: int) -> Subcomplex:
+def rect_subcomplex(grid: SimplicialComplex, i0: int, i1: int, j0: int, j1: int) -> frozenset:
     """Full subcomplex on grid vertices with i0 <= i <= i1, j0 <= j <= j1."""
     return _full_subcomplex(grid, {(i, j) for i, j in grid.vertices
                                    if i0 <= i <= i1 and j0 <= j <= j1})

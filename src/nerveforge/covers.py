@@ -26,8 +26,9 @@ class Cover:
     ``_reduced_homology`` memoizes, per instance, the reduced homology of
     each intersection the cover checks read, keyed on the intersection's
     simplex ``frozenset``. A set's homology is a function of the set alone,
-    so an entry cannot go stale; the memo is not a field, so ``==`` and
-    ``repr`` ignore it, and it is dropped with the cover.
+    so an entry cannot go stale. ``_nerve`` is the cover's nerve, built once
+    and shared by the cover checks. Neither memo is a field, so ``==`` and
+    ``repr`` ignore them, and they are dropped with the cover.
     """
 
     ambient: SimplicialComplex
@@ -63,6 +64,10 @@ class Cover:
 
     def union_complex(self) -> SimplicialComplex:
         return SimplicialComplex(self.union())
+
+    @cached_property
+    def _nerve(self) -> "NerveComplex":
+        return nerve(self)
 
     @cached_property
     def _homology_memo(self) -> dict:
@@ -122,12 +127,12 @@ class GoodnessReport:
         }
 
 
-def goodness_check(cover: Cover, nv: NerveComplex | None = None) -> GoodnessReport:
+def goodness_check(cover: Cover) -> GoodnessReport:
     """Reduced homology of every nonempty intersection; good iff all vanish.
 
     Each distinct intersection is computed once, through the cover's memo.
     """
-    nv = nv or nerve(cover)
+    nv = cover._nerve
     items = nv.simplices()
 
     def one(alpha):
@@ -166,7 +171,7 @@ def assembly_bound_check(cover: Cover, n: int) -> AssemblyVerdict:
     The reduced nerve's homology is read off the nerve itself, which has
     the same homology and fewer simplices.
     """
-    nv = nerve(cover)
+    nv = cover._nerve
     saturated = sorted({saturate(nv, a, cover) for a in nv.intersections},
                        key=lambda s: (len(s), s))
     height = {}

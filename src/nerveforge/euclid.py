@@ -1,23 +1,23 @@
 """Exact rational Euclidean isometries, minsets and arrangements.
 
-The public fields are exact ``Fraction``s: an isometry's ``a`` and ``b``, a
-subspace's ``base`` and its ``directions`` in reduced row echelon form.
-Beside them each instance has an integer form, computed once (or handed
-over by the operation that built the instance) and not part of ``==``,
-``hash`` or ``repr``:
+Each isometry and each affine subspace holds one state, its integer form
+``_ints``:
 
 - an isometry ``x -> a x + b`` is ``(A, b, d)`` with ``a = A/d`` and
   ``b = b/d`` over ``int``s, ``d`` the least common denominator;
 - an affine subspace is its base over one denominator and the primitive
   ``int`` rows that ``snf.echelon`` returns for its directions.
 
+The exact ``Fraction`` fields, an isometry's ``a`` and ``b`` and a
+subspace's ``base`` and its ``directions`` in reduced row echelon form, are
+views of that form, computed on first read and kept; ``repr`` shows them.
+
 Composition, powers, inverses, commutation, minsets, intersections,
-containment and projections run on these forms and set their linear
+containment and projections run on the integer forms and set their linear
 systems up over ``int``s for the one fraction-free elimination,
-``snf.echelon``; ``Fraction``s are built only for the public fields of a
-result. ``EuclideanIsometry.of`` validates its input (``AᵀA = d²I``); the
-isometries derived from validated ones (products, inverses, powers) are
-exactly orthogonal and are built without a re-check.
+``snf.echelon``. ``EuclideanIsometry.of`` validates its input
+(``AᵀA = d²I``); the isometries derived from validated ones (products,
+inverses, powers) are exactly orthogonal and are built without a re-check.
 
 Distances are compared on their squares, and the one place where sums of
 square roots must be compared (the isometry subadditivity check) groups
@@ -128,15 +128,6 @@ def rational_row_space_basis(rows):
     return _rref(snf.echelon(rows))
 
 
-def _echelon_rows(basis) -> dict[int, list[int]]:
-    """Pivot -> primitive ``int`` row of a basis in reduced row echelon form."""
-    out = {}
-    for row in basis:
-        (ints,), _ = _scaled([row])
-        out[next(j for j, x in enumerate(ints) if x)] = ints
-    return out
-
-
 def _in_span(v: list[int], rows: dict[int, list[int]]) -> bool:
     """Whether the ``int`` vector ``v`` lies in the span of echelon ``rows``."""
     return not any(snf.reduce_by_echelon(rows, v))
@@ -144,15 +135,16 @@ def _in_span(v: list[int], rows: dict[int, list[int]]) -> bool:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """base + span(directions); directions kept in reduced echelon form.
+    """base + span(directions); directions viewed in reduced echelon form.
 
-    ``_ints`` is the integer form ``(base, den, rows)``: the base is
-    ``base / den`` over ``int``s, and ``rows`` maps each pivot to the
-    primitive ``int`` row that spans the same line as that direction.
+    The one field is the integer form ``_ints = (base, den, rows)``: the
+    base is ``base / den`` over ``int``s in lowest terms, and ``rows`` maps
+    each pivot to the primitive ``int`` row that ``snf.echelon`` gives for
+    it. The rows' signs are not normalized, so ``==`` and ``hash`` compare
+    the subspaces, not the forms, and ``repr`` shows the ``Fraction`` views.
     """
 
-    base: Vec
-    directions: tuple[Vec, ...]
+    _ints: tuple
 
     @staticmethod
     def of(base, directions) -> "AffineSubspace":
@@ -162,36 +154,34 @@ class AffineSubspace:
     @staticmethod
     def _of_ints(base: list[int], den: int, rows) -> "AffineSubspace":
         """The subspace base / den + span(rows), from ``int``s: ``rows`` are
-        the ``(pivot, row)`` pairs of ``snf.echelon``. Seeds ``_ints``."""
+        the ``(pivot, row)`` pairs of ``snf.echelon``."""
         g = gcd(den, *base)
         if g > 1:
             base, den = [x // g for x in base], den // g
-        out = AffineSubspace(_fracs(base, den), tuple(_rref(rows)))
-        out.__dict__["_ints"] = (base, den, dict(rows))
-        return out
+        return AffineSubspace((base, den, dict(rows)))
 
     @staticmethod
     def full(dim: int) -> "AffineSubspace":
         return AffineSubspace._of_ints([0] * dim, 1, list(enumerate(snf.identity_matrix(dim))))
 
-    @staticmethod
-    def point(p) -> "AffineSubspace":
-        return AffineSubspace.of(p, [])
+    @cached_property
+    def base(self) -> Vec:
+        return _fracs(*self._ints[:2])
 
     @cached_property
-    def _ints(self):
-        """Computed once per instance unless seeded; not part of ``==``,
-        ``hash`` or ``repr``."""
-        (base,), den = _scaled([self.base])
-        return base, den, _echelon_rows(self.directions)
+    def directions(self) -> tuple[Vec, ...]:
+        return tuple(_rref(self._ints[2].items()))
+
+    def __repr__(self):
+        return f"AffineSubspace(base={self.base!r}, directions={self.directions!r})"
 
     @property
     def dim(self) -> int:
-        return len(self.directions)
+        return len(self._ints[2])
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.base)
+        return len(self._ints[0])
 
     def _offsets(self, x: list[int], dx: int):
         """(x / dx - base) as ``(ints, den)``."""
@@ -244,8 +234,8 @@ class AffineSubspace:
 
     def project_subspace(self, other: "AffineSubspace") -> "AffineSubspace":
         """Image of another affine subspace under the orthogonal projection."""
-        if not self.directions:
-            return AffineSubspace._of_ints(*self._ints[:2], [])
+        if not self._ints[2]:
+            return self
         obase, oden, orows = other._ints
         diff, dd = self._offsets(obase, oden)
         (img, *dirs), den = self._project([diff, *orows.values()])
@@ -304,37 +294,40 @@ def _compose(f, g):
 class EuclideanIsometry:
     """x -> A x + b with A exactly orthogonal and rational.
 
+    The one field is the integer form ``_ints = (A, b, d)``, tuples over
+    ``int``s with ``a = A/d`` and ``b = b/d``; ``a`` and ``b`` are the
+    ``Fraction`` views, and ``repr`` shows them. The form is canonical:
+    every builder leaves ``d > 0`` and ``gcd(d, entries) = 1`` (``_scaled``
+    takes the lcm of the denominators, ``_reduced`` divides by the gcd), so
+    two isometries are equal exactly when their forms are, and the
+    dataclass ``==`` and ``hash`` on ``_ints`` agree with equality of
+    ``a`` and ``b``.
+
     ``of`` is the validating constructor and checks ``AᵀA = I``. ``compose``,
-    ``inverse``, ``power``, ``identity`` and ``translation`` trust their
-    inputs: a product or transpose of orthogonal matrices is orthogonal.
-    ``_ints`` is the integer form ``(A, b, d)``: ``a = A/d`` and ``b = b/d``.
+    ``power``, ``identity`` and ``translation`` trust their inputs: a
+    product or transpose of orthogonal matrices is orthogonal.
     """
 
-    a: tuple[tuple[Fraction, ...], ...]
-    b: Vec
+    _ints: tuple
 
     @staticmethod
     def of(a, b) -> "EuclideanIsometry":
-        am = tuple(tuple(_frac(x) for x in row) for row in a)
+        am = [vec(row) for row in a]
         bv = vec(b)
         n = len(bv)
         if len(am) != n or any(len(r) != n for r in am):
             raise EuclidError("shape mismatch")
-        out = EuclideanIsometry(am, bv)
-        m, _, d = out._ints
+        (*m, bi), d = _scaled(am + [bv])
         if snf.mat_mul(_transpose(m), m) != [[d * d * x for x in row]
                                               for row in snf.identity_matrix(n)]:
             raise EuclidError("linear part is not orthogonal")
-        return out
+        return EuclideanIsometry._trusted(m, bi, d)
 
     @staticmethod
     def _trusted(m, b, d) -> "EuclideanIsometry":
         """Build from an integer form over its least common denominator whose
-        linear part is known to be orthogonal, without the check; the form
-        becomes the instance's ``_ints``."""
-        out = EuclideanIsometry(tuple(_fracs(row, d) for row in m), _fracs(b, d))
-        out.__dict__["_ints"] = (m, b, d)
-        return out
+        linear part is known to be orthogonal, without the check."""
+        return EuclideanIsometry((tuple(map(tuple, m)), tuple(b), d))
 
     @staticmethod
     def translation(v) -> "EuclideanIsometry":
@@ -347,15 +340,21 @@ class EuclideanIsometry:
         return EuclideanIsometry._trusted(snf.identity_matrix(dim), [0] * dim, 1)
 
     @cached_property
-    def _ints(self):
-        """Computed once per instance unless seeded; not part of ``==``,
-        ``hash`` or ``repr``."""
-        (*m, b), d = _scaled(self.a + (self.b,))
-        return m, b, d
+    def a(self) -> tuple[Vec, ...]:
+        m, _, d = self._ints
+        return tuple(_fracs(row, d) for row in m)
+
+    @cached_property
+    def b(self) -> Vec:
+        _, b, d = self._ints
+        return _fracs(b, d)
+
+    def __repr__(self):
+        return f"EuclideanIsometry(a={self.a!r}, b={self.b!r})"
 
     @property
     def dim(self) -> int:
-        return len(self.b)
+        return len(self._ints[1])
 
     def _moved(self, x: list[int], dx: int) -> list[int]:
         """The image of the point x / dx (``int``s), over ``d * dx``."""
@@ -378,7 +377,7 @@ class EuclideanIsometry:
 
     def power(self, k: int) -> "EuclideanIsometry":
         """Square-and-multiply on integer forms; no squaring after the top
-        bit, and ``Fraction``s only for the result."""
+        bit."""
         if k == 0:
             return EuclideanIsometry.identity(self.dim)
         if k == 1:
@@ -423,10 +422,6 @@ class MinsetSubspace:
     subspace: AffineSubspace
     min_displacement_sq: Fraction
     translation: Vec  # how the isometry translates its own minset
-
-    @property
-    def dim(self):
-        return self.subspace.dim
 
 
 def minset(phi: EuclideanIsometry) -> MinsetSubspace:
@@ -508,7 +503,7 @@ def splitting_check(a_gens, b_gens) -> SplittingReport:
     checks = {}
     checks["b_preserves_min_a"] = all(h._maps_into(min_a) for h in b_gens)
 
-    dim = len(min_a.base)
+    dim = min_a.ambient_dim
     min_b = minset_of_group(list(b_gens), dim=dim)
     inter = min_a.intersect(min_b)
     checks["intersection_nonempty"] = inter is not None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .snf import determinant, identity_matrix, row_kernel_basis
+from .snf import row_kernel_basis
 
 
 class LatticeError(ValueError):
@@ -77,10 +77,6 @@ class LatticeSubgroup:
     def trivial(ambient: int) -> "LatticeSubgroup":
         return LatticeSubgroup(ambient, ())
 
-    @staticmethod
-    def full(ambient: int) -> "LatticeSubgroup":
-        return LatticeSubgroup.from_generators(identity_matrix(ambient), ambient)
-
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -92,11 +88,17 @@ class LatticeSubgroup:
         return bool(self.basis)
 
     def reduce(self, vec):
-        """Residue of vec after subtracting basis multiples (back-substitution)."""
+        """Residue of vec after subtracting basis multiples (back-substitution):
+        each row in turn subtracts the floor quotient at its pivot."""
         v = list(map(int, vec))
         if len(v) != self.ambient:
             raise LatticeError("vector has the wrong length")
-        return _back_substitute(self.basis, v)[1]
+        for row in self.basis:
+            col = next(j for j, x in enumerate(row) if x)
+            q = v[col] // row[col]
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        return v
 
     def contains_vector(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -142,47 +144,11 @@ def intersect(a: LatticeSubgroup, b: LatticeSubgroup) -> LatticeSubgroup:
     return LatticeSubgroup.from_generators(gens, a.ambient)
 
 
-def finite_index_in(sub: LatticeSubgroup, sup: LatticeSubgroup):
-    """(finite, index) for sub inside sup; raises if sub is not contained."""
-    if not sup.contains(sub):
-        raise LatticeError("subgroup is not contained in the claimed supergroup")
-    if sub.rank < sup.rank:
-        return False, None
-    # equal rank: index is |det| of the change of basis
-    coeffs = []
-    for r in sub.basis:
-        row = _solve_in_basis(sup, r)
-        coeffs.append(row)
-    return True, abs(determinant(coeffs))
-
-
-def _back_substitute(basis, v: list[int]):
-    """(coefficients, residue) of the int vector v over an HNF basis: each
-    row in turn subtracts the floor quotient at its pivot."""
-    coeffs = []
-    for row in basis:
-        col = next(j for j, x in enumerate(row) if x)
-        q = v[col] // row[col]
-        coeffs.append(q)
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return coeffs, v
-
-
-def _solve_in_basis(g: LatticeSubgroup, vec):
-    """Coefficients expressing vec over g's HNF basis (vec must be a member)."""
-    coeffs, residue = _back_substitute(g.basis, list(map(int, vec)))
-    if any(residue):
-        raise LatticeError("vector not in subgroup")
-    return coeffs
-
-
 def virtually_contains(big: LatticeSubgroup, small: LatticeSubgroup) -> bool:
-    """True iff small ∩ big has finite index in small."""
-    if small.is_trivial():
-        return True
-    meet = intersect(big, small)
-    if meet.rank < small.rank:
-        return False
-    finite, _ = finite_index_in(meet, small)
-    return finite
+    """True iff small ∩ big has finite index in small.
+
+    That holds exactly when rank(big ∩ small) = rank(small), that is, when
+    small lies in the rational span of big, which is when joining small to
+    big leaves the rank of big unchanged.
+    """
+    return join(big, small).rank == big.rank

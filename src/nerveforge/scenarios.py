@@ -197,14 +197,11 @@ def _distinct_rect_pieces(grid, nx, ny, count, rng, allow_unions):
         j0 = rng.randrange(ny)
         i1 = min(nx, i0 + rng.randrange(1, 3))
         j1 = min(ny, j0 + rng.randrange(1, 3))
-        sub = rect_subcomplex(grid, i0, i1, j0, j1).simplices
+        sub = rect_subcomplex(grid, i0, i1, j0, j1)
         if allow_unions and rng.random() < 0.35:
             a0 = rng.randrange(nx)
             b0 = rng.randrange(ny)
-            other = rect_subcomplex(
-                grid, a0, min(nx, a0 + 1), b0, min(ny, b0 + 1)
-            ).simplices
-            sub = sub | other
+            sub = sub | rect_subcomplex(grid, a0, min(nx, a0 + 1), b0, min(ny, b0 + 1))
         if sub and sub not in pieces.values():
             pieces[len(pieces)] = sub
     return pieces
@@ -225,10 +222,10 @@ def _gen_box_cover(params, rng, seed) -> Scenario:
             attempts += 1
             a = rng.randrange(size)
             b = min(size, a + rng.randrange(1, 4))
-            sub = interval_subcomplex(ambient, a, b).simplices
+            sub = interval_subcomplex(ambient, a, b)
             if mode == "mixed" and rng.random() < 0.3:
                 a2 = rng.randrange(size)
-                sub = sub | interval_subcomplex(ambient, a2, min(size, a2 + 1)).simplices
+                sub = sub | interval_subcomplex(ambient, a2, min(size, a2 + 1))
             if sub and sub not in pieces.values():
                 pieces[len(pieces)] = sub
     else:
@@ -264,16 +261,14 @@ def _gen_patch_system(params, rng, seed) -> Scenario:
     patches = {}
     for k, (a, b) in enumerate(spans):
         patches[k] = Patch(
-            support=interval_subcomplex(path, a, b).simplices,
+            support=interval_subcomplex(path, a, b),
             group=rng.choice(alphabet),
             parabolic=rng.random() < 0.4,
         )
     enlargements = {}
     if with_enlargements:
         for k, (a, b) in enumerate(spans):
-            enlargements[(k,)] = interval_subcomplex(
-                path, max(0, a - 1), min(6, b + 1)
-            ).simplices
+            enlargements[(k,)] = interval_subcomplex(path, max(0, a - 1), min(6, b + 1))
     return Scenario(
         kind="patch-system",
         payload=_patch_system_json(path, patches, enlargements),

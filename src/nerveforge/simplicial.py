@@ -1,18 +1,20 @@
-"""Finite simplicial complexes, subcomplexes and simplicial maps.
+"""Finite simplicial complexes and simplicial maps.
 
 A simplex is a tuple of vertex ids sorted in the ambient vertex order
 (orientation convention: boundary signs alternate by position in that
-order).  Complexes are immutable after construction.
+order).  Complexes are immutable after construction.  A subcomplex is a
+downward-closed ``frozenset`` of simplices of its complex, so unions and
+intersections of subcomplexes are ``|`` and ``&``.
 
 Validation happens where simplices enter: ``close_downward``,
-``SimplicialComplex.from_maximal``, ``SimplicialComplex.from_simplices``
-and ``Subcomplex.of`` sort each simplex, reject repeated vertices and
-vertex ids of more than one type, and close downward.  The dataclass
-constructors ``SimplicialComplex(simplices)`` and
-``Subcomplex(ambient, simplices)`` trust their argument to be a closed set
-of sorted simplices; the package uses them for sets that are closed by
-construction (unions and intersections of subcomplexes, full subcomplexes,
-nerves, clique complexes).
+``SimplicialComplex.from_maximal`` and ``SimplicialComplex.from_simplices``
+sort each simplex, reject repeated vertices and vertex ids of more than one
+type, and close downward; ``jsonio.subcomplex_from_json`` reads a
+subcomplex through ``close_downward`` and checks that it lies in its
+complex.  The dataclass constructor ``SimplicialComplex(simplices)`` trusts
+its argument to be a closed set of sorted simplices; the package uses it
+for sets that are closed by construction (unions and intersections of
+subcomplexes, full subcomplexes, nerves, clique complexes).
 
 ``nerve_of`` enumerates nerves: every set of keys whose values have a
 common meet. The nerves of covers and of affine subspaces are built by it.
@@ -117,48 +119,8 @@ class SimplicialComplex:
         ``hash`` or ``repr``."""
         return max(map(len, self.simplices), default=0) - 1
 
-    def is_empty(self) -> bool:
-        return not self.simplices
-
     def contains_complex(self, other: "SimplicialComplex") -> bool:
         return other.simplices <= self.simplices
-
-    def __le__(self, other):
-        return self.simplices <= other.simplices
-
-    def __len__(self):
-        return len(self.simplices)
-
-
-@dataclass(frozen=True)
-class Subcomplex:
-    """A downward-closed simplex set inside a fixed ambient complex."""
-
-    ambient: SimplicialComplex
-    simplices: frozenset
-
-    @staticmethod
-    def of(ambient: SimplicialComplex, simplices) -> "Subcomplex":
-        closed = close_downward(simplices)
-        if not closed <= ambient.simplices:
-            bad = sorted(closed - ambient.simplices)[:3]
-            raise ComplexError(f"simplices outside the ambient complex: {bad}")
-        return Subcomplex(ambient, closed)
-
-    def _require_same_ambient(self, other: "Subcomplex"):
-        if self.ambient is not other.ambient and self.ambient != other.ambient:
-            raise ComplexError("subcomplex operation across different ambient complexes")
-
-    def union(self, other: "Subcomplex") -> "Subcomplex":
-        self._require_same_ambient(other)
-        return Subcomplex(self.ambient, self.simplices | other.simplices)
-
-    def intersection(self, other: "Subcomplex") -> "Subcomplex":
-        self._require_same_ambient(other)
-        return Subcomplex(self.ambient, self.simplices & other.simplices)
-
-    def is_empty(self) -> bool:
-        return not self.simplices
 
     def __le__(self, other):
         return self.simplices <= other.simplices
@@ -296,16 +258,3 @@ class SimplicialMap:
         if not target.contains_complex(source):
             raise ComplexError("inclusion source is not a subcomplex of the target")
         return SimplicialMap(source, target, {v: v for v in source.vertices})
-
-    @staticmethod
-    def identity(c: SimplicialComplex) -> "SimplicialMap":
-        return SimplicialMap(c, c, {v: v for v in c.vertices})
-
-    def compose(self, other: "SimplicialMap") -> "SimplicialMap":
-        """self after other."""
-        if not self.source.contains_complex(other.target):
-            raise ComplexError("composition mismatch")
-        return SimplicialMap(
-            other.source, self.target,
-            {v: self.vertex_map[w] for v, w in other.vertex_map.items()},
-        )

@@ -50,7 +50,7 @@ def interval_patch_system(path, spans, labels, parabolic=None):
     patches = {}
     for k, ((a, b), g) in enumerate(zip(spans, labels)):
         patches[k] = Patch(
-            support=interval_subcomplex(path, a, b).simplices,
+            support=interval_subcomplex(path, a, b),
             group=g,
             parabolic=bool(parabolic and parabolic[k]),
         )
@@ -140,7 +140,6 @@ def exhaustive_small_systems():
 
 def test_intersection_formula_exhaustive_pairs():
     for ps in exhaustive_small_systems():
-        pn = PatchNerve(ps)
         labels = [p.group for p in ps.patches.values()]
         sublattices = set()
         for r in range(len(labels) + 1):
@@ -151,7 +150,7 @@ def test_intersection_formula_exhaustive_pairs():
                 sublattices.add(g)
         for n in sublattices:
             for m in sublattices:
-                v = intersection_formula_check(ps, n, m, pn)
+                v = intersection_formula_check(ps, n, m)
                 assert v.ok, (n, m, v.certificate)
 
 
@@ -169,7 +168,6 @@ def test_is_minimal_examples():
 
 def test_minimal_join_closure_exhaustive():
     for ps in exhaustive_small_systems():
-        pn = PatchNerve(ps)
         labels = [p.group for p in ps.patches.values()]
         sublattices = set()
         for r in range(1, len(labels) + 1):
@@ -178,10 +176,10 @@ def test_minimal_join_closure_exhaustive():
                 for x in combo:
                     g = join(g, x)
                 sublattices.add(g)
-        minimal = [g for g in sublattices if is_minimal(ps, g, pn)]
+        minimal = [g for g in sublattices if is_minimal(ps, g)]
         for n in minimal:
             for m in minimal:
-                assert is_minimal(ps, join(n, m), pn)
+                assert is_minimal(ps, join(n, m))
 
 
 def test_maximal_clumps_single_patch():
@@ -210,8 +208,7 @@ def test_maximal_clumps_introduction_model():
 
 def test_maximal_clumps_postconditions():
     for ps in exhaustive_small_systems():
-        pn = PatchNerve(ps)
-        mcs = maximal_clumps(ps, pn)
+        mcs = maximal_clumps(ps)
         supports = [mc.support for mc in mcs]
         # closed under intersections
         for a in mcs:
@@ -229,7 +226,7 @@ def test_maximal_clumps_postconditions():
                 if a.support > b.support:
                     assert b.group.contains(a.group)
                     assert a.group.rank < b.group.rank
-        assert patch_union_decomposition_ok(ps, pn)
+        assert patch_union_decomposition_ok(ps)
 
 
 def test_growing_ranks_introduction_chain():
@@ -310,9 +307,9 @@ def test_maximal_clumps_memo_is_per_instance(monkeypatch):
     calls = []
     find = clumps_module._find_maximal_clumps
 
-    def counted(ps, pn):
+    def counted(ps):
         calls.append(ps)
-        return find(ps, pn)
+        return find(ps)
 
     monkeypatch.setattr(clumps_module, "_find_maximal_clumps", counted)
     ps, _ = introduction_system()
@@ -367,7 +364,7 @@ def test_unfolding_with_cone_enlargements():
     # enlarge each patch to a cone: vanishing becomes easy and the check passes
     path = path_complex(6)
     base = interval_patch_system(path, [(0, 2), (1, 4), (3, 6)], [E1, DIAG, E2])
-    big = interval_subcomplex(path, 0, 6).simplices
+    big = interval_subcomplex(path, 0, 6)
     ps = PatchSystem(
         ambient=path,
         patches=base.patches,
@@ -396,8 +393,8 @@ def test_engulfing_default_scheme_and_violation():
     ps = interval_patch_system(
         path, [(0, 3), (2, 5)], [E1, E2], parabolic=[False, True]
     )
-    big0 = interval_subcomplex(path, 0, 4).simplices
-    big1 = interval_subcomplex(path, 1, 6).simplices
+    big0 = interval_subcomplex(path, 0, 4)
+    big1 = interval_subcomplex(path, 1, 6)
     ps_big = PatchSystem(
         ambient=path, patches=ps.patches, enlargements={(0,): big0, (1,): big1}
     )
@@ -408,9 +405,9 @@ def test_engulfing_default_scheme_and_violation():
         ambient=path,
         patches=ps.patches,
         enlargements={
-            (0,): interval_subcomplex(path, 2, 3).simplices | ps.patches[0].support,
+            (0,): interval_subcomplex(path, 2, 3) | ps.patches[0].support,
             (1,): big1,
-            (0, 1): interval_subcomplex(path, 2, 6).simplices,
+            (0, 1): interval_subcomplex(path, 2, 6),
         },
     )
     assert not engulfing_check(bad).ok

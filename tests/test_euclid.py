@@ -44,16 +44,21 @@ def apply(g, x):
     return vadd(ref_mat_apply(g.a, x), g.b)
 
 
+def point(p):
+    """The subspace {p}."""
+    return AffineSubspace.of(p, [])
+
+
 def project_point(s, x):
     """The closest point of ``s`` to ``x``: the projection of the point
     subspace {x}."""
-    return s.project_subspace(AffineSubspace.point(x)).base
+    return s.project_subspace(point(x)).base
 
 
 def in_row_space(v, basis):
     """Whether ``v`` lies in the span of ``basis``: the linear subspace it
     spans contains the point v."""
-    return AffineSubspace.of([0] * len(v), basis).contains(AffineSubspace.point(v))
+    return AffineSubspace.of([0] * len(v), basis).contains(point(v))
 
 
 def rot_z_quarter(dim=3):
@@ -121,7 +126,7 @@ def test_minset_random_points_never_beat_base():
             p = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(3)]
             d = g.displacement_sq(p)
             assert d >= ms.min_displacement_sq
-            if not ms.subspace.contains(AffineSubspace.point(p)):
+            if not ms.subspace.contains(point(p)):
                 assert d > ms.min_displacement_sq
 
 
@@ -898,24 +903,32 @@ def test_validation_rejects_shapes_and_near_orthogonal_matrices():
                               [Fraction(-12, 13), Fraction(5, 13)]], [0, 0])
     with pytest.raises(EuclidError):
         EuclideanIsometry.of([[1, 0], [0, Fraction(1000001, 1000000)]], [Fraction(1, 7), 0])
-    g = EuclideanIsometry.of([[Fraction(3, 5), Fraction(-4, 5)],
-                              [Fraction(4, 5), Fraction(3, 5)]], [Fraction(1, 2), 0])
-    assert g._ints == ([[6, -8], [8, 6]], [5, 0], 10)
+    a = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+    g = EuclideanIsometry.of(a, [Fraction(1, 2), 0])
+    assert g.a == tuple(map(tuple, a)) and g.b == (Fraction(1, 2), Fraction(0))
+    assert all(isinstance(x, Fraction) for row in g.a for x in row + g.b)
 
 
 def test_integer_forms_leave_equality_hash_and_repr_alone():
+    # the views are built on first read, and ==, hash and repr follow them
     g = EuclideanIsometry.of(block_diagonal([pythagorean_rotation(2, 1), [[1]]]),
                              [Fraction(1, 3), 0, 2])
-    plain = EuclideanIsometry(g.a, g.b)
-    assert "_ints" in vars(g) and "_ints" not in vars(plain)
-    assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
-    assert "_ints" not in repr(g)
-    assert plain._ints == g._ints
-    assert "_ints" in vars(g.compose(plain)) and "_ints" in vars(g.power(3))
+    assert "a" not in vars(g) and "b" not in vars(g)
+    again = EuclideanIsometry.of(g.a, g.b)
+    roundabout = g.power(5).compose(g.power(-4))
+    for h in (again, roundabout):
+        assert (h.a, h.b) == (g.a, g.b)
+        assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+    assert repr(g) == f"EuclideanIsometry(a={g.a!r}, b={g.b!r})"
+    moved = g.compose(EuclideanIsometry.translation([0, 0, Fraction(1, 2)]))
+    assert (moved.a, moved.b) != (g.a, g.b) and moved != g
 
     s = minset(g).subspace
-    plain = AffineSubspace(s.base, s.directions)
-    assert "_ints" in vars(s) and "_ints" not in vars(plain)
-    assert s == plain and hash(s) == hash(plain) and repr(s) == repr(plain)
-    assert "_ints" not in repr(s)
-    assert plain.contains(s) and s.contains(plain)
+    assert "base" not in vars(s) and "directions" not in vars(s)
+    flipped = AffineSubspace.of(s.base, [[-3 * x for x in d] for d in s.directions])
+    assert (flipped.base, flipped.directions) == (s.base, s.directions)
+    assert s == flipped and hash(s) == hash(flipped) and repr(s) == repr(flipped)
+    assert repr(s) == f"AffineSubspace(base={s.base!r}, directions={s.directions!r})"
+    # another base point on the same line: equal subspaces, other views
+    shifted = AffineSubspace.of(vadd(s.base, s.directions[0]), s.directions)
+    assert shifted == s and hash(shifted) == hash(s) and shifted.base != s.base

@@ -1,19 +1,17 @@
 import random
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nerveforge.lattices import (
-    LatticeError,
-    LatticeSubgroup,
-    finite_index_in,
-    intersect,
-    join,
-    virtually_contains,
-)
+from nerveforge.lattices import LatticeSubgroup, intersect, join, virtually_contains
+from nerveforge.snf import determinant
 
 
 def L(rows, d=2):
     return LatticeSubgroup.from_generators(rows, d)
+
+
+Z2 = L([[1, 0], [0, 1]])
 
 
 def test_hnf_canonical_examples():
@@ -55,8 +53,7 @@ def test_join_examples():
     assert join(a, LatticeSubgroup.trivial(2)) == a
     j = join(L([[2, 0]]), L([[0, 3]]))
     assert j.rank == 2
-    finite, index = finite_index_in(j, LatticeSubgroup.full(2))
-    assert finite and index == 6
+    assert j.basis == ((2, 0), (0, 3))  # index 6 in Z^2
 
 
 def test_join_commutative_idempotent_associative():
@@ -72,61 +69,6 @@ def test_join_commutative_idempotent_associative():
         assert join(a, a) == a
         assert join(join(a, b), c) == join(a, join(b, c))
         assert join(a, b).contains(a) and join(a, b).contains(b)
-
-
-def test_finite_index():
-    two = L([[2, 0], [0, 2]])
-    finite, index = finite_index_in(two, LatticeSubgroup.full(2))
-    assert finite and index == 4
-    finite, index = finite_index_in(L([[1, 0]]), LatticeSubgroup.full(2))
-    assert not finite and index is None
-    with pytest.raises(LatticeError):
-        finite_index_in(L([[1, 0]]), L([[0, 1]]))
-
-
-def coset_count_bfs(sub, sup):
-    """Index by breadth-first coset enumeration inside sup."""
-    seen = {tuple(sub.reduce([0] * sub.ambient))}
-    frontier = [[0] * sub.ambient]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for row in list(sup.basis):
-                for sgn in (1, -1):
-                    w = [a + sgn * b for a, b in zip(v, row)]
-                    key = tuple(sub.reduce(w))
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(w)
-        frontier = nxt
-        if len(seen) > 100:
-            return None
-    return len(seen)
-
-
-def test_index_matches_coset_enumeration():
-    rng = random.Random(2)
-    found = 0
-    while found < 25:
-        d = 2
-        sup_rows = [[rng.randrange(-3, 4) for _ in range(d)] for _ in range(2)]
-        sup = LatticeSubgroup.from_generators(sup_rows, d)
-        if sup.rank < 2:
-            continue
-        mult = [[rng.randrange(-2, 3) for _ in range(sup.rank)] for _ in range(2)]
-        rows = [
-            [sum(m[i] * sup.basis[i][j] for i in range(sup.rank)) for j in range(d)]
-            for m in mult
-        ]
-        sub = LatticeSubgroup.from_generators(rows, d)
-        if sub.rank < sup.rank:
-            continue
-        finite, index = finite_index_in(sub, sup)
-        assert finite
-        if index > 50:
-            continue
-        assert coset_count_bfs(sub, sup) == index
-        found += 1
 
 
 def test_intersection():
@@ -158,6 +100,53 @@ def test_intersection_random_membership():
 
 
 def test_virtually_contains():
-    assert virtually_contains(L([[2, 0], [0, 2]]), LatticeSubgroup.full(2))
-    assert not virtually_contains(L([[1, 0]]), LatticeSubgroup.full(2))
-    assert virtually_contains(LatticeSubgroup.full(2), L([[5, 0]]))
+    assert virtually_contains(L([[2, 0], [0, 2]]), Z2)
+    assert not virtually_contains(L([[1, 0]]), Z2)
+    assert virtually_contains(Z2, L([[5, 0]]))
+
+
+def coefficients(g, vec):
+    """Coefficients of a member ``vec`` over the HNF basis of ``g``, by
+    back-substitution."""
+    v, out = list(vec), []
+    for row in g.basis:
+        col = next(j for j, x in enumerate(row) if x)
+        q = v[col] // row[col]
+        out.append(q)
+        v = [x - q * y for x, y in zip(v, row)]
+    assert not any(v)
+    return out
+
+
+def meet_has_finite_index(big, small):
+    """Reference: small ∩ big has finite index in small, read off the
+    intersection and the determinant of its change of basis into small."""
+    if small.is_trivial():
+        return True
+    meet = intersect(big, small)
+    if meet.rank < small.rank:
+        return False
+    return determinant([coefficients(small, r) for r in meet.basis]) != 0
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(big, small) in Z^1..Z^4; small is often built from multiples and
+    combinations of big's generators, so containment up to finite index is
+    common."""
+    d = draw(st.integers(1, 4))
+    vectors = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+    rows = draw(st.lists(vectors, max_size=3))
+    small = draw(st.lists(vectors, max_size=2))
+    if rows and draw(st.booleans()):
+        coeffs = st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows))
+        for c in draw(st.lists(coeffs, min_size=1, max_size=3)):
+            small.append([sum(k * r[j] for k, r in zip(c, rows)) for j in range(d)])
+    return L(rows, d), L(small, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pairs())
+def test_virtually_contains_matches_the_meet_index(pair):
+    big, small = pair
+    assert virtually_contains(big, small) == meet_has_finite_index(big, small)

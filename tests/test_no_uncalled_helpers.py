@@ -2,11 +2,23 @@
 
 An AST scan collects the top-level functions and classes of
 ``src/nerveforge`` and the methods of those classes, and every name that
-code in ``src/`` or ``perfbench/`` mentions: a variable, an attribute or an
-imported name. A definition is uncalled when no such mention matches it;
-its own ``def`` or ``class`` line is not a mention. Dunder methods are left
-out, since Python calls them. Tests do not count as callers: a helper that
-only a test needs lives in the test.
+code in ``src/`` or ``perfbench/`` mentions. A definition is uncalled when
+no mention of its kind matches it; its own ``def`` or ``class`` line is not
+a mention:
+
+- a top-level function or class is called when a variable, an attribute or
+  an imported name has its name;
+- a ``staticmethod`` is called only when it is named through its class,
+  ``Class.name`` (or ``module.Class.name``);
+- any other method is called only through an attribute, ``x.name``: a local
+  variable of the same name is no call.
+
+Dunder methods are left out, since Python calls them. Tests do not count as
+callers: a helper that only a test needs lives in the test.
+
+What the scan still cannot see: an instance method that shares its name
+with a method of another class that is called. Such a pair passes as long as
+one of the two has an ``x.name`` caller, so those were checked by hand.
 
 ``KEPT`` lists the definitions that stay without a caller in the package,
 each with its reason. An entry that gains a caller, or whose definition is
@@ -29,6 +41,8 @@ KEPT = {
     "nilpotent.elementary": "imported by tests/test_perfbench_tracer.py, kept as the tracer is",
     "simplicial.SimplicialComplex.from_simplices": "the validating constructor from "
                                                    "a full simplex list (ROADMAP item 3)",
+    "euclid.AffineSubspace.of": "the public constructor of a subspace from a base point "
+                                "and directions; the package builds its own from int forms",
     "scenarios.Scenario.to_json": "writes the scenario envelope that the CLI is to read",
     "scenarios.Scenario.from_json": "reads the scenario envelope; malformed input is tested",
     "clumps.intersection_formula_check": CHECK,
@@ -45,37 +59,57 @@ KEPT = {
 }
 
 
+def _is_static(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+
+
 def definitions():
-    """``module.name`` or ``module.Class.method`` -> the name callers use."""
+    """``module.name`` or ``module.Class.method`` -> ``(kind, class, name)``,
+    with kind ``"top"``, ``"static"`` or ``"method"``."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                out[f"{path.stem}.{node.name}"] = node.name
+                out[f"{path.stem}.{node.name}"] = ("top", None, node.name)
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if (isinstance(sub, ast.FunctionDef)
                             and not (sub.name.startswith("__") and sub.name.endswith("__"))):
-                        out[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
+                        kind = "static" if _is_static(sub) else "method"
+                        out[f"{path.stem}.{node.name}.{sub.name}"] = (kind, node.name, sub.name)
     return out
 
 
-def mentioned_names():
-    names = set()
+def mentions():
+    """(bare names, attribute names, ``(owner, attribute)`` pairs) that code
+    in ``src/`` or ``perfbench/`` mentions; the owner of ``a.b.c`` is ``b``."""
+    names, attrs, owned = set(), set(), set()
     for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attrs.add(node.attr)
+                owner = node.value
+                if isinstance(owner, ast.Name):
+                    owned.add((owner.id, node.attr))
+                elif isinstance(owner, ast.Attribute):
+                    owned.add((owner.attr, node.attr))
             elif isinstance(node, ast.alias):
                 names.add(node.name)
-    return names
+    return names, attrs, owned
 
 
 def test_every_definition_has_a_caller_or_a_reason():
-    defs = definitions()
-    mentioned = mentioned_names()
-    uncalled = {key for key, name in defs.items() if name not in mentioned}
+    names, attrs, owned = mentions()
+
+    def called(kind, cls, name):
+        if kind == "static":
+            return (cls, name) in owned
+        if kind == "method":
+            return name in attrs
+        return name in names or name in attrs
+
+    uncalled = {key for key, how in definitions().items() if not called(*how)}
     assert sorted(uncalled - KEPT.keys()) == [], "uncalled: delete it or move it to the tests"
     assert sorted(KEPT.keys() - uncalled) == [], "stale entry: it has a caller or is gone"

@@ -10,7 +10,6 @@ from nerveforge.simplicial import (
     ComplexError,
     SimplicialComplex,
     SimplicialMap,
-    Subcomplex,
     cliques_of,
     close_downward,
     nerve_of,
@@ -73,12 +72,19 @@ def test_close_downward_rejects_repeats_and_mixed_types():
         close_downward([(0, "a")])
 
 
+def validated_subcomplex(ambient, simplices) -> frozenset:
+    """Reference: the closure of ``simplices``, checked to lie in ``ambient``."""
+    closed = close_downward(simplices)
+    assert closed <= ambient.simplices
+    return closed
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 6))
 def test_interval_subcomplex_equals_the_validated_one(a, b):
     path = path_complex(6)
     full = [s for s in path.simplices if all(a <= v <= b for v in s)]
-    assert interval_subcomplex(path, a, b) == Subcomplex.of(path, full)
+    assert interval_subcomplex(path, a, b) == validated_subcomplex(path, full)
 
 
 @settings(max_examples=100, deadline=None)
@@ -88,20 +94,7 @@ def test_rect_subcomplex_equals_the_validated_one(corners):
     grid = grid_complex(3, 4)
     full = [s for s in grid.simplices
             if all(i0 <= v[0] <= i1 and j0 <= v[1] <= j1 for v in s)]
-    assert rect_subcomplex(grid, i0, i1, j0, j1) == Subcomplex.of(grid, full)
-
-
-def test_subcomplex_ops():
-    amb = path_complex(3)
-    a = Subcomplex.of(amb, [(0, 1)])
-    b = Subcomplex.of(amb, [(1, 2)])
-    assert a.union(b).simplices == frozenset({(0,), (1,), (2,), (0, 1), (1, 2)})
-    assert a.intersection(b).simplices == frozenset({(1,)})
-    empty = Subcomplex.of(amb, [])
-    assert a.union(empty).simplices == a.simplices
-    other = path_complex(4)
-    with pytest.raises(ComplexError):
-        a.union(Subcomplex.of(other, [(0, 1)]))
+    assert rect_subcomplex(grid, i0, i1, j0, j1) == validated_subcomplex(grid, full)
 
 
 def test_subcomplex_inclusion_exclusion_random():
@@ -111,9 +104,11 @@ def test_subcomplex_inclusion_exclusion_random():
     for _ in range(25):
         a = rect_subcomplex(amb, rng.randrange(3), 3, rng.randrange(3), 3)
         b = rect_subcomplex(amb, 0, rng.randrange(1, 4), 0, rng.randrange(1, 4))
-        u = a.union(b)
-        i = a.intersection(b)
+        u = a | b
+        i = a & b
         assert len(u) == len(a) + len(b) - len(i)
+        # unions and intersections of subcomplexes are subcomplexes
+        assert close_downward(u) == u and close_downward(i) == i
 
 
 def test_simplicial_map_validation_and_signs():
