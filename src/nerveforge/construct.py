@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from fractions import Fraction as F
+from itertools import combinations, product
 
-from .simplicial import SimplicialComplex
+from .lattices import LatticeSubgroup
+from .periodic import Box, BoxUnion
+from .simplicial import SimplicialComplex, close_downward
 
 
 def full_simplex(n_vertices: int) -> SimplicialComplex:
@@ -98,8 +101,8 @@ def two_ball_gluing():
     u and v are solid 3-balls with H_2 = 0, and membrane = u ∩ v is the cone
     from vertex 5 over the square 1-3-2-4 (contractible).
     """
-    u = close_downward_tetras([(1, 2, 3, 5), (1, 2, 4, 5)])
-    v = close_downward_tetras([(1, 3, 4, 5), (2, 3, 4, 5)])
+    u = close_downward([(1, 2, 3, 5), (1, 2, 4, 5)])
+    v = close_downward([(1, 3, 4, 5), (2, 3, 4, 5)])
     ambient = SimplicialComplex(u | v)
     membrane = u & v
     cycle = {
@@ -111,29 +114,13 @@ def two_ball_gluing():
     return ambient, u, v, membrane, cycle
 
 
-def close_downward_tetras(tetras):
-    from .simplicial import close_downward
-
-    return close_downward(tetras)
-
-
 # ---------------------------------------------------------------------------
 # periodic box-union families
 # ---------------------------------------------------------------------------
 
 
-def _box_family_imports():
-    from fractions import Fraction
-
-    from .lattices import LatticeSubgroup
-    from .periodic import Box, BoxUnion
-
-    return Fraction, LatticeSubgroup, Box, BoxUnion
-
-
 def strip_boxes(spacing=2, boxes_per_period=2, dim=2, width=None, overlap=None):
     """Connected Z-periodic solid strip; no box meets its own translates."""
-    F, LatticeSubgroup, Box, BoxUnion = _box_family_imports()
     width = F(1, 2) if width is None else F(width)
     overlap = F(1, 4) if overlap is None else F(overlap)
     lattice = LatticeSubgroup.from_generators([[spacing] + [0] * (dim - 1)], dim)
@@ -150,7 +137,6 @@ def strip_boxes(spacing=2, boxes_per_period=2, dim=2, width=None, overlap=None):
 
 def hollow_tube_boxes(spacing=2, half_core=None):
     """Z-periodic hollow square tube along the x axis in R^3."""
-    F, LatticeSubgroup, Box, BoxUnion = _box_family_imports()
     h = F(1, 2) if half_core is None else F(half_core)
     lattice = LatticeSubgroup.from_generators([[spacing, 0, 0]], 3)
     walls_yz = [
@@ -171,7 +157,6 @@ def hollow_tube_boxes(spacing=2, half_core=None):
 
 def slab_boxes(spacing=2, thickness=None, overlap=None):
     """Z^2-periodic solid slab in R^3 from overlapping boxes."""
-    F, LatticeSubgroup, Box, BoxUnion = _box_family_imports()
     thickness = F(1, 2) if thickness is None else F(thickness)
     overlap = F(1, 4) if overlap is None else F(overlap)
     step = F(spacing, 2)
@@ -189,7 +174,6 @@ def slab_boxes(spacing=2, thickness=None, overlap=None):
 
 def tiling_boxes(dim=2, spacing=2, overlap=None):
     """Full-rank overlapping box tiling of R^dim."""
-    F, LatticeSubgroup, Box, BoxUnion = _box_family_imports()
     overlap = F(1, 4) if overlap is None else F(overlap)
     step = F(spacing, 2)
     if step + 2 * overlap >= spacing:
@@ -198,8 +182,6 @@ def tiling_boxes(dim=2, spacing=2, overlap=None):
         [[spacing if i == j else 0 for j in range(dim)] for i in range(dim)], dim
     )
     boxes = []
-    from itertools import product
-
     for offsets in product(range(2), repeat=dim):
         lo = [o * step - overlap for o in offsets]
         hi = [(o + 1) * step + overlap for o in offsets]

@@ -149,7 +149,10 @@ class AffineSubspace:
     @staticmethod
     def of(base, directions) -> "AffineSubspace":
         (b,), d = _scaled([vec(base)])
-        return AffineSubspace._of_ints(b, d, snf.echelon([vec(r) for r in directions]))
+        rows = [vec(r) for r in directions]
+        if any(len(r) != len(b) for r in rows):
+            raise EuclidError("direction length differs from the base's")
+        return AffineSubspace._of_ints(b, d, snf.echelon(rows))
 
     @staticmethod
     def _of_ints(base: list[int], den: int, rows) -> "AffineSubspace":

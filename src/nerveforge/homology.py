@@ -575,7 +575,6 @@ class InducedMap:
     source_orders: list[int]
     target_orders: list[int]
     is_zero: bool
-    degree_flagged: bool = False  # degree outside both complexes' ranges
 
 
 def induced_map_on_homology(
@@ -604,7 +603,6 @@ def induced_map_on_homology(
         source_orders=list(src_h.orders),
         target_orders=list(dst_h.orders),
         is_zero=zero,
-        degree_flagged=src_cc.dim(d) == 0 and dst_cc.dim(d) == 0,
     )
 
 

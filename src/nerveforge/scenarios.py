@@ -7,14 +7,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 from . import construct
 from .clumps import Patch, PatchSystem
-from .euclid import EuclideanIsometry
+from .construct import grid_complex, interval_subcomplex, path_complex, rect_subcomplex
+from .euclid import EuclideanIsometry, block_diagonal, pythagorean_rotation
 from .jsonio import (
     _arrangement_json,
     _cover_json,
     _patch_system_json,
+    box_union_to_json,
     isometry_to_json,
     patch_system_to_json,
     rational_from_json,
@@ -153,8 +156,6 @@ LABEL_VECTORS = [(1, 0), (0, 1), (1, 1), (2, 0)]
 def _label_alphabet() -> tuple:
     """The distinct subgroups spanned by subsets of ``LABEL_VECTORS``, in
     key order; built on first use and kept."""
-    from itertools import combinations
-
     seen = {}
     for r in range(len(LABEL_VECTORS) + 1):
         for combo in combinations(LABEL_VECTORS, r):
@@ -187,8 +188,6 @@ def generate(family: str, params: dict | None = None, seed: int = 0) -> Scenario
 
 
 def _distinct_rect_pieces(grid, nx, ny, count, rng, allow_unions):
-    from .construct import rect_subcomplex
-
     pieces = {}
     attempts = 0
     while len(pieces) < count and attempts < 200:
@@ -212,8 +211,6 @@ def _gen_box_cover(params, rng, seed) -> Scenario:
     n_pieces = int(params.get("pieces", rng.randrange(3, 7)))
     mode = params.get("mode", "good")
     if dim == 1:
-        from .construct import interval_subcomplex, path_complex
-
         size = int(params.get("grid", 6))
         ambient = path_complex(size)
         pieces = {}
@@ -229,8 +226,6 @@ def _gen_box_cover(params, rng, seed) -> Scenario:
             if sub and sub not in pieces.values():
                 pieces[len(pieces)] = sub
     else:
-        from .construct import grid_complex
-
         g = int(params.get("grid", 3))
         ambient = grid_complex(g, g)
         pieces = _distinct_rect_pieces(ambient, g, g, n_pieces, rng, mode == "mixed")
@@ -250,8 +245,6 @@ SPAN_POOLS = [
 
 
 def _gen_patch_system(params, rng, seed) -> Scenario:
-    from .construct import interval_subcomplex, path_complex
-
     count = int(params.get("patches", rng.randrange(2, 5)))
     count = min(count, 4)
     with_enlargements = bool(params.get("with_enlargements", False))
@@ -363,8 +356,6 @@ def _gen_arrangement(params, rng, seed) -> Scenario:
 def random_commuting_pair(rng, dim):
     """Block-diagonal commuting generator pairs: rotations share 2D blocks,
     translations live where both linear parts are trivial."""
-    from .euclid import block_diagonal, pythagorean_rotation
-
     blocks = []
     remaining = dim
     while remaining:
@@ -406,8 +397,6 @@ PERIODIC_FAMILIES = ("strip", "tube", "hollow-tube", "slab", "tiling")
 
 
 def _gen_periodic(params, rng, seed) -> Scenario:
-    from .jsonio import box_union_to_json
-
     family = params.get("family")
     r = params.get("r")
     dim = params.get("dim")

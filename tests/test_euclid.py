@@ -892,6 +892,12 @@ def test_subspace_kernel_matches_fraction_reference(pair):
     assert all(s.contains(x) for x in (s, s.intersect(t)) if x is not None)
 
 
+@pytest.mark.parametrize("directions", [[[1, 0, 0]], [[1]], [[1, 0], [0]]])
+def test_subspace_rejects_directions_of_another_length(directions):
+    with pytest.raises(EuclidError):
+        AffineSubspace.of([0, 0], directions)
+
+
 def test_validation_rejects_shapes_and_near_orthogonal_matrices():
     with pytest.raises(EuclidError):
         EuclideanIsometry.of([[1, 0]], [0, 0])

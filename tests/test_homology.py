@@ -157,7 +157,7 @@ def test_boundary_circle_into_annulus():
 def test_out_of_range_degree_flagged():
     c = path_complex(2)
     m = induced_homology_map(identity(c), 5)
-    assert m.is_zero and m.degree_flagged
+    assert m.is_zero
 
 
 @pytest.mark.parametrize("side", ["source", "target"])
@@ -170,7 +170,7 @@ def test_degree_empty_on_one_side_only(side):
         point = SimplicialComplex.from_maximal([(0,)])
         f = SimplicialMap(circle, point, {v: 0 for v in circle.vertices})
     m = induced_homology_map(f, 1)
-    assert m.is_zero and not m.degree_flagged
+    assert m.is_zero
     if side == "source":
         assert (m.matrix, m.source_orders, m.target_orders) == ([[]], [], [0])
     else:
