@@ -34,8 +34,9 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import snf
-from .homology import homology_of_complex, induced_homology_map
-from .simplicial import SimplicialComplex, SimplicialMap, nerve_of
+from .homology import (chain_complex, degree_homology, homology_of_complex,
+                       induced_map_on_homology, restricted_chain_complex)
+from .simplicial import SimplicialComplex, nerve_of
 
 
 class EuclidError(ValueError):
@@ -369,8 +370,13 @@ class EuclideanIsometry:
         d = self._ints[2]
         return [y - d * z for y, z in zip(self._moved(x, dx), x)]
 
+    def _same_dim(self, other: "EuclideanIsometry"):
+        if self.dim != other.dim:
+            raise EuclidError(f"isometries of dimensions {self.dim} and {other.dim}")
+
     def compose(self, other: "EuclideanIsometry") -> "EuclideanIsometry":
         """self after other."""
+        self._same_dim(other)
         return EuclideanIsometry._trusted(*_compose(self._ints, other._ints))
 
     def _inverse_ints(self):
@@ -398,6 +404,7 @@ class EuclideanIsometry:
     def commutes_with(self, other: "EuclideanIsometry") -> bool:
         """Compares the integer forms of both products, ``(A1 A2, A1 b2 +
         d2 b1)`` and ``(A2 A1, A2 b1 + d1 b2)``, both over ``d1 d2``."""
+        self._same_dim(other)
         return _compose(self._ints, other._ints) == _compose(other._ints, self._ints)
 
     def displacement_sq(self, x) -> Fraction:
@@ -545,6 +552,8 @@ class Arrangement:
     def __post_init__(self):
         if self.base < 1:
             raise EuclidError("ladder base must be >= 1")
+        if any(g.dim != self.dim for gens in self.groups for g in gens):
+            raise EuclidError(f"a generator's dimension differs from {self.dim}")
         mins = [minset_of_group(list(g), dim=self.dim) for g in self.groups]
         for i, (gens, sub) in enumerate(zip(self.groups, mins)):
             self._levels[(i, 0)] = (tuple(gens), sub)
@@ -579,38 +588,6 @@ class Arrangement:
         return sub
 
 
-def ladder(arr: Arrangement, k_max: int):
-    """Per-level minsets and nerves with the nesting checks.
-
-    Returns dict with minsets[level][i], nerves[level], inclusion maps
-    between consecutive nerves, and a nesting verdict.
-    """
-    minsets = []
-    for k in range(k_max + 1):
-        minsets.append([arr.level_minset(i, k) for i in range(len(arr.groups))])
-    nesting_ok = True
-    for k in range(1, k_max + 1):
-        for i in range(len(arr.groups)):
-            if not minsets[k][i].contains(minsets[k - 1][i]):
-                nesting_ok = False
-    nerves = [nerve_of_subspaces(minsets[k]) for k in range(k_max + 1)]
-    inclusions = []
-    inclusion_ok = True
-    for k in range(1, k_max + 1):
-        if nerves[k].contains_complex(nerves[k - 1]):
-            inclusions.append(SimplicialMap.inclusion(nerves[k - 1], nerves[k]))
-        else:
-            inclusion_ok = False
-            inclusions.append(None)
-    return {
-        "minsets": minsets,
-        "nerves": nerves,
-        "inclusions": inclusions,
-        "nesting_ok": nesting_ok,
-        "nerve_inclusion_ok": inclusion_ok,
-    }
-
-
 def nerve_of_subspaces(spaces: list[AffineSubspace]) -> SimplicialComplex:
     """Nerve of affine subspaces; intersections decided by exact feasibility."""
     return SimplicialComplex(frozenset(
@@ -624,8 +601,8 @@ class VanishingVerdict:
     hypothesis_violations: tuple[str, ...] = ()
 
 
-def sigma_group_rank(arr: Arrangement, sigma, level: int = 1) -> int:
-    """Rank of the translations of the piece's level generators on their
+def sigma_group_rank(arr: Arrangement, sigma) -> int:
+    """Rank of the translations of the piece's level-1 generators on their
     joint minset.
 
     The generators of the whole piece must commute. Their joint minset is
@@ -633,9 +610,9 @@ def sigma_group_rank(arr: Arrangement, sigma, level: int = 1) -> int:
     its base point depends on the order of intersection, but the
     translation vector of each generator is the same at every point of it.
     """
-    gens = [g for i in sigma for g in arr.level_generators(i, level)]
+    gens = [g for i in sigma for g in arr.level_generators(i, 1)]
     check_commuting(gens)
-    sub = intersect_all_subspaces([arr.level_minset(i, level) for i in sigma])
+    sub = intersect_all_subspaces([arr.level_minset(i, 1) for i in sigma])
     if sub is None:
         raise EuclidError("commuting generators with empty joint minset")
     rank, _ = translation_lattice_on(sub, gens)
@@ -661,7 +638,7 @@ def semisimple_vanish_check(arr: Arrangement, common_gens, k: int, n: int) -> Va
         sub = intersect_all_subspaces([arr.level_minset(i, k) for i in sigma])
         if sub is not None:
             spaces.append(sub)
-        rank_sigma = sigma_group_rank(arr, sigma, level=1)
+        rank_sigma = sigma_group_rank(arr, sigma)
         if rank_sigma != r:
             violations.append(f"piece {sigma} has level-1 rank {rank_sigma} != {r}")
     nerve_cx = nerve_of_subspaces(spaces)
@@ -693,7 +670,11 @@ def semisimple_vanish_check(arr: Arrangement, common_gens, k: int, n: int) -> Va
 
 def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> VanishingVerdict:
     """The level inclusion M -> M^K with K = 2^(n-2-r) kills homology in
-    degrees >= n-1-r, given every piece group has level-1 rank >= r."""
+    degrees >= n-1-r, given every piece group has level-1 rank >= r.
+
+    The nerve inclusion's chain map and the level-0 chain complex are read
+    off the level-K nerve's chain complex (``restricted_chain_complex``).
+    """
     if n - 2 - r < 0:
         raise EuclidError("need r <= n-2")
     violations = []
@@ -705,7 +686,7 @@ def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> Vanishin
             continue
         kept.append(sigma)
         spaces0.append(sub)
-        rank_sigma = sigma_group_rank(arr, sigma, level=1)
+        rank_sigma = sigma_group_rank(arr, sigma)
         if rank_sigma < r:
             violations.append(f"piece {sigma} has level-1 rank {rank_sigma} < {r}")
     if violations:
@@ -719,15 +700,16 @@ def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> Vanishin
         raise EuclidError("a piece vanished while enlarging, nesting violated")
     n0 = nerve_of_subspaces(spaces0)
     nk = nerve_of_subspaces(spaces_k)
-    if not nk.contains_complex(n0):
+    if not n0 <= nk:
         raise EuclidError("level-K nerve does not contain the level-0 nerve")
-    incl = SimplicialMap.inclusion(n0, nk)
+    cc_k = chain_complex(nk)
+    cc_0, incl = restricted_chain_complex(cc_k, n0)
 
     top = max(n0.dimension, 0)
     maps = {}
     all_zero = True
     for d in range(max(n - 1 - r, 0), top + 1):
-        m = induced_homology_map(incl, d)
+        m = induced_map_on_homology(incl, degree_homology(cc_0, d), degree_homology(cc_k, d))
         maps[d] = {
             "is_zero": m.is_zero,
             "source": [o for o in m.source_orders],
@@ -776,13 +758,14 @@ def _sqrt_bounds(q: Fraction, prec: int):
 def sqrt_leq_sum_of_sqrts(a: Fraction, bs: list[Fraction]) -> bool:
     """Decide sqrt(a) <= sum sqrt(b_i) exactly."""
     a = _frac(a)
-    bs = [_frac(b) for b in bs if _frac(b) != 0]
+    bs = [_frac(b) for b in bs]
+    if a < 0 or any(b < 0 for b in bs):
+        raise EuclidError("negative radicand")
+    bs = [b for b in bs if b]
     if a == 0:
         return True
     if not bs:
         return False
-    if a < 0 or any(b < 0 for b in bs):
-        raise EuclidError("negative radicand")
     # Group the radicands into square classes: b joins the class of its
     # representative r when b*r is a rational square, and then
     # sqrt(b) = (sqrt(b*r)/r) * sqrt(r) exactly.

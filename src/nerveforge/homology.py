@@ -7,6 +7,12 @@ subcomplex whose inclusion is a chain equivalence.  Homology bases come
 from the collapse order, which is fixed by the basis order, plus the Smith
 normal form transforms of the collapsed boundaries, so induced-map
 matrices are reproducible across runs.
+
+A map on homology has one route: a chain map and the ``DegreeHomology`` of
+its source and target go to ``induced_map_on_homology``.  The chain map of
+an inclusion is read off the larger complex's chain complex with
+``restricted_chain_complex``; that of another simplicial map comes from
+``simplicial_chain_map`` between already built chain complexes.
 """
 
 from __future__ import annotations
@@ -350,8 +356,8 @@ def homology(cc: IntegerChainComplex, degrees=None, reduced: bool = False) -> Ho
     return HomologySummary.of(entries)
 
 
-def homology_of_complex(c: SimplicialComplex, degrees=None, reduced: bool = False) -> HomologySummary:
-    """``homology(chain_complex(c), degrees, reduced)``.
+def homology_of_complex(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
+    """``homology(chain_complex(c), reduced=reduced)``.
 
     A complex of dimension at most 1 is a graph with V vertices, E edges
     and C components: H_0 = Z^C and H_1 = Z^(E - V + C), with no torsion.
@@ -361,7 +367,7 @@ def homology_of_complex(c: SimplicialComplex, degrees=None, reduced: bool = Fals
     ``chain_complex`` does.
     """
     if c.dimension > 1:
-        return homology(chain_complex(c), degrees=degrees, reduced=reduced)
+        return homology(chain_complex(c), reduced=reduced)
     vertices = [s[0] for s in c.simplices if len(s) == 1]
     edges = [s for s in c.simplices if len(s) == 2]
     try:
@@ -369,11 +375,10 @@ def homology_of_complex(c: SimplicialComplex, degrees=None, reduced: bool = Fals
     except KeyError as e:
         raise ChainComplexError(
             f"face {(e.args[0],)!r} of an edge is not a cell of degree 0") from None
-    wanted = range(c.dimension + 1) if degrees is None else set(degrees)
     entries = {}
-    if 0 in wanted and vertices:
+    if vertices:
         entries[0] = (components - 1 if reduced else components, ())
-    if 1 in wanted and edges:
+    if edges:
         entries[1] = (len(edges) - len(vertices) + components, ())
     return HomologySummary.of(entries)
 
@@ -577,21 +582,16 @@ class InducedMap:
     is_zero: bool
 
 
-def induced_map_on_homology(
-    src_cc: IntegerChainComplex,
-    dst_cc: IntegerChainComplex,
-    cm: ChainMap,
-    d: int,
-    src_h: DegreeHomology | None = None,
-    dst_h: DegreeHomology | None = None,
-) -> InducedMap:
-    src_h = src_h or degree_homology(src_cc, d)
-    dst_h = dst_h or degree_homology(dst_cc, d)
+def induced_map_on_homology(cm: ChainMap, src_h: DegreeHomology,
+                            dst_h: DegreeHomology) -> InducedMap:
+    """Matrix of the map the chain map ``cm`` induces from ``src_h`` to
+    ``dst_h``, homology of one degree, in their generator bases, with an
+    exact zero-map flag.  Raises ``ChainComplexError`` when ``cm`` sends a
+    generator to a vector that is not a cycle."""
     cols = []
     zero = True
     for g in src_h.generators:
-        img = apply_chain_map(cm, d, g, dst_cc.dim(d))
-        coords = dst_h.coordinates(img)
+        coords = dst_h.coordinates(apply_chain_map(cm, src_h.d, g, dst_h.n))
         if coords is None:
             raise ChainComplexError("chain map image of a cycle is not a cycle")
         if any(coords):
@@ -604,12 +604,6 @@ def induced_map_on_homology(
         target_orders=list(dst_h.orders),
         is_zero=zero,
     )
-
-
-def induced_homology_map(f: SimplicialMap, d: int) -> InducedMap:
-    """Matrix of H_d(f) in the generator bases, with an exact zero-map flag."""
-    src, dst, cm = chain_map_of_simplicial(f)
-    return induced_map_on_homology(src, dst, cm, d)
 
 
 def _group_map_is_bijective(matrix, source_orders, target_orders) -> bool:

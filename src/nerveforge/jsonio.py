@@ -26,7 +26,6 @@ from fractions import Fraction
 from .clumps import Patch, PatchSystem
 from .euclid import Arrangement, EuclideanIsometry
 from .lattices import LatticeSubgroup
-from .nilpotent import UnitriangularGroup
 from .periodic import Box, BoxUnion, FiniteCoverSpec
 from .simplicial import ComplexError, SimplicialComplex, close_downward
 from .covers import Cover
@@ -144,27 +143,16 @@ def cover_from_json(data: dict) -> Cover:
     return Cover(ambient, pieces, covering=bool(data.get("covering", False)))
 
 
-def group_to_json(g) -> dict:
-    if isinstance(g, LatticeSubgroup):
-        return {"kind": "lattice", "ambient": g.ambient, "rows": [list(r) for r in g.basis]}
-    if isinstance(g, UnitriangularGroup):
-        return {
-            "kind": "unitriangular",
-            "size": g.size,
-            "generators": [[list(row) for row in m] for m in g.generators],
-        }
-    raise FormatError(f"unknown group object {type(g).__name__}")
+def group_to_json(g: LatticeSubgroup) -> dict:
+    return {"kind": "lattice", "ambient": g.ambient, "rows": [list(r) for r in g.basis]}
 
 
 @_reader
-def group_from_json(data: dict):
+def group_from_json(data: dict) -> LatticeSubgroup:
     kind = data.get("kind")
-    if kind == "lattice":
-        return LatticeSubgroup.from_generators(data["rows"], int(data["ambient"]))
-    if kind == "unitriangular":
-        # the group checks each generator's shape and entries
-        return UnitriangularGroup(int(data["size"]), tuple(data["generators"]))
-    raise FormatError(f"unknown group kind {kind!r}")
+    if kind != "lattice":
+        raise FormatError(f"unknown group kind {kind!r}")
+    return LatticeSubgroup.from_generators(data["rows"], int(data["ambient"]))
 
 
 def patch_system_to_json(ps: PatchSystem) -> dict:
@@ -208,13 +196,10 @@ def patch_system_from_json(data: dict) -> PatchSystem:
             raise FormatError(f"piece keys {key!r} and an earlier one name patch {idx!r}")
         if key not in groups:
             raise FormatError(f"patch {key!r} has no group label")
-        g = group_from_json(groups[key])
-        if not isinstance(g, LatticeSubgroup):
-            raise FormatError("patch labels must be lattice subgroups")
         f = flags.get(key, {})
         patches[idx] = Patch(
             support=subcomplex_from_json(ambient, val),
-            group=g,
+            group=group_from_json(groups[key]),
             parabolic=bool(f.get("parabolic", False)),
             rank_annotation=f.get("rank"),
         )

@@ -118,9 +118,9 @@ class BoxUnion:
     those e, computed once per instance on first use; window and quotient
     nerves read their edges from it instead of meeting pairs of boxes.
 
-    ``stabilization`` keeps its result in a per-instance memo. The memo and
-    the stencil are not part of ``==``, ``hash`` or ``repr`` and live and die
-    with the instance, so an equal but distinct ``BoxUnion`` computes its own.
+    ``stabilization`` and the stencil are computed once per instance. They
+    are not part of ``==``, ``hash`` or ``repr`` and live and die with the
+    instance, so an equal but distinct ``BoxUnion`` computes its own.
     """
 
     dim: int
@@ -128,8 +128,6 @@ class BoxUnion:
     boxes: tuple[Box, ...]
     _den: int = field(init=False, repr=False, compare=False)
     _scaled: tuple = field(init=False, repr=False, compare=False)
-    _stabilizations: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.lattice.ambient != self.dim:
@@ -238,18 +236,15 @@ class BoxUnion:
         (``simplicial.cliques_of``)."""
         return SimplicialComplex(frozenset(self._nerve(self.window_vertices(w))))
 
-    def stabilization(self, w_max: int = 16) -> StabilizationResult:
+    @cached_property
+    def stabilization(self) -> StabilizationResult:
         """``stabilization_check`` of the window nerves in every degree.
 
-        Computed once per instance and ``w_max``: ``local_vanishing_check``
-        and ``quotient_corner_check`` share the result. The memo belongs to
-        this instance alone; the result is frozen, so callers cannot change it.
+        Computed once per instance: ``local_vanishing_check`` and
+        ``quotient_corner_check`` share the result. The result is frozen, so
+        callers cannot change it.
         """
-        result = self._stabilizations.get(w_max)
-        if result is None:
-            result = stabilization_check(self.window_complex, w_max=w_max)
-            self._stabilizations[w_max] = result
-        return result
+        return stabilization_check(self.window_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +371,7 @@ def stabilization_check(builder, w_max: int = 16) -> StabilizationResult:
         return hcache[key]
 
     def induced(w1, w2, d):
-        return induced_map_on_homology(
-            ccs[w1], ccs[w2], cmaps[w1, w2], d, src_h=hdeg(w1, d), dst_h=hdeg(w2, d)
-        )
+        return induced_map_on_homology(cmaps[w1, w2], hdeg(w1, d), hdeg(w2, d))
 
     best: dict[int, DegreeOutcome] = {}
     top_seen = 0
@@ -479,7 +472,7 @@ class LocalVanishingVerdict:
     certificate: dict | None = None
 
 
-def local_vanishing_check(bu: BoxUnion, n: int, r: int, w_max: int = 16) -> LocalVanishingVerdict:
+def local_vanishing_check(bu: BoxUnion, n: int, r: int) -> LocalVanishingVerdict:
     """Stabilized reduced homology vanishes from degree n-1-r upward; in the
     full-rank case the box translates must cover all of R^(n-1)."""
     if r != bu.rank:
@@ -496,7 +489,7 @@ def local_vanishing_check(bu: BoxUnion, n: int, r: int, w_max: int = 16) -> Loca
             certificate=None if covered else {"reason": "fundamental cell not covered"},
         )
     threshold = n - 1 - r
-    result = bu.stabilization(w_max)
+    result = bu.stabilization
     inconclusive, bad = result.nonvanishing_from(threshold)
     ok = not inconclusive and not bad
     return LocalVanishingVerdict(
@@ -566,10 +559,10 @@ class QuotientCornerVerdict:
     detail: dict
 
 
-def quotient_corner_check(bu: BoxUnion, w_max: int = 16) -> QuotientCornerVerdict:
+def quotient_corner_check(bu: BoxUnion) -> QuotientCornerVerdict:
     """With k the top stabilized nonzero reduced degree of the windows (0 when
     everything vanishes), the quotient complex has H_{r+k} != 0."""
-    result = bu.stabilization(w_max)
+    result = bu.stabilization
     if not result.conclusive():
         return QuotientCornerVerdict(
             ok=False, inconclusive=True, k=None, degree=None,
@@ -665,8 +658,7 @@ class CoverLiftVerdict:
     detail: dict
 
 
-def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
-                     w_max: int = 16) -> CoverLiftVerdict:
+def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> CoverLiftVerdict:
     """The translation action lifts through chosen sheets to a group action
     commuting with the deck group, acting trivially on stabilized cover
     homology, with the cover's reduced homology vanishing from degree
@@ -754,7 +746,7 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
             windows[w] = CoverWindow(bu, spec, w)
         return windows[w].complex
 
-    result = stabilization_check(window, w_max=w_max)
+    result = stabilization_check(window)
     inconclusive, bad = result.nonvanishing_from(threshold)
     vanish = not inconclusive and not bad
     checks["cover_vanishing"] = vanish
@@ -773,9 +765,8 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int,
             if not src_h.generators:
                 continue
             dst_h = degree_homology(big_cc, d)
-            expected, *lifted = [
-                induced_map_on_homology(small_cc, big_cc, cm, d, src_h, dst_h).matrix
-                for cm in maps]
+            expected, *lifted = [induced_map_on_homology(cm, src_h, dst_h).matrix
+                                 for cm in maps]
             if any(m != expected for m in lifted):
                 trivial_ok = False
         # degree 0: each component maps into the same component as inclusion

@@ -119,9 +119,6 @@ class SimplicialComplex:
         ``hash`` or ``repr``."""
         return max(map(len, self.simplices), default=0) - 1
 
-    def contains_complex(self, other: "SimplicialComplex") -> bool:
-        return other.simplices <= self.simplices
-
     def __le__(self, other):
         return self.simplices <= other.simplices
 
@@ -252,9 +249,3 @@ class SimplicialMap:
             if order[a] > order[b]
         )
         return tuple(sorted(img)), (-1) ** inversions
-
-    @staticmethod
-    def inclusion(source: SimplicialComplex, target: SimplicialComplex) -> "SimplicialMap":
-        if not target.contains_complex(source):
-            raise ComplexError("inclusion source is not a subcomplex of the target")
-        return SimplicialMap(source, target, {v: v for v in source.vertices})

@@ -455,16 +455,11 @@ def row_kernel_basis(matrix) -> list[list[int]]:
     return [[row.get(j, 0) for j in range(m)] for row in res.u_rows[res.rank:]]
 
 
-def solve_integer(matrix, b, snf: SNFResult | None = None):
-    """One integer solution x of matrix @ x = b, or None if unsolvable.
-
-    A precomputed SNF (with ``u_rows`` and ``v_cols``) may be passed to
-    amortize repeated solves against the same matrix.
-    """
+def solve_integer(matrix, b):
+    """One integer solution x of matrix @ x = b, or None if unsolvable."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    if snf is None:
-        snf = smith_normal_form(matrix)
+    snf = smith_normal_form(matrix)
     x = [0] * n
     for i, row in enumerate(snf.u_rows):
         c = sum(v * b[k] for k, v in row.items())

@@ -1,13 +1,16 @@
 """Helpers shared by the tests: a complex's sorted simplices of one
 dimension, brute-force chain enumeration for the order complexes (reduced
 nerves, barycentric subdivisions) that the package does not build, the
-check that a restricted chain complex is the one built from the
-subcomplex, dense SNF transforms and kernels read off the sparse lines, and
-a cover's fattening (the total complex of its intersection diagram)."""
+inclusion map of a subcomplex and the map a simplicial map induces on
+homology through chain complexes built from simplices, the check that a
+restricted chain complex is the one built from the subcomplex, dense SNF
+transforms and kernels read off the sparse lines, and a cover's fattening
+(the total complex of its intersection diagram)."""
 
 from nerveforge.covers import nerve
-from nerveforge.homology import (TotalComplex, chain_complex, restricted_chain_complex,
-                                 simplicial_chain_map)
+from nerveforge.homology import (TotalComplex, chain_complex, chain_map_of_simplicial,
+                                 degree_homology, induced_map_on_homology,
+                                 restricted_chain_complex, simplicial_chain_map)
 from nerveforge.simplicial import SimplicialMap
 from nerveforge.snf import smith_normal_form
 
@@ -33,6 +36,19 @@ def scanned_chains(elements):
     return frozenset(chains)
 
 
+def inclusion(source, target):
+    """The simplicial inclusion of ``source`` into ``target``; a simplex of
+    ``source`` that is not in ``target`` raises ``ComplexError``."""
+    return SimplicialMap(source, target, {v: v for v in source.vertices})
+
+
+def induced_homology_map(f, d):
+    """Matrix of H_d(f) in the generator bases, with the chain complexes of
+    f's source and target built from their simplices."""
+    src, dst, cm = chain_map_of_simplicial(f)
+    return induced_map_on_homology(cm, degree_homology(src, d), degree_homology(dst, d))
+
+
 def assert_restriction_matches(sub, c):
     """``restricted_chain_complex`` of ``chain_complex(c)`` to ``sub`` has the
     bases and boundary columns of ``chain_complex(sub)``, in the same order,
@@ -44,7 +60,7 @@ def assert_restriction_matches(sub, c):
     assert list(got.boundaries) == list(ref.boundaries)
     for d, cols in ref.boundaries.items():
         assert list(got.boundaries[d].items()) == list(cols.items())
-    assert cm == simplicial_chain_map(SimplicialMap.inclusion(sub, c), ref, cc)
+    assert cm == simplicial_chain_map(inclusion(sub, c), ref, cc)
 
 
 def dense(lines, n, as_rows):

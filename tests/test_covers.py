@@ -413,9 +413,9 @@ def test_cover_checks_match_per_chain_loops(cov, assembly_first):
 def test_cover_homology_once_per_distinct_intersection(monkeypatch):
     calls = []
 
-    def counted(c, degrees=None, reduced=False):
+    def counted(c, reduced=False):
         calls.append(c)
-        return homology_of_complex(c, degrees=degrees, reduced=reduced)
+        return homology_of_complex(c, reduced=reduced)
 
     monkeypatch.setattr(covers_module, "homology_of_complex", counted)
     rng = random.Random(11)

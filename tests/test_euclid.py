@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerveforge import euclid, snf
+from nerveforge import euclid, jsonio, snf
 from nerveforge.euclid import (
     AffineSubspace,
     Arrangement,
@@ -14,7 +14,6 @@ from nerveforge.euclid import (
     EuclideanIsometry,
     almost_abelian_vanishing_check,
     block_diagonal,
-    ladder,
     minset,
     minset_of_group,
     nerve_of_subspaces,
@@ -272,26 +271,32 @@ def test_splitting_random_commuting_pairs():
         assert rep.ok, rep.checks
 
 
+def level_nerve(arr, k):
+    """Nerve of the level-k minsets of the arrangement's groups."""
+    return nerve_of_subspaces([arr.level_minset(i, k) for i in range(len(arr.groups))])
+
+
 def test_ladder_translations_all_levels_identical():
     arr = Arrangement(
         dim=2, base=3,
         groups=((EuclideanIsometry.translation([1, 0]),),
                 (EuclideanIsometry.translation([0, 1]),)),
     )
-    out = ladder(arr, 3)
-    assert out["nesting_ok"] and out["nerve_inclusion_ok"]
-    for level in out["minsets"]:
-        assert all(ms.dim == 2 for ms in level)
+    for k in range(4):
+        assert all(arr.level_minset(i, k).dim == 2 for i in range(2))
+    for k in range(1, 4):
+        assert all(arr.level_minset(i, k).contains(arr.level_minset(i, k - 1))
+                   for i in range(2))
+        assert level_nerve(arr, k - 1) <= level_nerve(arr, k)
 
 
 def test_ladder_rotation_jumps_to_full_space():
     # rotation by pi about the z axis; base 2 makes the level-1 power trivial
     half_turn = EuclideanIsometry.of([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], [0, 0, 0])
     arr = Arrangement(dim=3, base=2, groups=((half_turn,),))
-    out = ladder(arr, 1)
-    assert out["minsets"][0][0].dim == 1
-    assert out["minsets"][1][0].dim == 3
-    assert out["nesting_ok"]
+    assert arr.level_minset(0, 0).dim == 1
+    assert arr.level_minset(0, 1).dim == 3
+    assert arr.level_minset(0, 1).contains(arr.level_minset(0, 0))
 
 
 def square_cylinder_arrangement(side=3):
@@ -310,12 +315,12 @@ def square_cylinder_arrangement(side=3):
 
 def test_square_cylinder_nerve_is_circle():
     arr = square_cylinder_arrangement()
-    out = ladder(arr, 1)
-    nerve0 = out["nerves"][0]
+    nerve0 = level_nerve(arr, 0)
     h = homology_of_complex(nerve0)
     assert h.betti(1) == 1
     # at level 1 every glide squares to a translation, minsets become R^3
-    nerve1 = out["nerves"][1]
+    nerve1 = level_nerve(arr, 1)
+    assert nerve0 <= nerve1
     assert homology_of_complex(nerve1).betti(1) == 0
 
 
@@ -375,6 +380,12 @@ def test_sqrt_comparison():
     assert not sqrt_leq_sum_of_sqrts(Fraction(9), [Fraction(2), Fraction(2)])
     assert sqrt_leq_sum_of_sqrts(Fraction(2), [Fraction(1, 2), Fraction(1, 2)])
     assert not sqrt_leq_sum_of_sqrts(Fraction(49, 4), [Fraction(1), Fraction(9, 4)])
+
+
+@pytest.mark.parametrize("a,bs", [(-1, []), (0, [-1]), (-4, [0]), (-1, [1]), (1, [2, -1])])
+def test_negative_radicand_is_rejected_before_any_answer(a, bs):
+    with pytest.raises(EuclidError, match="negative radicand"):
+        sqrt_leq_sum_of_sqrts(a, bs)
 
 
 def test_subadditivity_examples():
@@ -938,3 +949,23 @@ def test_integer_forms_leave_equality_hash_and_repr_alone():
     # another base point on the same line: equal subspaces, other views
     shifted = AffineSubspace.of(vadd(s.base, s.directions[0]), s.directions)
     assert shifted == s and hash(shifted) == hash(s) and shifted.base != s.base
+
+
+def test_isometries_of_different_dimensions_are_rejected():
+    t3, t2 = EuclideanIsometry.translation([0, 1, 0]), EuclideanIsometry.translation([1, 0])
+    for f, g in ((t3, t2), (t2, t3)):
+        with pytest.raises(EuclidError, match="dimensions"):
+            f.compose(g)
+        with pytest.raises(EuclidError, match="dimensions"):
+            f.commutes_with(g)
+
+
+def test_arrangement_generators_of_another_dimension_are_rejected():
+    groups = ((EuclideanIsometry.translation([1, 0]),),
+              (EuclideanIsometry.translation([0, 1]),))
+    with pytest.raises(EuclidError, match="dimension differs"):
+        Arrangement(dim=3, base=2, groups=groups)
+    payload = {"dim": 3, "base": 2,
+               "groups": [[jsonio.isometry_to_json(g) for g in gens] for gens in groups]}
+    with pytest.raises(EuclidError, match="dimension differs"):
+        jsonio.arrangement_from_json(payload)

@@ -26,15 +26,16 @@ from nerveforge.homology import (
     degree_homology,
     homology,
     homology_of_complex,
-    induced_homology_map,
     induced_map_is_isomorphism,
+    induced_map_on_homology,
     restricted_chain_complex,
     simplex_boundary,
 )
 from nerveforge.simplicial import ComplexError, SimplicialComplex, SimplicialMap
 from nerveforge.snf import rational_rank
 
-from chain_helpers import assert_restriction_matches, scanned_chains, simplices_of_dim
+from chain_helpers import (assert_restriction_matches, inclusion, induced_homology_map,
+                           scanned_chains, simplices_of_dim)
 
 
 def rational_betti_oracle(c):
@@ -133,7 +134,7 @@ def test_equator_in_disk_induces_zero():
     eq = SimplicialComplex.from_maximal(
         [tuple(sorted((str(i), str((i + 1) % 4)))) for i in range(4)]
     )
-    f = SimplicialMap.inclusion(eq, disk)
+    f = inclusion(eq, disk)
     m = induced_homology_map(f, 1)
     assert m.is_zero
     assert m.source_orders == [0]
@@ -143,7 +144,7 @@ def test_equator_in_disk_induces_zero():
 def test_boundary_circle_into_annulus():
     ann = annulus()
     circle = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
-    f = SimplicialMap.inclusion(circle, ann)
+    f = inclusion(circle, ann)
     m = induced_homology_map(f, 1)
     assert len(m.matrix) == 1 and len(m.matrix[0]) == 1
     assert abs(m.matrix[0][0]) == 1
@@ -165,7 +166,7 @@ def test_degree_empty_on_one_side_only(side):
     circle = cycle_complex(3)
     if side == "source":
         points = SimplicialComplex.from_maximal([(v,) for v in circle.vertices])
-        f = SimplicialMap.inclusion(points, circle)
+        f = inclusion(points, circle)
     else:
         point = SimplicialComplex.from_maximal([(0,)])
         f = SimplicialMap(circle, point, {v: 0 for v in circle.vertices})
@@ -183,6 +184,15 @@ def test_torsion_aware_zero_flag():
     assert not m.is_zero
     assert m.source_orders == [2]
     assert m.matrix == [[1]]
+
+
+def test_image_of_a_cycle_that_is_not_a_cycle_raises():
+    # the chain map sends the circle's generating 1-cycle onto one edge
+    cc = chain_complex(cycle_complex(3))
+    h1 = degree_homology(cc, 1)
+    assert h1.orders == [0]
+    with pytest.raises(ChainComplexError, match="not a cycle"):
+        induced_map_on_homology({1: {0: {0: 1}}}, h1, h1)
 
 
 def compose_after(later, earlier):
@@ -210,11 +220,11 @@ def test_functoriality_on_inclusion_triples():
         small = SimplicialComplex(rect_subcomplex(grid, i0, i0 + 1, j0, j0 + 1))
         mid = SimplicialComplex(rect_subcomplex(grid, 0, 2, 0, 3))
         big = grid
-        if not mid.contains_complex(small):
+        if not small <= mid:
             continue
-        f = SimplicialMap.inclusion(small, mid)
-        g = SimplicialMap.inclusion(mid, big)
-        gf = SimplicialMap.inclusion(small, big)
+        f = inclusion(small, mid)
+        g = inclusion(mid, big)
+        gf = inclusion(small, big)
         for d in (0, 1):
             lhs = induced_homology_map(gf, d)
             rhs = compose_after(induced_homology_map(g, d), induced_homology_map(f, d))
@@ -302,7 +312,7 @@ def test_restriction_to_a_complex_outside_raises_like_inclusion():
     c = SimplicialComplex.from_maximal([(0, 1), (1, 2)])
     outside = SimplicialComplex.from_maximal([(0, 2)])
     with pytest.raises(ComplexError):
-        SimplicialMap.inclusion(outside, c)
+        inclusion(outside, c)
     with pytest.raises(ComplexError):
         restricted_chain_complex(chain_complex(c), outside)
     faces_missing = SimplicialComplex(frozenset({(0,), (0, 1)}))
@@ -318,13 +328,12 @@ random_graphs = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(random_graphs, st.sampled_from([None, [0], [1], [2], [0, 1]]), st.booleans())
-@example(SimplicialComplex(), None, True)
-@example(SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2), (5,)]), None, True)
-def test_graph_homology_matches_the_chain_complex(c, degrees, reduced):
+@given(random_graphs, st.booleans())
+@example(SimplicialComplex(), True)
+@example(SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2), (5,)]), True)
+def test_graph_homology_matches_the_chain_complex(c, reduced):
     assert c.dimension <= 1
-    assert (homology_of_complex(c, degrees=degrees, reduced=reduced)
-            == homology(chain_complex(c), degrees=degrees, reduced=reduced))
+    assert homology_of_complex(c, reduced=reduced) == homology(chain_complex(c), reduced=reduced)
 
 
 def test_graph_homology_builds_no_chain_complex(monkeypatch):
@@ -388,8 +397,8 @@ LOOP_IN_RP2 = [(1, 2), (1, 5), (2, 5)]
           projective_plane_6()))
 def test_compose_after_matches_composite_map(chain):
     a, b, c = chain
-    f = SimplicialMap.inclusion(a, b)
-    g = SimplicialMap.inclusion(b, c)
+    f = inclusion(a, b)
+    g = inclusion(b, c)
     for d in range(c.dimension + 1):
         direct = induced_homology_map(compose(g, f), d)
         composed = compose_after(induced_homology_map(g, d), induced_homology_map(f, d))

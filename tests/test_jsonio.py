@@ -184,3 +184,16 @@ def test_enlargement_keys_naming_one_set_are_rejected():
         jsonio.patch_system_from_json(data)
     del data["enlargements"]["1,0"]
     assert set(jsonio.patch_system_from_json(data).enlargements) == {(0, 1)}
+
+
+def test_groups_are_lattices_only():
+    # a well-formed unitriangular group is not a wire format
+    heisenberg = {"kind": "unitriangular", "size": 3,
+                  "generators": [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]]}
+    with pytest.raises(jsonio.FormatError, match="unknown group kind"):
+        jsonio.group_from_json(heisenberg)
+    data = {"ambient": POINT, "pieces": {"0": [[0]]}, "groups": {"0": heisenberg}}
+    with pytest.raises(jsonio.FormatError, match="unknown group kind"):
+        jsonio.patch_system_from_json(data)
+    group = jsonio.group_from_json(LATTICE)
+    assert jsonio.group_to_json(group) == LATTICE

@@ -19,7 +19,7 @@ from nerveforge.homology import (
 from nerveforge.simplicial import SimplicialComplex, SimplicialMap
 from nerveforge.snf import identity_matrix, mat_mul, smith_normal_form
 
-from chain_helpers import dense_transforms, diagonal_matrix, fattening, kernel_basis
+from chain_helpers import dense_transforms, diagonal_matrix, fattening, inclusion, kernel_basis
 
 SETTINGS = settings(max_examples=60, deadline=None)
 entries = st.integers(-6, 6)
@@ -245,7 +245,7 @@ def simplicial_maps(draw):
     c = draw(complexes())
     if draw(st.booleans()):
         kept = draw(st.lists(st.sampled_from(maximal_simplices(c)), min_size=1, unique=True))
-        return SimplicialMap.inclusion(SimplicialComplex.from_maximal(kept), c)
+        return inclusion(SimplicialComplex.from_maximal(kept), c)
     # any vertex map into a full simplex is simplicial
     k = draw(st.integers(1, 4))
     target = full_simplex(k)

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nerveforge import nilpotent
-from nerveforge.jsonio import group_from_json
 from nerveforge.nilpotent import (
     GroupWord,
     NilpotentError,
@@ -65,9 +64,6 @@ def test_validation():
 def test_malformed_generators_rejected(m):
     with pytest.raises(NilpotentError):
         UnitriangularGroup(3, (m,))
-    data = {"kind": "unitriangular", "size": 3, "generators": [[list(row) for row in m]]}
-    with pytest.raises(NilpotentError):
-        group_from_json(data)
 
 
 def test_generators_given_as_lists_are_stored_as_tuples():

@@ -247,7 +247,7 @@ def test_quotient_corner_tiling():
 
 
 def test_quotient_corner_inconclusive_propagates():
-    v = quotient_corner_check(holes_ladder(), w_max=8)
+    v = quotient_corner_check(holes_ladder())
     assert v.inconclusive
 
 

@@ -11,7 +11,6 @@ from nerveforge.construct import projective_plane_6, torus_7
 from nerveforge.homology import (
     chain_complex,
     degree_homology,
-    induced_homology_map,
     induced_map_is_isomorphism,
 )
 from nerveforge.simplicial import SimplicialMap
@@ -31,7 +30,7 @@ from nerveforge.snf import (
     solve_integer,
 )
 
-from chain_helpers import dense_transforms, diagonal_matrix, kernel_basis
+from chain_helpers import dense_transforms, diagonal_matrix, induced_homology_map, kernel_basis
 
 
 def snf_invariant_factors_oracle(matrix):
