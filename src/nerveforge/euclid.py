@@ -34,7 +34,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import snf
-from .homology import (chain_complex, degree_homology, homology_of_complex,
+from .homology import (chain_complex, degree_homology, homology, homology_of_complex,
                        induced_map_on_homology, restricted_chain_complex)
 from .simplicial import SimplicialComplex, nerve_of
 
@@ -673,7 +673,8 @@ def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> Vanishin
     degrees >= n-1-r, given every piece group has level-1 rank >= r.
 
     The nerve inclusion's chain map and the level-0 chain complex are read
-    off the level-K nerve's chain complex (``restricted_chain_complex``).
+    off the level-K nerve's chain complex (``restricted_chain_complex``);
+    the nerves' homology is read off both, except on graphs (union-find).
     """
     if n - 2 - r < 0:
         raise EuclidError("need r <= n-2")
@@ -717,14 +718,16 @@ def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> Vanishin
         }
         if not m.is_zero:
             all_zero = False
+    nerve_homology = [(homology(cc) if c.dimension > 1 else homology_of_complex(c)).as_json()
+                      for c, cc in ((n0, cc_0), (nk, cc_k))]
     return VanishingVerdict(
         ok=all_zero,
         detail={
             "level": big_k,
             "threshold_degree": n - 1 - r,
             "induced_maps": maps,
-            "nerve_homology_level0": homology_of_complex(n0).as_json(),
-            "nerve_homology_levelK": homology_of_complex(nk).as_json(),
+            "nerve_homology_level0": nerve_homology[0],
+            "nerve_homology_levelK": nerve_homology[1],
         },
     )
 

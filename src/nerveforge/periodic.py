@@ -2,15 +2,15 @@
 quotient complexes, and finite regular covers with lifted translation actions.
 
 The infinite periodic complex is never materialized; every statement about it
-is phrased through windows at doubling radii, with "inconclusive" a
-first-class outcome.
+is phrased through windows at the doubling radii 1 to 16, with "inconclusive"
+a first-class outcome, and a finite cover is read off its base windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import lcm
 from operator import add, sub
@@ -292,9 +292,11 @@ class StabilizationResult:
         return best
 
 
-def _component_map_outcome(c_small: dict, c_big: dict, c_bigger: dict) -> DegreeOutcome:
+def _component_map_outcome(c_small: dict, c_big: dict, c_bigger: dict,
+                           sheets: int = 1) -> DegreeOutcome:
     """Reduced degree-0 stabilization via component tracking, from the
-    windows' component labels (``_chain_component_labels``)."""
+    windows' component labels (``_chain_component_labels``), for ``sheets``
+    disjoint copies of each window."""
 
     def outcome(cs, cb):
         reps_small = {}
@@ -305,26 +307,31 @@ def _component_map_outcome(c_small: dict, c_big: dict, c_bigger: dict) -> Degree
         surjective = len(images) == len(set(cb.values()))
         if injective and surjective:
             return "iso"
-        if len(images) <= 1:
+        if sheets * len(images) <= 1:
             return "zero"
         return "neither"
 
     o1 = outcome(c_small, c_big)
     o2 = outcome(c_big, c_bigger)
     if o1 == "iso" and o2 == "iso":
-        return DegreeOutcome("stable", betti=len(set(c_big.values())) - 1)
+        return DegreeOutcome("stable", betti=sheets * len(set(c_big.values())) - 1)
     if o1 == "zero" and o2 == "zero":
         return DegreeOutcome("zero_image")
     return DegreeOutcome("inconclusive")
 
 
-def stabilization_check(builder, w_max: int = 16) -> StabilizationResult:
+def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     """Doubling-window stabilization for a radius-indexed complex family.
 
     A degree is stable when the two consecutive inclusion-induced maps
     (w -> 2w -> 4w) are isomorphisms, zero-image when both kill every class,
-    and inconclusive otherwise; the scan stops at the first radius triple
-    that resolves every degree, or at w_max.
+    and inconclusive otherwise; the scan tries the triples of the radii
+    1, 2, 4, 8, 16 in turn and stops at the first that resolves every degree.
+
+    With ``sheets=k`` the result is the scan of k disjoint copies of each
+    window, read off one copy: Betti numbers are multiplied by k, each
+    torsion factor appears k times in sorted order, and in reduced degree 0
+    a map reads "zero" only when k times its number of images is at most 1.
 
     The builder's windows must be nested. It is asked once per radius, the
     largest of a triple first. Only that largest window's chain complex is
@@ -333,17 +340,9 @@ def stabilization_check(builder, w_max: int = 16) -> StabilizationResult:
     which raises ``ComplexError`` when a window is not inside the next.
     Degree-0 component labels come once per window from its chain complex.
     """
-    if w_max < 2:
-        raise PeriodicError("w_max must be at least 2")
-    radii = [1]
-    while radii[-1] * 2 <= w_max:
-        radii.append(radii[-1] * 2)
-    if len(radii) < 3:
-        raise PeriodicError("w_max admits no doubling triple")
+    radii = (1, 2, 4, 8, 16)
     complexes: dict[int, SimplicialComplex] = {}
     ccs: dict[int, IntegerChainComplex] = {}
-    labels: dict[int, dict] = {}
-    hcache: dict[tuple[int, int], object] = {}
     cmaps: dict[tuple[int, int], dict] = {}
 
     def prepare(w1, w2, w4):
@@ -352,49 +351,38 @@ def stabilization_check(builder, w_max: int = 16) -> StabilizationResult:
         for w in (w4, w2, w1):
             if w not in complexes:
                 complexes[w] = builder(w)
-        if w4 not in ccs:
-            ccs[w4] = chain_complex(complexes[w4])
+        ccs[w4] = chain_complex(complexes[w4])  # each triple's w4 is new
         for lo, hi in ((w2, w4), (w1, w2)):
             if (lo, hi) not in cmaps:
                 cc, cmaps[lo, hi] = restricted_chain_complex(ccs[hi], complexes[lo])
                 ccs.setdefault(lo, cc)
 
+    @cache
     def components(w):
-        if w not in labels:
-            labels[w] = _chain_component_labels(ccs[w])
-        return labels[w]
+        return _chain_component_labels(ccs[w])
 
+    @cache
     def hdeg(w, d):
-        key = (w, d)
-        if key not in hcache:
-            hcache[key] = degree_homology(ccs[w], d)
-        return hcache[key]
+        return degree_homology(ccs[w], d)
 
     def induced(w1, w2, d):
         return induced_map_on_homology(cmaps[w1, w2], hdeg(w1, d), hdeg(w2, d))
 
     best: dict[int, DegreeOutcome] = {}
-    top_seen = 0
-    used = ()
-    for i in range(len(radii) - 2):
-        w1, w2, w4 = radii[i], radii[i + 1], radii[i + 2]
-        used = (w1, w2, w4)
+    for w1, w2, w4 in zip(radii, radii[1:], radii[2:]):
         prepare(w1, w2, w4)
-        # the smaller windows lie inside the largest
+        # the windows are nested, so the largest has the top dimension so far
         top = max(complexes[w4].dimension, 0)
-        top_seen = max(top_seen, top)
-        outcomes = {}
-        for d in range(top + 1):
-            if d == 0:
-                outcomes[0] = _component_map_outcome(
-                    components(w1), components(w2), components(w4))
-                continue
+        outcomes = {0: _component_map_outcome(
+            components(w1), components(w2), components(w4), sheets)}
+        for d in range(1, top + 1):
             m1 = induced(w1, w2, d)
             m2 = induced(w2, w4, d)
             if induced_map_is_isomorphism(m1) and induced_map_is_isomorphism(m2):
                 mid = hdeg(w2, d)
                 betti, torsion = mid.summary_entry()
-                outcomes[d] = DegreeOutcome("stable", betti=betti, torsion=torsion)
+                outcomes[d] = DegreeOutcome("stable", betti=sheets * betti,
+                                            torsion=tuple(sorted(torsion * sheets)))
             elif m1.is_zero and m2.is_zero:
                 outcomes[d] = DegreeOutcome("zero_image")
             else:
@@ -404,7 +392,7 @@ def stabilization_check(builder, w_max: int = 16) -> StabilizationResult:
                 best[d] = o
         if all(o.status != "inconclusive" for o in best.values()):
             break
-    return StabilizationResult(outcomes=best, radii=used, top_degree=top_seen)
+    return StabilizationResult(outcomes=best, radii=(w1, w2, w4), top_degree=top)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +604,8 @@ class FiniteCoverSpec:
 
 
 class CoverWindow:
-    """Regular G-cover of a window nerve via the coefficient cocycle.
+    """Regular G-cover of a window nerve via the coefficient cocycle; the
+    tests compare ``cover_lift_check``, which reads the base, with it.
 
     In sheet h the vertex (j, c) is labelled h + [c], where [c] is the
     residue of c. The cocycle rule labels a simplex with least vertex
@@ -624,8 +613,6 @@ class CoverWindow:
     runs over G as g does, so both rules give the same simplices."""
 
     def __init__(self, bu: BoxUnion, spec: FiniteCoverSpec, w):
-        self.bu = bu
-        self.spec = spec
         self.base = bu.window_complex(w)
         residue = {v: spec.reduce(v[1]) for v in self.base.vertices}
         simplices = set()
@@ -634,20 +621,6 @@ class CoverWindow:
             # appending a label keeps the distinct, sorted (j, c) pairs sorted
             simplices.update(tuple(map(sheet.__getitem__, s)) for s in self.base.simplices)
         self.complex = SimplicialComplex(frozenset(simplices))
-
-    def lift(self, coeff_shift):
-        """Lift of the lattice translation through the covering-aligned
-        sheets: translation in the base paired with the matching deck shift,
-        so lifted simplices go to lifted simplices within their sheets."""
-        shift_cls = self.spec.reduce(coeff_shift)
-        return {
-            v: (
-                v[0],
-                tuple(a + b for a, b in zip(v[1], coeff_shift)),
-                self.spec.add(v[2], shift_cls),
-            )
-            for v in self.complex.vertices
-        }
 
 
 @dataclass(frozen=True)
@@ -667,19 +640,25 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     Acting trivially is checked from a small window into a big one that
     holds its unit translates: in each degree d >= 1 the induced map of
     every unit lift on H_d must equal the inclusion's, and in degree 0 every
-    lifted vertex must stay in the inclusion's component. The big window's
-    chain complex is built once; the small window's chain complex and the
-    inclusion chain map are its restriction. The stabilized vanishing runs
-    ``stabilization_check`` on the cover windows.
+    lifted vertex must stay in the inclusion's component.
+
+    Every check reads the base windows. Write R for ``spec.reduce``: the
+    unique residue mod the full-rank sublattice L in the box of its HNF
+    pivots, so R(x) = R(y) exactly when x - y lies in L, and
+    R(x + R(y)) = R(x + y). Sheet h labels (j, c) as (j, c, R(h + c)), so
+    (j, c, g) lies only in sheet R(g - c): a cover window is |G| disjoint
+    copies of its base (Hatcher, *Algebraic Topology*, 1.3). The lift of e,
+    (j, c, h) -> (j, c + e, R(h + e)), and the inclusion keep every sheet,
+    and on each the lift is the base translation by e. A direct sum of
+    copies of a map is an isomorphism, zero, or equal to a second such sum
+    exactly when one copy is, except in reduced degree 0. So the base
+    decides ``lift_simplicial`` and ``acts_trivially_on_homology``, and
+    ``cover_vanishing`` is ``stabilization_check`` with ``sheets=|G|``.
 
     ``group_action``, ``commutes_with_deck`` and
     ``sheet_choice_deck_difference`` hold by construction and are not
-    computed. Write R for ``spec.reduce``. It returns the unique residue mod
-    the full-rank sublattice L in the box of its HNF pivots, so R(x) = R(y)
-    exactly when x - y lies in L, and R(x + R(y)) = R(x + y). The lift of e
-    sends (j, c, h) to (j, c + e, R(h + R(e))) = (j, c + e, R(h + e)); the
-    deck element g sends it to (j, c, R(h + g)), and the constant-sheet lift
-    of e sends it to (j, c + e, h). Then:
+    computed. The deck element g sends (j, c, h) to (j, c, R(h + g)), and
+    the constant-sheet lift of e sends it to (j, c + e, h). Then:
 
     - group action: the lift of e1 followed by the lift of e2 ends at
       (j, c + e1 + e2, R(R(h + e1) + e2)) = (j, c + e1 + e2, R(h + e1 + e2)),
@@ -687,17 +666,13 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     - commuting with the deck group: lift(e) after deck(g) and deck(g) after
       lift(e) both give (j, c + e, R(h + g + e));
     - sheet choice: deck(R(e)) after the constant-sheet lift of e is
-      (j, c + e, R(h + R(e))), the lift of e as written above.
+      (j, c + e, R(h + R(e))) = (j, c + e, R(h + e)), the lift of e.
 
-    A full-rank tiling passes once ``full_coverage_check`` does: a cover of
-    a simply connected base is trivial (Hatcher, *Algebraic Topology*, 1.3).
-    On windows, with ``components`` and ``expected_components`` both |G|:
-
-    - the labels h + [c] are a coboundary, so every cover window is |G|
-      disjoint copies of its base;
-    - the window boxes are open and convex, each meets the connected closed
-      cube [-w, w]^dim, and under coverage their union contains that cube,
-      so the base nerve is connected."""
+    A full-rank tiling passes once ``full_coverage_check`` does, with
+    ``components`` and ``expected_components`` both |G|: a cover window is
+    |G| copies of its base, whose boxes are open and convex, each meets the
+    connected closed cube [-w, w]^dim, and under coverage their union
+    contains that cube, so the base nerve is connected."""
     if r != bu.rank:
         raise PeriodicError("declared rank differs from lattice rank")
     if n - 1 != bu.dim:
@@ -717,36 +692,22 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     margin = max(
         (abs(x) for row in bu.lattice.basis for x in row), default=1
     )
-    w_small = 2
-    w_big = w_small + 2 * margin
-    small = CoverWindow(bu, spec, w_small)
-    big = CoverWindow(bu, spec, w_big)
-    units = [tuple(1 if i == j else 0 for j in range(bu.rank)) for i in range(bu.rank)]
-    lifts = {e: small.lift(e) for e in units}
+    small = bu.window_complex(2)
+    big = bu.window_complex(2 + 2 * margin)
+    units = [tuple(int(i == j) for j in range(bu.rank)) for i in range(bu.rank)]
+    lifts = [{(j, c): (j, tuple(map(add, c, e))) for j, c in small.vertices} for e in units]
     # the deck identities proved in the docstring
     checks.update(group_action=True, commutes_with_deck=True, sheet_choice_deck_difference=True)
 
     # lifted maps are simplicial into the bigger window
-    simplicial_ok = True
-    lift_maps = {}
-    for e, lift in lifts.items():
-        try:
-            lift_maps[e] = SimplicialMap(small.complex, big.complex, lift)
-        except ComplexError:
-            simplicial_ok = False
-    checks["lift_simplicial"] = simplicial_ok
+    try:
+        lift_maps = [SimplicialMap(small, big, lift) for lift in lifts]
+    except ComplexError:
+        lift_maps = None
+    checks["lift_simplicial"] = simplicial_ok = lift_maps is not None
 
-    # stabilized vanishing on the cover; the radius triples reuse the
-    # small and big windows
     threshold = n - 1 - r
-    windows = {w_small: small, w_big: big}
-
-    def window(w):
-        if w not in windows:
-            windows[w] = CoverWindow(bu, spec, w)
-        return windows[w].complex
-
-    result = stabilization_check(window)
+    result = stabilization_check(bu.window_complex, sheets=order)
     inconclusive, bad = result.nonvanishing_from(threshold)
     vanish = not inconclusive and not bad
     checks["cover_vanishing"] = vanish
@@ -756,11 +717,10 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     # H_d(big) as the inclusion
     trivial_ok = simplicial_ok
     if simplicial_ok:
-        big_cc = chain_complex(big.complex)
-        small_cc, inclusion = restricted_chain_complex(big_cc, small.complex)
-        maps = [inclusion] + [simplicial_chain_map(lift_maps[e], small_cc, big_cc)
-                              for e in units]
-        for d in range(1, max(small.complex.dimension, 0) + 1):
+        big_cc = chain_complex(big)
+        small_cc, inclusion = restricted_chain_complex(big_cc, small)
+        maps = [inclusion] + [simplicial_chain_map(m, small_cc, big_cc) for m in lift_maps]
+        for d in range(1, max(small.dimension, 0) + 1):
             src_h = degree_homology(small_cc, d)
             if not src_h.generators:
                 continue
@@ -771,8 +731,7 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
                 trivial_ok = False
         # degree 0: each component maps into the same component as inclusion
         comp_big = _chain_component_labels(big_cc)
-        if any(comp_big[lift[v]] != comp_big[v]
-               for lift in lifts.values() for v in small.complex.vertices):
+        if any(comp_big[lift[v]] != comp_big[v] for lift in lifts for v in small.vertices):
             trivial_ok = False
     checks["acts_trivially_on_homology"] = trivial_ok
 

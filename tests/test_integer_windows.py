@@ -5,6 +5,7 @@ Fraction references and Euler-characteristic oracles."""
 import itertools
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,6 +21,7 @@ from nerveforge.homology import (
     degree_homology,
     induced_map_is_isomorphism,
     induced_map_on_homology,
+    restricted_chain_complex,
     simplicial_chain_map,
 )
 from nerveforge.lattices import LatticeSubgroup
@@ -37,6 +39,7 @@ from nerveforge.periodic import (
     quotient_corner_check,
     stabilization_check,
 )
+from nerveforge.simplicial import ComplexError, SimplicialMap
 
 from chain_helpers import assert_restriction_matches, inclusion
 
@@ -311,10 +314,10 @@ def no_collapse(cc):
 @given(box_unions())
 @example(hollow_tube_boxes())  # a stable H_1 = Z
 def test_stabilization_outcomes_do_not_depend_on_the_collapse(bu):
-    collapsed = stabilization_check(bu.window_complex, w_max=8)
+    collapsed = stabilization_check(bu.window_complex)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(IntegerChainComplex, "collapse", property(no_collapse))
-        plain = stabilization_check(bu.window_complex, w_max=8)
+        plain = stabilization_check(bu.window_complex)
     assert collapsed == plain
 
 
@@ -397,20 +400,96 @@ def reference_scan(builder, w_max):
 @given(box_unions())
 @example(hollow_tube_boxes())
 def test_scan_matches_a_scan_that_builds_every_window(bu):
-    assert stabilization_check(bu.window_complex, w_max=8) == reference_scan(
-        bu.window_complex, 8)
+    assert stabilization_check(bu.window_complex) == reference_scan(bu.window_complex, 16)
+
+
+def comb():
+    """Rank-1 teeth along x that the w = 1 and w = 2 windows hold apart and
+    the w = 4 window joins: one copy reads degree 0 as "zero_image" at radii
+    (1, 2, 4), two copies read it as stable at (4, 8, 16)."""
+    lattice = LatticeSubgroup.from_generators([[2, 0]], 2)
+    corners = [((Fraction(-1, 10), -1), (Fraction(1, 10), Fraction(7, 2))),
+               ((Fraction(-1, 5), 3), (Fraction(6, 5), 4)),
+               ((Fraction(4, 5), Fraction(16, 5)), (Fraction(11, 5), Fraction(19, 5)))]
+    return BoxUnion(dim=2, lattice=lattice, boxes=tuple(Box.of(*c) for c in corners))
+
+
+def test_comb_reads_degree_zero_differently_in_one_and_two_copies():
+    bu = comb()
+    one = stabilization_check(bu.window_complex)
+    two = stabilization_check(bu.window_complex, sheets=2)
+    assert (one.outcomes[0].status, one.radii) == ("zero_image", (1, 2, 4))
+    assert (two.outcomes[0].status, two.radii) == ("stable", (4, 8, 16))
 
 
 @settings(max_examples=20, deadline=None)
 @given(box_unions().flatmap(lambda bu: st.tuples(st.just(bu), cover_specs(bu.rank))))
 @example((hollow_tube_boxes(), FiniteCoverSpec.of([[2]], 1)))
+@example((comb(), FiniteCoverSpec.of([[2]], 1)))
+@example((comb(), FiniteCoverSpec.of([[3]], 1)))
 def test_cover_scan_matches_a_scan_that_builds_every_window(bu_spec):
+    """``sheets=|G|`` gives what the scan of the cover windows gives."""
     bu, spec = bu_spec
 
     def builder(w):
         return CoverWindow(bu, spec, w).complex
 
-    assert stabilization_check(builder, w_max=4) == reference_scan(builder, 4)
+    assert stabilization_check(bu.window_complex, sheets=len(spec.elements())) == (
+        reference_scan(builder, 16))
+
+
+def reference_cover_lift_check(bu, spec, n, r):
+    """``cover_lift_check`` for rank < dim on cover windows built sheet by
+    sheet: each unit lift sends (j, c, h) to (j, c + e, h + [e]) between
+    ``CoverWindow`` complexes, and the stabilization scans the cover
+    windows."""
+    order = len(spec.elements())
+    margin = max((abs(x) for row in bu.lattice.basis for x in row), default=1)
+    small, big = (CoverWindow(bu, spec, w).complex for w in (2, 2 + 2 * margin))
+    units = [tuple(int(i == j) for j in range(bu.rank)) for i in range(bu.rank)]
+    lifts = [{(j, c, h): (j, tuple(map(add, c, e)), spec.add(h, e))
+              for j, c, h in small.vertices} for e in units]
+    checks = {"deck_order": order, "group_action": True, "commutes_with_deck": True,
+              "sheet_choice_deck_difference": True}
+    try:
+        lift_maps = [SimplicialMap(small, big, lift) for lift in lifts]
+    except ComplexError:
+        lift_maps = None
+    checks["lift_simplicial"] = lift_maps is not None
+    result = stabilization_check(lambda w: CoverWindow(bu, spec, w).complex)
+    inconclusive, bad = result.nonvanishing_from(n - 1 - r)
+    checks["cover_vanishing"] = not inconclusive and not bad
+    trivial = lift_maps is not None
+    if trivial:
+        big_cc = chain_complex(big)
+        small_cc, incl = restricted_chain_complex(big_cc, small)
+        maps = [incl] + [simplicial_chain_map(m, small_cc, big_cc) for m in lift_maps]
+        for d in range(1, max(small.dimension, 0) + 1):
+            src_h = degree_homology(small_cc, d)
+            if src_h.generators:
+                dst_h = degree_homology(big_cc, d)
+                expected, *lifted = [induced_map_on_homology(cm, src_h, dst_h).matrix
+                                     for cm in maps]
+                trivial = trivial and all(m == expected for m in lifted)
+        label = graph_components(big)
+        trivial = trivial and all(label[lift[v]] == label[v]
+                                  for lift in lifts for v in small.vertices)
+    checks["acts_trivially_on_homology"] = trivial
+    return periodic.CoverLiftVerdict(
+        ok=trivial and checks["lift_simplicial"] and checks["cover_vanishing"],
+        inconclusive=inconclusive, checks=checks,
+        detail={"threshold_degree": n - 1 - r,
+                "outcomes": {str(d): o.status for d, o in sorted(result.outcomes.items())}})
+
+
+@settings(max_examples=30, deadline=None)
+@given(box_unions().flatmap(lambda bu: st.tuples(st.just(bu), cover_specs(bu.rank))))
+@example((comb(), FiniteCoverSpec.of([[2]], 1)))
+@example((hollow_tube_boxes(), FiniteCoverSpec.of([[2]], 1)))
+def test_cover_lift_check_matches_the_check_on_cover_windows(bu_spec):
+    bu, spec = bu_spec
+    assert cover_lift_check(bu, spec, bu.dim + 1, bu.rank) == reference_cover_lift_check(
+        bu, spec, bu.dim + 1, bu.rank)
 
 
 @settings(max_examples=18, deadline=None)
