@@ -4,12 +4,25 @@ Patches are subcomplexes labeled by lattice subgroups.  Clumps are unions of
 nerve intersections whose generated label group contains a given group; the
 maximal-clump machinery finds the clumps definable by infinite minimal
 groups together with their largest minimal groups.
+
+Every lattice operation is done once per ``PatchSystem``, where its result
+is needed, and nothing outlives the patch system:
+
+- ``PatchNerve`` labels each nerve simplex with one ``join`` of its
+  prefix's label and the last patch's, and keeps the distinct labels;
+- ``_candidate_groups`` closes the distinct labels under ``intersect``,
+  meeting each unordered pair once;
+- ``is_minimal`` makes one ``virtually_contains`` join per distinct label
+  that does not contain the group, and ``clump`` one ``contains`` test per
+  distinct label;
+- ``maximal_clumps`` runs the above once and keeps its result on the
+  patch system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .covers import Cover, nerve
 from .homology import (
@@ -32,16 +45,6 @@ from .simplicial import SimplicialComplex, union_all
 
 class ClumpError(ValueError):
     pass
-
-
-@lru_cache(maxsize=None)
-def _join(a: LatticeSubgroup, b: LatticeSubgroup) -> LatticeSubgroup:
-    return join(a, b)
-
-
-@lru_cache(maxsize=None)
-def _intersect(a: LatticeSubgroup, b: LatticeSubgroup) -> LatticeSubgroup:
-    return intersect(a, b)
 
 
 @dataclass(frozen=True)
@@ -126,17 +129,20 @@ class PatchSystem:
 
 
 class PatchNerve:
-    """Nerve of the patch supports with cached label joins per simplex."""
+    """Nerve of the patch supports with the join of its patch labels per
+    simplex (``groups``) and the distinct labels among them (``labels``).
+
+    Faces come first in ``nerve.simplices()``, so each simplex's label is
+    one join of its prefix's label with its last patch's label.
+    """
 
     def __init__(self, ps: PatchSystem):
         self.nerve = nerve(ps.cover())
-        d = ps.lattice_ambient
         self.groups: dict[tuple, LatticeSubgroup] = {}
         for sigma in self.nerve.simplices():
-            g = LatticeSubgroup.trivial(d)
-            for i in sigma:
-                g = _join(g, ps.patches[i].group)
-            self.groups[sigma] = g
+            g = ps.patches[sigma[-1]].group
+            self.groups[sigma] = join(self.groups[sigma[:-1]], g) if sigma[1:] else g
+        self.labels = tuple(dict.fromkeys(self.groups.values()))
 
     def simplices(self):
         return list(self.groups)
@@ -158,9 +164,8 @@ class Clump:
 def clump(ps: PatchSystem, n: LatticeSubgroup) -> Clump:
     """Union of the intersections whose generated label contains n."""
     pn = ps._patch_nerve
-    contributing = tuple(
-        sigma for sigma in pn.simplices() if pn.groups[sigma].contains(n)
-    )
+    holds = {g: g.contains(n) for g in pn.labels}
+    contributing = tuple(sigma for sigma, g in pn.groups.items() if holds[g])
     support = union_all([pn.intersection(s) for s in contributing])
     return Clump(group=n, support=support, simplices=contributing)
 
@@ -176,7 +181,7 @@ def intersection_formula_check(
 ) -> IntersectionFormulaVerdict:
     """Y_N ∩ Y_M = Y_<N,M> as exact subcomplex equality."""
     lhs = clump(ps, n).support & clump(ps, m).support
-    rhs = clump(ps, _join(n, m)).support
+    rhs = clump(ps, join(n, m)).support
     if lhs == rhs:
         return IntersectionFormulaVerdict(ok=True)
     diff = (lhs - rhs) | (rhs - lhs)
@@ -184,16 +189,16 @@ def intersection_formula_check(
 
 
 def is_minimal(ps: PatchSystem, n: LatticeSubgroup) -> bool:
-    """Every simplex label either contains n or meets it in infinite index."""
-    pn = ps._patch_nerve
-    for sigma in pn.simplices():
-        g = pn.groups[sigma]
-        if g.contains(n):
-            continue
-        meet = _intersect(n, g)
-        if meet.rank >= n.rank:
-            return False
-    return True
+    """Every simplex label either contains n or meets it in infinite index.
+
+    n ∩ g has finite index in n exactly when rank(n ∩ g) = rank(n), which
+    is when g virtually contains n.  So n is minimal when no distinct label
+    g that fails to contain n virtually contains it: one join per label.
+    """
+    return not any(
+        not g.contains(n) and virtually_contains(g, n)
+        for g in ps._patch_nerve.labels
+    )
 
 
 @dataclass(frozen=True)
@@ -210,19 +215,19 @@ class MaximalClump:
 
 def _candidate_groups(pn: PatchNerve) -> list[LatticeSubgroup]:
     """Closure of the simplex labels under intersection; every maximal clump
-    is definable by a minimal group from this finite set."""
-    pool = {g.key(): g for g in pn.groups.values()}
-    frontier = list(pool.values())
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(pool.values()):
-                c = _intersect(a, b)
-                if c.key() not in pool:
-                    pool[c.key()] = c
-                    new.append(c)
-        frontier = new
-    return list(pool.values())
+    is definable by a minimal group from this finite set.
+
+    Each group is met with every group before it, once, so each unordered
+    pair of the closure is intersected once."""
+    pool = list(pn.labels)
+    seen = set(pool)
+    for i, a in enumerate(pool):
+        for b in pool[:i]:
+            c = intersect(a, b)
+            if c not in seen:
+                seen.add(c)
+                pool.append(c)
+    return pool
 
 
 def maximal_clumps(ps: PatchSystem) -> list[MaximalClump]:

@@ -1,50 +1,18 @@
-"""Stock complexes and grid builders used by scenario generators and tests."""
+"""Paths, grids, the two-ball gluing and the periodic box-union families that
+the scenario generators build from."""
 
 from __future__ import annotations
 
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import product
 
 from .lattices import LatticeSubgroup
 from .periodic import Box, BoxUnion
 from .simplicial import SimplicialComplex, close_downward
 
 
-def full_simplex(n_vertices: int) -> SimplicialComplex:
-    return SimplicialComplex.from_maximal([tuple(range(n_vertices))])
-
-
-def simplex_boundary_complex(n_vertices: int) -> SimplicialComplex:
-    """Boundary of the (n-1)-simplex, a triangulated S^{n-2}."""
-    verts = tuple(range(n_vertices))
-    return SimplicialComplex.from_maximal(list(combinations(verts, n_vertices - 1)))
-
-
-def torus_7() -> SimplicialComplex:
-    """Standard 7-vertex triangulation of the torus."""
-    tris = []
-    for i in range(7):
-        tris.append(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
-        tris.append(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
-    return SimplicialComplex.from_maximal(tris)
-
-def projective_plane_6() -> SimplicialComplex:
-    """Minimal 6-vertex triangulation of the real projective plane."""
-    tris = [
-        (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-    ]
-    return SimplicialComplex.from_maximal(tris)
-
-
 def path_complex(n_edges: int) -> SimplicialComplex:
     return SimplicialComplex.from_maximal([(i, i + 1) for i in range(n_edges)])
-
-
-def cycle_complex(n: int) -> SimplicialComplex:
-    return SimplicialComplex.from_maximal(
-        [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
-    )
 
 
 def _full_subcomplex(c: SimplicialComplex, inside: set) -> frozenset:
@@ -75,21 +43,6 @@ def rect_subcomplex(grid: SimplicialComplex, i0: int, i1: int, j0: int, j1: int)
     """Full subcomplex on grid vertices with i0 <= i <= i1, j0 <= j <= j1."""
     return _full_subcomplex(grid, {(i, j) for i, j in grid.vertices
                                    if i0 <= i <= i1 and j0 <= j <= j1})
-
-
-def annulus() -> SimplicialComplex:
-    """Six-vertex triangulated annulus; boundary circles (0,1,2) and (3,4,5)."""
-    tris = [
-        (0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (0, 2, 3), (2, 3, 5),
-    ]
-    return SimplicialComplex.from_maximal(tris)
-
-
-def disk_on_circle(n: int, apex="c") -> SimplicialComplex:
-    """Cone over the n-cycle: a disk whose boundary is cycle_complex(n)."""
-    # apex is a string; keep vertex ids homogeneous by stringifying
-    tris = [tuple(sorted((str(i), str((i + 1) % n), apex))) for i in range(n)]
-    return SimplicialComplex.from_maximal(tris)
 
 
 def two_ball_gluing():

@@ -2,14 +2,13 @@
 
 The HNF here is row-style: the basis matrix is in row echelon form with
 positive pivots and entries above each pivot reduced into [0, pivot), which
-makes the representation unique per subgroup.
+makes the representation unique per subgroup.  It is the module's one
+elimination: every subgroup, join and intersection is read off one HNF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .snf import row_kernel_basis
 
 
 class LatticeError(ValueError):
@@ -73,10 +72,6 @@ class LatticeSubgroup:
         hnf = hermite_normal_form(list(rows), ambient)
         return LatticeSubgroup(ambient, tuple(tuple(r) for r in hnf))
 
-    @staticmethod
-    def trivial(ambient: int) -> "LatticeSubgroup":
-        return LatticeSubgroup(ambient, ())
-
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -125,23 +120,21 @@ def join_all(groups, ambient: int) -> LatticeSubgroup:
 
 
 def intersect(a: LatticeSubgroup, b: LatticeSubgroup) -> LatticeSubgroup:
-    """Intersection, via the integer row kernel of the stacked bases."""
+    """Intersection, read off one HNF in Z^d ⊕ Z^d (Zassenhaus).
+
+    The rows (x, x) for x in a's basis and (y, 0) for y in b's generate
+    R = {(x + y, x) : x in a, y in b}.  An element of R is zero in the
+    first half exactly when x = -y, that is, when it is (0, z) with z in
+    a ∩ b.  The rows of an echelon basis whose pivot lies in the second
+    half are a basis of that part of R, and reduced above their pivots
+    they are the HNF of a ∩ b: the unique basis of that shape.
+    """
     if a.ambient != b.ambient:
         raise LatticeError("ambient rank mismatch")
-    if a.is_trivial() or b.is_trivial():
-        return LatticeSubgroup.trivial(a.ambient)
-    stacked = [list(r) for r in a.basis] + [[-x for x in r] for r in b.basis]
-    kernel = row_kernel_basis(stacked)
-    ra = a.rank
-    gens = []
-    for z in kernel:
-        vec = [0] * a.ambient
-        for i in range(ra):
-            if z[i]:
-                for j in range(a.ambient):
-                    vec[j] += z[i] * a.basis[i][j]
-        gens.append(vec)
-    return LatticeSubgroup.from_generators(gens, a.ambient)
+    d = a.ambient
+    rows = [list(x) * 2 for x in a.basis] + [list(y) + [0] * d for y in b.basis]
+    hnf = hermite_normal_form(rows, 2 * d)
+    return LatticeSubgroup(d, tuple(tuple(r[d:]) for r in hnf if not any(r[:d])))
 
 
 def virtually_contains(big: LatticeSubgroup, small: LatticeSubgroup) -> bool:

@@ -443,18 +443,6 @@ def rational_rank(matrix) -> int:
     return len(echelon(matrix))
 
 
-def row_kernel_basis(matrix) -> list[list[int]]:
-    """Basis of {z : z @ matrix = 0}, rows of the result."""
-    m = len(matrix)
-    if m == 0:
-        return []
-    n = len(matrix[0])
-    if n == 0:
-        return identity_matrix(m)
-    res = smith_normal_form(matrix, want_u=True, want_v=False)
-    return [[row.get(j, 0) for j in range(m)] for row in res.u_rows[res.rank:]]
-
-
 def solve_integer(matrix, b):
     """One integer solution x of matrix @ x = b, or None if unsolvable."""
     m = len(matrix)

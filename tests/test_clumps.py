@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nerveforge.construct import (cycle_complex, grid_complex, path_complex, rect_subcomplex,
-                                  two_ball_gluing)
+from nerveforge import lattices
 from nerveforge.clumps import (
     Clump,
     ClumpError,
     Patch,
     PatchNerve,
     PatchSystem,
+    _candidate_groups,
     clump,
     clump_chains,
     engulfing_check,
@@ -24,11 +24,16 @@ from nerveforge.clumps import (
     unfolding_space,
     unfolding_vanishing_check,
 )
-from nerveforge.construct import interval_subcomplex
+from nerveforge.construct import (grid_complex, interval_subcomplex, path_complex, rect_subcomplex,
+                                  two_ball_gluing)
 from nerveforge.homology import HomologySummary, homology, homology_of_complex
-from nerveforge.lattices import LatticeSubgroup, join
+from nerveforge.jsonio import patch_system_from_json, patch_system_to_json
+from nerveforge.lattices import LatticeSubgroup, intersect, join, join_all, virtually_contains
+from nerveforge.scenarios import _label_alphabet, generate
 from nerveforge.simplicial import SimplicialComplex
 from nerveforge.snf import solve_integer
+
+from stock_complexes import cycle_complex
 
 
 def L(rows, d=2):
@@ -40,7 +45,7 @@ E2 = L([[0, 1]])
 DIAG = L([[1, 1]])
 TWO_E1 = L([[2, 0]])
 Z2 = L([[1, 0], [0, 1]])
-TRIV = LatticeSubgroup.trivial(2)
+TRIV = L([])
 
 LABEL_ALPHABET = [E1, E2, DIAG, TWO_E1, Z2, TRIV,
                   L([[0, 1], [2, 0]]), L([[1, 1], [2, 0]])]
@@ -377,8 +382,6 @@ def test_unfolding_with_cone_enlargements():
 def test_unfolding_vanishing_detects_hypothesis_violation():
     # a clump with a circle as its enlarged support violates the coefficient
     # hypothesis at chain length 0 for n=4, r=2
-    from nerveforge.construct import cycle_complex
-
     circle = cycle_complex(4)
     ps = PatchSystem(
         ambient=circle,
@@ -472,3 +475,119 @@ def test_unfolding_vanishing_matches_per_chain_loop(ps, n, r):
     assert v.hypotheses_hold == (not ref)
     assert v.ok == (not ref and v.detail["unfolding_vanishes"]
                     and v.detail["composite_zero"])
+
+
+# ---------------------------------------------------------------------------
+# the lattice work of the clump calculus against the meet-rank loop and the
+# frontier closure (property)
+# ---------------------------------------------------------------------------
+
+def ref_is_minimal(ps, n):
+    """Reference: no simplex label fails to contain n while meeting it in
+    full rank."""
+    return not any(not g.contains(n) and intersect(n, g).rank >= n.rank
+                   for g in ps._patch_nerve.groups.values())
+
+
+def ref_candidate_groups(ps):
+    """Reference: the simplex labels closed under intersection, meeting each
+    new group with the whole pool until no group is new; by key."""
+    pool = {g.key(): g for g in ps._patch_nerve.groups.values()}
+    frontier = list(pool.values())
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(pool.values()):
+                c = intersect(a, b)
+                if c.key() not in pool:
+                    pool[c.key()] = c
+                    new.append(c)
+        frontier = new
+    return pool
+
+
+def ref_maximal_clumps(ps):
+    """Reference: (support, group, simplices) of each maximal clump, from the
+    reference closure and minimality and a per-simplex containment test."""
+    pn = ps._patch_nerve
+    by_support = {}
+    for g in ref_candidate_groups(ps).values():
+        if g.is_infinite() and ref_is_minimal(ps, g):
+            simplices = tuple(s for s in pn.simplices() if pn.groups[s].contains(g))
+            support = frozenset().union(*(pn.intersection(s) for s in simplices))
+            if support:
+                by_support.setdefault(support, []).append(g)
+    out = []
+    for support, groups in by_support.items():
+        n_alpha = join_all(groups, ps.lattice_ambient)
+        if any(p.group.is_infinite() and virtually_contains(n_alpha, p.group)
+               for p in ps.patches.values()):
+            simplices = tuple(s for s in pn.simplices() if pn.groups[s].contains(n_alpha))
+            out.append((support, n_alpha, simplices))
+    return sorted(out, key=lambda c: (-len(c[0]), c[1].key()))
+
+
+def lattices_in(d):
+    vectors = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    return st.lists(vectors, max_size=d).map(lambda rows: L(rows, d))
+
+
+@st.composite
+def path_patch_systems(draw):
+    """1-4 distinct interval patches on the 6-path, labelled from the scenario
+    alphabet, or with random subgroups of Z^2 or of Z^3."""
+    label = draw(st.sampled_from([st.sampled_from(_label_alphabet()),
+                                  lattices_in(2), lattices_in(3)]))
+    interval = st.tuples(st.integers(0, 5), st.integers(1, 6)).filter(lambda t: t[0] < t[1])
+    spans = draw(st.lists(interval, min_size=1, max_size=4, unique=True))
+    labels = [draw(label) for _ in spans]
+    return interval_patch_system(path_complex(6), spans, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path_patch_systems())
+def test_clump_lattice_work_matches_the_reference_loops(ps):
+    pn = ps._patch_nerve
+    for sigma, g in pn.groups.items():
+        assert g == join_all([ps.patches[i].group for i in sigma], ps.lattice_ambient)
+    assert set(pn.labels) == set(pn.groups.values())
+    pool = ref_candidate_groups(ps)
+    assert {g.key() for g in _candidate_groups(pn)} == set(pool)
+    trials = [*pool.values(), L([], ps.lattice_ambient),
+              *(join(a, b) for a, b in combinations(pn.labels, 2))]
+    for n in trials:
+        assert is_minimal(ps, n) == ref_is_minimal(ps, n)
+    assert [(c.support, c.group, c.simplices) for c in maximal_clumps(ps)] == \
+        ref_maximal_clumps(ps)
+
+
+def test_lattice_work_does_not_depend_on_earlier_patch_systems(monkeypatch):
+    """A patch system makes the same HNF calls whatever ran before it: no
+    lattice result outlives the patch system that computed it."""
+    calls = []
+    hnf = lattices.hermite_normal_form
+
+    def counted(rows, d):
+        calls.append(d)
+        return hnf(rows, d)
+
+    monkeypatch.setattr(lattices, "hermite_normal_form", counted)
+    # labels that no other test draws, so nothing can have met them before
+    path = path_complex(6)
+    payload = patch_system_to_json(interval_patch_system(
+        path, [(0, 3), (2, 5), (1, 4)],
+        [L([[7, 0, 0]], 3), L([[0, 11, 0]], 3), L([[7, 0, 0], [0, 0, 13]], 3)]))
+
+    def hnf_calls():
+        ps = patch_system_from_json(payload)
+        before = len(calls)
+        assert maximal_clumps(ps)
+        unfolding_vanishing_check(ps, n=4, r=1)
+        return len(calls) - before
+
+    first = hnf_calls()
+    assert first
+    for seed in range(3):
+        maximal_clumps(patch_system_from_json(
+            generate("lattice-patch-system", seed=seed).payload))
+    assert hnf_calls() == first

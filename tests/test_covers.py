@@ -6,14 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nerveforge import covers as covers_module
-from nerveforge.construct import (
-    cycle_complex,
-    grid_complex,
-    interval_subcomplex,
-    path_complex,
-    rect_subcomplex,
-    simplex_boundary_complex,
-)
+from nerveforge.construct import grid_complex, interval_subcomplex, path_complex, rect_subcomplex
 from nerveforge.covers import (
     Cover,
     CoverError,
@@ -33,6 +26,7 @@ from nerveforge.homology import (
 from nerveforge.simplicial import SimplicialComplex, close_downward
 
 from chain_helpers import fattening, scanned_chains, simplices_of_dim
+from stock_complexes import cycle_complex, simplex_boundary_complex
 
 
 def interval_cover(path, spans):

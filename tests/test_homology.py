@@ -4,18 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nerveforge.construct import (
-    annulus,
-    cycle_complex,
-    disk_on_circle,
-    full_simplex,
-    grid_complex,
-    path_complex,
-    projective_plane_6,
-    rect_subcomplex,
-    simplex_boundary_complex,
-    torus_7,
-)
+from nerveforge.construct import grid_complex, path_complex, rect_subcomplex
 from nerveforge.homology import (
     ChainComplexError,
     HomologySummary,
@@ -36,6 +25,8 @@ from nerveforge.snf import rational_rank
 
 from chain_helpers import (assert_restriction_matches, inclusion, induced_homology_map,
                            scanned_chains, simplices_of_dim)
+from stock_complexes import (annulus, cycle_complex, disk_on_circle, full_simplex,
+                             projective_plane_6, simplex_boundary_complex, torus_7)
 
 
 def rational_betti_oracle(c):

@@ -482,8 +482,49 @@ def reference_cover_lift_check(bu, spec, n, r):
                 "outcomes": {str(d): o.status for d, o in sorted(result.outcomes.items())}})
 
 
+def ring(center, outer, wall):
+    """Four boxes around ``center`` in the first two coordinates, each
+    ``wall`` thick, ``outer`` from the centre to the outside: the nerve is a
+    4-cycle around a hole that no box covers. The boxes reach 1/2 from the
+    centre along the other coordinates."""
+    half = Fraction(1, 2)
+    walls = [((-outer, -outer), (outer, wall - outer)), ((-outer, outer - wall), (outer, outer)),
+             ((-outer, -outer), (wall - outer, outer)), ((outer - wall, -outer), (outer, outer))]
+    return [Box.of([center[0] + lo[0], center[1] + lo[1]] + [x - half for x in center[2:]],
+                   [center[0] + hi[0], center[1] + hi[1]] + [x + half for x in center[2:]])
+            for lo, hi in walls]
+
+
+@st.composite
+def chained_box_unions(draw):
+    """Connected rank-1 unions: k links chained from the origin along the
+    lattice vector v = (k * s, t, 0, ...), link i centred at (i / k) v and
+    overlapping the next, the last one overlapping the first one's translate.
+    A link is a box or a ring; each ring's hole is an H_1 class that the
+    unit translation moves to the next period's hole. Every link reaches
+    s / 2 + 1/4 along x from its centre and a ring's walls are 3/8 thick, so
+    neighbours overlap along x, two rings side by side have distinct walls,
+    no link covers a hole's centre, and a link is shorter along x than the
+    period."""
+    dim = draw(st.integers(2, 3))
+    k, s = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    v = [k * s, draw(st.integers(-1, 1))] + [0] * (dim - 2)
+    reach, half = Fraction(s, 2) + Fraction(1, 4), Fraction(1, 2)
+    boxes = []
+    for i in range(k):
+        c = [Fraction(i * x, k) for x in v]
+        if draw(st.booleans()):
+            boxes += ring(c, reach, Fraction(3, 8))
+        else:
+            boxes.append(Box.of([c[0] - reach] + [x - half for x in c[1:]],
+                                [c[0] + reach] + [x + half for x in c[1:]]))
+    return BoxUnion(dim=dim, lattice=LatticeSubgroup.from_generators([v], dim),
+                    boxes=tuple(boxes))
+
+
 @settings(max_examples=30, deadline=None)
-@given(box_unions().flatmap(lambda bu: st.tuples(st.just(bu), cover_specs(bu.rank))))
+@given(st.one_of(box_unions(), chained_box_unions()).flatmap(
+    lambda bu: st.tuples(st.just(bu), cover_specs(bu.rank))))
 @example((comb(), FiniteCoverSpec.of([[2]], 1)))
 @example((hollow_tube_boxes(), FiniteCoverSpec.of([[2]], 1)))
 def test_cover_lift_check_matches_the_check_on_cover_windows(bu_spec):

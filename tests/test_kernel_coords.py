@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerveforge.construct import full_simplex, grid_complex, projective_plane_6, torus_7
+from nerveforge.construct import grid_complex
 from nerveforge.covers import Cover
 from nerveforge.homology import (
     ChainComplexError,
@@ -20,6 +20,7 @@ from nerveforge.simplicial import SimplicialComplex, SimplicialMap
 from nerveforge.snf import identity_matrix, mat_mul, smith_normal_form
 
 from chain_helpers import dense_transforms, diagonal_matrix, fattening, inclusion, kernel_basis
+from stock_complexes import full_simplex, projective_plane_6, torus_7
 
 SETTINGS = settings(max_examples=60, deadline=None)
 entries = st.integers(-6, 6)

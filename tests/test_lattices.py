@@ -3,8 +3,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerveforge.lattices import LatticeSubgroup, intersect, join, virtually_contains
-from nerveforge.snf import determinant
+from nerveforge.lattices import (LatticeSubgroup, hermite_normal_form, intersect, join,
+                                 virtually_contains)
+from nerveforge.snf import determinant, smith_normal_form
 
 
 def L(rows, d=2):
@@ -50,7 +51,7 @@ def test_membership_by_back_substitution():
 
 def test_join_examples():
     a = L([[2, 0]])
-    assert join(a, LatticeSubgroup.trivial(2)) == a
+    assert join(a, L([])) == a
     j = join(L([[2, 0]]), L([[0, 3]]))
     assert j.rank == 2
     assert j.basis == ((2, 0), (0, 3))  # index 6 in Z^2
@@ -76,7 +77,7 @@ def test_intersection():
     b = L([[3, 0], [0, 1]])
     meet = intersect(a, b)
     assert meet == L([[6, 0], [0, 1]])
-    assert intersect(a, LatticeSubgroup.trivial(2)).is_trivial()
+    assert intersect(a, L([])).is_trivial()
     diag = L([[1, 1]])
     horiz = L([[1, 0]])
     assert intersect(diag, horiz).is_trivial()
@@ -150,3 +151,84 @@ def lattice_pairs(draw):
 def test_virtually_contains_matches_the_meet_index(pair):
     big, small = pair
     assert virtually_contains(big, small) == meet_has_finite_index(big, small)
+
+
+# ---------------------------------------------------------------------------
+# intersect against the row-kernel route, and HNF canonicity
+
+
+def row_kernel_basis(matrix):
+    """Reference: a basis of {z : z @ matrix = 0}, the rows of U past the
+    rank in the Smith normal form U @ matrix @ V."""
+    m = len(matrix)
+    if m == 0:
+        return []
+    res = smith_normal_form(matrix, want_u=True, want_v=False)
+    return [[row.get(j, 0) for j in range(m)] for row in res.u_rows[res.rank:]]
+
+
+def ref_intersect(a, b):
+    """Reference: a ∩ b from the integer row kernel of a's basis stacked on
+    -1 times b's; each kernel vector's first half combines a's basis."""
+    d = a.ambient
+    if a.is_trivial() or b.is_trivial():
+        return L([], d)
+    stacked = [list(r) for r in a.basis] + [[-x for x in r] for r in b.basis]
+    gens = [[sum(z[i] * a.basis[i][j] for i in range(a.rank)) for j in range(d)]
+            for z in row_kernel_basis(stacked)]
+    return L(gens, d)
+
+
+def generator_rows(d, bound=4):
+    """0 to d + 1 generators in Z^d, zero vectors allowed."""
+    vectors = st.lists(st.integers(-bound, bound), min_size=d, max_size=d)
+    return st.lists(vectors, max_size=d + 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.just(d), generator_rows(d), generator_rows(d))))
+def test_intersect_matches_the_row_kernel_reference(case):
+    d, rows_a, rows_b = case
+    a, b = L(rows_a, d), L(rows_b, d)
+    assert intersect(a, b) == ref_intersect(a, b)
+    assert intersect(b, a) == intersect(a, b)
+
+
+@st.composite
+def unimodular_steps(draw, n):
+    """Row operations on n rows: add c times row j to row i (i != j), swap
+    two rows, or negate one."""
+    if n == 0:
+        return []
+    index = st.integers(0, n - 1)
+    ops = [st.tuples(st.just("swap"), index, index, st.just(0)),
+           st.tuples(st.just("negate"), index, st.just(0), st.just(0))]
+    if n > 1:
+        ops.append(st.tuples(st.just("add"), index, index, st.integers(-3, 3)).filter(
+            lambda t: t[1] != t[2]))
+    return draw(st.lists(st.one_of(ops), max_size=12))
+
+
+def apply_steps(rows, steps):
+    rows = [list(r) for r in rows]
+    for name, i, j, c in steps:
+        if name == "add":
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif name == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), generator_rows(d, 5))),
+       st.data())
+def test_hnf_is_canonical_under_permutation_and_row_operations(case, data):
+    d, rows = case
+    hnf = hermite_normal_form(rows, d)
+    order = data.draw(st.permutations(range(len(rows))))
+    assert hermite_normal_form([rows[i] for i in order], d) == hnf
+    steps = data.draw(unimodular_steps(len(rows)))
+    assert hermite_normal_form(apply_steps(rows, steps), d) == hnf

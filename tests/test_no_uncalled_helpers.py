@@ -40,7 +40,6 @@ PACKAGE = ROOT / "src" / "nerveforge"
 TRACING = ROOT / "perfbench" / "tracing.py"
 TRACER = "looked up by name in perfbench/tracing.py"
 CHECK = "public check that the in-package verifier is to run (ROADMAP item 2)"
-FIXTURE = "stock complex for scenario generators and tests"
 KEPT = {
     "snf.rational_rank": TRACER,
     "euclid.solve_rational": TRACER,
@@ -59,13 +58,6 @@ KEPT = {
     "clumps.growing_ranks_check": CHECK,
     "clumps.patch_union_decomposition_ok": CHECK,
     "euclid.subadditivity_check": CHECK,
-    "construct.full_simplex": FIXTURE,
-    "construct.simplex_boundary_complex": FIXTURE,
-    "construct.torus_7": FIXTURE,
-    "construct.projective_plane_6": FIXTURE,
-    "construct.cycle_complex": FIXTURE,
-    "construct.annulus": FIXTURE,
-    "construct.disk_on_circle": FIXTURE,
 }
 
 

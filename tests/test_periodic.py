@@ -105,7 +105,7 @@ def test_own_translate_overlap_rejected():
 def test_single_box_point_homology():
     bu = BoxUnion(
         dim=2,
-        lattice=LatticeSubgroup.trivial(2),
+        lattice=LatticeSubgroup.from_generators([], 2),
         boxes=(Box.of([0, 0], [1, 1]),),
     )
     assert window_nerve_homology(bu, 2) == HomologySummary.of({0: (1, ())})
@@ -262,7 +262,7 @@ def test_finite_cover_spec_elements():
     with pytest.raises(PeriodicError):
         FiniteCoverSpec(LatticeSubgroup.from_generators([[0, 1]], 2))
     with pytest.raises(PeriodicError):
-        FiniteCoverSpec(LatticeSubgroup.trivial(1))
+        FiniteCoverSpec(LatticeSubgroup.from_generators([], 1))
 
 
 SPECS = [

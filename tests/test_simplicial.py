@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerveforge.construct import (full_simplex, grid_complex, interval_subcomplex, path_complex,
-                                  rect_subcomplex)
+from nerveforge.construct import grid_complex, interval_subcomplex, path_complex, rect_subcomplex
 from nerveforge.simplicial import (
     ComplexError,
     SimplicialComplex,
@@ -14,6 +13,8 @@ from nerveforge.simplicial import (
     close_downward,
     nerve_of,
 )
+
+from stock_complexes import full_simplex
 
 
 def test_downward_closure_from_maximal():

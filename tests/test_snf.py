@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nerveforge import homology as homology_module
-from nerveforge.construct import projective_plane_6, torus_7
 from nerveforge.homology import (
     chain_complex,
     degree_homology,
@@ -25,12 +24,12 @@ from nerveforge.snf import (
     mat_mul,
     rational_rank,
     reduce_by_echelon,
-    row_kernel_basis,
     smith_normal_form,
     solve_integer,
 )
 
 from chain_helpers import dense_transforms, diagonal_matrix, induced_homology_map, kernel_basis
+from stock_complexes import projective_plane_6, torus_7
 
 
 def snf_invariant_factors_oracle(matrix):
@@ -148,14 +147,6 @@ def test_kernel_and_solve():
     assert solve_integer([[2]], [3]) is None
 
 
-def test_row_kernel():
-    mat = [[1, 2], [2, 4], [0, 0]]
-    rk = row_kernel_basis(mat)
-    assert len(rk) == 2
-    for z in rk:
-        assert all(sum(z[i] * mat[i][j] for i in range(3)) == 0 for j in range(2))
-
-
 def test_ranks_agree():
     rng = random.Random(7)
     for _ in range(40):
@@ -249,7 +240,6 @@ def test_transform_callers_read_sparse_lines():
     assert not homology_module._group_map_is_bijective([[1, 0]], [0, 0], [0])
     assert solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
     assert solve_integer([[2]], [3]) is None
-    assert row_kernel_basis([[1, 2], [2, 4]]) != []
 
 
 # ---------------------------------------------------------------------------
