@@ -403,8 +403,10 @@ def unfolding_vanishing_check(ps: PatchSystem, n: int, r: int) -> UnfoldingVanis
     composite_zero = True
     top = union_cx.dimension
     plain_cc = chain_complex(union_cx)
-    for d in range(threshold, max(top, threshold - 1) + 1):
+    for d in range(threshold, top + 1):
         h = degree_homology(plain_cc, d)
+        if not h.generators:
+            continue
         tgt = degree_homology(us.unfolded.cc, d)
         for gen in h.generators:
             cycle = {

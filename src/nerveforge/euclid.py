@@ -12,10 +12,10 @@ The exact ``Fraction`` fields, an isometry's ``a`` and ``b`` and a
 subspace's ``base`` and its ``directions`` in reduced row echelon form, are
 views of that form, computed on first read and kept; ``repr`` shows them.
 
-Composition, powers, inverses, commutation, minsets, intersections,
-containment and projections run on the integer forms and set their linear
-systems up over ``int``s for the one fraction-free elimination,
-``snf.echelon``. ``EuclideanIsometry.of`` validates its input
+Composition, powers, inverses, commutation, orientation signs, minsets,
+intersections, containment and projections run on the integer forms and
+set their linear systems up over ``int``s for the one fraction-free
+elimination, ``snf.echelon``. ``EuclideanIsometry.of`` validates its input
 (``AᵀA = d²I``); the isometries derived from validated ones (products,
 inverses, powers) are exactly orthogonal and are built without a re-check.
 
@@ -412,9 +412,17 @@ class EuclideanIsometry:
         v = self._step(xs, dx)
         return Fraction(sum(map(mul, v, v)), (self._ints[2] * dx) ** 2)
 
-    def det(self) -> Fraction:
+    def det(self) -> int:
+        """The orientation sign ±1 of the linear part a = A/d.
+
+        An orthogonal matrix is diagonalizable over C with eigenvalues of
+        modulus 1; its non-real eigenvalues pair off with their conjugates,
+        each pair with product 1, and its real eigenvalues are ±1.  So
+        det a = (-1)^dim ker(a + I), and ker(a + I) = ker(A + dI), whose
+        dimension is n minus the rank that ``snf.echelon`` gives."""
         m, _, d = self._ints
-        return Fraction(snf.determinant(m), d ** len(m))
+        shifted = [[x + d * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        return (-1) ** (len(m) - len(snf.echelon(shifted)))
 
     def _maps_into(self, sub: AffineSubspace) -> bool:
         """Whether the isometry maps ``sub`` into itself (onto it, since an

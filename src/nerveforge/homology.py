@@ -430,8 +430,7 @@ class DegreeHomology:
             kernel = [{j: 1} for j in range(n)]
             self._coord_cols = [{i: 1} for i in range(n)]
         else:
-            res = smith_normal_form(small.dense_boundary(d), want_u=False,
-                                    want_v=True, want_v_inv=True)
+            res = smith_normal_form(small.dense_boundary(d), want_u=False)
             r = res.rank
             kernel = res.v_cols[r:]
             self._coord_cols = [{} for _ in range(n)]
@@ -441,15 +440,16 @@ class DegreeHomology:
         z = len(kernel)
         self.z = z
 
-        # boundaries are cycles (IntegerChainComplex checks ∂∂ = 0), so
-        # their kernel coordinates need no cycle check
+        # boundaries are cycles (∂∂ = 0 holds in every IntegerChainComplex,
+        # checked at construction or known for the trusted ones), so their
+        # kernel coordinates need no cycle check
         up = small.boundaries.get(d + 1, {})
         relation_cols = [
             self._kernel_coords(up.get(col, {})) for col in range(small.dim(d + 1))
         ] if z else []
         if relation_cols:
             rel = [[col[i] for col in relation_cols] for i in range(z)]
-            res = smith_normal_form(rel, want_u=True, want_v=False, want_u_inv=True)
+            res = smith_normal_form(rel, want_v=False)
             dfac = list(res.factors) + [0] * (z - res.rank)
             u_rows, u_inv_cols = res.u_rows, res.u_inv_cols
         else:
@@ -606,39 +606,27 @@ def induced_map_on_homology(cm: ChainMap, src_h: DegreeHomology,
     )
 
 
-def _group_map_is_bijective(matrix, source_orders, target_orders) -> bool:
-    """Exact bijectivity test for a map of finitely generated abelian groups
-    presented by generator orders (0 = free) and a coordinate matrix."""
-    rows, cols = len(target_orders), len(source_orders)
-    if rows == 0 and cols == 0:
-        return True
-    # surjective: columns of [matrix | diag(target_orders)] generate Z^rows
-    aug = [list(matrix[i]) + [target_orders[i] if j == i else 0 for j in range(rows)]
-           for i in range(rows)]
-    if rows:
-        res = smith_normal_form(aug, want_u=False, want_v=False)
-        if res.rank < rows or any(f != 1 for f in res.factors):
-            return False
-    # injective: kernel of the induced map is trivial
-    stacked = [list(matrix[i]) + [-(target_orders[i]) if j == i else 0 for j in range(rows)]
-               for i in range(rows)]
-    if not stacked:
-        # target trivial: injective iff source trivial
-        return all(o == 1 for o in source_orders) or cols == 0
-    res = smith_normal_form(stacked, want_u=False, want_v=True)
-    for col in res.v_cols[res.rank:]:
-        for i, o in enumerate(source_orders):
-            xi = col.get(i, 0)
-            if o == 0:
-                if xi != 0:
-                    return False
-            elif xi % o:
-                return False
-    return True
-
-
 def induced_map_is_isomorphism(m: InducedMap) -> bool:
-    return _group_map_is_bijective(m.matrix, m.source_orders, m.target_orders)
+    """Whether the induced map is an isomorphism, from one normal form.
+
+    ``orders`` are invariant factors other than 1, plus a 0 per free
+    generator, as ``DegreeHomology`` gives them; two such groups are
+    isomorphic exactly when their sorted orders are equal.  Finitely
+    generated abelian groups are Hopfian (Mal'cev, *Mat. Sb.* 8, 1940): an
+    onto map between two isomorphic ones is an isomorphism, since composed
+    with an isomorphism back it is an onto endomorphism, hence injective.
+    So the map is an isomorphism exactly when the orders agree and it is
+    onto, that is, when the columns of ``[matrix | diag(target_orders)]``
+    generate Z^rows: rank ``rows`` with every invariant factor 1."""
+    if sorted(m.source_orders) != sorted(m.target_orders):
+        return False
+    rows = len(m.target_orders)
+    if not rows:
+        return True
+    aug = [list(m.matrix[i]) + [m.target_orders[i] if j == i else 0 for j in range(rows)]
+           for i in range(rows)]
+    res = smith_normal_form(aug, want_u=False, want_v=False)
+    return res.rank == rows and all(f == 1 for f in res.factors)
 
 
 # ---------------------------------------------------------------------------

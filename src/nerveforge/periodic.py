@@ -27,7 +27,7 @@ from .homology import (
     simplicial_chain_map,
 )
 from .lattices import LatticeSubgroup
-from .simplicial import (ComplexError, SimplicialComplex, SimplicialMap, _component_labels,
+from .simplicial import (SimplicialComplex, SimplicialMap, _component_labels,
                          cliques_of)
 
 
@@ -655,10 +655,21 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     decides ``lift_simplicial`` and ``acts_trivially_on_homology``, and
     ``cover_vanishing`` is ``stabilization_check`` with ``sheets=|G|``.
 
+    ``lift_simplicial`` holds by construction and is not computed: the
+    unit lifts of window 2 are simplicial maps into window 2 + 2·margin.
+    Unit e moves a box by row e of the lattice's HNF basis, whose entries
+    are at most ``margin`` in absolute value. A box of window 2 meets
+    [-2, 2]^dim, so its translate meets [-2 - margin, 2 + margin]^dim, which
+    lies inside [-2 - 2·margin, 2 + 2·margin]^dim: every lifted vertex is a
+    vertex of the big window. Vertex (j, c) meets (j2, c + f) exactly when f
+    is in the stencil of (j, j2), so translation keeps adjacency, and a
+    window nerve is the clique complex of its intersection graph (see
+    ``BoxUnion.window_complex``): cliques map to cliques.
+
     ``group_action``, ``commutes_with_deck`` and
-    ``sheet_choice_deck_difference`` hold by construction and are not
-    computed. The deck element g sends (j, c, h) to (j, c, R(h + g)), and
-    the constant-sheet lift of e sends it to (j, c + e, h). Then:
+    ``sheet_choice_deck_difference`` hold by construction too. The deck
+    element g sends (j, c, h) to (j, c, R(h + g)), and the constant-sheet
+    lift of e sends it to (j, c + e, h). Then:
 
     - group action: the lift of e1 followed by the lift of e2 ends at
       (j, c + e1 + e2, R(R(h + e1) + e2)) = (j, c + e1 + e2, R(h + e1 + e2)),
@@ -696,15 +707,9 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     big = bu.window_complex(2 + 2 * margin)
     units = [tuple(int(i == j) for j in range(bu.rank)) for i in range(bu.rank)]
     lifts = [{(j, c): (j, tuple(map(add, c, e))) for j, c in small.vertices} for e in units]
-    # the deck identities proved in the docstring
-    checks.update(group_action=True, commutes_with_deck=True, sheet_choice_deck_difference=True)
-
-    # lifted maps are simplicial into the bigger window
-    try:
-        lift_maps = [SimplicialMap(small, big, lift) for lift in lifts]
-    except ComplexError:
-        lift_maps = None
-    checks["lift_simplicial"] = simplicial_ok = lift_maps is not None
+    # the identities proved in the docstring
+    checks.update(group_action=True, commutes_with_deck=True, sheet_choice_deck_difference=True,
+                  lift_simplicial=True)
 
     threshold = n - 1 - r
     result = stabilization_check(bu.window_complex, sheets=order)
@@ -715,27 +720,27 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     # trivial on homology: in each degree d >= 1 where the small window
     # has classes, every unit lift induces the same map H_d(small) ->
     # H_d(big) as the inclusion
-    trivial_ok = simplicial_ok
-    if simplicial_ok:
-        big_cc = chain_complex(big)
-        small_cc, inclusion = restricted_chain_complex(big_cc, small)
-        maps = [inclusion] + [simplicial_chain_map(m, small_cc, big_cc) for m in lift_maps]
-        for d in range(1, max(small.dimension, 0) + 1):
-            src_h = degree_homology(small_cc, d)
-            if not src_h.generators:
-                continue
-            dst_h = degree_homology(big_cc, d)
-            expected, *lifted = [induced_map_on_homology(cm, src_h, dst_h).matrix
-                                 for cm in maps]
-            if any(m != expected for m in lifted):
-                trivial_ok = False
-        # degree 0: each component maps into the same component as inclusion
-        comp_big = _chain_component_labels(big_cc)
-        if any(comp_big[lift[v]] != comp_big[v] for lift in lifts for v in small.vertices):
+    trivial_ok = True
+    big_cc = chain_complex(big)
+    small_cc, inclusion = restricted_chain_complex(big_cc, small)
+    maps = [inclusion] + [simplicial_chain_map(SimplicialMap(small, big, lift), small_cc, big_cc)
+                          for lift in lifts]
+    for d in range(1, max(small.dimension, 0) + 1):
+        src_h = degree_homology(small_cc, d)
+        if not src_h.generators:
+            continue
+        dst_h = degree_homology(big_cc, d)
+        expected, *lifted = [induced_map_on_homology(cm, src_h, dst_h).matrix
+                             for cm in maps]
+        if any(m != expected for m in lifted):
             trivial_ok = False
+    # degree 0: each component maps into the same component as inclusion
+    comp_big = _chain_component_labels(big_cc)
+    if any(comp_big[lift[v]] != comp_big[v] for lift in lifts for v in small.vertices):
+        trivial_ok = False
     checks["acts_trivially_on_homology"] = trivial_ok
 
-    ok = simplicial_ok and trivial_ok and vanish and not inconclusive
+    ok = trivial_ok and vanish and not inconclusive
     return CoverLiftVerdict(
         ok=ok,
         inconclusive=inconclusive,

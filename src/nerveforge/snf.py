@@ -6,16 +6,18 @@ sparse ``{row: {col: value}}`` dicts; all public entry points accept dense
 input and choose sparse internals.
 
 This module is the package's exact linear-algebra kernel: ``mat_mul`` and
-``identity_matrix`` for integer matrices, the Bareiss ``determinant``, and
-one fraction-free elimination, ``echelon`` over ``add_to_echelon``, behind
-every rational rank, row space, membership test and linear solve.
+``identity_matrix`` for integer matrices, the Smith normal form, and one
+fraction-free elimination, ``echelon`` over ``add_to_echelon``, behind every
+rational rank, row space, membership test, linear solve and orientation
+sign.
 
 ``smith_normal_form`` keeps the matrix being reduced as row dicts with a
-column index and a heap of pivot candidates, and the unimodular transforms
-as sparse lines: the rows of ``U`` and columns of ``V`` that its elementary
-operations act on, and the columns of ``U⁻¹`` and rows of ``V⁻¹`` that the
-inverse operations act on.  ``SNFResult`` hands those lines to callers, and
-no dense transform matrix is ever built.
+column index and a heap of pivot candidates, and each unimodular transform
+it tracks as sparse lines together with its inverse: the rows of ``U`` and
+columns of ``V`` that its elementary operations act on, and the columns of
+``U⁻¹`` and rows of ``V⁻¹`` that the inverse operations act on.
+``SNFResult`` hands those lines to callers, and no dense transform matrix
+is ever built.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from math import gcd, lcm
 
 
 class SNFError(ValueError):
-    """An integer routine got a non-integer entry, or the normal-form
-    reduction reached a state its invariants exclude."""
+    """The normal-form reduction reached a state its invariants exclude."""
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -58,11 +59,12 @@ Line = dict[int, int]
 class SNFResult:
     """U @ m @ V == D, with U, V unimodular and D the diagonal normal form.
 
-    The transforms are sparse lines ``{index: value}``, each ``None`` unless
-    requested: ``u_rows[i]`` is row i of U, ``v_cols[j]`` column j of V,
-    ``u_inv_cols[j]`` column j of U⁻¹ and ``v_inv_rows[i]`` row i of V⁻¹.
-    So columns rank.. of V span the right kernel and rows rank.. of U the
-    left kernel.
+    The transforms are sparse lines ``{index: value}``: ``u_rows[i]`` is row
+    i of U, ``v_cols[j]`` column j of V, ``u_inv_cols[j]`` column j of U⁻¹
+    and ``v_inv_rows[i]`` row i of V⁻¹.  A transform and its inverse come
+    together: U and U⁻¹ are both ``None`` unless U was requested, and the
+    same holds for V and V⁻¹.  So columns rank.. of V span the right kernel
+    and rows rank.. of U the left kernel.
     """
 
     factors: tuple[int, ...]  # nonzero diagonal entries, divisibility chain
@@ -207,44 +209,38 @@ def _axpy(y: Line, x: Line, c: int):
 
 
 class _Transform:
-    """A unimodular matrix, and optionally its inverse, as sparse lines.
+    """A unimodular matrix and its inverse, as sparse lines.
 
     ``lines[k]`` is line k of the tracked matrix, the kind of line its
     operations act on: a row of U, whose operations are row operations, or a
     column of V, whose operations are column operations.  ``inv_lines[k]``
     is line k of the inverse, of the other kind (a column of U⁻¹, a row of
-    V⁻¹), where the inverse operation acts.  Each operation touches only
-    nonzero entries.
+    V⁻¹), where the inverse operation acts.  Every operation updates both,
+    and each touches only nonzero entries.
     """
 
-    def __init__(self, n, want_inverse):
+    def __init__(self, n):
         self.lines: list[Line] = [{k: 1} for k in range(n)]
-        self.inv_lines: list[Line] | None = (
-            [{k: 1} for k in range(n)] if want_inverse else None)
+        self.inv_lines: list[Line] = [{k: 1} for k in range(n)]
 
     def add(self, src, dst, c):
         """line[dst] += c * line[src]; on the inverse, line[src] -= c * line[dst]."""
         if not c:
             return
         _axpy(self.lines[dst], self.lines[src], c)
-        if self.inv_lines is not None:
-            _axpy(self.inv_lines[src], self.inv_lines[dst], -c)
+        _axpy(self.inv_lines[src], self.inv_lines[dst], -c)
 
     def swap(self, a, b):
-        lines = self.lines
+        lines, inv = self.lines, self.inv_lines
         lines[a], lines[b] = lines[b], lines[a]
-        if self.inv_lines is not None:
-            inv = self.inv_lines
-            inv[a], inv[b] = inv[b], inv[a]
+        inv[a], inv[b] = inv[b], inv[a]
 
     def negate(self, k):
         self.lines[k] = {x: -v for x, v in self.lines[k].items()}
-        if self.inv_lines is not None:
-            self.inv_lines[k] = {x: -v for x, v in self.inv_lines[k].items()}
+        self.inv_lines[k] = {x: -v for x, v in self.inv_lines[k].items()}
 
 
-def smith_normal_form(matrix, want_u=True, want_v=True,
-                      want_u_inv=False, want_v_inv=False) -> SNFResult:
+def smith_normal_form(matrix, want_u=True, want_v=True) -> SNFResult:
     """Smith normal form over the integers.
 
     Pivot choice is the smallest-magnitude nonzero entry of the remaining
@@ -254,13 +250,13 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
     dropped, so the pivot is the block's least key exactly as a full scan
     would find it.  Returns invariant factors (positive, each dividing the
     next) and the requested unimodular transforms with U @ m @ V diagonal,
-    as the sparse lines that ``SNFResult`` describes.
+    each with its inverse, as the sparse lines that ``SNFResult`` describes.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     a = _Sparse(matrix)
-    tu = _Transform(m, want_u_inv) if (want_u or want_u_inv) else None
-    tv = _Transform(n, want_v_inv) if (want_v or want_v_inv) else None
+    tu = _Transform(m) if want_u else None
+    tv = _Transform(n) if want_v else None
 
     def row_add(src, dst, c):
         a.add_row(src, dst, c)
@@ -372,8 +368,8 @@ def smith_normal_form(matrix, want_u=True, want_v=True,
         factors=factors,
         rows=m,
         cols=n,
-        u_rows=tu.lines if (tu and want_u) else None,
-        v_cols=tv.lines if (tv and want_v) else None,
+        u_rows=tu.lines if tu else None,
+        v_cols=tv.lines if tv else None,
         u_inv_cols=tu.inv_lines if tu else None,
         v_inv_rows=tv.inv_lines if tv else None,
     )
@@ -461,32 +457,3 @@ def solve_integer(matrix, b):
         elif c:
             return None
     return x
-
-
-def determinant(matrix) -> int:
-    """Exact integer determinant (Bareiss).
-
-    Entries must be integers (``int``, or ``Fraction`` with denominator 1);
-    any other entry raises ``SNFError`` instead of being truncated.
-    """
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if any(getattr(x, "denominator", None) != 1 for r in matrix for x in r):
-        raise SNFError("determinant needs integer entries")
-    a = [[x.numerator for x in r] for r in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -4,8 +4,10 @@ nerves, barycentric subdivisions) that the package does not build, the
 inclusion map of a subcomplex and the map a simplicial map induces on
 homology through chain complexes built from simplices, the check that a
 restricted chain complex is the one built from the subcomplex, dense SNF
-transforms and kernels read off the sparse lines, and a cover's fattening
-(the total complex of its intersection diagram)."""
+transforms and kernels read off the sparse lines, two references (the
+Bareiss determinant and the two-normal-form bijectivity test of a group
+map), and a cover's fattening (the total complex of its intersection
+diagram)."""
 
 from nerveforge.covers import nerve
 from nerveforge.homology import (TotalComplex, chain_complex, chain_map_of_simplicial,
@@ -98,6 +100,63 @@ def kernel_basis(matrix):
     n = len(matrix[0])
     res = smith_normal_form(matrix, want_u=False, want_v=True)
     return [[col.get(i, 0) for i in range(n)] for col in res.v_cols[res.rank:]]
+
+
+def determinant(matrix) -> int:
+    """Reference: exact determinant of a square ``int`` matrix, by Bareiss
+    fraction-free elimination."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    a = [list(r) for r in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def group_map_is_bijective(matrix, source_orders, target_orders) -> bool:
+    """Reference: bijectivity of a map of finitely generated abelian groups
+    presented by generator orders (0 = free) and a coordinate matrix, from
+    two normal forms: one for onto, one for a trivial kernel.  It needs no
+    relation between the two groups' orders."""
+    rows, cols = len(target_orders), len(source_orders)
+    if rows == 0 and cols == 0:
+        return True
+    # surjective: columns of [matrix | diag(target_orders)] generate Z^rows
+    aug = [list(matrix[i]) + [target_orders[i] if j == i else 0 for j in range(rows)]
+           for i in range(rows)]
+    if rows:
+        res = smith_normal_form(aug, want_u=False, want_v=False)
+        if res.rank < rows or any(f != 1 for f in res.factors):
+            return False
+    # injective: kernel of the induced map is trivial
+    stacked = [list(matrix[i]) + [-(target_orders[i]) if j == i else 0 for j in range(rows)]
+               for i in range(rows)]
+    if not stacked:
+        # target trivial: injective iff source trivial
+        return all(o == 1 for o in source_orders) or cols == 0
+    res = smith_normal_form(stacked, want_u=False)
+    for col in res.v_cols[res.rank:]:
+        for i, o in enumerate(source_orders):
+            xi = col.get(i, 0)
+            if o == 0:
+                if xi != 0:
+                    return False
+            elif xi % o:
+                return False
+    return True
 
 
 def fattening(cover):

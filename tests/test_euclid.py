@@ -430,7 +430,9 @@ def fraction_mat_mul(a, b):
 
 @st.composite
 def orthogonal_matrices(draw, n):
-    """Signed permutation times a block diagonal of Pythagorean rotations."""
+    """Signed permutation times a block diagonal of Pythagorean rotations,
+    times up to two rational Householder reflections I - 2vvᵀ/(vᵀv), whose
+    -1 eigenvectors v need not be coordinate axes."""
     perm = draw(st.permutations(range(n)))
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
     p = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
@@ -442,7 +444,13 @@ def orthogonal_matrices(draw, n):
         else:
             blocks.append([[1]])
             left -= 1
-    return fraction_mat_mul(p, block_diagonal(blocks))
+    out = fraction_mat_mul(p, block_diagonal(blocks))
+    normals = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    for v in draw(st.lists(normals, max_size=2)):
+        vv = sum(x * x for x in v)
+        out = fraction_mat_mul(out, [[int(i == j) - Fraction(2 * v[i] * v[j], vv)
+                                      for j in range(n)] for i in range(n)])
+    return out
 
 
 @st.composite

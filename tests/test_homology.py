@@ -1,9 +1,11 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nerveforge import homology as homology_module
 from nerveforge.construct import grid_complex, path_complex, rect_subcomplex
 from nerveforge.homology import (
     ChainComplexError,
@@ -23,8 +25,8 @@ from nerveforge.homology import (
 from nerveforge.simplicial import ComplexError, SimplicialComplex, SimplicialMap
 from nerveforge.snf import rational_rank
 
-from chain_helpers import (assert_restriction_matches, inclusion, induced_homology_map,
-                           scanned_chains, simplices_of_dim)
+from chain_helpers import (assert_restriction_matches, group_map_is_bijective, inclusion,
+                           induced_homology_map, scanned_chains, simplices_of_dim)
 from stock_complexes import (annulus, cycle_complex, disk_on_circle, full_simplex,
                              projective_plane_6, simplex_boundary_complex, torus_7)
 
@@ -328,8 +330,6 @@ def test_graph_homology_matches_the_chain_complex(c, reduced):
 
 
 def test_graph_homology_builds_no_chain_complex(monkeypatch):
-    import nerveforge.homology as homology_module
-
     def refuse(c):
         raise AssertionError("chain complex built for a graph")
 
@@ -397,3 +397,99 @@ def test_compose_after_matches_composite_map(chain):
         assert composed.source_orders == direct.source_orders
         assert composed.target_orders == direct.target_orders
         assert composed.is_zero == direct.is_zero
+
+
+# ---------------------------------------------------------------------------
+# the one-normal-form isomorphism test against the two-normal-form reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def group_orders(draw):
+    """Orders as ``DegreeHomology`` gives them: an invariant-factor chain
+    t_1 | t_2 | ... with every t_i > 1, then a 0 per free generator."""
+    chain = []
+    for _ in range(draw(st.integers(0, 3))):
+        chain.append(chain[-1] * draw(st.integers(1, 3)) if chain else draw(st.integers(2, 4)))
+    return chain + [0] * draw(st.integers(0, 3))
+
+
+def coefficient_step(t, o):
+    """The least c > 0 for which sending a generator of order o to c times
+    one of order t is well defined (o·c ≡ 0 mod t), or 0 when only c = 0
+    is, for t = 0 < o."""
+    if t == 0:
+        return 0 if o else 1
+    return t // gcd(t, o)
+
+
+@st.composite
+def group_maps(draw):
+    """(kind, InducedMap): an isomorphism ("iso": generators matched to
+    target generators of the same order, then automorphisms of the target),
+    any well-defined map between isomorphic groups ("same"), or any
+    well-defined map ("any"), one kind in three."""
+    kind = draw(st.sampled_from(["iso", "same", "any"]))
+    target = draw(group_orders())
+    rows = len(target)
+    if kind == "any":
+        source = draw(group_orders())
+    else:
+        perm = draw(st.permutations(range(rows)))
+        source = [target[p] for p in perm]
+    if kind == "iso":
+        matrix = [[int(p == i) for p in perm] for i in range(rows)]
+        for _ in range(draw(st.integers(0, 6)) if rows else 0):
+            i, k = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            if i != k:
+                # e_k -> e_k + c·e_i, an automorphism when well defined
+                c = draw(st.integers(-3, 3)) * coefficient_step(target[i], target[k])
+                matrix[i] = [x + c * y for x, y in zip(matrix[i], matrix[k])]
+            else:
+                # e_i -> u·e_i for a unit u of Z/t_i (of Z when t_i = 0)
+                u = draw(st.sampled_from([u for u in range(-5, 6) if gcd(u, target[i]) == 1]))
+                matrix[i] = [u * x for x in matrix[i]]
+    else:
+        matrix = [[draw(st.integers(-3, 3)) * coefficient_step(t, o) for o in source]
+                  for t in target]
+    return kind, InducedMap(matrix=matrix, source_orders=source, target_orders=target,
+                            is_zero=not any(map(any, matrix)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_maps())
+@example(("same", InducedMap([[2]], [0], [0], is_zero=False)))
+@example(("any", InducedMap([[1]], [0], [2], is_zero=False)))
+def test_isomorphism_test_matches_the_two_normal_form_reference(drawn):
+    kind, m = drawn
+    expect = group_map_is_bijective(m.matrix, m.source_orders, m.target_orders)
+    assert induced_map_is_isomorphism(m) == expect
+    assert expect or kind != "iso"
+
+
+def test_isomorphism_test_makes_at_most_one_normal_form(monkeypatch):
+    calls = []
+    snf = homology_module.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", counted)
+    cases = [
+        # groups that are not isomorphic: no normal form
+        (InducedMap([[1, 0]], [0, 0], [0], is_zero=False), False, 0),
+        (InducedMap([[1]], [0], [2], is_zero=False), False, 0),
+        (InducedMap([], [0], [], is_zero=True), False, 0),
+        # a trivial target, and so a trivial source: no normal form
+        (InducedMap([], [], [], is_zero=True), True, 0),
+        # isomorphic nontrivial groups: one normal form
+        (InducedMap([[0, 1], [1, 0]], [2, 0], [0, 2], is_zero=False), True, 1),
+        (InducedMap([[1, 3], [0, 1]], [0, 0], [0, 0], is_zero=False), True, 1),
+        (InducedMap([[2]], [0], [0], is_zero=False), False, 1),
+        (InducedMap([[1, 0], [0, 2]], [2, 4], [2, 4], is_zero=False), False, 1),
+    ]
+    for m, expect, n in cases:
+        calls.clear()
+        assert induced_map_is_isomorphism(m) == expect
+        assert len(calls) == n

@@ -41,7 +41,7 @@ from nerveforge.periodic import (
 )
 from nerveforge.simplicial import ComplexError, SimplicialMap
 
-from chain_helpers import assert_restriction_matches, inclusion
+from chain_helpers import assert_restriction_matches, group_map_is_bijective, inclusion
 
 SETTINGS = settings(max_examples=40, deadline=None)
 # Coefficient range of the reference vertex scan; the tests assert that every
@@ -401,6 +401,20 @@ def reference_scan(builder, w_max):
 @example(hollow_tube_boxes())
 def test_scan_matches_a_scan_that_builds_every_window(bu):
     assert stabilization_check(bu.window_complex) == reference_scan(bu.window_complex, 16)
+
+
+@SETTINGS
+@given(box_unions(), st.integers(1, 2))
+def test_isomorphism_test_matches_the_reference_on_window_triples(bu, w):
+    big = chain_complex(bu.window_complex(4 * w))
+    mid, up = restricted_chain_complex(big, bu.window_complex(2 * w))
+    small, low = restricted_chain_complex(mid, bu.window_complex(w))
+    for d in big.degrees():
+        hs = [degree_homology(cc, d) for cc in (small, mid, big)]
+        for cm, src, dst in ((low, hs[0], hs[1]), (up, hs[1], hs[2])):
+            m = induced_map_on_homology(cm, src, dst)
+            assert induced_map_is_isomorphism(m) == group_map_is_bijective(
+                m.matrix, m.source_orders, m.target_orders)
 
 
 def comb():

@@ -93,8 +93,7 @@ chain_complexes = st.one_of(
 @SETTINGS
 @given(matrices())
 def test_snf_transforms(mat):
-    res = smith_normal_form(mat, want_u=True, want_v=True,
-                            want_u_inv=True, want_v_inv=True)
+    res = smith_normal_form(mat)
     u, v, u_inv, v_inv = dense_transforms(res)
     assert mat_mul(u, mat_mul(mat, v)) == diagonal_matrix(res)
     assert mat_mul(v, v_inv) == identity_matrix(res.cols)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from nerveforge.lattices import (LatticeSubgroup, hermite_normal_form, intersect, join,
                                  virtually_contains)
-from nerveforge.snf import determinant, smith_normal_form
+from nerveforge.snf import smith_normal_form
+
+from chain_helpers import determinant
 
 
 def L(rows, d=2):
