@@ -27,8 +27,8 @@ from .homology import (
     simplicial_chain_map,
 )
 from .lattices import LatticeSubgroup
-from .simplicial import (SimplicialComplex, SimplicialMap, _component_labels,
-                         cliques_of)
+from .simplicial import (ComplexError, SimplicialComplex, SimplicialMap, _component_labels,
+                         clique_number, cliques_of, strong_core)
 
 
 class PeriodicError(ValueError):
@@ -115,8 +115,11 @@ class BoxUnion:
 
     Vertex (j, c) meets vertex (j2, c + e) exactly when box j2 moved by e
     meets box j, a condition on (j, j2, e) alone. ``_stencil[j][j2]`` lists
-    those e, computed once per instance on first use; window and quotient
-    nerves read their edges from it instead of meeting pairs of boxes.
+    those e, computed once per instance on first use; window graphs and
+    quotient nerves read their edges from it instead of meeting pairs of
+    boxes. The doubling scan reads each window as its graph
+    (``window_graph``) and builds chains only on the graph's strong-collapse
+    core; ``window_complex`` lists every clique of the graph.
 
     ``stabilization`` and the stencil are computed once per instance. They
     are not part of ``==``, ``hash`` or ``repr`` and live and die with the
@@ -216,35 +219,40 @@ class BoxUnion:
             later.append(row)
         return later
 
-    def _nerve(self, vertices):
-        """Simplices of the nerve of the boxes of the sorted ``vertices``:
-        the cliques of their intersection graph (see ``window_complex``)."""
-        return cliques_of(vertices, self._later(vertices))
+    def window_graph(self, w) -> tuple[list, list[list[int]]]:
+        """The window's intersection graph: ``window_vertices(w)`` and its
+        ``_later`` rows, the graph whose cliques ``window_complex`` lists."""
+        vertices = self.window_vertices(w)
+        return vertices, self._later(vertices)
 
     def window_complex(self, w) -> SimplicialComplex:
         """Nerve of the window's boxes: the subsets with a common point.
 
-        It is the clique complex of the window's intersection graph, by
-        Helly's theorem for boxes: open axis-parallel boxes that meet
-        pairwise have a common point. Per axis, the open intervals (a_i, b_i)
-        meet pairwise, so a_i < b_k for all i, k, hence max a_i < min b_k and
-        the interval (max a_i, min b_k) lies in all of them; the product of
-        these intervals over the axes lies in every box. So only the pairs
-        are decided on corners, through the stencil, and each vertex is
-        paired with the few vertices its stencil names, not with the whole
-        window; the sets of three or more are cliques
-        (``simplicial.cliques_of``)."""
-        return SimplicialComplex(frozenset(self._nerve(self.window_vertices(w))))
+        It is the clique complex of the window's intersection graph
+        (``window_graph``), by Helly's theorem for boxes: open axis-parallel
+        boxes that meet pairwise have a common point. Per axis, the open
+        intervals (a_i, b_i) meet pairwise, so a_i < b_k for all i, k, hence
+        max a_i < min b_k and the interval (max a_i, min b_k) lies in all of
+        them; the product of these intervals over the axes lies in every
+        box. So only the pairs are decided on corners, through the stencil,
+        and each vertex is paired with the few vertices its stencil names,
+        not with the whole window; the sets of three or more are cliques
+        (``simplicial.cliques_of``).
+
+        The doubling scan reads the window graph, not this complex; the
+        cover check's two lift windows and ``CoverWindow`` build it in full.
+        """
+        return SimplicialComplex(frozenset(cliques_of(*self.window_graph(w))))
 
     @cached_property
     def stabilization(self) -> StabilizationResult:
-        """``stabilization_check`` of the window nerves in every degree.
+        """``stabilization_check`` of the window graphs in every degree.
 
         Computed once per instance: ``local_vanishing_check`` and
         ``quotient_corner_check`` share the result. The result is frozen, so
         callers cannot change it.
         """
-        return stabilization_check(self.window_complex)
+        return stabilization_check(self.window_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +303,8 @@ class StabilizationResult:
 def _component_map_outcome(c_small: dict, c_big: dict, c_bigger: dict,
                            sheets: int = 1) -> DegreeOutcome:
     """Reduced degree-0 stabilization via component tracking, from the
-    windows' component labels (``_chain_component_labels``), for ``sheets``
-    disjoint copies of each window."""
+    windows' component labels (vertex -> root), for ``sheets`` disjoint
+    copies of each window."""
 
     def outcome(cs, cb):
         reps_small = {}
@@ -321,45 +329,70 @@ def _component_map_outcome(c_small: dict, c_big: dict, c_bigger: dict,
 
 
 def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
-    """Doubling-window stabilization for a radius-indexed complex family.
+    """Doubling-window stabilization for a radius-indexed family of clique
+    complexes, read off the strong-collapse cores of their graphs.
 
     A degree is stable when the two consecutive inclusion-induced maps
     (w -> 2w -> 4w) are isomorphisms, zero-image when both kill every class,
     and inconclusive otherwise; the scan tries the triples of the radii
     1, 2, 4, 8, 16 in turn and stops at the first that resolves every degree.
+    The degrees run from 0 to the dimension of each triple's largest window,
+    its clique number minus 1 (``clique_number``).
 
     With ``sheets=k`` the result is the scan of k disjoint copies of each
     window, read off one copy: Betti numbers are multiplied by k, each
     torsion factor appears k times in sorted order, and in reduced degree 0
     a map reads "zero" only when k times its number of images is at most 1.
 
-    The builder's windows must be nested. It is asked once per radius, the
-    largest of a triple first. Only that largest window's chain complex is
-    built from its simplices; the smaller windows' chain complexes and the
-    inclusion chain maps are restrictions of it (``restricted_chain_complex``),
-    which raises ``ComplexError`` when a window is not inside the next.
-    Degree-0 component labels come once per window from its chain complex.
+    ``builder(w)`` returns the graph of window W_w as ``(keys, later)``, the
+    sorted vertices and their ``later`` rows (``BoxUnion.window_graph``);
+    W_w is its clique complex. It is asked once per radius. The windows must
+    be nested: ``ComplexError`` is raised when a window's vertices or edges
+    are not among the next window's. Degree 0 is read from the components
+    of the whole graph. Every other degree is read from the core C_w of the
+    graph (``strong_core``), with its retraction r_w: W_w -> C_w, and the
+    map C_w -> C_2w is v ↦ r_2w(v). Only the cores' cliques are built.
+
+    Why the cores give the same outcomes. Each step of ``strong_core``
+    removes a vertex v dominated by u, and v ↦ u is a strong deformation
+    retraction of flag complexes, so the inclusion i_w: C_w ⊂ W_w is a
+    homotopy equivalence with homotopy inverse r_w, and r_w ∘ i_w is the
+    identity. Write j: W_w ⊂ W_2w. On C_w the composite r_2w ∘ j ∘ i_w is
+    v ↦ r_2w(v), so the map the scan uses on homology is
+    (r_2w)_* ∘ j_* ∘ (i_w)_*, the inclusion's map j_* conjugated by the
+    isomorphisms (i_w)_* and (r_2w)_* = ((i_2w)_*)⁻¹. A map conjugated by
+    isomorphisms is an isomorphism, or zero, exactly when the map is, so
+    both tests are unchanged, and the middle group H_d(C_2w) ≅ H_d(W_2w)
+    has the same Betti number and torsion. A degree above a core's
+    dimension has trivial groups in all three cores, hence in all three
+    windows: both maps are isomorphisms of trivial groups and the degree
+    reads "stable, betti 0", as a scan of the whole windows reads it.
     """
     radii = (1, 2, 4, 8, 16)
-    complexes: dict[int, SimplicialComplex] = {}
+    graphs: dict[int, tuple[list, list]] = {}
+    cores: dict[int, SimplicialComplex] = {}
+    retractions: dict[int, dict] = {}
     ccs: dict[int, IntegerChainComplex] = {}
     cmaps: dict[tuple[int, int], dict] = {}
 
-    def prepare(w1, w2, w4):
-        """Build the triple's windows, the largest first, and read the
-        smaller chain complexes and the inclusions off the largest."""
-        for w in (w4, w2, w1):
-            if w not in complexes:
-                complexes[w] = builder(w)
-        ccs[w4] = chain_complex(complexes[w4])  # each triple's w4 is new
-        for lo, hi in ((w2, w4), (w1, w2)):
-            if (lo, hi) not in cmaps:
-                cc, cmaps[lo, hi] = restricted_chain_complex(ccs[hi], complexes[lo])
-                ccs.setdefault(lo, cc)
+    def prepare(w):
+        """Ask for window w and build its core's chain complex."""
+        graphs[w] = builder(w)
+        core_keys, core_later, retractions[w] = strong_core(*graphs[w])
+        cores[w] = SimplicialComplex(frozenset(cliques_of(core_keys, core_later)))
+        ccs[w] = chain_complex(cores[w])
+
+    def link(lo, hi):
+        """The chain map C_lo -> C_hi of v ↦ r_hi(v)."""
+        _check_nested(graphs[lo], graphs[hi])
+        f = SimplicialMap(cores[lo], cores[hi], retractions[hi])
+        cmaps[lo, hi] = simplicial_chain_map(f, ccs[lo], ccs[hi])
 
     @cache
     def components(w):
-        return _chain_component_labels(ccs[w])
+        keys, later = graphs[w]
+        return _component_labels(keys, ((keys[i], keys[j])
+                                        for i, row in enumerate(later) for j in row))
 
     @cache
     def hdeg(w, d):
@@ -370,9 +403,14 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
 
     best: dict[int, DegreeOutcome] = {}
     for w1, w2, w4 in zip(radii, radii[1:], radii[2:]):
-        prepare(w1, w2, w4)
+        for w in (w1, w2, w4):
+            if w not in graphs:
+                prepare(w)
+        for lo, hi in ((w1, w2), (w2, w4)):
+            if (lo, hi) not in cmaps:
+                link(lo, hi)
         # the windows are nested, so the largest has the top dimension so far
-        top = max(complexes[w4].dimension, 0)
+        top = max(clique_number(graphs[w4][1]) - 1, 0)
         outcomes = {0: _component_map_outcome(
             components(w1), components(w2), components(w4), sheets)}
         for d in range(1, top + 1):
@@ -393,6 +431,20 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
         if all(o.status != "inconclusive" for o in best.values()):
             break
     return StabilizationResult(outcomes=best, radii=(w1, w2, w4), top_degree=top)
+
+
+def _check_nested(small, big):
+    """Raise ``ComplexError`` unless the graph ``small`` is a subgraph of
+    ``big``, both given as sorted keys with ``later`` rows; then the clique
+    complex of ``small`` is a subcomplex of big's."""
+    (keys, later), (big_keys, big_later) = small, big
+    index = {v: i for i, v in enumerate(big_keys)}
+    try:
+        position = [index[v] for v in keys]
+    except KeyError:
+        raise ComplexError("a window's vertices are not inside the next window's") from None
+    if any(position[j] not in big_later[position[i]] for i, row in enumerate(later) for j in row):
+        raise ComplexError("a window's edges are not inside the next window's")
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +579,8 @@ def quotient_complex(bu: BoxUnion) -> IntegerChainComplex:
     for j, neighbours in enumerate(bu._later_neighbours):
         base_vertex = (j, (0,) * bu.rank)
         reps.add((base_vertex,))
-        reps.update((base_vertex,) + alpha for alpha in bu._nerve(neighbours))
+        reps.update((base_vertex,) + alpha
+                    for alpha in cliques_of(neighbours, bu._later(neighbours)))
 
     by_degree: dict[int, list] = {}
     for s in reps:
@@ -712,7 +765,7 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
                   lift_simplicial=True)
 
     threshold = n - 1 - r
-    result = stabilization_check(bu.window_complex, sheets=order)
+    result = stabilization_check(bu.window_graph, sheets=order)
     inconclusive, bad = result.nonvanishing_from(threshold)
     vanish = not inconclusive and not bad
     checks["cover_vanishing"] = vanish

@@ -22,12 +22,20 @@ common meet. The nerves of covers and of affine subspaces are built by it.
 with no meet: the nerves of periodic box windows and of their lattice
 quotients are clique complexes (Helly's theorem for boxes, see
 ``periodic.BoxUnion.window_complex``) and are built by it.
+
+Two helpers work on such a graph before any clique is listed:
+``strong_core`` removes dominated vertices, which keeps the homotopy type
+of the clique complex, and returns the retraction onto what is left, and
+``clique_number`` finds the size of a largest clique by branch and bound.
+The doubling scan (``periodic.stabilization_check``) builds chains only on
+the cores and reads a window's dimension off its clique number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import combinations
 from operator import lt
 
@@ -166,6 +174,90 @@ def cliques_of(keys: list, later: list):
     rows = [dict.fromkeys(row, True) for row in later]
     for alpha, _ in _frontier_walk(keys, rows, None, None):
         yield alpha
+
+
+def strong_core(keys: list, later: list):
+    """``(core keys, core later, retraction)`` of the graph on ``keys``
+    given by ``later`` rows, as in ``cliques_of``: the graph left when
+    dominated vertices are removed one at a time until none is, and the
+    composite retraction ``{key: core key}``, which fixes the core.
+
+    A vertex v is dominated by a neighbour u when N[v] ⊆ N[u] (closed
+    neighbourhoods). Then every clique with v is still a clique with v
+    replaced by u, so v ↦ u is a simplicial retraction of the clique
+    complex onto the clique complex of the graph without v, and it is a
+    strong deformation retraction (Barmak and Minian, "Strong homotopy
+    types, nerves and collapses", *Discrete Comput. Geom.* 47, 2012). The
+    retraction is their composite, so the core's clique complex is a
+    deformation retract of the graph's.
+
+    A worklist of positions is drained in increasing order, so the core is
+    the same on every call: a vertex taken from it is removed when some
+    neighbour dominates it, onto the first such neighbour in ``keys``. A
+    removal can make only the removed vertex's neighbours dominated, so
+    they go back on the worklist.
+    """
+    n = len(keys)
+    closed = [{i} for i in range(n)]
+    for i, row in enumerate(later):
+        for j in row:
+            closed[i].add(j)
+            closed[j].add(i)
+    onto = list(range(n))  # onto[v] = u when v was removed onto u
+    work = list(range(n))  # a heap, already in order
+    queued = [True] * n
+    while work:
+        v = heappop(work)
+        queued[v] = False
+        nv = closed[v]
+        u = min((u for u in nv if u != v and nv <= closed[u]), default=None)
+        if u is None:
+            continue
+        onto[v] = u
+        nv.discard(v)
+        for x in nv:
+            closed[x].discard(v)
+            if not queued[x]:
+                queued[x] = True
+                heappush(work, x)
+    core = [i for i in range(n) if onto[i] == i]
+    position = {i: k for k, i in enumerate(core)}
+    core_later = [sorted(position[j] for j in closed[i] if j > i) for i in core]
+
+    def root(v):
+        while onto[v] != v:
+            v = onto[v]
+        return v
+
+    return ([keys[i] for i in core], core_later,
+            {keys[i]: keys[root(i)] for i in range(n)})
+
+
+def clique_number(later: list) -> int:
+    """Size of a largest clique of the graph given by ``later`` rows, as in
+    ``cliques_of``; 0 for a graph with no vertex.
+
+    Branch and bound (Carraghan and Pardalos, *Oper. Res. Lett.* 9, 1990),
+    without enumerating every clique: a clique grows only by the later
+    positions adjacent to all of its members, and a branch stops as soon as
+    its size plus its candidates left cannot beat the best clique found.
+    The positions are started from the last one, so the bound is set on the
+    small candidate lists first.
+    """
+    rows = [set(row) for row in later]
+    best = 1 if later else 0
+
+    def grow(size, cands):
+        nonlocal best
+        best = max(best, size)
+        for p, j in enumerate(cands):
+            if size + len(cands) - p <= best:
+                return
+            grow(size + 1, [k for k in cands[p + 1:] if k in rows[j]])
+
+    for row in reversed(later):
+        grow(1, row)
+    return best
 
 
 def _frontier_walk(keys, later, values, meet):

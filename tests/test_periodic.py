@@ -19,7 +19,7 @@ from nerveforge.periodic import (
     quotient_corner_check,
     stabilization_check,
 )
-from nerveforge.simplicial import ComplexError, SimplicialComplex
+from nerveforge.simplicial import ComplexError
 
 
 def window_nerve_homology(bu, w):
@@ -137,13 +137,13 @@ def test_ladder_with_holes_h1_grows():
     h1_big = window_nerve_homology(bu, 4).betti(1)
     assert h1_small >= 1
     assert h1_big > h1_small
-    res = stabilization_check(bu.window_complex)
+    res = stabilization_check(bu.window_graph)
     assert res.outcomes[1].status == "inconclusive"
 
 
 def test_stabilization_strip():
     bu = strip_ladder()
-    res = stabilization_check(bu.window_complex)
+    res = stabilization_check(bu.window_graph)
     assert res.outcomes[0].status == "stable" and res.outcomes[0].betti == 0
     for d in range(1, res.top_degree + 1):
         assert res.outcomes[d].stabilized_trivial()
@@ -151,20 +151,28 @@ def test_stabilization_strip():
 
 def test_stabilization_disjoint_boxes():
     bu = disjoint_periodic_boxes()
-    res = stabilization_check(bu.window_complex)
+    res = stabilization_check(bu.window_graph)
     # components grow without bound: degree 0 is inconclusive, higher vanish
     assert res.outcomes[0].status == "inconclusive"
     for d in range(1, res.top_degree + 1):
         assert res.outcomes[d].stabilized_trivial()
 
 
-EDGE = SimplicialComplex.from_maximal([(0, 1)])
-TWO_POINTS = SimplicialComplex.from_maximal([(0,), (1,)])
+EDGE = ([0, 1], [[1], []])
+TWO_POINTS = ([0, 1], [[], []])
+POINT = ([0], [[]])
+OTHER_POINT = ([1], [[]])
+PATH = ([0, 1, 2], [[1], [2], []])
+TRIANGLE = ([0, 1, 2], [[1, 2], [2], []])
 
 
 @pytest.mark.parametrize("windows", [
     {1: EDGE, 2: TWO_POINTS, 4: EDGE},  # w = 1 is not inside w = 2
     {1: EDGE, 2: EDGE, 4: TWO_POINTS},  # w = 2 is not inside w = 4
+    {1: POINT, 2: OTHER_POINT, 4: TWO_POINTS},  # a vertex of w = 1 is missing
+    # the vertices nest, and the vertices of edge (0, 2) are joined by the
+    # path through 1, but the edge itself is missing from w = 4
+    {1: TRIANGLE, 2: TRIANGLE, 4: PATH},
 ])
 def test_scan_of_windows_that_are_not_nested_raises_complex_error(windows):
     with pytest.raises(ComplexError):

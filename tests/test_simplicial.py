@@ -5,13 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nerveforge.construct import grid_complex, interval_subcomplex, path_complex, rect_subcomplex
+from nerveforge.homology import homology_of_complex
 from nerveforge.simplicial import (
     ComplexError,
     SimplicialComplex,
     SimplicialMap,
+    clique_number,
     cliques_of,
     close_downward,
     nerve_of,
+    strong_core,
 )
 
 from stock_complexes import full_simplex
@@ -250,3 +253,30 @@ def test_box_nerve_is_the_clique_complex_of_its_pairs(corners):
     later = [[j for j in keys[i + 1:] if box_meet(items[i], items[j]) is not None]
              for i in keys]
     assert list(cliques_of(keys, later)) == [alpha for alpha, _ in nerve_of(items, box_meet)]
+
+
+@st.composite
+def graphs(draw):
+    """``(keys, later)`` of a random graph on up to 9 vertices."""
+    n = draw(st.integers(0, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return list(range(n)), [sorted(j for i2, j in edges if i2 == i) for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_clique_number_is_the_size_of_a_largest_clique(graph):
+    keys, later = graph
+    assert clique_number(later) == max(map(len, cliques_of(keys, later)), default=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_strong_core_keeps_the_homology_of_the_clique_complex(graph):
+    """The core's clique complex is a deformation retract of the graph's."""
+    core_keys, core_later, retraction = strong_core(*graph)
+    whole = SimplicialComplex(frozenset(cliques_of(*graph)))
+    core = SimplicialComplex(frozenset(cliques_of(core_keys, core_later)))
+    SimplicialMap(whole, core, retraction)
+    assert homology_of_complex(whole) == homology_of_complex(core)
