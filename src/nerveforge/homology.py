@@ -10,9 +10,10 @@ matrices are reproducible across runs.
 
 A map on homology has one route: a chain map and the ``DegreeHomology`` of
 its source and target go to ``induced_map_on_homology``.  The chain map of
-an inclusion is read off the larger complex's chain complex with
-``restricted_chain_complex``; that of another simplicial map comes from
-``simplicial_chain_map`` between already built chain complexes.
+a simplicial map comes from ``simplicial_chain_map`` between already built
+chain complexes.  The chain map of an inclusion can instead be read off
+the larger complex's chain complex with ``restricted_chain_complex``; the
+almost-abelian check of ``euclid`` reads its level-0 nerve that way.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from .homology import (
     homology,
     induced_map_is_isomorphism,
     induced_map_on_homology,
-    restricted_chain_complex,
     simplex_boundary,
     simplicial_chain_map,
 )
@@ -117,9 +116,10 @@ class BoxUnion:
     meets box j, a condition on (j, j2, e) alone. ``_stencil[j][j2]`` lists
     those e, computed once per instance on first use; window graphs and
     quotient nerves read their edges from it instead of meeting pairs of
-    boxes. The doubling scan reads each window as its graph
-    (``window_graph``) and builds chains only on the graph's strong-collapse
-    core; ``window_complex`` lists every clique of the graph.
+    boxes. The doubling scan and the cover-lift comparison read each window
+    as its graph (``window_graph``) and build chains only on the graph's
+    strong-collapse core; ``window_complex`` lists every clique of the
+    graph.
 
     ``stabilization`` and the stencil are computed once per instance. They
     are not part of ``==``, ``hash`` or ``repr`` and live and die with the
@@ -239,8 +239,9 @@ class BoxUnion:
         not with the whole window; the sets of three or more are cliques
         (``simplicial.cliques_of``).
 
-        The doubling scan reads the window graph, not this complex; the
-        cover check's two lift windows and ``CoverWindow`` build it in full.
+        No check builds this complex: the doubling scan and the cover-lift
+        comparison read the window graph's core. Only ``CoverWindow``, which
+        the tests compare the cover check with, builds it in full.
         """
         return SimplicialComplex(frozenset(cliques_of(*self.window_graph(w))))
 
@@ -348,10 +349,12 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     sorted vertices and their ``later`` rows (``BoxUnion.window_graph``);
     W_w is its clique complex. It is asked once per radius. The windows must
     be nested: ``ComplexError`` is raised when a window's vertices or edges
-    are not among the next window's. Degree 0 is read from the components
-    of the whole graph. Every other degree is read from the core C_w of the
-    graph (``strong_core``), with its retraction r_w: W_w -> C_w, and the
-    map C_w -> C_2w is v ↦ r_2w(v). Only the cores' cliques are built.
+    are not among the next window's. Every degree is read from the core C_w
+    of the graph (``strong_core``, through ``_core``), with its retraction
+    r_w: W_w -> C_w, and the map C_w -> C_2w is v ↦ r_2w(v). Only the
+    cores' cliques are built. Degree 0 reads each window vertex's component
+    as that of its image in the core, which is its component in the whole
+    window (see ``_core``).
 
     Why the cores give the same outcomes. Each step of ``strong_core``
     removes a vertex v dominated by u, and v ↦ u is a strong deformation
@@ -370,33 +373,18 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     """
     radii = (1, 2, 4, 8, 16)
     graphs: dict[int, tuple[list, list]] = {}
-    cores: dict[int, SimplicialComplex] = {}
-    retractions: dict[int, dict] = {}
-    ccs: dict[int, IntegerChainComplex] = {}
+    cores: dict[int, tuple] = {}
     cmaps: dict[tuple[int, int], dict] = {}
-
-    def prepare(w):
-        """Ask for window w and build its core's chain complex."""
-        graphs[w] = builder(w)
-        core_keys, core_later, retractions[w] = strong_core(*graphs[w])
-        cores[w] = SimplicialComplex(frozenset(cliques_of(core_keys, core_later)))
-        ccs[w] = chain_complex(cores[w])
 
     def link(lo, hi):
         """The chain map C_lo -> C_hi of v ↦ r_hi(v)."""
         _check_nested(graphs[lo], graphs[hi])
-        f = SimplicialMap(cores[lo], cores[hi], retractions[hi])
-        cmaps[lo, hi] = simplicial_chain_map(f, ccs[lo], ccs[hi])
-
-    @cache
-    def components(w):
-        keys, later = graphs[w]
-        return _component_labels(keys, ((keys[i], keys[j])
-                                        for i, row in enumerate(later) for j in row))
+        f = SimplicialMap(cores[lo][0], cores[hi][0], cores[hi][1])
+        cmaps[lo, hi] = simplicial_chain_map(f, cores[lo][2], cores[hi][2])
 
     @cache
     def hdeg(w, d):
-        return degree_homology(ccs[w], d)
+        return degree_homology(cores[w][2], d)
 
     def induced(w1, w2, d):
         return induced_map_on_homology(cmaps[w1, w2], hdeg(w1, d), hdeg(w2, d))
@@ -405,14 +393,15 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     for w1, w2, w4 in zip(radii, radii[1:], radii[2:]):
         for w in (w1, w2, w4):
             if w not in graphs:
-                prepare(w)
+                graphs[w] = builder(w)
+                cores[w] = _core(graphs[w])
         for lo, hi in ((w1, w2), (w2, w4)):
             if (lo, hi) not in cmaps:
                 link(lo, hi)
         # the windows are nested, so the largest has the top dimension so far
         top = max(clique_number(graphs[w4][1]) - 1, 0)
         outcomes = {0: _component_map_outcome(
-            components(w1), components(w2), components(w4), sheets)}
+            cores[w1][3], cores[w2][3], cores[w4][3], sheets)}
         for d in range(1, top + 1):
             m1 = induced(w1, w2, d)
             m2 = induced(w2, w4, d)
@@ -445,6 +434,26 @@ def _check_nested(small, big):
         raise ComplexError("a window's vertices are not inside the next window's") from None
     if any(position[j] not in big_later[position[i]] for i, row in enumerate(later) for j in row):
         raise ComplexError("a window's edges are not inside the next window's")
+
+
+def _core(graph):
+    """``(core, retraction, chain complex, components)`` of a window graph
+    ``(keys, later)``: the clique complex of its strong-collapse core
+    (``strong_core``), the retraction ``{window vertex: core vertex}``, the
+    core's chain complex, and each window vertex's component label.
+
+    The labels are the core's components pulled back through the
+    retraction, and they are the window's components. Each removal joins v
+    to the vertex u it is removed onto by an edge, so v and its image lie
+    in one component of the window. Two core vertices lie in one component
+    of the core exactly when they do in the window: a core edge is a window
+    edge, and the retraction, which is simplicial and fixes the core, sends
+    a window path between them to a core path."""
+    core_keys, core_later, retraction = strong_core(*graph)
+    core = SimplicialComplex(frozenset(cliques_of(core_keys, core_later)))
+    cc = chain_complex(core)
+    labels = _chain_component_labels(cc)
+    return core, retraction, cc, {v: labels[r] for v, r in retraction.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -708,16 +717,40 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     decides ``lift_simplicial`` and ``acts_trivially_on_homology``, and
     ``cover_vanishing`` is ``stabilization_check`` with ``sheets=|G|``.
 
-    ``lift_simplicial`` holds by construction and is not computed: the
-    unit lifts of window 2 are simplicial maps into window 2 + 2·margin.
-    Unit e moves a box by row e of the lattice's HNF basis, whose entries
-    are at most ``margin`` in absolute value. A box of window 2 meets
-    [-2, 2]^dim, so its translate meets [-2 - margin, 2 + margin]^dim, which
-    lies inside [-2 - 2·margin, 2 + 2·margin]^dim: every lifted vertex is a
-    vertex of the big window. Vertex (j, c) meets (j2, c + f) exactly when f
-    is in the stencil of (j, j2), so translation keeps adjacency, and a
-    window nerve is the clique complex of its intersection graph (see
-    ``BoxUnion.window_complex``): cliques map to cliques.
+    The two base windows are read off their strong-collapse cores
+    (``_core``), as the doubling scan reads its windows: W_s = W_2 and
+    W_b = W_(2 + 2·margin), with cores C_s and C_b, the inclusion
+    i_s: C_s ⊂ W_s and the retractions r_s and r_b. Each shift e, the zero
+    shift first and then the unit shifts, is the vertex map v ↦ r_b(v + e)
+    on C_s; the zero shift stands for the inclusion, so the inclusion is no
+    special case. This map is r_b ∘ T_e ∘ i_s, where T_e: W_s -> W_b is the translation by e (the
+    zero shift's T_0 is the inclusion j: W_s ⊂ W_b), so on H_d it is
+    (r_b)_* ∘ (T_e)_* ∘ (i_s)_*. The maps (i_s)_* and (r_b)_* are
+    isomorphisms (see ``stabilization_check``), so the map of shift e equals
+    that of shift 0 exactly when (T_e)_* = j_*: the comparison on the cores
+    is the comparison on the whole windows. A degree in which C_s has no
+    class is one in which W_s has none, and it is skipped in both. In
+    degree 0, each vertex v of W_s is joined to r_s(v) by an edge path, the
+    removals' edges (v, u). T_e and j keep edge paths, so v + e lies in
+    the component of r_s(v) + e and v in that of r_s(v): testing the core
+    vertices tests every vertex. Each big-window vertex's component is
+    read off C_b through r_b, and r_b(v + e) lies in the component of
+    v + e.
+
+    ``lift_simplicial`` holds by construction and is not computed: each
+    core map v ↦ r_b(v + e) is a simplicial map C_s -> C_b, as the
+    composite of three. First, C_s is the clique complex of a full subgraph
+    of W_s's graph, so i_s is simplicial. Second, T_e is simplicial
+    W_s -> W_b: unit e moves a box by row e of the lattice's HNF basis,
+    whose entries are at most ``margin`` in absolute value. A box of window
+    2 meets [-2, 2]^dim, so its translate meets
+    [-2 - margin, 2 + margin]^dim, which lies inside
+    [-2 - 2·margin, 2 + 2·margin]^dim: every lifted vertex is a vertex of
+    the big window. Vertex (j, c) meets (j2, c + f) exactly when f is in
+    the stencil of (j, j2), so translation keeps adjacency, and a window
+    nerve is the clique complex of its intersection graph (see
+    ``BoxUnion.window_complex``): cliques map to cliques. Third, r_b is a
+    simplicial retraction of W_b onto C_b (``strong_core``).
 
     ``group_action``, ``commutes_with_deck`` and
     ``sheet_choice_deck_difference`` hold by construction too. The deck
@@ -756,10 +789,13 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     margin = max(
         (abs(x) for row in bu.lattice.basis for x in row), default=1
     )
-    small = bu.window_complex(2)
-    big = bu.window_complex(2 + 2 * margin)
-    units = [tuple(int(i == j) for j in range(bu.rank)) for i in range(bu.rank)]
-    lifts = [{(j, c): (j, tuple(map(add, c, e))) for j, c in small.vertices} for e in units]
+    small, _, small_cc, _ = _core(bu.window_graph(2))
+    big, retraction, big_cc, comp_big = _core(bu.window_graph(2 + 2 * margin))
+    # the zero shift (the inclusion) first, then the unit shifts
+    shifts = [(0,) * bu.rank] + [tuple(int(i == j) for j in range(bu.rank))
+                                 for i in range(bu.rank)]
+    lifts = [{(j, c): retraction[j, tuple(map(add, c, e))] for j, c in small.vertices}
+             for e in shifts]
     # the identities proved in the docstring
     checks.update(group_action=True, commutes_with_deck=True, sheet_choice_deck_difference=True,
                   lift_simplicial=True)
@@ -774,10 +810,8 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     # has classes, every unit lift induces the same map H_d(small) ->
     # H_d(big) as the inclusion
     trivial_ok = True
-    big_cc = chain_complex(big)
-    small_cc, inclusion = restricted_chain_complex(big_cc, small)
-    maps = [inclusion] + [simplicial_chain_map(SimplicialMap(small, big, lift), small_cc, big_cc)
-                          for lift in lifts]
+    maps = [simplicial_chain_map(SimplicialMap(small, big, lift), small_cc, big_cc)
+            for lift in lifts]
     for d in range(1, max(small.dimension, 0) + 1):
         src_h = degree_homology(small_cc, d)
         if not src_h.generators:
@@ -787,9 +821,9 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
                              for cm in maps]
         if any(m != expected for m in lifted):
             trivial_ok = False
-    # degree 0: each component maps into the same component as inclusion
-    comp_big = _chain_component_labels(big_cc)
-    if any(comp_big[lift[v]] != comp_big[v] for lift in lifts for v in small.vertices):
+    # degree 0: each lifted core vertex stays in the inclusion's component
+    inclusion, *moved = lifts
+    if any(comp_big[lift[v]] != comp_big[inclusion[v]] for lift in moved for v in small.vertices):
         trivial_ok = False
     checks["acts_trivially_on_homology"] = trivial_ok
 

@@ -27,8 +27,9 @@ Two helpers work on such a graph before any clique is listed:
 ``strong_core`` removes dominated vertices, which keeps the homotopy type
 of the clique complex, and returns the retraction onto what is left, and
 ``clique_number`` finds the size of a largest clique by branch and bound.
-The doubling scan (``periodic.stabilization_check``) builds chains only on
-the cores and reads a window's dimension off its clique number.
+The doubling scan (``periodic.stabilization_check``) and the cover-lift
+comparison (``periodic.cover_lift_check``) build chains only on the cores;
+the scan reads a window's dimension off its clique number.
 """
 
 from __future__ import annotations

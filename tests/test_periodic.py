@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nerveforge.construct import slab_boxes
 from nerveforge.homology import HomologySummary, homology, homology_of_complex
 from nerveforge.lattices import LatticeSubgroup
 from nerveforge.periodic import (
@@ -20,6 +21,8 @@ from nerveforge.periodic import (
     stabilization_check,
 )
 from nerveforge.simplicial import ComplexError
+
+from test_integer_windows import reference_cover_lift_check, reference_scan
 
 
 def window_nerve_homology(bu, w):
@@ -414,6 +417,24 @@ def test_cover_lift_rejects_a_translation_that_moves_a_loop(order):
     checks = cover_lift_check(bu, FiniteCoverSpec.of([[order]], 1), n=3, r=1).checks
     assert checks["lift_simplicial"]
     assert not checks["acts_trivially_on_homology"]
+
+
+def test_cover_and_scan_checks_list_no_window_cliques(monkeypatch):
+    """The cover-lift comparison and the doubling scan read each window off
+    the strong-collapse core of its graph, so they give the verdicts of the
+    checks on whole windows without asking for a window nerve."""
+    cases = [(chain_of_rings(), FiniteCoverSpec.of([[2]], 1)),
+             (slab_boxes(), FiniteCoverSpec.of([[2, 0], [0, 1]], 2))]
+    expected = [(reference_cover_lift_check(bu, spec, bu.dim + 1, bu.rank),
+                 reference_scan(bu.window_complex, 16)) for bu, spec in cases]
+    assert not expected[0][0].checks["acts_trivially_on_homology"]
+
+    def refuse(self, w):
+        raise RuntimeError(f"window_complex({w}) was built")
+
+    monkeypatch.setattr(BoxUnion, "window_complex", refuse)
+    assert [(cover_lift_check(bu, spec, bu.dim + 1, bu.rank), bu.stabilization)
+            for bu, spec in cases] == expected
 
 
 def test_cover_lift_rejects_a_translation_that_moves_a_component():

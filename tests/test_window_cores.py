@@ -6,10 +6,14 @@ The doubling scan reads each window's homology off the core of its
 intersection graph (``simplicial.strong_core``) and its dimension off
 ``simplicial.clique_number``. Here the core's retraction must be a
 simplicial map of the whole window nerve that fixes the core, no core vertex
-may be dominated, the core must not depend on the call, and the core's
-homology must be that of the union of the window's open boxes, computed on
-cubes.
+may be dominated, the core must not depend on the call, the core's
+components pulled back through the retraction must be the whole window's,
+and the core's homology must be that of the union of the window's open
+boxes, computed on cubes. The scan's outcomes are compared with the maps
+between the nested cubical sets of its windows.
 """
+
+from fractions import Fraction
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -17,17 +21,18 @@ from hypothesis import strategies as st
 from nerveforge import homology as homology_module
 from nerveforge import periodic
 from nerveforge.construct import hollow_tube_boxes, slab_boxes
-from nerveforge.homology import IntegerChainComplex, chain_complex, homology
+from nerveforge.homology import (IntegerChainComplex, chain_complex, degree_homology, homology,
+                                 induced_map_is_isomorphism, induced_map_on_homology)
 from nerveforge.lattices import LatticeSubgroup
-from nerveforge.periodic import Box, BoxUnion
-from nerveforge.simplicial import (SimplicialComplex, SimplicialMap, clique_number, cliques_of,
-                                  strong_core)
+from nerveforge.periodic import Box, BoxUnion, DegreeOutcome
+from nerveforge.simplicial import (SimplicialComplex, SimplicialMap, _component_labels,
+                                  clique_number, cliques_of, strong_core)
 
-from test_integer_windows import SETTINGS, box_unions
+from test_integer_windows import SETTINGS, box_unions, ring
 
+NO_LATTICE = LatticeSubgroup.from_generators([], 2)
 # a rank-0 union whose only box lies outside the w = 1 window
-FAR = BoxUnion(dim=2, lattice=LatticeSubgroup.from_generators([], 2),
-               boxes=(Box.of([3, 3], [4, 4]),))
+FAR = BoxUnion(dim=2, lattice=NO_LATTICE, boxes=(Box.of([3, 3], [4, 4]),))
 
 
 def core_complex(keys, later):
@@ -112,23 +117,33 @@ def cubical_complex(boxes):
     return IntegerChainComplex.of_cells(basis, faces)
 
 
-def window_union_homology(bu, w):
-    """Homology of the union of the window's open boxes, on cubes.
+def cubical_windows(bu, radii):
+    """Cubical chain complexes of the unions of the windows' open boxes at
+    increasing ``radii``, compressed with the corners of the largest window.
 
-    Per axis the corners are replaced by their ranks, and the open box
-    (a, b) by the closed integer box [2 rank(a) + 1, 2 rank(b) - 1]. Two
-    such boxes meet exactly when a < b' and a' < b, as the open ones do, so
-    every family of them meets exactly when the open family does (Helly's
-    theorem for boxes holds for closed boxes too). Both unions are finite
-    unions of convex sets with that one nerve, so both have its homology
-    (the nerve theorem: Björner, "Topological methods", *Handbook of
-    Combinatorics*, 1995, §10)."""
-    boxes = [bu._int_box(v) for v in bu.window_vertices(w)]
-    ranks = [{x: r for r, x in enumerate(sorted({c[i] for box in boxes for c in box}))}
+    Per axis the corners are replaced by their ranks among that window's
+    corners, and the open box (a, b) by the closed integer box
+    [2 rank(a) + 1, 2 rank(b) - 1]. Two such boxes meet exactly when
+    a < b' and a' < b, as the open ones do, so every family of them meets
+    exactly when the open family does (Helly's theorem for boxes holds for
+    closed boxes too). Both unions are finite unions of convex sets with
+    that one nerve, so both have its homology (the nerve theorem: Björner,
+    "Topological methods", *Handbook of Combinatorics*, 1995, §10). The
+    windows nest and share the one ranking, so their cubical sets nest; the
+    nerve theorem's equivalences commute up to homotopy with the inclusion
+    of a subfamily, so each inclusion of cubical sets induces the map of
+    the nerve inclusion on homology."""
+    boxes = {w: [bu._int_box(v) for v in bu.window_vertices(w)] for w in radii}
+    ranks = [{x: r for r, x in enumerate(sorted({c[i] for box in boxes[radii[-1]] for c in box}))}
              for i in range(bu.dim)]
-    closed = [(tuple(2 * ranks[i][x] + 1 for i, x in enumerate(lo)),
-               tuple(2 * ranks[i][x] - 1 for i, x in enumerate(hi))) for lo, hi in boxes]
-    return homology(cubical_complex(closed))
+    return [cubical_complex([(tuple(2 * ranks[i][x] + 1 for i, x in enumerate(lo)),
+                              tuple(2 * ranks[i][x] - 1 for i, x in enumerate(hi)))
+                             for lo, hi in boxes[w]]) for w in radii]
+
+
+def window_union_homology(bu, w):
+    """Homology of the union of the window's open boxes, on cubes."""
+    return homology(cubical_windows(bu, [w])[0])
 
 
 def test_cubical_complex_of_a_hollow_square_is_a_circle():
@@ -166,3 +181,80 @@ def test_slab_stabilization_builds_chains_only_on_one_vertex_cores(monkeypatch):
         assert len(strong_core(*bu.window_graph(w))[0]) == 1
     assert result.top_degree == bu.window_complex(result.radii[-1]).dimension
 
+
+
+def whole_graph_components(keys, later):
+    """Vertex -> component root by union-find over every edge of the whole
+    window graph: the route degree 0 took before it was read off the core."""
+    return _component_labels(keys, ((keys[i], keys[j]) for i, row in enumerate(later) for j in row))
+
+
+def partition(labels):
+    """The blocks of a vertex -> label map, as a set of frozensets."""
+    blocks: dict = {}
+    for v, label in labels.items():
+        blocks.setdefault(label, set()).add(v)
+    return {frozenset(b) for b in blocks.values()}
+
+
+@SETTINGS
+@given(box_unions(), st.sampled_from([1, 2, 4]))
+@example(FAR, 1)
+def test_core_components_are_the_whole_window_components(bu, w):
+    graph = bu.window_graph(w)
+    labels = periodic._core(graph)[3]
+    assert set(labels) == set(graph[0])
+    assert partition(labels) == partition(whole_graph_components(*graph))
+
+
+def cubical_inclusion(small, big):
+    """Chain map of the inclusion of one cubical chain complex in another
+    whose cells include its cells."""
+    cm = {}
+    for d, labels in small.basis.items():
+        index = {q: i for i, q in enumerate(big.basis[d])}
+        cm[d] = {k: {index[q]: 1} for k, q in enumerate(labels)}
+    return cm
+
+
+# a rank-0 union: a bar from the origin to a ring of four walls whose far
+# wall lies outside the w = 2 window, so only the w = 4 window holds the
+# ring's hole; H_1 reads "zero_image" at radii (1, 2, 4) (0 -> 0 -> Z)
+RING_AT_FOUR = BoxUnion(dim=2, lattice=NO_LATTICE, boxes=tuple(Box.of(*c) for c in (
+    ((Fraction(-1, 2), Fraction(-1, 4)), (Fraction(7, 4), Fraction(1, 4))),
+    ((Fraction(3, 2), Fraction(-3, 2)), (2, Fraction(3, 2))),
+    ((3, Fraction(-3, 2)), (Fraction(7, 2), Fraction(3, 2))),
+    ((Fraction(3, 2), 1), (Fraction(7, 2), Fraction(3, 2))),
+    ((Fraction(3, 2), Fraction(-3, 2)), (Fraction(7, 2), -1)))))
+# a ring around the origin inside every window: H_1 is stable, betti 1
+RING_AT_ORIGIN = BoxUnion(dim=2, lattice=NO_LATTICE,
+                          boxes=tuple(ring((0, 0), Fraction(3, 4), Fraction(3, 8))))
+
+
+@SETTINGS
+@given(box_unions())
+@example(RING_AT_FOUR)
+@example(RING_AT_ORIGIN)
+@example(hollow_tube_boxes())  # H_1 stable, betti 1 (2,336 cubes at w = 4)
+@example(slab_boxes())  # degrees 1-3 stable, betti 0 (5,329 cubes at w = 4)
+def test_scan_outcomes_match_the_nested_cubical_windows(bu):
+    """Where the scan resolves at radii (1, 2, 4), each degree >= 1 outcome
+    is the one the inclusions of the nested cubical sets of those windows
+    give, with the middle group's Betti number and torsion."""
+    result = bu.stabilization
+    if result.radii != (1, 2, 4):
+        return
+    ccs = cubical_windows(bu, (1, 2, 4))
+    inclusions = [cubical_inclusion(ccs[0], ccs[1]), cubical_inclusion(ccs[1], ccs[2])]
+    for d in range(1, result.top_degree + 1):
+        hs = [degree_homology(cc, d) for cc in ccs]
+        m1, m2 = (induced_map_on_homology(cm, src, dst)
+                  for cm, src, dst in zip(inclusions, hs, hs[1:]))
+        if induced_map_is_isomorphism(m1) and induced_map_is_isomorphism(m2):
+            betti, torsion = hs[1].summary_entry()
+            expected = DegreeOutcome("stable", betti=betti, torsion=torsion)
+        elif m1.is_zero and m2.is_zero:
+            expected = DegreeOutcome("zero_image")
+        else:
+            expected = DegreeOutcome("inconclusive")
+        assert result.outcomes[d] == expected, d
