@@ -35,8 +35,8 @@ from operator import mul
 
 from . import snf
 from .homology import (chain_complex, degree_homology, homology, homology_of_complex,
-                       induced_map_on_homology, restricted_chain_complex)
-from .simplicial import SimplicialComplex, nerve_of
+                       induced_map_on_homology, simplicial_chain_map)
+from .simplicial import SimplicialComplex, SimplicialMap, nerve_of
 
 
 class EuclidError(ValueError):
@@ -680,9 +680,9 @@ def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> Vanishin
     """The level inclusion M -> M^K with K = 2^(n-2-r) kills homology in
     degrees >= n-1-r, given every piece group has level-1 rank >= r.
 
-    The nerve inclusion's chain map and the level-0 chain complex are read
-    off the level-K nerve's chain complex (``restricted_chain_complex``);
-    the nerves' homology is read off both, except on graphs (union-find).
+    The nerve inclusion's chain map is the simplicial map's between the
+    two nerves' chain complexes (``simplicial_chain_map``); the nerves'
+    homology is read off both, except on graphs (union-find).
     """
     if n - 2 - r < 0:
         raise EuclidError("need r <= n-2")
@@ -711,8 +711,8 @@ def almost_abelian_vanishing_check(arr: Arrangement, n: int, r: int) -> Vanishin
     nk = nerve_of_subspaces(spaces_k)
     if not n0 <= nk:
         raise EuclidError("level-K nerve does not contain the level-0 nerve")
-    cc_k = chain_complex(nk)
-    cc_0, incl = restricted_chain_complex(cc_k, n0)
+    cc_0, cc_k = chain_complex(n0), chain_complex(nk)
+    incl = simplicial_chain_map(SimplicialMap(n0, nk, {v: v for v in n0.vertices}), cc_0, cc_k)
 
     top = max(n0.dimension, 0)
     maps = {}

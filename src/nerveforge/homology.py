@@ -10,10 +10,8 @@ matrices are reproducible across runs.
 
 A map on homology has one route: a chain map and the ``DegreeHomology`` of
 its source and target go to ``induced_map_on_homology``.  The chain map of
-a simplicial map comes from ``simplicial_chain_map`` between already built
-chain complexes.  The chain map of an inclusion can instead be read off
-the larger complex's chain complex with ``restricted_chain_complex``; the
-almost-abelian check of ``euclid`` reads its level-0 nerve that way.
+a simplicial map, an inclusion included, comes from ``simplicial_chain_map``
+between already built chain complexes.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .simplicial import ComplexError, SimplicialComplex, SimplicialMap, _component_labels
+from .simplicial import SimplicialComplex, SimplicialMap, _component_labels
 from .snf import smith_normal_form, solve_integer
 
 
@@ -51,10 +49,9 @@ class IntegerChainComplex:
 
     - the simplicial chain complex (``chain_complex``), by the sign rule of
       ``simplex_boundary``;
-    - the collapsed subcomplex (``collapse``) and the restriction to a
-      simplicial subcomplex (``restricted_chain_complex``), whose
-      boundaries are restrictions of a valid complex's to a set of cells
-      closed under faces, and so inherit the identity.
+    - the collapsed subcomplex (``collapse``), whose boundaries are
+      restrictions of a valid complex's to a set of cells closed under
+      faces, and so inherit the identity.
     """
 
     basis: dict[int, list]
@@ -247,43 +244,6 @@ def chain_complex(c: SimplicialComplex) -> IntegerChainComplex:
         labels.sort()
     basis = dict(enumerate(basis))
     return IntegerChainComplex._trusted(basis, _cell_boundaries(basis, simplex_boundary))
-
-
-def restricted_chain_complex(cc: IntegerChainComplex, sub: SimplicialComplex
-                             ) -> tuple[IntegerChainComplex, ChainMap]:
-    """``(chain_complex(sub), inclusion chain map)``, read off
-    ``cc = chain_complex(c)`` for a subcomplex ``sub`` of c.
-
-    The cells of ``cc.basis[d]`` that lie in ``sub`` keep their sorted order,
-    so the bases and the boundary columns are those ``chain_complex(sub)``
-    builds; boundary rows are re-indexed, and the inclusion sends each kept
-    cell to its position in ``cc`` with sign +1.  The cells are closed under
-    faces, so the boundaries square to zero because ``cc``'s do, and the
-    result is built with ``_trusted``.  Raises ``ComplexError`` when ``sub``
-    is not inside c.
-    """
-    keep = sub.simplices
-    basis, boundaries, cm = {}, {}, {}
-    found = 0
-    index: dict[int, int] = {}
-    try:
-        for d, labels in cc.basis.items():
-            cells = [i for i, s in enumerate(labels) if s in keep]
-            if not cells:
-                break
-            found += len(cells)
-            basis[d] = [labels[i] for i in cells]
-            cm[d] = {k: {i: 1} for k, i in enumerate(cells)}
-            if d:
-                cols = cc.boundaries[d]
-                boundaries[d] = {k: {index[r]: v for r, v in cols[i].items()}
-                                 for k, i in enumerate(cells)}
-            index = {i: k for k, i in enumerate(cells)}
-    except KeyError:
-        raise ChainComplexError("restricted cells are not closed under faces") from None
-    if found != len(keep):
-        raise ComplexError("inclusion source is not a subcomplex of the target")
-    return IntegerChainComplex._trusted(basis, boundaries), cm
 
 
 @dataclass(frozen=True)

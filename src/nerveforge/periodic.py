@@ -3,19 +3,24 @@ quotient complexes, and finite regular covers with lifted translation actions.
 
 The infinite periodic complex is never materialized; every statement about it
 is phrased through windows at the doubling radii 1 to 16, with "inconclusive"
-a first-class outcome, and a finite cover is read off its base windows.
+a first-class outcome, and a finite cover is read off its base windows. A
+union builds each window once (``BoxUnion.window``), as a ``Window`` read off
+the strong-collapse core of its intersection graph, and the doubling scan,
+the scan of the cover and the cover-lift comparison all read that one record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product
 from math import lcm
 from operator import add, sub
 
 from .homology import (
+    ChainMap,
+    DegreeHomology,
     IntegerChainComplex,
     chain_complex,
     degree_homology,
@@ -26,8 +31,8 @@ from .homology import (
     simplicial_chain_map,
 )
 from .lattices import LatticeSubgroup
-from .simplicial import (ComplexError, SimplicialComplex, SimplicialMap, _component_labels,
-                         clique_number, cliques_of, strong_core)
+from .simplicial import (SimplicialComplex, SimplicialMap, _component_labels, clique_number,
+                         cliques_of, strong_core)
 
 
 class PeriodicError(ValueError):
@@ -116,14 +121,14 @@ class BoxUnion:
     meets box j, a condition on (j, j2, e) alone. ``_stencil[j][j2]`` lists
     those e, computed once per instance on first use; window graphs and
     quotient nerves read their edges from it instead of meeting pairs of
-    boxes. The doubling scan and the cover-lift comparison read each window
-    as its graph (``window_graph``) and build chains only on the graph's
-    strong-collapse core; ``window_complex`` lists every clique of the
-    graph.
+    boxes. ``window(w)`` reads window W_w as its graph (``window_graph``)
+    and builds chains only on the graph's strong-collapse core (``Window``);
+    ``window_complex`` lists every clique of the graph.
 
-    ``stabilization`` and the stencil are computed once per instance. They
-    are not part of ``==``, ``hash`` or ``repr`` and live and die with the
-    instance, so an equal but distinct ``BoxUnion`` computes its own.
+    ``stabilization``, the stencil and each radius's ``Window`` are computed
+    once per instance. They are not part of ``==``, ``hash`` or ``repr`` and
+    live and die with the instance, so an equal but distinct ``BoxUnion``
+    computes its own.
     """
 
     dim: int
@@ -131,6 +136,7 @@ class BoxUnion:
     boxes: tuple[Box, ...]
     _den: int = field(init=False, repr=False, compare=False)
     _scaled: tuple = field(init=False, repr=False, compare=False)
+    _windows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.lattice.ambient != self.dim:
@@ -225,6 +231,14 @@ class BoxUnion:
         vertices = self.window_vertices(w)
         return vertices, self._later(vertices)
 
+    def window(self, w) -> Window:
+        """Window W_w read off the core of its graph, built on the first
+        call for w and kept: the doubling scan, the scan of the cover and
+        the cover-lift comparison share it."""
+        if w not in self._windows:
+            self._windows[w] = Window(*self.window_graph(w))
+        return self._windows[w]
+
     def window_complex(self, w) -> SimplicialComplex:
         """Nerve of the window's boxes: the subsets with a common point.
 
@@ -240,20 +254,21 @@ class BoxUnion:
         (``simplicial.cliques_of``).
 
         No check builds this complex: the doubling scan and the cover-lift
-        comparison read the window graph's core. Only ``CoverWindow``, which
-        the tests compare the cover check with, builds it in full.
+        comparison read the window graph's core (``window``). Only
+        ``CoverWindow``, which the tests compare the cover check with,
+        builds it in full.
         """
         return SimplicialComplex(frozenset(cliques_of(*self.window_graph(w))))
 
     @cached_property
     def stabilization(self) -> StabilizationResult:
-        """``stabilization_check`` of the window graphs in every degree.
+        """``stabilization_check`` of the windows in every degree.
 
         Computed once per instance: ``local_vanishing_check`` and
         ``quotient_corner_check`` share the result. The result is frozen, so
         callers cannot change it.
         """
-        return stabilization_check(self.window_graph)
+        return stabilization_check(self.window)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +320,13 @@ def _component_map_outcome(c_small: dict, c_big: dict, c_bigger: dict,
                            sheets: int = 1) -> DegreeOutcome:
     """Reduced degree-0 stabilization via component tracking, from the
     windows' component labels (vertex -> root), for ``sheets`` disjoint
-    copies of each window."""
+    copies of each window.
+
+    A triple whose largest window is empty is inconclusive: the windows
+    nest, so all three are empty, and reduced H_0 would read "stable" with
+    Betti number -1."""
+    if not c_bigger:
+        return DegreeOutcome("inconclusive")
 
     def outcome(cs, cb):
         reps_small = {}
@@ -329,6 +350,54 @@ def _component_map_outcome(c_small: dict, c_big: dict, c_bigger: dict,
     return DegreeOutcome("inconclusive")
 
 
+class Window:
+    """Window W_w of a union, read off the strong-collapse core of its
+    intersection graph; ``BoxUnion.window`` builds one per radius.
+
+    ``keys`` and ``later`` are the graph (``BoxUnion.window_graph``), whose
+    clique complex is W_w. ``core`` is the clique complex of the graph's
+    core C_w (``strong_core``), ``retraction`` is r_w: W_w -> C_w as
+    ``{window vertex: core vertex}``, ``cc`` is the core's chain complex,
+    and ``components`` labels each window vertex with its component.
+    ``homology(d)`` is the core's ``degree_homology`` in degree d, computed
+    on the first call for d and kept.
+
+    The labels are the core's components pulled back through the
+    retraction, and they are the window's components. Each removal joins v
+    to the vertex u it is removed onto by an edge, so v and its image lie
+    in one component of the window. Two core vertices lie in one component
+    of the core exactly when they do in the window: a core edge is a window
+    edge, and the retraction, which is simplicial and fixes the core, sends
+    a window path between them to a core path."""
+
+    def __init__(self, keys: list, later: list):
+        self.keys, self.later = keys, later
+        core_keys, core_later, self.retraction = strong_core(keys, later)
+        self.core = SimplicialComplex(frozenset(cliques_of(core_keys, core_later)))
+        self.cc = chain_complex(self.core)
+        labels = _chain_component_labels(self.cc)
+        self.components = {v: labels[r] for v, r in self.retraction.items()}
+        self._homology: dict[int, DegreeHomology] = {}
+
+    def homology(self, d: int) -> DegreeHomology:
+        if d not in self._homology:
+            self._homology[d] = degree_homology(self.cc, d)
+        return self._homology[d]
+
+
+def _core_map(small: Window, big: Window, e=()) -> ChainMap:
+    """The chain map C_small -> C_big of the core vertex map
+    v ↦ r_big(v + e): the translation by the lattice coefficients e, then
+    the big window's retraction. The zero shift, e = () or all zeros, is
+    v ↦ r_big(v), the inclusion followed by the retraction."""
+    vertex_map = big.retraction
+    if any(e):
+        vertex_map = {(j, c): vertex_map[j, tuple(map(add, c, e))]
+                      for j, c in small.core.vertices}
+    return simplicial_chain_map(SimplicialMap(small.core, big.core, vertex_map),
+                                small.cc, big.cc)
+
+
 def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     """Doubling-window stabilization for a radius-indexed family of clique
     complexes, read off the strong-collapse cores of their graphs.
@@ -345,16 +414,22 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     torsion factor appears k times in sorted order, and in reduced degree 0
     a map reads "zero" only when k times its number of images is at most 1.
 
-    ``builder(w)`` returns the graph of window W_w as ``(keys, later)``, the
-    sorted vertices and their ``later`` rows (``BoxUnion.window_graph``);
-    W_w is its clique complex. It is asked once per radius. The windows must
-    be nested: ``ComplexError`` is raised when a window's vertices or edges
-    are not among the next window's. Every degree is read from the core C_w
-    of the graph (``strong_core``, through ``_core``), with its retraction
-    r_w: W_w -> C_w, and the map C_w -> C_2w is v ↦ r_2w(v). Only the
-    cores' cliques are built. Degree 0 reads each window vertex's component
-    as that of its image in the core, which is its component in the whole
-    window (see ``_core``).
+    ``builder(w)`` returns window W_w as a ``Window`` (``BoxUnion.window``),
+    the clique complex of its graph; it is asked once per radius. Every
+    degree is read from the core C_w of the graph, with its retraction
+    r_w: W_w -> C_w, and the map C_w -> C_2w is v ↦ r_2w(v) (``_core_map``
+    with the zero shift). Only the cores' cliques are built. Degree 0 reads
+    each window vertex's component as that of its image in the core, which
+    is its component in the whole window (see ``Window``).
+
+    The windows of a union nest by construction, so W_w is a subcomplex of
+    W_2w and v ↦ r_2w(v) is a simplicial map C_w -> C_2w. W_w holds the
+    boxes that meet [-w, w]^dim, and each of them meets [-2w, 2w]^dim, so
+    W_w's vertices are among W_2w's. Vertex (j, c) meets (j2, c + e)
+    exactly when e is in the stencil of (j, j2) (``BoxUnion._stencil``), a
+    condition on the pair of vertices alone, so W_w's graph is the full
+    subgraph of W_2w's on W_w's vertices, and every clique of it is a
+    clique of W_2w's graph.
 
     Why the cores give the same outcomes. Each step of ``strong_core``
     removes a vertex v dominated by u, and v ↦ u is a strong deformation
@@ -372,42 +447,22 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     reads "stable, betti 0", as a scan of the whole windows reads it.
     """
     radii = (1, 2, 4, 8, 16)
-    graphs: dict[int, tuple[list, list]] = {}
-    cores: dict[int, tuple] = {}
-    cmaps: dict[tuple[int, int], dict] = {}
-
-    def link(lo, hi):
-        """The chain map C_lo -> C_hi of v ↦ r_hi(v)."""
-        _check_nested(graphs[lo], graphs[hi])
-        f = SimplicialMap(cores[lo][0], cores[hi][0], cores[hi][1])
-        cmaps[lo, hi] = simplicial_chain_map(f, cores[lo][2], cores[hi][2])
-
-    @cache
-    def hdeg(w, d):
-        return degree_homology(cores[w][2], d)
-
-    def induced(w1, w2, d):
-        return induced_map_on_homology(cmaps[w1, w2], hdeg(w1, d), hdeg(w2, d))
-
+    windows = [builder(radii[0]), builder(radii[1])]
+    maps = [_core_map(*windows)]
     best: dict[int, DegreeOutcome] = {}
-    for w1, w2, w4 in zip(radii, radii[1:], radii[2:]):
-        for w in (w1, w2, w4):
-            if w not in graphs:
-                graphs[w] = builder(w)
-                cores[w] = _core(graphs[w])
-        for lo, hi in ((w1, w2), (w2, w4)):
-            if (lo, hi) not in cmaps:
-                link(lo, hi)
+    for w4 in radii[2:]:
+        windows.append(builder(w4))
+        maps.append(_core_map(*windows[-2:]))
+        small, mid, big = windows[-3:]
         # the windows are nested, so the largest has the top dimension so far
-        top = max(clique_number(graphs[w4][1]) - 1, 0)
+        top = max(clique_number(big.later) - 1, 0)
         outcomes = {0: _component_map_outcome(
-            cores[w1][3], cores[w2][3], cores[w4][3], sheets)}
+            small.components, mid.components, big.components, sheets)}
         for d in range(1, top + 1):
-            m1 = induced(w1, w2, d)
-            m2 = induced(w2, w4, d)
+            m1 = induced_map_on_homology(maps[-2], small.homology(d), mid.homology(d))
+            m2 = induced_map_on_homology(maps[-1], mid.homology(d), big.homology(d))
             if induced_map_is_isomorphism(m1) and induced_map_is_isomorphism(m2):
-                mid = hdeg(w2, d)
-                betti, torsion = mid.summary_entry()
+                betti, torsion = mid.homology(d).summary_entry()
                 outcomes[d] = DegreeOutcome("stable", betti=sheets * betti,
                                             torsion=tuple(sorted(torsion * sheets)))
             elif m1.is_zero and m2.is_zero:
@@ -419,41 +474,7 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
                 best[d] = o
         if all(o.status != "inconclusive" for o in best.values()):
             break
-    return StabilizationResult(outcomes=best, radii=(w1, w2, w4), top_degree=top)
-
-
-def _check_nested(small, big):
-    """Raise ``ComplexError`` unless the graph ``small`` is a subgraph of
-    ``big``, both given as sorted keys with ``later`` rows; then the clique
-    complex of ``small`` is a subcomplex of big's."""
-    (keys, later), (big_keys, big_later) = small, big
-    index = {v: i for i, v in enumerate(big_keys)}
-    try:
-        position = [index[v] for v in keys]
-    except KeyError:
-        raise ComplexError("a window's vertices are not inside the next window's") from None
-    if any(position[j] not in big_later[position[i]] for i, row in enumerate(later) for j in row):
-        raise ComplexError("a window's edges are not inside the next window's")
-
-
-def _core(graph):
-    """``(core, retraction, chain complex, components)`` of a window graph
-    ``(keys, later)``: the clique complex of its strong-collapse core
-    (``strong_core``), the retraction ``{window vertex: core vertex}``, the
-    core's chain complex, and each window vertex's component label.
-
-    The labels are the core's components pulled back through the
-    retraction, and they are the window's components. Each removal joins v
-    to the vertex u it is removed onto by an edge, so v and its image lie
-    in one component of the window. Two core vertices lie in one component
-    of the core exactly when they do in the window: a core edge is a window
-    edge, and the retraction, which is simplicial and fixes the core, sends
-    a window path between them to a core path."""
-    core_keys, core_later, retraction = strong_core(*graph)
-    core = SimplicialComplex(frozenset(cliques_of(core_keys, core_later)))
-    cc = chain_complex(core)
-    labels = _chain_component_labels(cc)
-    return core, retraction, cc, {v: labels[r] for v, r in retraction.items()}
+    return StabilizationResult(outcomes=best, radii=(w4 // 4, w4 // 2, w4), top_degree=top)
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +542,19 @@ class LocalVanishingVerdict:
     certificate: dict | None = None
 
 
-def local_vanishing_check(bu: BoxUnion, n: int, r: int) -> LocalVanishingVerdict:
-    """Stabilized reduced homology vanishes from degree n-1-r upward; in the
-    full-rank case the box translates must cover all of R^(n-1)."""
+def _check_declared(bu: BoxUnion, n: int, r: int):
+    """Raise ``PeriodicError`` unless the declared r is the lattice rank and
+    the declared n - 1 the box dimension."""
     if r != bu.rank:
         raise PeriodicError(f"declared rank {r} differs from lattice rank {bu.rank}")
     if n - 1 != bu.dim:
         raise PeriodicError(f"declared n-1 = {n - 1} differs from box dimension {bu.dim}")
+
+
+def local_vanishing_check(bu: BoxUnion, n: int, r: int) -> LocalVanishingVerdict:
+    """Stabilized reduced homology vanishes from degree n-1-r upward; in the
+    full-rank case the box translates must cover all of R^(n-1)."""
+    _check_declared(bu, n, r)
     if r == bu.dim:
         covered = full_coverage_check(bu)
         return LocalVanishingVerdict(
@@ -717,13 +744,13 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     decides ``lift_simplicial`` and ``acts_trivially_on_homology``, and
     ``cover_vanishing`` is ``stabilization_check`` with ``sheets=|G|``.
 
-    The two base windows are read off their strong-collapse cores
-    (``_core``), as the doubling scan reads its windows: W_s = W_2 and
-    W_b = W_(2 + 2·margin), with cores C_s and C_b, the inclusion
-    i_s: C_s ⊂ W_s and the retractions r_s and r_b. Each shift e, the zero
-    shift first and then the unit shifts, is the vertex map v ↦ r_b(v + e)
-    on C_s; the zero shift stands for the inclusion, so the inclusion is no
-    special case. This map is r_b ∘ T_e ∘ i_s, where T_e: W_s -> W_b is the translation by e (the
+    The two base windows are the union's ``Window`` records, which the
+    doubling scan reads too: W_s = W_2 and W_b = W_(2 + 2·margin), with
+    cores C_s and C_b, the inclusion i_s: C_s ⊂ W_s and the retractions r_s
+    and r_b. Each shift e, the zero shift first and then the unit shifts,
+    is the vertex map v ↦ r_b(v + e) on C_s (``_core_map``); the zero shift
+    stands for the inclusion, so the inclusion is no special case. This map
+    is r_b ∘ T_e ∘ i_s, where T_e: W_s -> W_b is the translation by e (the
     zero shift's T_0 is the inclusion j: W_s ⊂ W_b), so on H_d it is
     (r_b)_* ∘ (T_e)_* ∘ (i_s)_*. The maps (i_s)_* and (r_b)_* are
     isomorphisms (see ``stabilization_check``), so the map of shift e equals
@@ -733,9 +760,8 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     degree 0, each vertex v of W_s is joined to r_s(v) by an edge path, the
     removals' edges (v, u). T_e and j keep edge paths, so v + e lies in
     the component of r_s(v) + e and v in that of r_s(v): testing the core
-    vertices tests every vertex. Each big-window vertex's component is
-    read off C_b through r_b, and r_b(v + e) lies in the component of
-    v + e.
+    vertices tests every vertex, against the components of W_b
+    (``Window.components``).
 
     ``lift_simplicial`` holds by construction and is not computed: each
     core map v ↦ r_b(v + e) is a simplicial map C_s -> C_b, as the
@@ -770,10 +796,7 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     |G| copies of its base, whose boxes are open and convex, each meets the
     connected closed cube [-w, w]^dim, and under coverage their union
     contains that cube, so the base nerve is connected."""
-    if r != bu.rank:
-        raise PeriodicError("declared rank differs from lattice rank")
-    if n - 1 != bu.dim:
-        raise PeriodicError("declared n-1 differs from box dimension")
+    _check_declared(bu, n, r)
     order = len(spec.elements())
     checks: dict = {"deck_order": order}
 
@@ -789,42 +812,35 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     margin = max(
         (abs(x) for row in bu.lattice.basis for x in row), default=1
     )
-    small, _, small_cc, _ = _core(bu.window_graph(2))
-    big, retraction, big_cc, comp_big = _core(bu.window_graph(2 + 2 * margin))
-    # the zero shift (the inclusion) first, then the unit shifts
-    shifts = [(0,) * bu.rank] + [tuple(int(i == j) for j in range(bu.rank))
-                                 for i in range(bu.rank)]
-    lifts = [{(j, c): retraction[j, tuple(map(add, c, e))] for j, c in small.vertices}
-             for e in shifts]
+    small, big = bu.window(2), bu.window(2 + 2 * margin)
+    units = [tuple(int(i == j) for j in range(bu.rank)) for i in range(bu.rank)]
     # the identities proved in the docstring
     checks.update(group_action=True, commutes_with_deck=True, sheet_choice_deck_difference=True,
                   lift_simplicial=True)
 
     threshold = n - 1 - r
-    result = stabilization_check(bu.window_graph, sheets=order)
+    result = stabilization_check(bu.window, sheets=order)
     inconclusive, bad = result.nonvanishing_from(threshold)
     vanish = not inconclusive and not bad
     checks["cover_vanishing"] = vanish
 
+    # degree 0: each unit translate of a core vertex stays in its component
+    comp = big.components
+    trivial_ok = all(comp[j, tuple(map(add, c, e))] == comp[j, c]
+                     for e in units for j, c in small.core.vertices)
     # trivial on homology: in each degree d >= 1 where the small window
     # has classes, every unit lift induces the same map H_d(small) ->
-    # H_d(big) as the inclusion
-    trivial_ok = True
-    maps = [simplicial_chain_map(SimplicialMap(small, big, lift), small_cc, big_cc)
-            for lift in lifts]
-    for d in range(1, max(small.dimension, 0) + 1):
-        src_h = degree_homology(small_cc, d)
+    # H_d(big) as the inclusion, the zero shift
+    maps = [_core_map(small, big, e) for e in [(0,) * bu.rank] + units]
+    for d in range(1, max(small.core.dimension, 0) + 1):
+        src_h = small.homology(d)
         if not src_h.generators:
             continue
-        dst_h = degree_homology(big_cc, d)
+        dst_h = big.homology(d)
         expected, *lifted = [induced_map_on_homology(cm, src_h, dst_h).matrix
                              for cm in maps]
         if any(m != expected for m in lifted):
             trivial_ok = False
-    # degree 0: each lifted core vertex stays in the inclusion's component
-    inclusion, *moved = lifts
-    if any(comp_big[lift[v]] != comp_big[inclusion[v]] for lift in moved for v in small.vertices):
-        trivial_ok = False
     checks["acts_trivially_on_homology"] = trivial_ok
 
     ok = trivial_ok and vanish and not inconclusive

@@ -27,9 +27,10 @@ Two helpers work on such a graph before any clique is listed:
 ``strong_core`` removes dominated vertices, which keeps the homotopy type
 of the clique complex, and returns the retraction onto what is left, and
 ``clique_number`` finds the size of a largest clique by branch and bound.
-The doubling scan (``periodic.stabilization_check``) and the cover-lift
-comparison (``periodic.cover_lift_check``) build chains only on the cores;
-the scan reads a window's dimension off its clique number.
+A periodic union reads each window off its core (``periodic.Window``),
+once per radius: the doubling scan (``periodic.stabilization_check``) and
+the cover-lift comparison (``periodic.cover_lift_check``) build chains only
+on the cores, and the scan reads a window's dimension off its clique number.
 """
 
 from __future__ import annotations

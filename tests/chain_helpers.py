@@ -2,17 +2,15 @@
 dimension, brute-force chain enumeration for the order complexes (reduced
 nerves, barycentric subdivisions) that the package does not build, the
 inclusion map of a subcomplex and the map a simplicial map induces on
-homology through chain complexes built from simplices, the check that a
-restricted chain complex is the one built from the subcomplex, dense SNF
+homology through chain complexes built from simplices, dense SNF
 transforms and kernels read off the sparse lines, two references (the
 Bareiss determinant and the two-normal-form bijectivity test of a group
 map), and a cover's fattening (the total complex of its intersection
 diagram)."""
 
 from nerveforge.covers import nerve
-from nerveforge.homology import (TotalComplex, chain_complex, chain_map_of_simplicial,
-                                 degree_homology, induced_map_on_homology,
-                                 restricted_chain_complex, simplicial_chain_map)
+from nerveforge.homology import (TotalComplex, chain_map_of_simplicial, degree_homology,
+                                 induced_map_on_homology)
 from nerveforge.simplicial import SimplicialMap
 from nerveforge.snf import smith_normal_form
 
@@ -49,20 +47,6 @@ def induced_homology_map(f, d):
     f's source and target built from their simplices."""
     src, dst, cm = chain_map_of_simplicial(f)
     return induced_map_on_homology(cm, degree_homology(src, d), degree_homology(dst, d))
-
-
-def assert_restriction_matches(sub, c):
-    """``restricted_chain_complex`` of ``chain_complex(c)`` to ``sub`` has the
-    bases and boundary columns of ``chain_complex(sub)``, in the same order,
-    and its chain map is the inclusion's."""
-    cc = chain_complex(c)
-    got, cm = restricted_chain_complex(cc, sub)
-    ref = chain_complex(sub)
-    assert list(got.basis.items()) == list(ref.basis.items())
-    assert list(got.boundaries) == list(ref.boundaries)
-    for d, cols in ref.boundaries.items():
-        assert list(got.boundaries[d].items()) == list(cols.items())
-    assert cm == simplicial_chain_map(inclusion(sub, c), ref, cc)
 
 
 def dense(lines, n, as_rows):

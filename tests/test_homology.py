@@ -19,14 +19,13 @@ from nerveforge.homology import (
     homology_of_complex,
     induced_map_is_isomorphism,
     induced_map_on_homology,
-    restricted_chain_complex,
     simplex_boundary,
 )
 from nerveforge.simplicial import ComplexError, SimplicialComplex, SimplicialMap
 from nerveforge.snf import rational_rank
 
-from chain_helpers import (assert_restriction_matches, group_map_is_bijective, inclusion,
-                           induced_homology_map, scanned_chains, simplices_of_dim)
+from chain_helpers import (group_map_is_bijective, inclusion, induced_homology_map,
+                           scanned_chains, simplices_of_dim)
 from stock_complexes import (annulus, cycle_complex, disk_on_circle, full_simplex,
                              projective_plane_6, simplex_boundary_complex, torus_7)
 
@@ -285,32 +284,11 @@ def test_trusted_chain_complex_equals_the_validated_one(c):
     assert cc == IntegerChainComplex.of_cells(cc.basis, simplex_boundary)
 
 
-@st.composite
-def subcomplex_pairs(draw):
-    """A complex and a subcomplex spanned by some of its simplices, possibly
-    none."""
-    c = draw(random_complexes)
-    sub = SimplicialComplex.from_maximal(
-        draw(st.lists(st.sampled_from(sorted(c.simplices)), max_size=5)))
-    return sub, c
-
-
-@settings(max_examples=150, deadline=None)
-@given(subcomplex_pairs())
-def test_restricted_chain_complex_is_the_subcomplex_chain_complex(pair):
-    assert_restriction_matches(*pair)
-
-
 def test_restriction_to_a_complex_outside_raises_like_inclusion():
     c = SimplicialComplex.from_maximal([(0, 1), (1, 2)])
     outside = SimplicialComplex.from_maximal([(0, 2)])
     with pytest.raises(ComplexError):
         inclusion(outside, c)
-    with pytest.raises(ComplexError):
-        restricted_chain_complex(chain_complex(c), outside)
-    faces_missing = SimplicialComplex(frozenset({(0,), (0, 1)}))
-    with pytest.raises(ChainComplexError):
-        restricted_chain_complex(chain_complex(c), faces_missing)
 
 
 # Graphs: vertices 0-7, each simplex an isolated vertex or an edge; the empty

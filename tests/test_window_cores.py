@@ -10,7 +10,8 @@ may be dominated, the core must not depend on the call, the core's
 components pulled back through the retraction must be the whole window's,
 and the core's homology must be that of the union of the window's open
 boxes, computed on cubes. The scan's outcomes are compared with the maps
-between the nested cubical sets of its windows.
+between the nested cubical sets of its windows, and each window's graph
+must be the full subgraph of the next window's on its vertices.
 """
 
 from fractions import Fraction
@@ -202,7 +203,7 @@ def partition(labels):
 @example(FAR, 1)
 def test_core_components_are_the_whole_window_components(bu, w):
     graph = bu.window_graph(w)
-    labels = periodic._core(graph)[3]
+    labels = bu.window(w).components
     assert set(labels) == set(graph[0])
     assert partition(labels) == partition(whole_graph_components(*graph))
 
@@ -258,3 +259,21 @@ def test_scan_outcomes_match_the_nested_cubical_windows(bu):
         else:
             expected = DegreeOutcome("inconclusive")
         assert result.outcomes[d] == expected, d
+
+
+@SETTINGS
+@given(box_unions(), st.sampled_from([1, 2, 4, 8]))
+@example(FAR, 1)
+@example(RING_AT_FOUR, 2)
+@example(hollow_tube_boxes(), 4)
+@example(slab_boxes(), 8)
+def test_windows_nest_as_full_subgraphs(bu, w):
+    """W_w's vertices are among W_2w's, and its ``later`` rows are those of
+    the full subgraph of W_2w's graph on them: the nesting that
+    ``stabilization_check`` proves and relies on."""
+    small, big = bu.window(w), bu.window(2 * w)
+    position = {v: i for i, v in enumerate(big.keys)}
+    assert set(small.keys) <= set(position)
+    index = {position[v]: i for i, v in enumerate(small.keys)}
+    assert small.later == [[index[q] for q in big.later[p] if q in index]
+                           for p in map(position.__getitem__, small.keys)]
