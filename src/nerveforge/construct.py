@@ -1,5 +1,9 @@
 """Paths, grids, the two-ball gluing and the periodic box-union families that
-the scenario generators build from."""
+the scenario generators build from.
+
+Every periodic family is one call of ``lattice_boxes``: a cubic lattice on
+the first axes, a fixed number of overlapping intervals per period along
+each of them, and a list of cross-sections on the remaining axes."""
 
 from __future__ import annotations
 
@@ -72,71 +76,54 @@ def two_ball_gluing():
 # ---------------------------------------------------------------------------
 
 
+def lattice_boxes(spacing, rank, sections, per_axis, overlap=None) -> BoxUnion:
+    """The box union of the lattice spacing·Z^rank on the first ``rank``
+    axes, the builder of every family below.
+
+    Each period of a lattice axis holds ``per_axis`` intervals of length
+    spacing / per_axis, each widened by ``overlap`` (default 1/4) at both
+    ends. Each cross-section ``(lo, hi)`` on the other axes gives one box
+    per product of intervals, the sections outer and the interval offsets
+    inner. A family with more axes or another cross-section is one more
+    call."""
+    overlap = F(1, 4) if overlap is None else F(overlap)
+    step = F(spacing, per_axis)
+    if step + 2 * overlap >= spacing:
+        raise ValueError("boxes would overlap their own translates")
+    dim = rank + len(sections[0][0])
+    lattice = LatticeSubgroup.from_generators(
+        [[spacing if i == j else 0 for j in range(dim)] for i in range(rank)], dim)
+    boxes = tuple(
+        Box.of([o * step - overlap for o in offsets] + list(lo),
+               [(o + 1) * step + overlap for o in offsets] + list(hi))
+        for lo, hi in sections for offsets in product(range(per_axis), repeat=rank))
+    return BoxUnion(dim=dim, lattice=lattice, boxes=boxes)
+
+
 def strip_boxes(spacing=2, boxes_per_period=2, dim=2, width=None, overlap=None):
     """Connected Z-periodic solid strip; no box meets its own translates."""
     width = F(1, 2) if width is None else F(width)
-    overlap = F(1, 4) if overlap is None else F(overlap)
-    lattice = LatticeSubgroup.from_generators([[spacing] + [0] * (dim - 1)], dim)
-    step = F(spacing, boxes_per_period)
-    if step + 2 * overlap >= spacing:
-        raise ValueError("boxes would overlap their own translates")
-    boxes = []
-    for i in range(boxes_per_period):
-        lo = [i * step - overlap] + [-width] * (dim - 1)
-        hi = [(i + 1) * step + overlap] + [width] * (dim - 1)
-        boxes.append(Box.of(lo, hi))
-    return BoxUnion(dim=dim, lattice=lattice, boxes=tuple(boxes))
+    return lattice_boxes(spacing, 1, [((-width,) * (dim - 1), (width,) * (dim - 1))],
+                         boxes_per_period, overlap)
 
 
 def hollow_tube_boxes(spacing=2, half_core=None):
-    """Z-periodic hollow square tube along the x axis in R^3."""
+    """Z-periodic hollow square tube along the x axis in R^3: four walls
+    around the core (-h, h)^2 of the (y, z) plane."""
     h = F(1, 2) if half_core is None else F(half_core)
-    lattice = LatticeSubgroup.from_generators([[spacing, 0, 0]], 3)
-    walls_yz = [
-        ((-3 * h, h), (3 * h, 3 * h)),
-        ((-3 * h, -3 * h), (3 * h, -h)),
-        ((-3 * h, -3 * h), (-h, 3 * h)),
-        ((h, -3 * h), (3 * h, 3 * h)),
-    ]
-    length = F(3 * spacing, 4)
-    step = F(spacing, 2)
-    boxes = []
-    for (ylo, zlo), (yhi, zhi) in walls_yz:
-        for k in range(2):
-            xlo = k * step - F(spacing, 8)
-            boxes.append(Box.of([xlo, ylo, zlo], [xlo + length, yhi, zhi]))
-    return BoxUnion(dim=3, lattice=lattice, boxes=tuple(boxes))
+    walls = [((-3 * h, h), (3 * h, 3 * h)),
+             ((-3 * h, -3 * h), (3 * h, -h)),
+             ((-3 * h, -3 * h), (-h, 3 * h)),
+             ((h, -3 * h), (3 * h, 3 * h))]
+    return lattice_boxes(spacing, 1, walls, 2, F(spacing, 8))
 
 
 def slab_boxes(spacing=2, thickness=None, overlap=None):
     """Z^2-periodic solid slab in R^3 from overlapping boxes."""
-    thickness = F(1, 2) if thickness is None else F(thickness)
-    overlap = F(1, 4) if overlap is None else F(overlap)
-    step = F(spacing, 2)
-    if step + 2 * overlap >= spacing:
-        raise ValueError("boxes would overlap their own translates")
-    lattice = LatticeSubgroup.from_generators([[spacing, 0, 0], [0, spacing, 0]], 3)
-    boxes = []
-    for i in range(2):
-        for j in range(2):
-            lo = [i * step - overlap, j * step - overlap, -thickness]
-            hi = [(i + 1) * step + overlap, (j + 1) * step + overlap, thickness]
-            boxes.append(Box.of(lo, hi))
-    return BoxUnion(dim=3, lattice=lattice, boxes=tuple(boxes))
+    t = F(1, 2) if thickness is None else F(thickness)
+    return lattice_boxes(spacing, 2, [((-t,), (t,))], 2, overlap)
 
 
 def tiling_boxes(dim=2, spacing=2, overlap=None):
     """Full-rank overlapping box tiling of R^dim."""
-    overlap = F(1, 4) if overlap is None else F(overlap)
-    step = F(spacing, 2)
-    if step + 2 * overlap >= spacing:
-        raise ValueError("boxes would overlap their own translates")
-    lattice = LatticeSubgroup.from_generators(
-        [[spacing if i == j else 0 for j in range(dim)] for i in range(dim)], dim
-    )
-    boxes = []
-    for offsets in product(range(2), repeat=dim):
-        lo = [o * step - overlap for o in offsets]
-        hi = [(o + 1) * step + overlap for o in offsets]
-        boxes.append(Box.of(lo, hi))
-    return BoxUnion(dim=dim, lattice=lattice, boxes=tuple(boxes))
+    return lattice_boxes(spacing, dim, [((), ())], 2, overlap)

@@ -419,10 +419,10 @@ class EuclideanIsometry:
         modulus 1; its non-real eigenvalues pair off with their conjugates,
         each pair with product 1, and its real eigenvalues are ±1.  So
         det a = (-1)^dim ker(a + I), and ker(a + I) = ker(A + dI), whose
-        dimension is n minus the rank that ``snf.echelon`` gives."""
+        dimension is n minus the rank that ``snf.rational_rank`` gives."""
         m, _, d = self._ints
         shifted = [[x + d * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
-        return (-1) ** (len(m) - len(snf.echelon(shifted)))
+        return (-1) ** (len(m) - snf.rational_rank(shifted))
 
     def _maps_into(self, sub: AffineSubspace) -> bool:
         """Whether the isometry maps ``sub`` into itself (onto it, since an

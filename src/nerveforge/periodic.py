@@ -117,6 +117,10 @@ class BoxUnion:
     the scaled box moved by that lcm times its lattice vector. A nerve depends
     only on the order of corners, so scaling leaves every simplex unchanged.
 
+    Which translates of box j meet an open box is one enumeration,
+    ``_translates_meeting``, asked of the window's cube, of box j itself,
+    of every box for the stencil and of the fundamental cell for coverage.
+
     Vertex (j, c) meets vertex (j2, c + e) exactly when box j2 moved by e
     meets box j, a condition on (j, j2, e) alone. ``_stencil[j][j2]`` lists
     those e, computed once per instance on first use; window graphs and
@@ -154,8 +158,8 @@ class BoxUnion:
              tuple(x.numerator * (den // x.denominator) for x in b.hi))
             for b in self.boxes
         ))
-        for j in range(len(self.boxes)):
-            if any(any(e) for e in self._shifts_meeting(j, j)):
+        for j, box in enumerate(self._scaled):
+            if any(any(c) for c in self._translates_meeting(j, *box)):
                 raise PeriodicError("a box properly overlaps its own lattice translate")
 
     @property
@@ -170,34 +174,27 @@ class BoxUnion:
         return (tuple(a + x for a, x in zip(lo, t)),
                 tuple(b + x for b, x in zip(hi, t)))
 
+    def _translates_meeting(self, j, lo, hi):
+        """Coefficient tuples c for which box j moved by c meets the open box
+        (lo, hi), given on the integer corners: the lattice points of the
+        open box (lo - hi_j, hi - lo_j)."""
+        blo, bhi = self._scaled[j]
+        return _lattice_points_in_open_box(
+            self.lattice, tuple(map(sub, lo, bhi)), tuple(map(sub, hi, blo)), self._den)
+
     def window_vertices(self, w) -> list:
         """(box index, coefficient tuple) pairs whose boxes meet [-w, w]^dim."""
-        out = []
-        w = Fraction(w) * self._den
-        if w.denominator == 1:
-            w = w.numerator
-        for j, (blo, bhi) in enumerate(self._scaled):
-            lo = tuple(-w - h for h in bhi)
-            hi = tuple(w - l for l in blo)
-            for c in _lattice_points_in_open_box(self.lattice, lo, hi, self._den):
-                out.append((j, c))
-        return sorted(out)
-
-    def _shifts_meeting(self, j, j2):
-        """Coefficient differences e for which box j2 moved by e meets box
-        j: the lattice points of the open box (lo_j - hi_j2, hi_j - lo_j2),
-        on the integer corners."""
-        (lo, hi), (lo2, hi2) = self._scaled[j], self._scaled[j2]
-        return _lattice_points_in_open_box(
-            self.lattice, tuple(map(sub, lo, hi2)), tuple(map(sub, hi, lo2)), self._den)
+        w *= self._den
+        return sorted((j, c) for j in range(len(self.boxes))
+                      for c in self._translates_meeting(j, (-w,) * self.dim, (w,) * self.dim))
 
     @cached_property
     def _stencil(self) -> tuple:
         """``_stencil[j][j2]``: the sorted e for which box j2 moved by e meets
         box j."""
-        n = len(self.boxes)
-        return tuple(tuple(sorted(self._shifts_meeting(j, j2)) for j2 in range(n))
-                     for j in range(n))
+        return tuple(tuple(sorted(self._translates_meeting(j2, *box))
+                           for j2 in range(len(self.boxes)))
+                     for box in self._scaled)
 
     @cached_property
     def _later_neighbours(self) -> tuple:
@@ -316,38 +313,15 @@ class StabilizationResult:
         return best
 
 
-def _component_map_outcome(c_small: dict, c_big: dict, c_bigger: dict,
-                           sheets: int = 1) -> DegreeOutcome:
-    """Reduced degree-0 stabilization via component tracking, from the
-    windows' component labels (vertex -> root), for ``sheets`` disjoint
-    copies of each window.
-
-    A triple whose largest window is empty is inconclusive: the windows
-    nest, so all three are empty, and reduced H_0 would read "stable" with
-    Betti number -1."""
-    if not c_bigger:
-        return DegreeOutcome("inconclusive")
-
-    def outcome(cs, cb):
-        reps_small = {}
-        for v, root in cs.items():
-            reps_small.setdefault(root, v)
-        images = {cb[v] for v in reps_small.values()}
-        injective = len(images) == len(reps_small)
-        surjective = len(images) == len(set(cb.values()))
-        if injective and surjective:
-            return "iso"
-        if sheets * len(images) <= 1:
-            return "zero"
-        return "neither"
-
-    o1 = outcome(c_small, c_big)
-    o2 = outcome(c_big, c_bigger)
-    if o1 == "iso" and o2 == "iso":
-        return DegreeOutcome("stable", betti=sheets * len(set(c_big.values())) - 1)
-    if o1 == "zero" and o2 == "zero":
-        return DegreeOutcome("zero_image")
-    return DegreeOutcome("inconclusive")
+def _component_reading(small: Window, big: Window, sheets: int) -> tuple[bool, bool]:
+    """(isomorphism, zero) for the map small -> big on reduced H_0 of
+    ``sheets`` disjoint copies of each window, from the windows' component
+    labels: the map sends each component of small to the component of big
+    that holds it. An isomorphism is never read as zero."""
+    reps = {root: v for v, root in small.components.items()}
+    images = {big.components[v] for v in reps.values()}
+    iso = len(reps) == len(images) == len(set(big.components.values()))
+    return iso, not iso and sheets * len(images) <= 1
 
 
 class Window:
@@ -402,12 +376,26 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     """Doubling-window stabilization for a radius-indexed family of clique
     complexes, read off the strong-collapse cores of their graphs.
 
-    A degree is stable when the two consecutive inclusion-induced maps
-    (w -> 2w -> 4w) are isomorphisms, zero-image when both kill every class,
-    and inconclusive otherwise; the scan tries the triples of the radii
-    1, 2, 4, 8, 16 in turn and stops at the first that resolves every degree.
-    The degrees run from 0 to the dimension of each triple's largest window,
-    its clique number minus 1 (``clique_number``).
+    The scan tries the triples of the radii 1, 2, 4, 8, 16 in turn and
+    stops at the first that resolves every degree. The degrees run from 0
+    to the dimension of each triple's largest window, its clique number
+    minus 1 (``clique_number``).
+
+    One rule reads every degree. Each of the maps W_w -> W_2w and
+    W_2w -> W_4w gives a pair (isomorphism, zero), in degree 0 from the
+    windows' component labels (``_component_reading``) and above it from
+    ``induced_map_on_homology``. Two isomorphisms read "stable", with the
+    middle window's groups; two zero maps read "zero_image"; anything else,
+    and a triple whose largest window is empty (so all three are, and
+    reduced H_0 would have Betti number -1), reads "inconclusive". The
+    second map is tested for isomorphism only when the first is one.
+
+    Degree 0 tests isomorphism first and never reads an isomorphism as
+    zero, though above it the identity of a trivial group is both. So a
+    triple whose first window is empty and whose others are connected reads
+    "inconclusive", not "zero_image", and the scan goes on to windows that
+    hold the union: the hollow tube of spacing 3 and half core 1 reads
+    degree 0 "stable, betti 0" at radii (2, 4, 8).
 
     With ``sheets=k`` the result is the scan of k disjoint copies of each
     window, read off one copy: Betti numbers are multiplied by k, each
@@ -456,22 +444,30 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
         small, mid, big = windows[-3:]
         # the windows are nested, so the largest has the top dimension so far
         top = max(clique_number(big.later) - 1, 0)
-        outcomes = {0: _component_map_outcome(
-            small.components, mid.components, big.components, sheets)}
-        for d in range(1, top + 1):
-            m1 = induced_map_on_homology(maps[-2], small.homology(d), mid.homology(d))
-            m2 = induced_map_on_homology(maps[-1], mid.homology(d), big.homology(d))
-            if induced_map_is_isomorphism(m1) and induced_map_is_isomorphism(m2):
-                betti, torsion = mid.homology(d).summary_entry()
-                outcomes[d] = DegreeOutcome("stable", betti=sheets * betti,
-                                            torsion=tuple(sorted(torsion * sheets)))
-            elif m1.is_zero and m2.is_zero:
-                outcomes[d] = DegreeOutcome("zero_image")
+        for d in range(top + 1):
+            if d == 0:
+                (iso1, zero1), (iso2, zero2) = (_component_reading(small, mid, sheets),
+                                                _component_reading(mid, big, sheets))
             else:
-                outcomes[d] = DegreeOutcome("inconclusive")
-        for d, o in outcomes.items():
-            if best.get(d, DegreeOutcome("inconclusive")).status == "inconclusive":
-                best[d] = o
+                m1 = induced_map_on_homology(maps[-2], small.homology(d), mid.homology(d))
+                m2 = induced_map_on_homology(maps[-1], mid.homology(d), big.homology(d))
+                iso1 = induced_map_is_isomorphism(m1)
+                iso2 = iso1 and induced_map_is_isomorphism(m2)
+                zero1, zero2 = m1.is_zero, m2.is_zero
+            if not big.keys:
+                outcome = DegreeOutcome("inconclusive")
+            elif iso1 and iso2:
+                # reduced H_0 of k copies of c components has rank k·c - 1
+                betti, torsion = ((len(set(mid.components.values())), ()) if d == 0
+                                  else mid.homology(d).summary_entry())
+                outcome = DegreeOutcome("stable", betti=sheets * betti - (d == 0),
+                                        torsion=tuple(sorted(torsion * sheets)))
+            elif zero1 and zero2:
+                outcome = DegreeOutcome("zero_image")
+            else:
+                outcome = DegreeOutcome("inconclusive")
+            if d not in best or best[d].status == "inconclusive":
+                best[d] = outcome
         if all(o.status != "inconclusive" for o in best.values()):
             break
     return StabilizationResult(outcomes=best, radii=(w4 // 4, w4 // 2, w4), top_degree=top)
@@ -524,12 +520,8 @@ def full_coverage_check(bu: BoxUnion) -> bool:
     for row in bu.lattice.basis:
         pivot = next(j for j in range(bu.dim) if row[j])
         cell[pivot] = bu._den * abs(row[pivot])
-    candidates = [
-        bu._int_box((j, c))
-        for j, (lo, hi) in enumerate(bu._scaled)
-        for c in _lattice_points_in_open_box(
-            bu.lattice, tuple(-h for h in hi), tuple(map(sub, cell, lo)), bu._den)
-    ]
+    candidates = [bu._int_box((j, c)) for j in range(len(bu.boxes))
+                  for c in bu._translates_meeting(j, (0,) * bu.dim, cell)]
     return _covers_closed_box(candidates, (0,) * bu.dim, tuple(cell))
 
 

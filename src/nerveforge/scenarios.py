@@ -393,31 +393,30 @@ def random_commuting_pair(rng, dim):
     return [ga], [gb]
 
 
-PERIODIC_FAMILIES = ("strip", "tube", "hollow-tube", "slab", "tiling")
+# the parameters each periodic family takes besides family, spacing and deck
+PERIODIC_PARAMS = {"strip": {"dim", "boxes_per_period"}, "tube": {"boxes_per_period"},
+                   "hollow-tube": set(), "slab": set(), "tiling": {"dim"}}
+PERIODIC_FAMILIES = tuple(PERIODIC_PARAMS)
 
 
 def _gen_periodic(params, rng, seed) -> Scenario:
     family = params.get("family")
-    r = params.get("r")
-    dim = params.get("dim")
     if family is None:
         family = rng.choice(PERIODIC_FAMILIES)
+    if family not in PERIODIC_PARAMS:
+        raise ScenarioError(f"unknown periodic family {family!r}")
+    extra = sorted(params.keys() - {"family", "spacing", "deck"} - PERIODIC_PARAMS[family])
+    if extra:
+        raise ScenarioError(f"periodic family {family!r} takes no parameter {extra[0]!r}")
+    dim = int(params.get("dim") or 2)
     spacing = int(params.get("spacing", rng.choice([2, 3])))
-    if family == "strip":
-        dim = int(dim or 2)
+    if family in ("strip", "tube"):
+        # a tube is a 3-D strip of narrower cross-sections
         bu = construct.strip_boxes(
             spacing=spacing,
             boxes_per_period=int(params.get("boxes_per_period", rng.choice([2, 3]))),
-            dim=dim,
-            width=Fraction(rng.choice([1, 2, 3]), 2),
-            overlap=Fraction(1, rng.choice([4, 8])),
-        )
-    elif family == "tube":
-        bu = construct.strip_boxes(
-            spacing=spacing,
-            boxes_per_period=int(params.get("boxes_per_period", rng.choice([2, 3]))),
-            dim=3,
-            width=Fraction(rng.choice([1, 2]), 2),
+            dim=dim if family == "strip" else 3,
+            width=Fraction(rng.choice([1, 2, 3] if family == "strip" else [1, 2]), 2),
             overlap=Fraction(1, rng.choice([4, 8])),
         )
     elif family == "hollow-tube":
@@ -430,11 +429,8 @@ def _gen_periodic(params, rng, seed) -> Scenario:
             thickness=Fraction(rng.choice([1, 2]), 2),
             overlap=Fraction(1, rng.choice([4, 8])),
         )
-    elif family == "tiling":
-        dim = int(dim or 2)
-        bu = construct.tiling_boxes(dim=dim, spacing=spacing, overlap=Fraction(1, 4))
     else:
-        raise ScenarioError(f"unknown periodic family {family!r}")
+        bu = construct.tiling_boxes(dim=dim, spacing=spacing, overlap=Fraction(1, 4))
     payload = box_union_to_json(bu)
     payload["family"] = family
     payload["n"] = bu.dim + 1

@@ -342,6 +342,25 @@ def graph_components(cx):
     return label
 
 
+def reference_degree_zero(labels):
+    """Reduced degree 0 of a window triple from the windows' component labels
+    (vertex -> label). Each map sends a component to the component that
+    holds its vertices. Two bijections read "stable"; two maps that are no
+    bijection and hit at most one component read "zero_image"; a triple of
+    empty windows, and anything else, reads "inconclusive"."""
+    small, mid, big = labels
+    if not big:
+        return DegreeOutcome("inconclusive")
+    maps = [{label: b[v] for v, label in a.items()} for a, b in ((small, mid), (mid, big))]
+    bijective = [len(set(m.values())) == len(m) and set(m.values()) == set(b.values())
+                 for m, b in zip(maps, (mid, big))]
+    if all(bijective):
+        return DegreeOutcome("stable", betti=len(set(mid.values())) - 1)
+    if not any(bijective) and all(len(set(m.values())) <= 1 for m in maps):
+        return DegreeOutcome("zero_image")
+    return DegreeOutcome("inconclusive")
+
+
 def reference_scan(builder, w_max):
     """The doubling scan with every window's chain complex built from its
     simplices, every inclusion chain map through a ``SimplicialMap`` and the
@@ -370,8 +389,7 @@ def reference_scan(builder, w_max):
             cc(x)
         top = max(max(complexes[x].dimension for x in used), 0)
         top_seen = max(top_seen, top)
-        outcomes = {0: periodic._component_map_outcome(
-            *(graph_components(complexes[x]) for x in used))}
+        outcomes = {0: reference_degree_zero([graph_components(complexes[x]) for x in used])}
         for d in range(1, top + 1):
             m1, m2 = induced(w, 2 * w, d), induced(2 * w, 4 * w, d)
             if induced_map_is_isomorphism(m1) and induced_map_is_isomorphism(m2):

@@ -41,15 +41,14 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 TRACER = "looked up by name in perfbench/tracing.py"
 CHECK = "public check that the in-package verifier is to run (ROADMAP item 2)"
 KEPT = {
-    "snf.rational_rank": TRACER,
     "euclid.solve_rational": TRACER,
     "homology.chain_map_of_simplicial": TRACER,
     "nilpotent.unitriangular_log": TRACER,
     "periodic.CoverWindow": TRACER + "; the tests compare cover_lift_check with the "
                                      "cover windows it builds",
     "nilpotent.elementary": "imported by tests/test_perfbench_tracer.py, kept as the tracer is",
-    "simplicial.SimplicialComplex.from_simplices": "the validating constructor from "
-                                                   "a full simplex list (ROADMAP item 3)",
+    "simplicial.SimplicialComplex.from_simplices": "the validating constructor for simplex "
+                                                   "lists from outside the package",
     "euclid.AffineSubspace.of": "the public constructor of a subspace from a base point "
                                 "and directions; the package builds its own from int forms",
     "scenarios.Scenario.to_json": "writes the scenario envelope that the CLI is to read",

@@ -479,6 +479,19 @@ def test_empty_windows_read_inconclusive():
     assert quotient_corner_check(bu).inconclusive
 
 
+def test_an_empty_first_window_leaves_a_connected_degree_zero_to_the_next_triple():
+    """Degree 0 tests isomorphism before zero. W_1 is empty and W_2, W_4
+    are connected, so the first map is zero and the second an isomorphism
+    of trivial groups: (1, 2, 4) reads degree 0 "inconclusive", not
+    "zero_image", and (2, 4, 8) reads it "stable, betti 0"."""
+    bu = hollow_tube_boxes(spacing=3, half_core=1)
+    assert bu.window_vertices(1) == []
+    assert all(len(set(bu.window(w).components.values())) == 1 for w in (2, 4, 8))
+    result = stabilization_check(bu.window)
+    assert result.radii == (2, 4, 8)
+    assert result.outcomes[0] == DegreeOutcome("stable", betti=0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(box_unions(), st.integers(1, 3))
 @example(wide_tube(), 1)

@@ -12,10 +12,13 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from nerveforge.scenarios import generate
+from nerveforge import construct
+from nerveforge.jsonio import box_union_to_json
+from nerveforge.scenarios import ScenarioError, generate
 
 SEEDS = range(12)
 
@@ -98,3 +101,47 @@ def test_benchmark_catalog_payloads_are_pinned():
     items = [item for w in ("periodic-mix", "finite-mix") for item in workloads.catalog(w)
              if item["family"] != "unitriangular"]
     assert combined_digest((i["family"], i["params"], i["seed"]) for i in items) == CATALOG_DIGEST
+
+
+# Family builder arguments that no scenario passes, with the SHA-256 of the
+# union's ``box_union_to_json`` text, keys sorted, recorded before the four
+# builders became calls of ``construct.lattice_boxes``.
+FAMILY_CASES = [
+    ("strip_boxes", {"dim": 3, "boxes_per_period": 3},
+     "c22dcfdcd867e1a0e2cf8923925dd86c4769ba1806919f730a07f540159bd30b"),
+    ("strip_boxes", {"spacing": 3, "dim": 1, "width": 1, "overlap": Fraction(1, 3)},
+     "d2b73fbd19930977e18469e4e81d221ce3a5fd182e953d1762d91ec5c9e562b7"),
+    ("slab_boxes", {"thickness": 1},
+     "d96124430f05c9d6bd1102ecc64ee4cc2c93fbd3e6a85bab635d2681c7c75637"),
+    ("slab_boxes", {"spacing": 4, "overlap": Fraction(1, 3)},
+     "c424f8253ffeb0eddcdbed7f9d57980165c3d2befcf643983fda3955a85a60ac"),
+    ("tiling_boxes", {"dim": 3, "overlap": Fraction(1, 3)},
+     "b26f0ca69ca8ba1efb8a87c9024a9041ec317b9b34ddb1ae84fbc0009c3b0638"),
+    ("tiling_boxes", {"dim": 1, "spacing": 5},
+     "fd62e5448ab5339a586427200cc1b2bac584814f57c6c2e451d3743ce4f68947"),
+    ("hollow_tube_boxes", {"half_core": 1},
+     "1fb47e55cf912106da6067c0a08d94e3a4b39396bd97d4ee4dcb430776edbaff"),
+    ("hollow_tube_boxes", {"spacing": 5, "half_core": Fraction(1, 3)},
+     "0e418c04c5edc54c9d027195a3f36998bb698f0415483d53480bca7a77c3af58"),
+]
+
+
+@pytest.mark.parametrize("builder,kwargs,digest", FAMILY_CASES,
+                         ids=[f"{b}-{'-'.join(f'{k}={v}' for k, v in kw.items())}"
+                              for b, kw, _ in FAMILY_CASES])
+def test_family_builders_are_pinned(builder, kwargs, digest):
+    bu = getattr(construct, builder)(**kwargs)
+    text = json.dumps(box_union_to_json(bu), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,key", [
+    ("strip", "r"), ("strip", "thickness"),
+    ("tube", "dim"), ("tube", "r"),
+    ("hollow-tube", "dim"), ("hollow-tube", "boxes_per_period"), ("hollow-tube", "r"),
+    ("slab", "dim"), ("slab", "boxes_per_period"), ("slab", "r"),
+    ("tiling", "boxes_per_period"), ("tiling", "r"),
+])
+def test_periodic_boxes_rejects_a_parameter_its_family_does_not_take(family, key):
+    with pytest.raises(ScenarioError, match=repr(key)):
+        generate("periodic-boxes", {"family": family, "spacing": 3, key: 4}, 0)
