@@ -53,7 +53,9 @@ def _reader(read):
 
 
 def rational_to_json(x) -> str:
-    f = Fraction(x)
+    """``x`` as a "p/q" string in lowest terms; a ``Fraction`` is read as it
+    is, anything else is made one first."""
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 

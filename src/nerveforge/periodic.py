@@ -17,6 +17,7 @@ from functools import cached_property
 from itertools import product
 from math import lcm
 from operator import add, sub
+from typing import NamedTuple
 
 from .homology import (
     ChainMap,
@@ -48,8 +49,10 @@ class Box:
 
     @staticmethod
     def of(lo, hi) -> "Box":
-        lo = tuple(Fraction(x) for x in lo)
-        hi = tuple(Fraction(x) for x in hi)
+        """The box with corners ``lo`` and ``hi``, each entry made a
+        ``Fraction``; an entry that is one already is kept, not rebuilt."""
+        lo = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in lo)
+        hi = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in hi)
         if len(lo) != len(hi) or any(a >= b for a, b in zip(lo, hi)):
             raise PeriodicError("degenerate box")
         return Box(lo, hi)
@@ -62,46 +65,68 @@ class Box:
         return Box(lo, hi)
 
 
-def _lattice_points_in_open_box(lattice: LatticeSubgroup, lo, hi, scale=1):
-    """Coefficient tuples c with scale * (lattice combination) strictly inside
-    (lo, hi).
+class _LatticeSteps(NamedTuple):
+    """A lattice's integer steps, as ``_lattice_points_in_open_box`` reads
+    them: the HNF rows scaled by a positive integer, the pivot column of
+    each row, the axes on which every row is 0 (``unreached``), and the
+    other axes that are no row's pivot (``loose``)."""
 
-    Rows of the HNF basis have strictly increasing pivot columns, so the
-    pivot coordinates bound the coefficients one at a time. Corners may be
-    ints or Fractions; floor division keeps the bounds exact for both.
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+    unreached: tuple[int, ...]
+    loose: tuple[int, ...]
+
+    @staticmethod
+    def of(lattice: LatticeSubgroup, scale: int) -> "_LatticeSteps":
+        rows = tuple(tuple(scale * x for x in row) for row in lattice.basis)
+        pivots = tuple(next(j for j, x in enumerate(row) if x) for row in rows)
+        axes = range(lattice.ambient)
+        unreached = tuple(j for j in axes if not any(row[j] for row in rows))
+        return _LatticeSteps(rows, pivots, unreached,
+                             tuple(j for j in axes if j not in pivots and j not in unreached))
+
+
+def _lattice_points_in_open_box(steps: _LatticeSteps, lo, hi) -> list[tuple[int, ...]]:
+    """The coefficient tuples c, in lexicographic order, whose combination
+    of ``steps.rows`` lies strictly inside the open box (lo, hi), given on
+    integer corners.
+
+    The rows are in echelon form: the pivot column of each row lies to the
+    right of the previous row's, and every later row is 0 on it. So the
+    enumeration runs level by level. Level i holds the prefixes
+    (c_1, ..., c_i) with their partial vectors, and extends each prefix by
+    the c with lo < (partial + c * row)[p] < hi at row i's pivot p: an
+    interval of c, from floor division, for a pivot of either sign. No
+    later row changes column p, so that bound is final. Each level is in
+    lexicographic order, since its prefixes come in order and each is
+    extended by increasing c, one prefix after the other.
+
+    Two kinds of axis are pruned once, not per point. On an ``unreached``
+    axis every combination is 0, so a box that misses 0 there has no point
+    and the enumeration returns at once; a box that holds 0 there needs no
+    test. A ``loose`` axis, reached by rows but no pivot, is tested on the
+    full vectors at the end; without one, the last level builds no vector.
     """
-    rows = [[scale * x for x in row] for row in lattice.basis]
-    d = lattice.ambient
-    r = len(rows)
-    pivots = [next(j for j in range(d) if row[j]) for row in rows]
-
-    def rec(i, prefix_vec, coeffs):
-        if i == r:
-            if all(lo[j] < prefix_vec[j] < hi[j] for j in range(d)):
-                yield tuple(coeffs)
-            return
-        p = pivots[i]
-        h = rows[i][p]
-        # a < c*h < b
-        a = lo[p] - prefix_vec[p]
-        b = hi[p] - prefix_vec[p]
-        if h < 0:
-            a, b, h = -b, -a, -h
-        for c in range(a // h + 1, -(-b // h)):
-            nxt = tuple(prefix_vec[j] + c * rows[i][j] for j in range(d))
-            yield from rec(i + 1, nxt, coeffs + [c])
-
-    yield from rec(0, (0,) * d, [])
-
-
-def lattice_vector(lattice: LatticeSubgroup, coeffs) -> tuple[int, ...]:
-    d = lattice.ambient
-    out = [0] * d
-    for c, row in zip(coeffs, lattice.basis):
-        if c:
-            for j in range(d):
-                out[j] += c * row[j]
-    return tuple(out)
+    rows, pivots, unreached, loose = steps
+    if any(lo[j] >= 0 or hi[j] <= 0 for j in unreached):
+        return []
+    level = [((0,) * len(lo), ())]
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        h = row[p]
+        # the last level's vectors are read only on loose axes
+        moves = loose or i + 1 < len(rows)
+        extended = []
+        for vec, coeffs in level:
+            a, b = lo[p] - vec[p], hi[p] - vec[p]  # a < c * h < b
+            first, stop = (a // h + 1, -(-b // h)) if h > 0 else (b // h + 1, -(-a // h))
+            for c in range(first, stop):
+                extended.append((tuple([x + c * y for x, y in zip(vec, row)]) if moves else vec,
+                                 coeffs + (c,)))
+        level = extended
+    if loose:
+        level = [(vec, coeffs) for vec, coeffs in level
+                 if all(lo[j] < vec[j] < hi[j] for j in loose)]
+    return [coeffs for _, coeffs in level]
 
 
 @dataclass(frozen=True)
@@ -113,21 +138,28 @@ class BoxUnion:
     invariance hypothesis.
 
     Everything is decided on integer corners: at construction every corner
-    is scaled once by the lcm of the corner denominators, and a vertex box is
-    the scaled box moved by that lcm times its lattice vector. A nerve depends
-    only on the order of corners, so scaling leaves every simplex unchanged.
+    is scaled once by the lcm of the corner denominators, and so are the
+    lattice's HNF rows (``_steps``, with their pivots and the axes no row
+    reaches); a vertex box is the scaled box moved by its combination of
+    the scaled rows. A nerve depends only on the order of corners, so
+    scaling leaves every simplex unchanged. Scaling by a positive integer
+    is injective, so the duplicate-box test compares the integer corners.
 
     Which translates of box j meet an open box is one enumeration,
     ``_translates_meeting``, asked of the window's cube, of box j itself,
     of every box for the stencil and of the fundamental cell for coverage.
+    It reads ``_steps`` and builds nothing else per call.
 
     Vertex (j, c) meets vertex (j2, c + e) exactly when box j2 moved by e
     meets box j, a condition on (j, j2, e) alone. ``_stencil[j][j2]`` lists
-    those e, computed once per instance on first use; window graphs and
-    quotient nerves read their edges from it instead of meeting pairs of
-    boxes. ``window(w)`` reads window W_w as its graph (``window_graph``)
-    and builds chains only on the graph's strong-collapse core (``Window``);
-    ``window_complex`` lists every clique of the graph.
+    those e, computed once per instance on first use, and only for
+    j <= j2: moving both boxes by -e, box j2 moved by e meets box j exactly
+    when box j moved by -e meets box j2, so the pairs j > j2 are the
+    negations. Window graphs and quotient nerves read their edges from the
+    stencil instead of meeting pairs of boxes. ``window(w)`` reads window
+    W_w as its graph (``window_graph``) and builds chains only on the
+    graph's strong-collapse core (``Window``); ``window_complex`` lists
+    every clique of the graph.
 
     ``stabilization``, the stencil and each radius's ``Window`` are computed
     once per instance. They are not part of ``==``, ``hash`` or ``repr`` and
@@ -140,6 +172,7 @@ class BoxUnion:
     boxes: tuple[Box, ...]
     _den: int = field(init=False, repr=False, compare=False)
     _scaled: tuple = field(init=False, repr=False, compare=False)
+    _steps: _LatticeSteps = field(init=False, repr=False, compare=False)
     _windows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -147,18 +180,22 @@ class BoxUnion:
             raise PeriodicError("lattice ambient rank differs from the box dimension")
         if self.lattice.rank > self.dim:
             raise PeriodicError("lattice rank exceeds the dimension")
-        if len(set(self.boxes)) != len(self.boxes):
-            raise PeriodicError("duplicate boxes")
         if any(len(b.lo) != self.dim for b in self.boxes):
             raise PeriodicError("box dimension mismatch")
         den = lcm(*(x.denominator for b in self.boxes for x in b.lo + b.hi))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_scaled", tuple(
+        scaled = tuple(
             (tuple(x.numerator * (den // x.denominator) for x in b.lo),
              tuple(x.numerator * (den // x.denominator) for x in b.hi))
             for b in self.boxes
-        ))
-        for j, box in enumerate(self._scaled):
+        )
+        # scaling by den > 0 is injective: boxes are equal exactly when their
+        # integer corners are
+        if len(set(scaled)) != len(scaled):
+            raise PeriodicError("duplicate boxes")
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_steps", _LatticeSteps.of(self.lattice, den))
+        for j, box in enumerate(scaled):
             if any(any(c) for c in self._translates_meeting(j, *box)):
                 raise PeriodicError("a box properly overlaps its own lattice translate")
 
@@ -167,20 +204,22 @@ class BoxUnion:
         return self.lattice.rank
 
     def _int_box(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Vertex box as (lo, hi) integer corners, scaled by ``_den``."""
+        """Vertex box as (lo, hi) integer corners: box j's scaled corners
+        moved by c's combination of the scaled lattice rows."""
         j, c = v
         lo, hi = self._scaled[j]
-        t = [self._den * x for x in lattice_vector(self.lattice, c)]
-        return (tuple(a + x for a, x in zip(lo, t)),
-                tuple(b + x for b, x in zip(hi, t)))
+        for x, row in zip(c, self._steps.rows):
+            lo = tuple(a + x * y for a, y in zip(lo, row))
+            hi = tuple(b + x * y for b, y in zip(hi, row))
+        return lo, hi
 
-    def _translates_meeting(self, j, lo, hi):
+    def _translates_meeting(self, j, lo, hi) -> list[tuple[int, ...]]:
         """Coefficient tuples c for which box j moved by c meets the open box
         (lo, hi), given on the integer corners: the lattice points of the
-        open box (lo - hi_j, hi - lo_j)."""
+        open box (lo - hi_j, hi - lo_j), in lexicographic order."""
         blo, bhi = self._scaled[j]
         return _lattice_points_in_open_box(
-            self.lattice, tuple(map(sub, lo, bhi)), tuple(map(sub, hi, blo)), self._den)
+            self._steps, tuple(map(sub, lo, bhi)), tuple(map(sub, hi, blo)))
 
     def window_vertices(self, w) -> list:
         """(box index, coefficient tuple) pairs whose boxes meet [-w, w]^dim."""
@@ -191,10 +230,20 @@ class BoxUnion:
     @cached_property
     def _stencil(self) -> tuple:
         """``_stencil[j][j2]``: the sorted e for which box j2 moved by e meets
-        box j."""
-        return tuple(tuple(sorted(self._translates_meeting(j2, *box))
-                           for j2 in range(len(self.boxes)))
-                     for box in self._scaled)
+        box j.
+
+        Only the pairs j <= j2 are enumerated. Moving both boxes by -e shows
+        that box j2 moved by e meets box j exactly when box j moved by -e
+        meets box j2, so ``_stencil[j2][j]`` is the sorted negations of
+        ``_stencil[j][j2]``."""
+        n = len(self.boxes)
+        stencil = [[()] * n for _ in range(n)]
+        for j, box in enumerate(self._scaled):
+            for j2 in range(j, n):
+                shifts = self._translates_meeting(j2, *box)
+                stencil[j][j2] = tuple(shifts)
+                stencil[j2][j] = tuple(sorted(tuple(-x for x in e) for e in shifts))
+        return tuple(map(tuple, stencil))
 
     @cached_property
     def _later_neighbours(self) -> tuple:
@@ -516,13 +565,11 @@ def full_coverage_check(bu: BoxUnion) -> bool:
     """
     if bu.rank != bu.dim:
         raise PeriodicError("full coverage is only defined for full-rank lattices")
-    cell = [0] * bu.dim
-    for row in bu.lattice.basis:
-        pivot = next(j for j in range(bu.dim) if row[j])
-        cell[pivot] = bu._den * abs(row[pivot])
+    # full rank: row i of the scaled HNF basis has its positive pivot at i
+    cell = tuple(row[i] for i, row in enumerate(bu._steps.rows))
     candidates = [bu._int_box((j, c)) for j in range(len(bu.boxes))
                   for c in bu._translates_meeting(j, (0,) * bu.dim, cell)]
-    return _covers_closed_box(candidates, (0,) * bu.dim, tuple(cell))
+    return _covers_closed_box(candidates, (0,) * bu.dim, cell)
 
 
 @dataclass(frozen=True)

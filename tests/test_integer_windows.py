@@ -1,6 +1,7 @@
-"""Integer-corner window nerves, the neighbour stencil, the per-instance
-stabilization memo, and the exact radical comparison, checked against
-Fraction references and Euler-characteristic oracles."""
+"""Integer-corner window nerves, the lattice-point kernel, the neighbour
+stencil, the per-instance stabilization memo, and the exact radical
+comparison, checked against Fraction references, a scan of coefficient
+boxes and Euler-characteristic oracles."""
 
 import itertools
 from decimal import Decimal, localcontext
@@ -70,10 +71,19 @@ def box_unions(draw):
     return BoxUnion(dim=dim, lattice=lattice, boxes=tuple(boxes))
 
 
+def lattice_vector(lattice, coeffs):
+    """The combination of the lattice's HNF rows with coefficients
+    ``coeffs``."""
+    out = [0] * lattice.ambient
+    for c, row in zip(coeffs, lattice.basis):
+        out = [x + c * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
 def vertex_box(bu, v):
     """Box j moved by the lattice vector of c, on Fraction corners."""
     j, c = v
-    box, t = bu.boxes[j], periodic.lattice_vector(bu.lattice, c)
+    box, t = bu.boxes[j], lattice_vector(bu.lattice, c)
     return Box(tuple(a + x for a, x in zip(box.lo, t)), tuple(b + x for b, x in zip(box.hi, t)))
 
 
@@ -146,6 +156,47 @@ def test_stencil_matches_fraction_scan(bu):
         assert all(abs(x) < K for _, c in near for x in c)
         for j2 in range(n):
             assert set(bu._stencil[j][j2]) == {c for k, c in near if k == j2}
+
+
+@st.composite
+def lattice_steps_and_boxes(draw):
+    """HNF lattices of rank 0 to dim, dim 1-3, with entries right of each
+    pivot, scaled by 1-2, some rows negated (a negative pivot), and an
+    integer open box whose sides may be empty."""
+    dim = draw(st.integers(1, 3))
+    pivots = sorted(draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim)))
+    rows = [[0] * p + [draw(st.integers(1, 3))]
+            + [draw(st.integers(-2, 2)) for _ in range(dim - p - 1)] for p in pivots]
+    steps = periodic._LatticeSteps.of(LatticeSubgroup.from_generators(rows, dim),
+                                      draw(st.integers(1, 2)))
+    steps = steps._replace(rows=tuple(tuple(-x for x in row) if draw(st.booleans()) else row
+                                      for row in steps.rows))
+    lo = [draw(st.integers(-5, 5)) for _ in range(dim)]
+    hi = [a + draw(st.integers(-1, 6)) for a in lo]
+    return steps, lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_steps_and_boxes())
+@example((periodic._LatticeSteps.of(LatticeSubgroup.from_generators([[1, 2]], 2), 1),
+          [-5, -5], [5, 0]))  # the loose axis 1 keeps c = -2 and -1 of -4 to 4
+def test_lattice_points_match_a_scan_of_the_coefficient_box(case):
+    """The kernel lists, in lexicographic order, what a scan of the
+    coefficient box that the pivots bound finds: with M the largest corner,
+    row i's coefficient is at most (M + the earlier rows' reach at its
+    pivot) / |pivot| in absolute value."""
+    steps, lo, hi = case
+    big = max(map(abs, lo + hi))
+    bounds = []
+    for i, (row, p) in enumerate(zip(steps.rows, steps.pivots)):
+        reach = sum(b * abs(r[p]) for b, r in zip(bounds, steps.rows[:i]))
+        bounds.append((big + reach) // abs(row[p]) + 1)
+    expected = []
+    for c in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        v = [sum(x * row[k] for x, row in zip(c, steps.rows)) for k in range(len(lo))]
+        if all(a < x < b for a, x, b in zip(lo, v, hi)):
+            expected.append(c)
+    assert periodic._lattice_points_in_open_box(steps, lo, hi) == expected
 
 
 def clique_complex(simplices):

@@ -388,6 +388,27 @@ def chain_of_rings():
     return BoxUnion(dim=2, lattice=lattice, boxes=tuple(Box.of(*c) for c in corners))
 
 
+def direct_stencil(bu):
+    """The stencil by its definition: for each ordered pair (j, j2), the
+    sorted e for which box j2 moved by e meets box j."""
+    return tuple(tuple(tuple(sorted(bu._translates_meeting(j2, *box)))
+                       for j2 in range(len(bu.boxes)))
+                 for box in bu._scaled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_unions())
+@example(hollow_tube_boxes())
+@example(slab_boxes())
+@example(chain_of_rings())
+def test_mirrored_stencil_matches_the_direct_definition(bu):
+    stencil = bu._stencil
+    assert stencil == direct_stencil(bu)
+    for j, row in enumerate(stencil):
+        for j2, shifts in enumerate(row):
+            assert stencil[j2][j] == tuple(sorted(tuple(-x for x in e) for e in shifts))
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_cover_lift_rejects_a_translation_that_moves_a_loop(order):
     # the big window (w = 10) is connected, so the degree-0 test passes and
