@@ -59,7 +59,7 @@ class Patch:
 class PatchSystem:
     """Patches over an ambient complex, with optional enlargements.
 
-    ``maximal_clumps`` keeps its result in ``_maximal_clumps``, and
+    ``_maximal_clumps`` keeps the result of ``maximal_clumps``, and
     ``_patch_nerve`` keeps the one ``PatchNerve`` that every clump check
     reads.  Both are per-instance memos that are not part of ``==``,
     ``hash`` or ``repr``; ``dataclasses.replace`` builds an instance with
@@ -69,8 +69,6 @@ class PatchSystem:
     ambient: SimplicialComplex
     patches: dict  # index -> Patch
     enlargements: dict = field(default_factory=dict)  # key tuple -> frozenset
-    _maximal_clumps: tuple | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         ranks = {p.group.ambient for p in self.patches.values()}
@@ -88,6 +86,10 @@ class PatchSystem:
     @cached_property
     def _patch_nerve(self) -> "PatchNerve":
         return PatchNerve(self)
+
+    @cached_property
+    def _maximal_clumps(self) -> tuple:
+        return tuple(_find_maximal_clumps(self))
 
     def _plain_intersection(self, sigma: tuple):
         out = None
@@ -236,9 +238,6 @@ def maximal_clumps(ps: PatchSystem) -> list[MaximalClump]:
     patch label.
 
     Computed once per patch system; each call returns a fresh list."""
-    if ps._maximal_clumps is None:
-        found = tuple(_find_maximal_clumps(ps))
-        object.__setattr__(ps, "_maximal_clumps", found)
     return list(ps._maximal_clumps)
 
 

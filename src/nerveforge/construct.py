@@ -11,7 +11,7 @@ from fractions import Fraction as F
 from itertools import product
 
 from .lattices import LatticeSubgroup
-from .periodic import Box, BoxUnion
+from .periodic import Box, BoxUnion, PeriodicError
 from .simplicial import SimplicialComplex, close_downward
 
 
@@ -85,11 +85,12 @@ def lattice_boxes(spacing, rank, sections, per_axis, overlap=None) -> BoxUnion:
     ends. Each cross-section ``(lo, hi)`` on the other axes gives one box
     per product of intervals, the sections outer and the interval offsets
     inner. A family with more axes or another cross-section is one more
-    call."""
+    call. Raises ``PeriodicError`` when the widened intervals would meet
+    their own translates."""
     overlap = F(1, 4) if overlap is None else F(overlap)
     step = F(spacing, per_axis)
     if step + 2 * overlap >= spacing:
-        raise ValueError("boxes would overlap their own translates")
+        raise PeriodicError("boxes would overlap their own translates")
     dim = rank + len(sections[0][0])
     lattice = LatticeSubgroup.from_generators(
         [[spacing if i == j else 0 for j in range(dim)] for i in range(rank)], dim)

@@ -124,14 +124,14 @@ def _by_str_key(items: dict) -> list:
     return sorted(items.items(), key=lambda kv: str(kv[0]))
 
 
-def _cover_json(ambient: SimplicialComplex, pieces: dict, covering: bool = False) -> dict:
+def _cover_json(ambient: SimplicialComplex, pieces: dict) -> dict:
     """The payload that ``cover_from_json`` reads as
-    ``Cover(ambient, pieces, covering)``, written from the parts without
-    building the cover."""
+    ``Cover(ambient, pieces, covering=False)``, written from the parts
+    without building the cover."""
     return {
         "ambient": complex_to_json(ambient),
         "pieces": {str(i): _write_simplices(sub) for i, sub in _by_str_key(pieces)},
-        "covering": covering,
+        "covering": False,
     }
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import lcm
 from operator import add, sub
 from typing import NamedTuple
@@ -222,10 +222,16 @@ class BoxUnion:
             self._steps, tuple(map(sub, lo, bhi)), tuple(map(sub, hi, blo)))
 
     def window_vertices(self, w) -> list:
-        """(box index, coefficient tuple) pairs whose boxes meet [-w, w]^dim."""
+        """(box index, coefficient tuple) pairs whose boxes meet [-w, w]^dim,
+        in sorted order.
+
+        The pairs come sorted as they are built: j runs in ascending order,
+        and for each j the c come from ``_translates_meeting``, which lists
+        them in lexicographic order. Pairs compare j first and c only
+        between equal j, so the list is sorted."""
         w *= self._den
-        return sorted((j, c) for j in range(len(self.boxes))
-                      for c in self._translates_meeting(j, (-w,) * self.dim, (w,) * self.dim))
+        return [(j, c) for j in range(len(self.boxes))
+                for c in self._translates_meeting(j, (-w,) * self.dim, (w,) * self.dim)]
 
     @cached_property
     def _stencil(self) -> tuple:
@@ -273,7 +279,20 @@ class BoxUnion:
 
     def window_graph(self, w) -> tuple[list, list[list[int]]]:
         """The window's intersection graph: ``window_vertices(w)`` and its
-        ``_later`` rows, the graph whose cliques ``window_complex`` lists."""
+        ``_later`` rows, the graph whose cliques ``window_complex`` lists.
+
+        The nerve of any set of the union's boxes is the clique complex of
+        their intersection graph, by Helly's theorem for boxes: open
+        axis-parallel boxes that meet pairwise have a common point. Per
+        axis, the open intervals (a_i, b_i) meet pairwise, so a_i < b_k for
+        all i, k, hence max a_i < min b_k and the interval
+        (max a_i, min b_k) lies in all of them; the product of these
+        intervals over the axes lies in every box. So only the pairs are
+        decided on corners, through the stencil, and each vertex is paired
+        with the few vertices its stencil names, not with the whole window;
+        the sets of three or more are cliques (``simplicial.cliques_of``).
+        The windows (``window``, ``window_complex``) and the orbit complex
+        (``quotient_complex``) all read their simplices this way."""
         vertices = self.window_vertices(w)
         return vertices, self._later(vertices)
 
@@ -286,18 +305,9 @@ class BoxUnion:
         return self._windows[w]
 
     def window_complex(self, w) -> SimplicialComplex:
-        """Nerve of the window's boxes: the subsets with a common point.
-
-        It is the clique complex of the window's intersection graph
-        (``window_graph``), by Helly's theorem for boxes: open axis-parallel
-        boxes that meet pairwise have a common point. Per axis, the open
-        intervals (a_i, b_i) meet pairwise, so a_i < b_k for all i, k, hence
-        max a_i < min b_k and the interval (max a_i, min b_k) lies in all of
-        them; the product of these intervals over the axes lies in every
-        box. So only the pairs are decided on corners, through the stencil,
-        and each vertex is paired with the few vertices its stencil names,
-        not with the whole window; the sets of three or more are cliques
-        (``simplicial.cliques_of``).
+        """Nerve of the window's boxes: the subsets with a common point,
+        the clique complex of the window's intersection graph (see
+        ``window_graph`` for why).
 
         No check builds this complex: the doubling scan and the cover-lift
         comparison read the window graph's core (``window``). Only
@@ -630,12 +640,24 @@ def local_vanishing_check(bu: BoxUnion, n: int, r: int) -> LocalVanishingVerdict
 # ---------------------------------------------------------------------------
 
 
-def _orbit_normalize(simplex, lattice: LatticeSubgroup):
-    """Translate so the lex-min vertex has zero coefficients."""
-    base = min(simplex)[1]
-    if not any(base):
-        return tuple(sorted(simplex))
-    return tuple(sorted((j, tuple(x - y for x, y in zip(c, base))) for j, c in simplex))
+def _orbit_faces(s) -> list:
+    """The signed faces of an orbit representative s = ((j, 0), v_1, ...,
+    v_d), d >= 1, each made a representative, with the signs of
+    ``simplex_boundary``.
+
+    Faces 1 to d keep (j, 0), their least vertex, so they are
+    representatives as they are. Face 0 drops it and starts at
+    v_1 = (j_1, c), so it is moved by -c. A common translation keeps the
+    order of (j, c) pairs, which compare c only between equal j, so the
+    moved face is still sorted. Face 0 is the one face that leaves the
+    orbit's chosen translate: in the equivariant complex over Z[Z^r]
+    (ROADMAP item 8) it is the face that carries the monomial t^c."""
+    faces = simplex_boundary(s)
+    sign, face = faces[0]
+    base = face[0][1]
+    if any(base):
+        faces[0] = sign, tuple((j, tuple(map(sub, c, base))) for j, c in face)
+    return faces
 
 
 def quotient_complex(bu: BoxUnion) -> IntegerChainComplex:
@@ -645,25 +667,25 @@ def quotient_complex(bu: BoxUnion) -> IntegerChainComplex:
     Each orbit is represented by its simplex whose least vertex has zero
     coefficients. The simplices with least vertex (j, 0) are (j, 0) followed
     by a clique of the later vertices that meet it, which the stencil lists
-    (``BoxUnion._later_neighbours``); by Helly's theorem for boxes (see
-    ``BoxUnion.window_complex``) every such set has a common point.
+    (``BoxUnion._later_neighbours``); every such set has a common point (see
+    ``BoxUnion.window_graph``). The global vertex order is translation
+    invariant, so face signs descend (``_orbit_faces``).
 
-    The global vertex order is translation invariant, so face signs descend.
+    The cells are built in basis order, each degree sorted. For j
+    ascending, (j, 0) and then (j, 0) + α are appended for each α of
+    ``cliques_of``, which yields each size in lexicographic order of
+    positions in the sorted ``_later_neighbours[j]``: the lexicographic
+    order of the α, which the common first vertex (j, 0) keeps. Every cell
+    whose least vertex is (j, 0) sorts before every cell whose least vertex
+    is (j + 1, 0), since tuples compare their first entries first. No cell
+    comes twice: its least vertex names j, and each α comes once.
     """
-    reps: set[tuple] = set()
+    by_degree: dict[int, list] = {}
     for j, neighbours in enumerate(bu._later_neighbours):
         base_vertex = (j, (0,) * bu.rank)
-        reps.add((base_vertex,))
-        reps.update((base_vertex,) + alpha
-                    for alpha in cliques_of(neighbours, bu._later(neighbours)))
-
-    by_degree: dict[int, list] = {}
-    for s in reps:
-        by_degree.setdefault(len(s) - 1, []).append(s)
-    for d in by_degree:
-        by_degree[d].sort()
-    return IntegerChainComplex.of_cells(by_degree, lambda s: [
-        (sign, _orbit_normalize(f, bu.lattice)) for sign, f in simplex_boundary(s)])
+        for alpha in chain([()], cliques_of(neighbours, bu._later(neighbours))):
+            by_degree.setdefault(len(alpha), []).append((base_vertex,) + alpha)
+    return IntegerChainComplex.of_cells(by_degree, _orbit_faces)
 
 
 @dataclass(frozen=True)
@@ -814,7 +836,7 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     the big window. Vertex (j, c) meets (j2, c + f) exactly when f is in
     the stencil of (j, j2), so translation keeps adjacency, and a window
     nerve is the clique complex of its intersection graph (see
-    ``BoxUnion.window_complex``): cliques map to cliques. Third, r_b is a
+    ``BoxUnion.window_graph``): cliques map to cliques. Third, r_b is a
     simplicial retraction of W_b onto C_b (``strong_core``).
 
     ``group_action``, ``commutes_with_deck`` and

@@ -187,51 +187,73 @@ def generate(family: str, params: dict | None = None, seed: int = 0) -> Scenario
     return builders[family](params, rng, seed)
 
 
-def _distinct_rect_pieces(grid, nx, ny, count, rng, allow_unions):
+def _positive(key: str, value) -> int:
+    """``value`` as an int, or ``ScenarioError`` naming ``key`` when it is
+    not a positive integer."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = 0
+    if n < 1:
+        raise ScenarioError(f"parameter {key!r} must be a positive integer, not {value!r}")
+    return n
+
+
+def _one_of(key: str, value, choices: tuple):
+    """``value``, or ``ScenarioError`` naming ``key`` when it is not one of
+    ``choices``."""
+    if value not in choices:
+        raise ScenarioError(f"parameter {key!r} must be one of {choices}, not {value!r}")
+    return value
+
+
+def _distinct_pieces(count: int, draw) -> dict:
+    """Up to ``count`` distinct nonempty pieces from ``draw()``, in at most
+    200 draws, keyed 0, 1, ... in the order found."""
     pieces = {}
-    attempts = 0
-    while len(pieces) < count and attempts < 200:
-        attempts += 1
-        i0 = rng.randrange(nx)
-        j0 = rng.randrange(ny)
-        i1 = min(nx, i0 + rng.randrange(1, 3))
-        j1 = min(ny, j0 + rng.randrange(1, 3))
-        sub = rect_subcomplex(grid, i0, i1, j0, j1)
-        if allow_unions and rng.random() < 0.35:
-            a0 = rng.randrange(nx)
-            b0 = rng.randrange(ny)
-            sub = sub | rect_subcomplex(grid, a0, min(nx, a0 + 1), b0, min(ny, b0 + 1))
+    for _ in range(200):
+        if len(pieces) >= count:
+            break
+        sub = draw()
         if sub and sub not in pieces.values():
             pieces[len(pieces)] = sub
     return pieces
 
 
 def _gen_box_cover(params, rng, seed) -> Scenario:
-    dim = int(params.get("dim", rng.choice([1, 2])))
+    dim = _one_of("dim", params.get("dim", rng.choice([1, 2])), (1, 2))
     n_pieces = int(params.get("pieces", rng.randrange(3, 7)))
-    mode = params.get("mode", "good")
+    mixed = _one_of("mode", params.get("mode", "good"), ("good", "mixed")) == "mixed"
     if dim == 1:
-        size = int(params.get("grid", 6))
+        size = _positive("grid", params.get("grid", 6))
         ambient = path_complex(size)
-        pieces = {}
-        attempts = 0
-        while len(pieces) < n_pieces and attempts < 200:
-            attempts += 1
+
+        def draw():
             a = rng.randrange(size)
             b = min(size, a + rng.randrange(1, 4))
             sub = interval_subcomplex(ambient, a, b)
-            if mode == "mixed" and rng.random() < 0.3:
+            if mixed and rng.random() < 0.3:
                 a2 = rng.randrange(size)
                 sub = sub | interval_subcomplex(ambient, a2, min(size, a2 + 1))
-            if sub and sub not in pieces.values():
-                pieces[len(pieces)] = sub
+            return sub
     else:
-        g = int(params.get("grid", 3))
+        g = _positive("grid", params.get("grid", 3))
         ambient = grid_complex(g, g)
-        pieces = _distinct_rect_pieces(ambient, g, g, n_pieces, rng, mode == "mixed")
+
+        def draw():
+            i0 = rng.randrange(g)
+            j0 = rng.randrange(g)
+            i1 = min(g, i0 + rng.randrange(1, 3))
+            j1 = min(g, j0 + rng.randrange(1, 3))
+            sub = rect_subcomplex(ambient, i0, i1, j0, j1)
+            if mixed and rng.random() < 0.35:
+                a0 = rng.randrange(g)
+                b0 = rng.randrange(g)
+                sub = sub | rect_subcomplex(ambient, a0, min(g, a0 + 1), b0, min(g, b0 + 1))
+            return sub
     return Scenario(
         kind="cover",
-        payload=_cover_json(ambient, pieces),
+        payload=_cover_json(ambient, _distinct_pieces(n_pieces, draw)),
         constants=DEFAULT_CONSTANTS,
         seed=seed,
     )
@@ -408,13 +430,14 @@ def _gen_periodic(params, rng, seed) -> Scenario:
     extra = sorted(params.keys() - {"family", "spacing", "deck"} - PERIODIC_PARAMS[family])
     if extra:
         raise ScenarioError(f"periodic family {family!r} takes no parameter {extra[0]!r}")
-    dim = int(params.get("dim") or 2)
-    spacing = int(params.get("spacing", rng.choice([2, 3])))
+    dim = _positive("dim", params.get("dim", 2))
+    spacing = _positive("spacing", params.get("spacing", rng.choice([2, 3])))
     if family in ("strip", "tube"):
         # a tube is a 3-D strip of narrower cross-sections
         bu = construct.strip_boxes(
             spacing=spacing,
-            boxes_per_period=int(params.get("boxes_per_period", rng.choice([2, 3]))),
+            boxes_per_period=_positive(
+                "boxes_per_period", params.get("boxes_per_period", rng.choice([2, 3]))),
             dim=dim if family == "strip" else 3,
             width=Fraction(rng.choice([1, 2, 3] if family == "strip" else [1, 2]), 2),
             overlap=Fraction(1, rng.choice([4, 8])),
@@ -436,7 +459,7 @@ def _gen_periodic(params, rng, seed) -> Scenario:
     payload["n"] = bu.dim + 1
     payload["r"] = bu.rank
     if "deck" in params:
-        m = int(params["deck"])
+        m = _positive("deck", params["deck"])
         rows = [[m if i == j == 0 else (1 if i == j else 0)
                  for j in range(bu.rank)] for i in range(bu.rank)]
         payload["cover"] = {"sublattice": rows}

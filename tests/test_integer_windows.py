@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nerveforge import periodic
-from nerveforge.construct import hollow_tube_boxes, tiling_boxes
+from nerveforge.construct import hollow_tube_boxes, slab_boxes, tiling_boxes
 from nerveforge.euclid import sqrt_leq_sum_of_sqrts
 from nerveforge.homology import (
     Collapse,
@@ -22,6 +22,7 @@ from nerveforge.homology import (
     degree_homology,
     induced_map_is_isomorphism,
     induced_map_on_homology,
+    simplex_boundary,
     simplicial_chain_map,
 )
 from nerveforge.lattices import LatticeSubgroup
@@ -39,7 +40,7 @@ from nerveforge.periodic import (
     quotient_corner_check,
     stabilization_check,
 )
-from nerveforge.simplicial import ComplexError, SimplicialMap
+from nerveforge.simplicial import ComplexError, SimplicialMap, cliques_of
 
 from chain_helpers import group_map_is_bijective, inclusion
 
@@ -653,15 +654,108 @@ def test_full_coverage_makes_the_base_window_connected(bu, w):
         assert len(set(graph_components(bu.window_complex(w)).values())) == 1
 
 
+def two_squares():
+    """Two unit squares apart, under the rank-0 lattice."""
+    return BoxUnion(dim=2, lattice=LatticeSubgroup.from_generators([], 2),
+                    boxes=(Box.of([0, 0], [1, 1]), Box.of([3, 3], [4, 4])))
+
+
 def test_rank_zero_window_keeps_only_boxes_meeting_it():
-    bu = BoxUnion(dim=2, lattice=LatticeSubgroup.from_generators([], 2),
-                  boxes=(Box.of([0, 0], [1, 1]), Box.of([3, 3], [4, 4])))
+    bu = two_squares()
     assert bu.window_vertices(1) == [(0, ())]
     assert set(bu.window_complex(1).simplices) == {((0, ()),)}
     assert bu.window_vertices(4) == [(0, ()), (1, ())]
     q = quotient_complex(bu)
     assert {s for simplices in q.basis.values() for s in simplices} == {
         ((0, ()),), ((1, ()),)}
+
+
+def chain_of_rings():
+    """A ring of four boxes around each multiple of (4, 0), with a bar from
+    each ring to the next: a connected union whose translation moves every
+    ring's H_1 class to the next ring's."""
+    F = Fraction
+    lattice = LatticeSubgroup.from_generators([[4, 0]], 2)
+    corners = [((-1, -1), (1, F(-1, 2))), ((F(1, 2), -1), (1, 1)),
+               ((-1, F(1, 2)), (1, 1)), ((-1, -1), (F(-1, 2), 1)),
+               ((F(3, 4), F(-1, 4)), (F(13, 4), F(1, 4)))]
+    return BoxUnion(dim=2, lattice=lattice, boxes=tuple(Box.of(*c) for c in corners))
+
+
+def wide_tube():
+    """A tube along the x axis with lattice (1, 0, 0): per period, two boxes
+    on each side of a square ring of side 40, each at |y| >= 39/2 or
+    |z| >= 39/2. The windows up to w = 16 are empty; the w = 32 window holds
+    the ring."""
+    F = Fraction
+    lattice = LatticeSubgroup.from_generators([[1, 0, 0]], 3)
+    inner = F(39, 2)
+    walls = [((-20, inner), (20, 20)), ((-20, -20), (20, -inner)),
+             ((-20, -20), (-inner, 20)), ((inner, -20), (20, 20))]
+    return BoxUnion(dim=3, lattice=lattice, boxes=tuple(
+        Box.of([x, ylo, zlo], [x + F(3, 4), yhi, zhi])
+        for (ylo, zlo), (yhi, zhi) in walls for x in (F(-1, 8), F(3, 8))))
+
+
+def with_periodic_fixtures(test):
+    """``test`` with every fixture union as an explicit example: the hollow
+    tube, the slab, the chain of rings, the wide tube and a rank-0 union."""
+    for bu in (hollow_tube_boxes(), slab_boxes(), chain_of_rings(), wide_tube(),
+               two_squares()):
+        test = example(bu)(test)
+    return test
+
+
+def orbit_normalize(simplex):
+    """The translate of ``simplex`` whose least vertex has zero
+    coefficients, sorted."""
+    base = min(simplex)[1]
+    return tuple(sorted((j, tuple(x - y for x, y in zip(c, base))) for j, c in simplex))
+
+
+def reference_orbit_complex(bu):
+    """The orbit complex with its order rebuilt after the fact: the
+    representatives gathered in a set, grouped by degree, each degree
+    sorted, and every face translated back and sorted."""
+    reps = set()
+    for j, neighbours in enumerate(bu._later_neighbours):
+        base_vertex = (j, (0,) * bu.rank)
+        reps.add((base_vertex,))
+        reps.update((base_vertex,) + alpha
+                    for alpha in cliques_of(neighbours, bu._later(neighbours)))
+    by_degree = {}
+    for s in reps:
+        by_degree.setdefault(len(s) - 1, []).append(s)
+    for d in by_degree:
+        by_degree[d].sort()
+    return IntegerChainComplex.of_cells(by_degree, lambda s: [
+        (sign, orbit_normalize(f)) for sign, f in simplex_boundary(s)])
+
+
+def in_order(cc):
+    """Bases and boundary columns as nested lists, so that equality also
+    compares the order of degrees, columns and entries."""
+    return ([(d, cc.basis[d]) for d in sorted(cc.basis)],
+            [(d, [(col, list(entries.items())) for col, entries in cc.boundaries[d].items()])
+             for d in sorted(cc.boundaries)])
+
+
+@SETTINGS
+@given(box_unions())
+@with_periodic_fixtures
+def test_orbit_complex_equals_the_sorted_reference(bu):
+    q = quotient_complex(bu)
+    assert in_order(q) == in_order(reference_orbit_complex(bu))
+    assert all(cells == sorted(cells) for cells in q.basis.values())
+
+
+@SETTINGS
+@given(box_unions())
+@with_periodic_fixtures
+def test_window_vertices_come_sorted(bu):
+    for w in (1, 2, 4, 8):
+        vertices = bu.window_vertices(w)
+        assert vertices == sorted(vertices)
 
 
 def strip():

@@ -23,7 +23,8 @@ from nerveforge.periodic import (
     stabilization_check,
 )
 
-from test_integer_windows import box_unions, reference_cover_lift_check, reference_scan
+from test_integer_windows import (box_unions, chain_of_rings, reference_cover_lift_check,
+                                  reference_scan, wide_tube)
 
 
 def window_nerve_homology(bu, w):
@@ -377,17 +378,6 @@ def test_cover_lift_strip_z2():
     assert v.ok, v.checks
 
 
-def chain_of_rings():
-    """A ring of four boxes around each multiple of (4, 0), with a bar from
-    each ring to the next: a connected union whose translation moves every
-    ring's H_1 class to the next ring's."""
-    lattice = LatticeSubgroup.from_generators([[4, 0]], 2)
-    corners = [((-1, -1), (1, F(-1, 2))), ((F(1, 2), -1), (1, 1)),
-               ((-1, F(1, 2)), (1, 1)), ((-1, -1), (F(-1, 2), 1)),
-               ((F(3, 4), F(-1, 4)), (F(13, 4), F(1, 4)))]
-    return BoxUnion(dim=2, lattice=lattice, boxes=tuple(Box.of(*c) for c in corners))
-
-
 def direct_stencil(bu):
     """The stencil by its definition: for each ordered pair (j, j2), the
     sorted e for which box j2 moved by e meets box j."""
@@ -474,20 +464,6 @@ def test_scan_does_not_read_a_growing_h1_as_stable():
     bu = chain_of_rings()
     assert [window_nerve_homology(bu, w).betti(1) for w in (1, 2, 4, 8, 16)] == [1, 1, 1, 3, 7]
     assert bu.stabilization.outcomes[1].status != "stable", bu.stabilization
-
-
-def wide_tube():
-    """A tube along the x axis with lattice (1, 0, 0): per period, two boxes
-    on each side of a square ring of side 40, each at |y| >= 39/2 or
-    |z| >= 39/2. The windows up to w = 16 are empty; the w = 32 window holds
-    the ring."""
-    lattice = LatticeSubgroup.from_generators([[1, 0, 0]], 3)
-    inner = F(39, 2)
-    walls = [((-20, inner), (20, 20)), ((-20, -20), (20, -inner)),
-             ((-20, -20), (-inner, 20)), ((inner, -20), (20, 20))]
-    return BoxUnion(dim=3, lattice=lattice, boxes=tuple(
-        Box.of([x, ylo, zlo], [x + F(3, 4), yhi, zhi])
-        for (ylo, zlo), (yhi, zhi) in walls for x in (F(-1, 8), F(3, 8))))
 
 
 def test_empty_windows_read_inconclusive():

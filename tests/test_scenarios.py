@@ -18,6 +18,7 @@ import pytest
 
 from nerveforge import construct
 from nerveforge.jsonio import box_union_to_json
+from nerveforge.periodic import PeriodicError
 from nerveforge.scenarios import ScenarioError, generate
 
 SEEDS = range(12)
@@ -145,3 +146,33 @@ def test_family_builders_are_pinned(builder, kwargs, digest):
 def test_periodic_boxes_rejects_a_parameter_its_family_does_not_take(family, key):
     with pytest.raises(ScenarioError, match=repr(key)):
         generate("periodic-boxes", {"family": family, "spacing": 3, key: 4}, 0)
+
+
+BAD_PARAMS = [
+    ("periodic-boxes", {"family": "strip", "dim": 0}, "dim"),
+    ("periodic-boxes", {"family": "strip", "dim": -1}, "dim"),
+    ("periodic-boxes", {"family": "tiling", "dim": -1}, "dim"),
+    ("periodic-boxes", {"family": "strip", "spacing": 0}, "spacing"),
+    ("periodic-boxes", {"family": "slab", "spacing": -2}, "spacing"),
+    ("periodic-boxes", {"family": "strip", "boxes_per_period": 0}, "boxes_per_period"),
+    ("periodic-boxes", {"family": "strip", "deck": 0}, "deck"),
+    ("periodic-boxes", {"family": "tube", "deck": -1}, "deck"),
+    ("random-box-cover", {"dim": 3}, "dim"),
+    ("random-box-cover", {"dim": 0}, "dim"),
+    ("random-box-cover", {"mode": "bad"}, "mode"),
+    ("random-box-cover", {"dim": 1, "grid": 0}, "grid"),
+    ("random-box-cover", {"dim": 2, "grid": 0}, "grid"),
+]
+
+
+@pytest.mark.parametrize("family,params,key", BAD_PARAMS,
+                         ids=[f"{f}-{'-'.join(f'{k}={v}' for k, v in p.items())}"
+                              for f, p, _ in BAD_PARAMS])
+def test_generators_reject_a_bad_parameter_by_name(family, params, key):
+    with pytest.raises(ScenarioError, match=repr(key)):
+        generate(family, params, 0)
+
+
+def test_lattice_boxes_rejects_boxes_that_meet_their_translates():
+    with pytest.raises(PeriodicError, match="own translates"):
+        construct.lattice_boxes(2, 1, [((), ())], 1)
