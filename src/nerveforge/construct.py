@@ -3,15 +3,18 @@ the scenario generators build from.
 
 Every periodic family is one call of ``lattice_boxes``: a cubic lattice on
 the first axes, a fixed number of overlapping intervals per period along
-each of them, and a list of cross-sections on the remaining axes."""
+each of them, and a list of cross-sections on the remaining axes. A family
+returns the union's parts (``BoxParts``), which the scenario generator
+writes as they are; ``BoxUnion.of(*parts)`` builds and validates the
+union."""
 
 from __future__ import annotations
 
 from fractions import Fraction as F
 from itertools import product
+from typing import NamedTuple
 
-from .lattices import LatticeSubgroup
-from .periodic import Box, BoxUnion, PeriodicError
+from .periodic import PeriodicError
 from .simplicial import SimplicialComplex, close_downward
 
 
@@ -76,9 +79,19 @@ def two_ball_gluing():
 # ---------------------------------------------------------------------------
 
 
-def lattice_boxes(spacing, rank, sections, per_axis, overlap=None) -> BoxUnion:
-    """The box union of the lattice spacing·Z^rank on the first ``rank``
-    axes, the builder of every family below.
+class BoxParts(NamedTuple):
+    """A periodic box union's parts, as ``BoxUnion.of`` takes them: the
+    dimension, the lattice's generator rows, already in Hermite normal
+    form, and each box's ``(lo, hi)`` corners as ``Fraction`` tuples."""
+
+    dim: int
+    rows: list
+    corners: list
+
+
+def lattice_boxes(spacing, rank, sections, per_axis, overlap=None) -> BoxParts:
+    """The parts of the box union of the lattice spacing·Z^rank on the
+    first ``rank`` axes, the builder of every family below.
 
     Each period of a lattice axis holds ``per_axis`` intervals of length
     spacing / per_axis, each widened by ``overlap`` (default 1/4) at both
@@ -86,31 +99,32 @@ def lattice_boxes(spacing, rank, sections, per_axis, overlap=None) -> BoxUnion:
     per product of intervals, the sections outer and the interval offsets
     inner. A family with more axes or another cross-section is one more
     call. Raises ``PeriodicError`` when the widened intervals would meet
-    their own translates."""
+    their own translates; ``BoxUnion`` checks the rest when it is built.
+    The rows spacing·e_i, i < rank, are their own Hermite normal form."""
     overlap = F(1, 4) if overlap is None else F(overlap)
     step = F(spacing, per_axis)
     if step + 2 * overlap >= spacing:
         raise PeriodicError("boxes would overlap their own translates")
     dim = rank + len(sections[0][0])
-    lattice = LatticeSubgroup.from_generators(
-        [[spacing if i == j else 0 for j in range(dim)] for i in range(rank)], dim)
-    boxes = tuple(
-        Box.of([o * step - overlap for o in offsets] + list(lo),
-               [(o + 1) * step + overlap for o in offsets] + list(hi))
-        for lo, hi in sections for offsets in product(range(per_axis), repeat=rank))
-    return BoxUnion(dim=dim, lattice=lattice, boxes=boxes)
+    rows = [[spacing if i == j else 0 for j in range(dim)] for i in range(rank)]
+    corners = [
+        (tuple(o * step - overlap for o in offsets) + tuple(map(F, lo)),
+         tuple((o + 1) * step + overlap for o in offsets) + tuple(map(F, hi)))
+        for lo, hi in sections for offsets in product(range(per_axis), repeat=rank)]
+    return BoxParts(dim, rows, corners)
 
 
 def strip_boxes(spacing=2, boxes_per_period=2, dim=2, width=None, overlap=None):
-    """Connected Z-periodic solid strip; no box meets its own translates."""
+    """Parts of a connected Z-periodic solid strip; no box meets its own
+    translates."""
     width = F(1, 2) if width is None else F(width)
     return lattice_boxes(spacing, 1, [((-width,) * (dim - 1), (width,) * (dim - 1))],
                          boxes_per_period, overlap)
 
 
 def hollow_tube_boxes(spacing=2, half_core=None):
-    """Z-periodic hollow square tube along the x axis in R^3: four walls
-    around the core (-h, h)^2 of the (y, z) plane."""
+    """Parts of a Z-periodic hollow square tube along the x axis in R^3:
+    four walls around the core (-h, h)^2 of the (y, z) plane."""
     h = F(1, 2) if half_core is None else F(half_core)
     walls = [((-3 * h, h), (3 * h, 3 * h)),
              ((-3 * h, -3 * h), (3 * h, -h)),
@@ -120,11 +134,11 @@ def hollow_tube_boxes(spacing=2, half_core=None):
 
 
 def slab_boxes(spacing=2, thickness=None, overlap=None):
-    """Z^2-periodic solid slab in R^3 from overlapping boxes."""
+    """Parts of a Z^2-periodic solid slab in R^3 from overlapping boxes."""
     t = F(1, 2) if thickness is None else F(thickness)
     return lattice_boxes(spacing, 2, [((-t,), (t,))], 2, overlap)
 
 
 def tiling_boxes(dim=2, spacing=2, overlap=None):
-    """Full-rank overlapping box tiling of R^dim."""
+    """Parts of a full-rank overlapping box tiling of R^dim."""
     return lattice_boxes(spacing, dim, [((), ())], 2, overlap)

@@ -6,27 +6,28 @@ faces implied.
 The ``*_from_json`` readers are where input is validated.  Each one builds
 its objects through the validating constructors (``close_downward``,
 ``Cover``, ``PatchSystem``, ``Arrangement``, ``EuclideanIsometry.of``,
-``Box.of``, ``BoxUnion``, ...), and raises a ``ValueError`` subclass on bad
+``BoxUnion.of``, ...), and raises a ``ValueError`` subclass on bad
 input: ``FormatError`` for input of the wrong shape (a missing key, a value
 of the wrong type, vertex ids of mixed types) and the constructors' own
 errors for well-formed input that violates their conditions.
 
 The ``*_to_json`` writers trust their objects.  ``_cover_json``,
-``_patch_system_json`` and ``_arrangement_json`` write the cover,
-patch-system and arrangement payloads from the parts, without building the
-object, for the scenario generators; the readers build and validate it
-once, when the payload is read.
+``_patch_system_json``, ``_arrangement_json`` and ``_box_union_json``
+write the cover, patch-system, arrangement and box-union payloads from the
+parts, without building the object, for the scenario generators; the
+readers build and validate it once, when the payload is read.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 
 from .clumps import Patch, PatchSystem
 from .euclid import Arrangement, EuclideanIsometry
 from .lattices import LatticeSubgroup
-from .periodic import Box, BoxUnion, FiniteCoverSpec
+from .periodic import BoxUnion, FiniteCoverSpec
 from .simplicial import ComplexError, SimplicialComplex, close_downward
 from .covers import Cover
 
@@ -59,13 +60,26 @@ def rational_to_json(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# "p" or "p/q" in ASCII digits, as ``rational_to_json`` writes them
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def rational_from_json(x) -> Fraction:
+    """A JSON int, or a string that ``Fraction`` reads, as a ``Fraction``;
+    ``FormatError`` for anything else.
+
+    A string of the form "p" or "p/q" with ASCII digits is read with
+    ``int``, which gives what ``Fraction(x)`` gives, at a fraction of its
+    cost; every other string goes through ``Fraction(x)``."""
     if isinstance(x, bool):
         raise FormatError(f"not a rational: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         try:
+            if _PLAIN_RATIONAL.fullmatch(x):
+                p, _, q = x.partition("/")
+                return Fraction(int(p), int(q)) if q else Fraction(int(p))
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise FormatError(f"bad rational {x!r}") from e
@@ -253,14 +267,19 @@ def arrangement_from_json(data: dict) -> Arrangement:
     )
 
 
-def box_union_to_json(bu: BoxUnion) -> dict:
+def _box_union_json(dim: int, rows, corners) -> dict:
+    """The payload that ``box_union_from_json`` reads as
+    ``BoxUnion.of(dim, rows, corners)``, written from the parts without
+    building the union. The lattice rows are written as given, so they
+    should be in Hermite normal form, as ``construct.lattice_boxes``
+    gives them."""
     return {
-        "dim": bu.dim,
-        "lattice": [list(r) for r in bu.lattice.basis],
+        "dim": dim,
+        "lattice": [list(r) for r in rows],
         "boxes": [
-            {"lo": [rational_to_json(x) for x in b.lo],
-             "hi": [rational_to_json(x) for x in b.hi]}
-            for b in bu.boxes
+            {"lo": [rational_to_json(x) for x in lo],
+             "hi": [rational_to_json(x) for x in hi]}
+            for lo, hi in corners
         ],
     }
 
@@ -268,13 +287,9 @@ def box_union_to_json(bu: BoxUnion) -> dict:
 @_reader
 def box_union_from_json(data: dict) -> BoxUnion:
     dim = int(data["dim"])
-    lattice = LatticeSubgroup.from_generators(data.get("lattice", []), dim)
-    boxes = tuple(
-        Box.of([rational_from_json(x) for x in b["lo"]],
-               [rational_from_json(x) for x in b["hi"]])
-        for b in data["boxes"]
-    )
-    return BoxUnion(dim=dim, lattice=lattice, boxes=boxes)
+    corners = [([rational_from_json(x) for x in b["lo"]], [rational_from_json(x) for x in b["hi"]])
+               for b in data["boxes"]]
+    return BoxUnion.of(dim, data.get("lattice", []), corners)
 
 
 @_reader

@@ -7,6 +7,9 @@ a first-class outcome, and a finite cover is read off its base windows. A
 union builds each window once (``BoxUnion.window``), as a ``Window`` read off
 the strong-collapse core of its intersection graph, and the doubling scan,
 the scan of the cover and the cover-lift comparison all read that one record.
+The scan builds groups and maps only in the degrees within its cores' reach,
+and reads a window's dimension off the union's largest orbit clique
+(``BoxUnion._witness``).
 """
 
 from __future__ import annotations
@@ -175,6 +178,16 @@ class BoxUnion:
     _steps: _LatticeSteps = field(init=False, repr=False, compare=False)
     _windows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
+    @staticmethod
+    def of(dim: int, rows, corners) -> "BoxUnion":
+        """The union of the boxes with ``(lo, hi)`` corners ``corners``
+        under the lattice that the integer ``rows`` generate in Z^dim, each
+        box made by ``Box.of``: the parts a generator writes
+        (``construct.BoxParts``) and ``jsonio.box_union_from_json`` reads."""
+        lattice = LatticeSubgroup.from_generators(rows, dim)
+        return BoxUnion(dim=dim, lattice=lattice,
+                        boxes=tuple(Box.of(lo, hi) for lo, hi in corners))
+
     def __post_init__(self):
         if self.lattice.ambient != self.dim:
             raise PeriodicError("lattice ambient rank differs from the box dimension")
@@ -299,9 +312,10 @@ class BoxUnion:
     def window(self, w) -> Window:
         """Window W_w read off the core of its graph, built on the first
         call for w and kept: the doubling scan, the scan of the cover and
-        the cover-lift comparison share it."""
+        the cover-lift comparison share it. It carries the union's
+        ``_witness``, from which it reads its clique number."""
         if w not in self._windows:
-            self._windows[w] = Window(*self.window_graph(w))
+            self._windows[w] = Window(*self.window_graph(w), self._witness)
         return self._windows[w]
 
     def window_complex(self, w) -> SimplicialComplex:
@@ -315,6 +329,35 @@ class BoxUnion:
         builds it in full.
         """
         return SimplicialComplex(frozenset(cliques_of(*self.window_graph(w))))
+
+    @cached_property
+    def _orbit_cliques(self) -> tuple:
+        """Per box j, every clique α of the graph on the later neighbours
+        of (j, 0) (``_later_neighbours[j]``), the empty one first, in
+        ``cliques_of`` order: (j, 0) + α runs over the orbit
+        representatives whose least vertex is (j, 0). ``quotient_complex``
+        builds its cells from them and ``_witness`` reads ω(X) off them."""
+        return tuple(tuple(chain([()], cliques_of(neighbours, self._later(neighbours))))
+                     for neighbours in self._later_neighbours)
+
+    @cached_property
+    def _witness(self) -> tuple:
+        """A largest clique of the periodic graph X, as (j, 0) + α: the
+        first j, and for it the first α, of greatest size in
+        ``_orbit_cliques`` order, which is a list order, so no set order
+        chooses it. Empty for a union with no box.
+
+        Its size is the clique number ω(X) = 1 + max |α|. A clique of X
+        whose least vertex is (j, c), moved by -c, is (j, 0) + α for some α:
+        translation keeps adjacency and the order of vertices. So no clique
+        of X, and none of a window graph, a full subgraph of X, is larger."""
+        zero = (0,) * self.rank
+        best = ()
+        for j, alphas in enumerate(self._orbit_cliques):
+            alpha = max(alphas, key=len)
+            if len(alpha) + 1 > len(best):
+                best = ((j, zero),) + alpha
+        return best
 
     @cached_property
     def stabilization(self) -> StabilizationResult:
@@ -393,7 +436,8 @@ class Window:
     ``{window vertex: core vertex}``, ``cc`` is the core's chain complex,
     and ``components`` labels each window vertex with its component.
     ``homology(d)`` is the core's ``degree_homology`` in degree d, computed
-    on the first call for d and kept.
+    on the first call for d and kept. ``clique_number`` is the graph's, and
+    so the window's dimension plus 1.
 
     The labels are the core's components pulled back through the
     retraction, and they are the window's components. Each removal joins v
@@ -403,8 +447,8 @@ class Window:
     edge, and the retraction, which is simplicial and fixes the core, sends
     a window path between them to a core path."""
 
-    def __init__(self, keys: list, later: list):
-        self.keys, self.later = keys, later
+    def __init__(self, keys: list, later: list, witness: tuple):
+        self.keys, self.later, self.witness = keys, later, witness
         core_keys, core_later, self.retraction = strong_core(keys, later)
         self.core = SimplicialComplex(frozenset(cliques_of(core_keys, core_later)))
         self.cc = chain_complex(self.core)
@@ -416,6 +460,26 @@ class Window:
         if d not in self._homology:
             self._homology[d] = degree_homology(self.cc, d)
         return self._homology[d]
+
+    @cached_property
+    def clique_number(self) -> int:
+        """Size of a largest clique of the window graph, computed on first
+        use.
+
+        ``witness`` is a largest clique of the periodic graph X, as
+        (j, 0) + α (``BoxUnion._witness``), and no clique of the window is
+        larger. So when the window holds a translate of it, the vertices
+        (j_i, c + e_i) for some c, its size is the clique number: a
+        membership test per window vertex of box j. Otherwise, or with the
+        empty witness of a union with no box, the clique number is found by
+        branch and bound (``clique_number``)."""
+        if self.witness:
+            (j, _), rest = self.witness[0], self.witness[1:]
+            keys = set(self.keys)
+            if any(all((j2, tuple(map(add, c, e))) in keys for j2, e in rest)
+                   for j0, c in self.keys if j0 == j):
+                return len(self.witness)
+        return clique_number(self.later)
 
 
 def _core_map(small: Window, big: Window, e=()) -> ChainMap:
@@ -438,7 +502,8 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     The scan tries the triples of the radii 1, 2, 4, 8, 16 in turn and
     stops at the first that resolves every degree. The degrees run from 0
     to the dimension of each triple's largest window, its clique number
-    minus 1 (``clique_number``).
+    minus 1 (``Window.clique_number``). A degree that an earlier triple
+    resolved keeps its outcome and is not read again.
 
     One rule reads every degree. Each of the maps W_w -> W_2w and
     W_2w -> W_4w gives a pair (isomorphism, zero), in degree 0 from the
@@ -448,6 +513,11 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     and a triple whose largest window is empty (so all three are, and
     reduced H_0 would have Betti number -1), reads "inconclusive". The
     second map is tested for isomorphism only when the first is one.
+
+    The reach rule: a degree d >= 1 above the dimensions of all three cores
+    reads "stable, betti 0" at once, with no group and no map built. So a
+    core map (``_core_map``) is built only for a triple with a degree
+    d >= 1 within the cores' reach, and only once per pair of radii.
 
     Degree 0 tests isomorphism first and never reads an isomorphism as
     zero, though above it the identity of a trivial group is both. So a
@@ -488,45 +558,62 @@ def stabilization_check(builder, sheets: int = 1) -> StabilizationResult:
     isomorphisms (i_w)_* and (r_2w)_* = ((i_2w)_*)⁻¹. A map conjugated by
     isomorphisms is an isomorphism, or zero, exactly when the map is, so
     both tests are unchanged, and the middle group H_d(C_2w) ≅ H_d(W_2w)
-    has the same Betti number and torsion. A degree above a core's
-    dimension has trivial groups in all three cores, hence in all three
-    windows: both maps are isomorphisms of trivial groups and the degree
-    reads "stable, betti 0", as a scan of the whole windows reads it.
+    has the same Betti number and torsion.
+
+    Why the reach rule gives the same outcomes. A core has no chain above
+    its dimension, so in a degree d >= 1 above all three cores' dimensions
+    H_d is trivial in all three cores, hence in all three windows. Both
+    maps are then isomorphisms of trivial groups, and the rule above reads
+    "stable" with the middle group's Betti number 0 (times k) and no
+    torsion: the outcome that the maps would give, and that a scan of the
+    whole windows gives. In degree 0 no rule is needed: a nonempty largest
+    window has a nonempty core, of dimension at least 0.
     """
     radii = (1, 2, 4, 8, 16)
     windows = [builder(radii[0]), builder(radii[1])]
-    maps = [_core_map(*windows)]
+    maps: dict[int, ChainMap] = {}  # i: the core map windows[i] -> windows[i + 1]
+
+    def induced(i, d):
+        if i not in maps:
+            maps[i] = _core_map(windows[i], windows[i + 1])
+        return induced_map_on_homology(maps[i], windows[i].homology(d),
+                                       windows[i + 1].homology(d))
+
     best: dict[int, DegreeOutcome] = {}
     for w4 in radii[2:]:
         windows.append(builder(w4))
-        maps.append(_core_map(*windows[-2:]))
-        small, mid, big = windows[-3:]
+        first = len(windows) - 3
+        small, mid, big = windows[first:]
         # the windows are nested, so the largest has the top dimension so far
-        top = max(clique_number(big.later) - 1, 0)
+        top = max(big.clique_number - 1, 0)
+        reach = max(small.core.dimension, mid.core.dimension, big.core.dimension)
         for d in range(top + 1):
+            if d in best and best[d].status != "inconclusive":
+                continue
+            if not big.keys:
+                best[d] = DegreeOutcome("inconclusive")
+                continue
+            if d > reach:
+                best[d] = DegreeOutcome("stable", betti=0)
+                continue
             if d == 0:
                 (iso1, zero1), (iso2, zero2) = (_component_reading(small, mid, sheets),
                                                 _component_reading(mid, big, sheets))
             else:
-                m1 = induced_map_on_homology(maps[-2], small.homology(d), mid.homology(d))
-                m2 = induced_map_on_homology(maps[-1], mid.homology(d), big.homology(d))
+                m1, m2 = induced(first, d), induced(first + 1, d)
                 iso1 = induced_map_is_isomorphism(m1)
                 iso2 = iso1 and induced_map_is_isomorphism(m2)
                 zero1, zero2 = m1.is_zero, m2.is_zero
-            if not big.keys:
-                outcome = DegreeOutcome("inconclusive")
-            elif iso1 and iso2:
+            if iso1 and iso2:
                 # reduced H_0 of k copies of c components has rank k·c - 1
                 betti, torsion = ((len(set(mid.components.values())), ()) if d == 0
                                   else mid.homology(d).summary_entry())
-                outcome = DegreeOutcome("stable", betti=sheets * betti - (d == 0),
+                best[d] = DegreeOutcome("stable", betti=sheets * betti - (d == 0),
                                         torsion=tuple(sorted(torsion * sheets)))
             elif zero1 and zero2:
-                outcome = DegreeOutcome("zero_image")
+                best[d] = DegreeOutcome("zero_image")
             else:
-                outcome = DegreeOutcome("inconclusive")
-            if d not in best or best[d].status == "inconclusive":
-                best[d] = outcome
+                best[d] = DegreeOutcome("inconclusive")
         if all(o.status != "inconclusive" for o in best.values()):
             break
     return StabilizationResult(outcomes=best, radii=(w4 // 4, w4 // 2, w4), top_degree=top)
@@ -672,7 +759,8 @@ def quotient_complex(bu: BoxUnion) -> IntegerChainComplex:
     invariant, so face signs descend (``_orbit_faces``).
 
     The cells are built in basis order, each degree sorted. For j
-    ascending, (j, 0) and then (j, 0) + α are appended for each α of
+    ascending, (j, 0) + α is appended for each α of
+    ``BoxUnion._orbit_cliques``, the empty α first and then the cliques of
     ``cliques_of``, which yields each size in lexicographic order of
     positions in the sorted ``_later_neighbours[j]``: the lexicographic
     order of the α, which the common first vertex (j, 0) keeps. Every cell
@@ -681,9 +769,9 @@ def quotient_complex(bu: BoxUnion) -> IntegerChainComplex:
     comes twice: its least vertex names j, and each α comes once.
     """
     by_degree: dict[int, list] = {}
-    for j, neighbours in enumerate(bu._later_neighbours):
+    for j, alphas in enumerate(bu._orbit_cliques):
         base_vertex = (j, (0,) * bu.rank)
-        for alpha in chain([()], cliques_of(neighbours, bu._later(neighbours))):
+        for alpha in alphas:
             by_degree.setdefault(len(alpha), []).append((base_vertex,) + alpha)
     return IntegerChainComplex.of_cells(by_degree, _orbit_faces)
 
@@ -817,7 +905,10 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     isomorphisms (see ``stabilization_check``), so the map of shift e equals
     that of shift 0 exactly when (T_e)_* = j_*: the comparison on the cores
     is the comparison on the whole windows. A degree in which C_s has no
-    class is one in which W_s has none, and it is skipped in both. In
+    class is one in which W_s has none, and it is skipped in both: every
+    map from a trivial group equals every other. So the shift maps are
+    built only once a degree d >= 1 has a class in C_s; on a core of
+    dimension 0, such as a slab's single vertex, none is built. In
     degree 0, each vertex v of W_s is joined to r_s(v) by an edge path, the
     removals' edges (v, u). T_e and j keep edge paths, so v + e lies in
     the component of r_s(v) + e and v in that of r_s(v): testing the core
@@ -892,11 +983,13 @@ def cover_lift_check(bu: BoxUnion, spec: FiniteCoverSpec, n: int, r: int) -> Cov
     # trivial on homology: in each degree d >= 1 where the small window
     # has classes, every unit lift induces the same map H_d(small) ->
     # H_d(big) as the inclusion, the zero shift
-    maps = [_core_map(small, big, e) for e in [(0,) * bu.rank] + units]
+    maps = None  # the shift maps, built for the first degree with a class
     for d in range(1, max(small.core.dimension, 0) + 1):
         src_h = small.homology(d)
         if not src_h.generators:
             continue
+        if maps is None:
+            maps = [_core_map(small, big, e) for e in [(0,) * bu.rank] + units]
         dst_h = big.homology(d)
         expected, *lifted = [induced_map_on_homology(cm, src_h, dst_h).matrix
                              for cm in maps]

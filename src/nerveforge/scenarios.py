@@ -15,9 +15,9 @@ from .construct import grid_complex, interval_subcomplex, path_complex, rect_sub
 from .euclid import EuclideanIsometry, block_diagonal, pythagorean_rotation
 from .jsonio import (
     _arrangement_json,
+    _box_union_json,
     _cover_json,
     _patch_system_json,
-    box_union_to_json,
     isometry_to_json,
     patch_system_to_json,
     rational_from_json,
@@ -170,7 +170,8 @@ def generate(family: str, params: dict | None = None, seed: int = 0) -> Scenario
 
     Payloads are written from the parts the generator draws, through the
     same writers as ``jsonio``'s ``*_to_json``, without building the
-    ``Cover``, ``PatchSystem`` or ``Arrangement`` they describe.  They are
+    ``Cover``, ``PatchSystem``, ``Arrangement`` or ``BoxUnion`` they
+    describe.  They are
     validated once, by the ``jsonio`` readers that read them.
     """
     params = dict(params or {})
@@ -222,7 +223,7 @@ def _distinct_pieces(count: int, draw) -> dict:
 
 def _gen_box_cover(params, rng, seed) -> Scenario:
     dim = _one_of("dim", params.get("dim", rng.choice([1, 2])), (1, 2))
-    n_pieces = int(params.get("pieces", rng.randrange(3, 7)))
+    n_pieces = _positive("pieces", params.get("pieces", rng.randrange(3, 7)))
     mixed = _one_of("mode", params.get("mode", "good"), ("good", "mixed")) == "mixed"
     if dim == 1:
         size = _positive("grid", params.get("grid", 6))
@@ -267,8 +268,7 @@ SPAN_POOLS = [
 
 
 def _gen_patch_system(params, rng, seed) -> Scenario:
-    count = int(params.get("patches", rng.randrange(2, 5)))
-    count = min(count, 4)
+    count = min(_positive("patches", params.get("patches", rng.randrange(2, 5))), 4)
     with_enlargements = bool(params.get("with_enlargements", False))
     alphabet = _label_alphabet()
     path = path_complex(6)
@@ -313,7 +313,7 @@ def _gen_arrangement(params, rng, seed) -> Scenario:
     )
     payload: dict = {"style": style}
     if style == "square-cycle":
-        side = int(params.get("side", rng.choice([2, 3, 4])))
+        side = _positive("side", params.get("side", rng.choice([2, 3, 4])))
         groups = tuple(
             (g,) for g in (
                 _glide_plane(3, 0, 0, 2),
@@ -325,7 +325,7 @@ def _gen_arrangement(params, rng, seed) -> Scenario:
         payload.update(_arrangement_json(3, 2, groups))
         payload.update({"n": 3, "r": 1})
     elif style == "square-cycle-4d":
-        side = int(params.get("side", rng.choice([2, 3])))
+        side = _positive("side", params.get("side", rng.choice([2, 3])))
         trans_w = EuclideanIsometry.translation([0, 0, 0, 1])
         groups = tuple(
             (g, trans_w) for g in (
@@ -338,14 +338,14 @@ def _gen_arrangement(params, rng, seed) -> Scenario:
         payload.update(_arrangement_json(4, 2, groups))
         payload.update({"n": 4, "r": 2})
     elif style == "parallel-planes":
-        count = int(params.get("count", rng.randrange(2, 5)))
+        count = _positive("count", params.get("count", rng.randrange(2, 5)))
         groups = tuple(
             (_glide_plane(3, 0, 2 * i + 1, 2),) for i in range(count)
         )
         payload.update(_arrangement_json(3, 2, groups))
         payload.update({"n": 3, "r": 1})
     elif style == "translations":
-        count = int(params.get("count", rng.randrange(2, 4)))
+        count = _positive("count", params.get("count", rng.randrange(2, 4)))
         groups = tuple(
             (EuclideanIsometry.translation(
                 [rng.randrange(1, 3), rng.randrange(0, 2), 0]),)
@@ -361,7 +361,7 @@ def _gen_arrangement(params, rng, seed) -> Scenario:
             isometry_to_json(EuclideanIsometry.translation([0, 0, 1]))
         ]
     elif style == "splitting-pair":
-        dim = int(params.get("dim", rng.randrange(2, 7)))
+        dim = _positive("dim", params.get("dim", rng.randrange(2, 7)))
         a, b = random_commuting_pair(rng, dim)
         payload["pair"] = {
             "dim": dim,
@@ -434,7 +434,7 @@ def _gen_periodic(params, rng, seed) -> Scenario:
     spacing = _positive("spacing", params.get("spacing", rng.choice([2, 3])))
     if family in ("strip", "tube"):
         # a tube is a 3-D strip of narrower cross-sections
-        bu = construct.strip_boxes(
+        parts = construct.strip_boxes(
             spacing=spacing,
             boxes_per_period=_positive(
                 "boxes_per_period", params.get("boxes_per_period", rng.choice([2, 3]))),
@@ -443,25 +443,26 @@ def _gen_periodic(params, rng, seed) -> Scenario:
             overlap=Fraction(1, rng.choice([4, 8])),
         )
     elif family == "hollow-tube":
-        bu = construct.hollow_tube_boxes(
+        parts = construct.hollow_tube_boxes(
             spacing=spacing, half_core=Fraction(rng.choice([1, 2]), 2)
         )
     elif family == "slab":
-        bu = construct.slab_boxes(
+        parts = construct.slab_boxes(
             spacing=spacing,
             thickness=Fraction(rng.choice([1, 2]), 2),
             overlap=Fraction(1, rng.choice([4, 8])),
         )
     else:
-        bu = construct.tiling_boxes(dim=dim, spacing=spacing, overlap=Fraction(1, 4))
-    payload = box_union_to_json(bu)
+        parts = construct.tiling_boxes(dim=dim, spacing=spacing, overlap=Fraction(1, 4))
+    rank = len(parts.rows)
+    payload = _box_union_json(*parts)
     payload["family"] = family
-    payload["n"] = bu.dim + 1
-    payload["r"] = bu.rank
+    payload["n"] = parts.dim + 1
+    payload["r"] = rank
     if "deck" in params:
         m = _positive("deck", params["deck"])
         rows = [[m if i == j == 0 else (1 if i == j else 0)
-                 for j in range(bu.rank)] for i in range(bu.rank)]
+                 for j in range(rank)] for i in range(rank)]
         payload["cover"] = {"sublattice": rows}
     return Scenario(
         kind="box-union", payload=payload, constants=DEFAULT_CONSTANTS, seed=seed
@@ -485,7 +486,7 @@ def introduction_patch_system():
 
 
 def _gen_introduction(params, rng, seed) -> Scenario:
-    n = int(params.get("n", 4))
+    n = _positive("n", params.get("n", 4))
     ps, cycle = introduction_patch_system()
     payload = {
         "patch_system": patch_system_to_json(ps),

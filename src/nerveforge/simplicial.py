@@ -30,7 +30,10 @@ of the clique complex, and returns the retraction onto what is left, and
 A periodic union reads each window off its core (``periodic.Window``),
 once per radius: the doubling scan (``periodic.stabilization_check``) and
 the cover-lift comparison (``periodic.cover_lift_check``) build chains only
-on the cores, and the scan reads a window's dimension off its clique number.
+on the cores. The scan reads the dimension of each triple's largest window
+off ``periodic.Window.clique_number``: the size of the union's witness
+clique when the window holds a translate of it, and ``clique_number`` only
+otherwise.
 """
 
 from __future__ import annotations

@@ -18,6 +18,14 @@ columns of ``V`` that its elementary operations act on, and the columns of
 ``U⁻¹`` and rows of ``V⁻¹`` that the inverse operations act on.
 ``SNFResult`` hands those lines to callers, and no dense transform matrix
 is ever built.
+
+A call that asks for the invariant factors alone, as the rank and torsion
+questions of homology and the onto test of an induced map do, first
+eliminates the ±1 pivots on plain row dicts (``_unit_pivots``): no heap,
+no swaps, and no clearing of the pivot row, since diag(±1, M) has the
+invariant factors 1 and those of M. Only what is left goes through the
+pivot loop (``_reduce``). A call that asks for a transform runs the pivot
+loop on the whole matrix, so its transforms do not change.
 """
 
 from __future__ import annotations
@@ -90,16 +98,17 @@ class _Sparse:
     matches its entry is stale and is dropped when it reaches the top.
     """
 
-    def __init__(self, dense):
-        self.rows: dict[int, dict[int, int]] = {}
+    def __init__(self, rows: dict[int, dict[int, int]]):
+        """Take over ``rows``, the nonzero entries of the nonempty rows as
+        ``{row: {col: value}}``; the column index is filled in the order of
+        ``rows``."""
+        self.rows = rows
         self.col_index: dict[int, set[int]] = {}
         heap = []
-        for i, row in enumerate(dense):
-            for j, v in enumerate(row):
-                if v:
-                    self.rows.setdefault(i, {})[j] = v
-                    self.col_index.setdefault(j, set()).add(i)
-                    heap.append((abs(v), i, j))
+        for i, row in rows.items():
+            for j, v in row.items():
+                self.col_index.setdefault(j, set()).add(i)
+                heap.append((abs(v), i, j))
         heap.sort()
         self.heap = heap
 
@@ -240,6 +249,73 @@ class _Transform:
         self.inv_lines[k] = {x: -v for x, v in self.inv_lines[k].items()}
 
 
+def _row_dicts(matrix) -> dict[int, dict[int, int]]:
+    """The nonzero entries of a dense matrix's nonempty rows, in row-major
+    order, as ``{row: {col: value}}``."""
+    rows = {}
+    for i, row in enumerate(matrix):
+        line = {j: v for j, v in enumerate(row) if v}
+        if line:
+            rows[i] = line
+    return rows
+
+
+def _unit_pivots(rows: dict[int, dict[int, int]]) -> int:
+    """Eliminate ±1 pivots from the row dicts in place; returns their count.
+
+    A pivot row i with entry u = ±1 in column j clears column j from every
+    other row k, by the row operation row_k -= (row_k[j]·u)·row_i, and is
+    then dropped with column j. That leaves [[u, r], [0, M']], and column
+    operations with u, which touch no row of M' since column j is zero
+    outside row i, clear r. So the matrix is equivalent to diag(u, M'), and
+    since 1 divides every factor, its invariant factors are 1 followed by
+    those of M'. Each row is looked at in turn, and again whenever an
+    elimination changes it; it pivots on its ±1 entry in the column with
+    the fewest entries, which keeps the fill-in small. What is left in
+    ``rows`` is M', at its original row and column indices.
+    """
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    units = 0
+    work = list(reversed(rows))  # popped from the end: rows in order
+    queued = set(work)
+    while work:
+        i = work.pop()
+        queued.discard(i)
+        row = rows.get(i)
+        if row is None:
+            continue
+        j = min((j for j, v in row.items() if v == 1 or v == -1),
+                key=lambda j: len(cols[j]), default=None)
+        if j is None:
+            continue
+        units += 1
+        del rows[i]
+        for x in row:
+            cols[x].discard(i)
+        u = row.pop(j)
+        for k in cols.pop(j):
+            target = rows[k]
+            c = target.pop(j) * u
+            for x, v in row.items():
+                w = target.get(x, 0) - c * v
+                if w:
+                    if x not in target:
+                        cols[x].add(k)
+                    target[x] = w
+                elif x in target:
+                    del target[x]
+                    cols[x].discard(k)
+            if not target:
+                del rows[k]
+            elif k not in queued:
+                queued.add(k)
+                work.append(k)
+    return units
+
+
 def smith_normal_form(matrix, want_u=True, want_v=True) -> SNFResult:
     """Smith normal form over the integers.
 
@@ -251,13 +327,38 @@ def smith_normal_form(matrix, want_u=True, want_v=True) -> SNFResult:
     would find it.  Returns invariant factors (positive, each dividing the
     next) and the requested unimodular transforms with U @ m @ V diagonal,
     each with its inverse, as the sparse lines that ``SNFResult`` describes.
+
+    With neither transform requested, the ±1 pivots are first eliminated
+    on plain row dicts (``_unit_pivots``), and only what is left goes
+    through the pivot loop; each gives an invariant factor 1.  A call that
+    requests a transform runs the pivot loop on the whole matrix.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    a = _Sparse(matrix)
+    rows = _row_dicts(matrix)
+    if not (want_u or want_v):
+        units = _unit_pivots(rows)
+        return SNFResult(factors=(1,) * units + _reduce(_Sparse(rows), min(m, n), None, None),
+                         rows=m, cols=n)
     tu = _Transform(m) if want_u else None
     tv = _Transform(n) if want_v else None
+    factors = _reduce(_Sparse(rows), min(m, n), tu, tv)
+    return SNFResult(
+        factors=factors,
+        rows=m,
+        cols=n,
+        u_rows=tu.lines if tu else None,
+        v_cols=tv.lines if tv else None,
+        u_inv_cols=tu.inv_lines if tu else None,
+        v_inv_rows=tv.inv_lines if tv else None,
+    )
 
+
+def _reduce(a: _Sparse, limit: int, tu: _Transform | None,
+            tv: _Transform | None) -> tuple[int, ...]:
+    """The pivot loop of ``smith_normal_form`` on ``a``, with ``limit`` the
+    smaller of its dimensions, recording each operation in the transforms
+    given; returns the invariant factors."""
     def row_add(src, dst, c):
         a.add_row(src, dst, c)
         if tu:
@@ -283,7 +384,6 @@ def smith_normal_form(matrix, want_u=True, want_v=True) -> SNFResult:
         if tu:
             tu.negate(i)
 
-    limit = min(m, n)
     t = 0
     while t < limit:
         pivot = a.smallest_in_region(t)
@@ -363,16 +463,7 @@ def smith_normal_form(matrix, want_u=True, want_v=True) -> SNFResult:
                 if a.get(k, k) < 0:
                     row_negate(k)
 
-    factors = tuple(a.get(i, i) for i in range(limit) if a.get(i, i))
-    return SNFResult(
-        factors=factors,
-        rows=m,
-        cols=n,
-        u_rows=tu.lines if tu else None,
-        v_cols=tv.lines if tv else None,
-        u_inv_cols=tu.inv_lines if tu else None,
-        v_inv_rows=tv.inv_lines if tv else None,
-    )
+    return tuple(a.get(i, i) for i in range(limit) if a.get(i, i))
 
 
 def _cancel(x: list[int], y: list[int], p: int) -> list[int]:

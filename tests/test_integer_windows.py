@@ -25,6 +25,7 @@ from nerveforge.homology import (
     simplex_boundary,
     simplicial_chain_map,
 )
+from nerveforge.jsonio import box_union_from_json
 from nerveforge.lattices import LatticeSubgroup
 from nerveforge.periodic import (
     Box,
@@ -40,6 +41,7 @@ from nerveforge.periodic import (
     quotient_corner_check,
     stabilization_check,
 )
+from nerveforge.scenarios import generate
 from nerveforge.simplicial import ComplexError, SimplicialMap, cliques_of
 
 from chain_helpers import group_map_is_bijective, inclusion
@@ -335,8 +337,8 @@ def reference_covers(bu):
 
 @SETTINGS
 @given(full_rank_box_unions())
-@example(tiling_boxes(dim=2, spacing=2))
-@example(tiling_boxes(dim=2, spacing=3, overlap=Fraction(1, 3)))
+@example(BoxUnion.of(*tiling_boxes(dim=2, spacing=2)))
+@example(BoxUnion.of(*tiling_boxes(dim=2, spacing=3, overlap=Fraction(1, 3))))
 def test_full_coverage_matches_fraction_reference(bu):
     assert full_coverage_check(bu) == reference_covers(bu)
 
@@ -363,7 +365,7 @@ def no_collapse(cc):
 
 @SETTINGS
 @given(box_unions())
-@example(hollow_tube_boxes())  # a stable H_1 = Z
+@example(BoxUnion.of(*hollow_tube_boxes()))  # a stable H_1 = Z
 def test_stabilization_outcomes_do_not_depend_on_the_collapse(bu):
     collapsed = stabilization_check(bu.window)
     # a distinct union, so that no window's homology is kept from the scan above
@@ -460,9 +462,18 @@ def reference_scan(builder, w_max):
     return StabilizationResult(outcomes=best, radii=used, top_degree=top_seen)
 
 
+def catalog_union(family, seed):
+    """The union of the benchmark catalog's ``periodic-boxes`` item of
+    ``family`` with spacing 3, drawn with generator seed ``seed``."""
+    payload = generate("periodic-boxes", {"family": family, "spacing": 3}, seed).payload
+    return box_union_from_json(payload)
+
+
 @SETTINGS
 @given(box_unions())
-@example(hollow_tube_boxes())
+@example(BoxUnion.of(*hollow_tube_boxes()))
+@example(catalog_union("slab", 0))  # cores of single vertices: no degree >= 1 is read
+@example(catalog_union("hollow-tube", 0))  # degree 1 within the cores' reach
 def test_scan_matches_a_scan_that_builds_every_window(bu):
     assert stabilization_check(bu.window) == reference_scan(bu.window_complex, 16)
 
@@ -503,7 +514,7 @@ def test_comb_reads_degree_zero_differently_in_one_and_two_copies():
 
 @settings(max_examples=20, deadline=None)
 @given(box_unions().flatmap(lambda bu: st.tuples(st.just(bu), cover_specs(bu.rank))))
-@example((hollow_tube_boxes(), FiniteCoverSpec.of([[2]], 1)))
+@example((BoxUnion.of(*hollow_tube_boxes()), FiniteCoverSpec.of([[2]], 1)))
 @example((comb(), FiniteCoverSpec.of([[2]], 1)))
 @example((comb(), FiniteCoverSpec.of([[3]], 1)))
 def test_cover_scan_matches_a_scan_that_builds_every_window(bu_spec):
@@ -605,7 +616,7 @@ def chained_box_unions(draw):
 @given(st.one_of(box_unions(), chained_box_unions()).flatmap(
     lambda bu: st.tuples(st.just(bu), cover_specs(bu.rank))))
 @example((comb(), FiniteCoverSpec.of([[2]], 1)))
-@example((hollow_tube_boxes(), FiniteCoverSpec.of([[2]], 1)))
+@example((BoxUnion.of(*hollow_tube_boxes()), FiniteCoverSpec.of([[2]], 1)))
 def test_cover_lift_check_matches_the_check_on_cover_windows(bu_spec):
     bu, spec = bu_spec
     assert cover_lift_check(bu, spec, bu.dim + 1, bu.rank) == reference_cover_lift_check(
@@ -619,8 +630,8 @@ def test_product_cover_components_match_the_cover_window(data):
     edges and its base's connect; decks of order 3 to 18 (at most 4 in
     dim 3)."""
     dim = data.draw(st.integers(1, 3))
-    bu = tiling_boxes(dim=dim, spacing=data.draw(st.sampled_from([2, 3]) if dim < 3
-                                                 else st.just(3)))
+    spacing = data.draw(st.sampled_from([2, 3]) if dim < 3 else st.just(3))
+    bu = BoxUnion.of(*tiling_boxes(dim=dim, spacing=spacing))
     spec = FiniteCoverSpec.of(triangular_rows(data.draw, dim, 2), dim)
     order = len(spec.elements())
     assume(2 < order <= (4 if dim == 3 else 18))
@@ -646,7 +657,7 @@ def test_cover_window_has_order_times_base_components(bu_spec, w):
 
 @SETTINGS
 @given(full_rank_box_unions(), st.integers(1, 4))
-@example(tiling_boxes(dim=2, spacing=3), 1)
+@example(BoxUnion.of(*tiling_boxes(dim=2, spacing=3)), 1)
 def test_full_coverage_makes_the_base_window_connected(bu, w):
     """The open window boxes each meet the connected cube [-w, w]^dim, and
     under coverage their union contains it, so their nerve is connected."""
@@ -700,8 +711,8 @@ def wide_tube():
 def with_periodic_fixtures(test):
     """``test`` with every fixture union as an explicit example: the hollow
     tube, the slab, the chain of rings, the wide tube and a rank-0 union."""
-    for bu in (hollow_tube_boxes(), slab_boxes(), chain_of_rings(), wide_tube(),
-               two_squares()):
+    for bu in (BoxUnion.of(*hollow_tube_boxes()), BoxUnion.of(*slab_boxes()),
+               chain_of_rings(), wide_tube(), two_squares()):
         test = example(bu)(test)
     return test
 

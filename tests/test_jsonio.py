@@ -1,6 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nerveforge import jsonio
 from nerveforge.scenarios import Scenario, ScenarioError, constants_from_json, generate
@@ -197,3 +200,42 @@ def test_groups_are_lattices_only():
         jsonio.patch_system_from_json(data)
     group = jsonio.group_from_json(LATTICE)
     assert jsonio.group_to_json(group) == LATTICE
+
+
+def fraction_reading(text):
+    """What ``Fraction(text)`` gives: the value, or None when it raises."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+# strings near the "p/q" form: signs, spaces, dots, underscores, exponents,
+# non-ASCII digits, zero and huge denominators
+rational_texts = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10**30, 10**30), st.integers(-5, 10**30)),
+    st.integers().map(str),
+    st.text(st.sampled_from("0123456789-+/ ._e٣²\n"), max_size=8),
+)
+
+
+@given(rational_texts)
+@example("1/0")
+@example("3/-4")
+@example(" 1/2")
+@example("1.5")
+@example("1_0/3")
+@example("-0/7")
+@example("007/014")
+@example("1/")
+@example("-")
+@example("٣/4")
+@example("1/2\n")
+def test_rational_from_json_reads_a_string_as_fraction_does(text):
+    expected = fraction_reading(text)
+    if expected is None:
+        with pytest.raises(jsonio.FormatError):
+            jsonio.rational_from_json(text)
+    else:
+        got = jsonio.rational_from_json(text)
+        assert type(got) is Fraction and got == expected

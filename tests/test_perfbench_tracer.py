@@ -25,7 +25,8 @@ from nerveforge.euclid import (Arrangement, EuclideanIsometry, almost_abelian_va
                                splitting_check)
 from nerveforge.lattices import LatticeSubgroup
 from nerveforge.nilpotent import UnitriangularGroup, elementary
-from nerveforge.periodic import FiniteCoverSpec, cover_lift_check, local_vanishing_check
+from nerveforge.periodic import (BoxUnion, FiniteCoverSpec, cover_lift_check,
+                                 local_vanishing_check)
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -53,7 +54,7 @@ def test_tracer_installs_and_uninstalls():
 
 def test_tracer_counts_the_base_and_cover_scans():
     tracing = load_tracing()
-    bu = strip_boxes()
+    bu = BoxUnion.of(*strip_boxes())
     tracer = tracing.Tracer()
     tracer.install()
     try:

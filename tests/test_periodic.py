@@ -388,8 +388,8 @@ def direct_stencil(bu):
 
 @settings(max_examples=40, deadline=None)
 @given(box_unions())
-@example(hollow_tube_boxes())
-@example(slab_boxes())
+@example(BoxUnion.of(*hollow_tube_boxes()))
+@example(BoxUnion.of(*slab_boxes()))
 @example(chain_of_rings())
 def test_mirrored_stencil_matches_the_direct_definition(bu):
     stencil = bu._stencil
@@ -415,7 +415,7 @@ def test_cover_and_scan_checks_list_no_window_cliques(monkeypatch):
     the strong-collapse core of its graph, so they give the verdicts of the
     checks on whole windows without asking for a window nerve."""
     cases = [(chain_of_rings(), FiniteCoverSpec.of([[2]], 1)),
-             (slab_boxes(), FiniteCoverSpec.of([[2, 0], [0, 1]], 2))]
+             (BoxUnion.of(*slab_boxes()), FiniteCoverSpec.of([[2, 0], [0, 1]], 2))]
     expected = [(reference_cover_lift_check(bu, spec, bu.dim + 1, bu.rank),
                  reference_scan(bu.window_complex, 16)) for bu, spec in cases]
     assert not expected[0][0].checks["acts_trivially_on_homology"]
@@ -481,7 +481,7 @@ def test_an_empty_first_window_leaves_a_connected_degree_zero_to_the_next_triple
     are connected, so the first map is zero and the second an isomorphism
     of trivial groups: (1, 2, 4) reads degree 0 "inconclusive", not
     "zero_image", and (2, 4, 8) reads it "stable, betti 0"."""
-    bu = hollow_tube_boxes(spacing=3, half_core=1)
+    bu = BoxUnion.of(*hollow_tube_boxes(spacing=3, half_core=1))
     assert bu.window_vertices(1) == []
     assert all(len(set(bu.window(w).components.values())) == 1 for w in (2, 4, 8))
     result = stabilization_check(bu.window)
@@ -532,7 +532,7 @@ def test_checks_build_each_window_once(monkeypatch, make, order):
                         counted(periodic.chain_complex, complexes, id))
     monkeypatch.setattr(periodic, "degree_homology",
                         counted(periodic.degree_homology, groups, lambda cc, d: (id(cc), d)))
-    bu = make()
+    bu = BoxUnion.of(*make())
     local_vanishing_check(bu, bu.dim + 1, bu.rank)
     quotient_corner_check(bu)
     cover_lift_check(bu, FiniteCoverSpec.of([[order]], 1), bu.dim + 1, bu.rank)

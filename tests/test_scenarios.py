@@ -2,7 +2,8 @@
 
 Each case's digest is the SHA-256 of the concatenated ``scenario_digest``
 of seeds 0-11, recorded before the generators stopped building the
-``Cover``, ``PatchSystem`` and ``Arrangement`` objects they describe. The
+``Cover``, ``PatchSystem``, ``Arrangement`` and ``BoxUnion`` objects they
+describe. The
 benchmark catalog's digest covers every non-unitriangular item of
 ``periodic-mix`` and then ``finite-mix``, in catalog order. A digest must
 not depend on ``PYTHONHASHSEED``; CI runs this file under two hash seeds.
@@ -17,9 +18,9 @@ from fractions import Fraction
 import pytest
 
 from nerveforge import construct
-from nerveforge.jsonio import box_union_to_json
-from nerveforge.periodic import PeriodicError
-from nerveforge.scenarios import ScenarioError, generate
+from nerveforge.jsonio import _box_union_json
+from nerveforge.periodic import BoxUnion, PeriodicError
+from nerveforge.scenarios import PERIODIC_FAMILIES, ScenarioError, generate
 
 SEEDS = range(12)
 
@@ -105,8 +106,9 @@ def test_benchmark_catalog_payloads_are_pinned():
 
 
 # Family builder arguments that no scenario passes, with the SHA-256 of the
-# union's ``box_union_to_json`` text, keys sorted, recorded before the four
-# builders became calls of ``construct.lattice_boxes``.
+# union's payload text, keys sorted, recorded from the built union before
+# the four builders became calls of ``construct.lattice_boxes``; the
+# payload is now written from the builder's parts.
 FAMILY_CASES = [
     ("strip_boxes", {"dim": 3, "boxes_per_period": 3},
      "c22dcfdcd867e1a0e2cf8923925dd86c4769ba1806919f730a07f540159bd30b"),
@@ -131,8 +133,8 @@ FAMILY_CASES = [
                          ids=[f"{b}-{'-'.join(f'{k}={v}' for k, v in kw.items())}"
                               for b, kw, _ in FAMILY_CASES])
 def test_family_builders_are_pinned(builder, kwargs, digest):
-    bu = getattr(construct, builder)(**kwargs)
-    text = json.dumps(box_union_to_json(bu), sort_keys=True, separators=(",", ":"))
+    parts = getattr(construct, builder)(**kwargs)
+    text = json.dumps(_box_union_json(*parts), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
@@ -162,6 +164,12 @@ BAD_PARAMS = [
     ("random-box-cover", {"mode": "bad"}, "mode"),
     ("random-box-cover", {"dim": 1, "grid": 0}, "grid"),
     ("random-box-cover", {"dim": 2, "grid": 0}, "grid"),
+    ("random-box-cover", {"pieces": -1}, "pieces"),
+    ("lattice-patch-system", {"patches": -3}, "patches"),
+    ("commuting-arrangement", {"style": "parallel-planes", "count": 0}, "count"),
+    ("commuting-arrangement", {"style": "square-cycle", "side": 0}, "side"),
+    ("commuting-arrangement", {"style": "splitting-pair", "dim": 0}, "dim"),
+    ("introduction-model", {"n": 0}, "n"),
 ]
 
 
@@ -176,3 +184,13 @@ def test_generators_reject_a_bad_parameter_by_name(family, params, key):
 def test_lattice_boxes_rejects_boxes_that_meet_their_translates():
     with pytest.raises(PeriodicError, match="own translates"):
         construct.lattice_boxes(2, 1, [((), ())], 1)
+
+
+def test_periodic_generator_builds_no_union(monkeypatch):
+    """The payload is written from the family's parts; only the reader
+    builds and validates the union."""
+    built = []
+    monkeypatch.setattr(BoxUnion, "__post_init__", lambda self: built.append(self))
+    for family in PERIODIC_FAMILIES:
+        generate("periodic-boxes", {"family": family, "spacing": 3, "deck": 2}, 0)
+    assert built == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerveforge.homology import (
@@ -16,6 +16,7 @@ from nerveforge.simplicial import SimplicialMap
 from nerveforge.snf import (
     SNFResult,
     _Sparse,
+    _row_dicts,
     add_to_echelon,
     echelon,
     identity_matrix,
@@ -198,6 +199,33 @@ def test_heap_pivots_match_full_scan(mat):
     assert heap_out == scan_out
 
 
+@SETTINGS
+@given(tie_matrices(), st.sampled_from([1, 2, 0]))
+@example([[0, 0, 0], [0, 0, 0]], 1)
+@example([[1, 1, 0], [0, 0, 0], [1, 0, 1], [0, 1, -1]], 1)
+@example([[2, 4], [6, 8], [0, 0]], 1)
+def test_factor_only_snf_matches_the_transform_snf(mat, scale):
+    """The factor-only form eliminates the ±1 pivots first; its factors are
+    those of the forms with transforms. Scaling by 2 leaves no unit entry,
+    and by 0 every entry zero; ``tie_matrices`` has empty rows and
+    columns."""
+    mat = [[scale * v for v in row] for row in mat]
+    expected = smith_normal_form(mat).factors
+    assert smith_normal_form(mat, want_u=False).factors == expected
+    assert smith_normal_form(mat, want_u=False, want_v=False).factors == expected
+
+
+@pytest.mark.parametrize("cx", [torus_7(), projective_plane_6()], ids=["torus", "rp2"])
+def test_factor_only_snf_of_boundaries_matches_the_transform_snf(cx):
+    """On boundary matrices, where unit pivots make fill-in."""
+    cc = chain_complex(cx)
+    for d in cc.degrees():
+        mat = cc.dense_boundary(d)
+        if mat and mat[0]:
+            assert (smith_normal_form(mat, want_u=False, want_v=False).factors
+                    == smith_normal_form(mat).factors)
+
+
 sparse_ops = st.one_of(
     st.tuples(st.just("set"), st.integers(0, 4), st.integers(0, 4), small_entries),
     st.tuples(st.just("add_row"), st.integers(0, 4), st.integers(0, 4), small_entries),
@@ -211,7 +239,7 @@ sparse_ops = st.one_of(
 @given(st.lists(st.lists(small_entries, min_size=5, max_size=5), min_size=5, max_size=5),
        st.lists(st.tuples(sparse_ops, st.booleans()), max_size=30))
 def test_smallest_in_region_after_random_ops(dense, steps):
-    a = _Sparse(dense)
+    a = _Sparse(_row_dicts(dense))
     t = 0
     for (name, *args), advance in steps:
         if name in ("add_row", "add_col") and args[0] == args[1]:

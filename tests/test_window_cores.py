@@ -25,11 +25,13 @@ from nerveforge.construct import hollow_tube_boxes, slab_boxes
 from nerveforge.homology import (IntegerChainComplex, chain_complex, degree_homology, homology,
                                  induced_map_is_isomorphism, induced_map_on_homology)
 from nerveforge.lattices import LatticeSubgroup
-from nerveforge.periodic import Box, BoxUnion, DegreeOutcome
+from nerveforge.periodic import (Box, BoxUnion, DegreeOutcome, FiniteCoverSpec, cover_lift_check,
+                                 local_vanishing_check)
 from nerveforge.simplicial import (SimplicialComplex, SimplicialMap, _component_labels,
                                   clique_number, cliques_of, strong_core)
 
-from test_integer_windows import SETTINGS, box_unions, ring
+from test_integer_windows import (SETTINGS, box_unions, catalog_union, ring,
+                                  with_periodic_fixtures)
 
 NO_LATTICE = LatticeSubgroup.from_generators([], 2)
 # a rank-0 union whose only box lies outside the w = 1 window
@@ -155,7 +157,7 @@ def test_cubical_complex_of_a_hollow_square_is_a_circle():
 
 @SETTINGS
 @given(box_unions(), st.sampled_from([1, 2]))
-@example(hollow_tube_boxes(), 2)  # H_1 = Z
+@example(BoxUnion.of(*hollow_tube_boxes()), 2)  # H_1 = Z
 def test_core_homology_is_the_homology_of_the_window_union(bu, w):
     core = core_complex(*strong_core(*bu.window_graph(w))[:2])
     assert homology(chain_complex(core)) == window_union_homology(bu, w)
@@ -164,7 +166,7 @@ def test_core_homology_is_the_homology_of_the_window_union(bu, w):
 def test_slab_stabilization_builds_chains_only_on_one_vertex_cores(monkeypatch):
     """The scan builds chains on cores: every slab window's core is one
     vertex, so it builds fewer cells than the w = 4 window has simplices."""
-    bu = slab_boxes()
+    bu = BoxUnion.of(*slab_boxes())
     cells = []
     original = homology_module.chain_complex
 
@@ -181,6 +183,62 @@ def test_slab_stabilization_builds_chains_only_on_one_vertex_cores(monkeypatch):
     for w in (1, 2, 4, 8, 16):
         assert len(strong_core(*bu.window_graph(w))[0]) == 1
     assert result.top_degree == bu.window_complex(result.radii[-1]).dimension
+
+
+def far_cluster():
+    """A rank-0 union whose largest clique, three boxes around (21, 21),
+    lies in no scanned window: every window up to w = 16 holds only the box
+    at the origin, so its clique number is 1 and ω(X) is 3."""
+    corners = [((0, 0), (1, 1)), ((20, 20), (22, 22)), ((21, 20), (23, 22)),
+               ((20, 21), (22, 23))]
+    return BoxUnion(dim=2, lattice=NO_LATTICE, boxes=tuple(Box.of(*c) for c in corners))
+
+
+def test_far_cluster_witness_lies_in_no_window():
+    bu = far_cluster()
+    assert len(bu._witness) == 3 and bu._witness[0] == (1, ())
+    assert [bu.window(w).clique_number for w in (1, 2, 4, 8, 16)] == [1] * 5
+
+
+@SETTINGS
+@given(box_unions())
+@with_periodic_fixtures
+@example(FAR)
+@example(far_cluster())
+@example(catalog_union("slab", 0))
+@example(catalog_union("hollow-tube", 0))
+def test_window_clique_number_is_the_branch_and_bound_one(bu):
+    """Read off the union's witness clique or by branch and bound, each
+    window's clique number is that of its graph: for the windows 1, 2 and
+    4, and for every window the scan reads."""
+    bu.stabilization
+    for w in {1, 2, 4} | set(bu._windows):
+        window = bu.window(w)
+        assert window.clique_number == clique_number(window.later)
+
+
+def test_slab_checks_build_no_degree_homology_and_no_core_map(monkeypatch):
+    """Every core of a slab's windows is one vertex, so no degree >= 1 is
+    within the cores' reach: the scan, the scan of the cover and the
+    cover-lift comparison build no ``DegreeHomology`` and no core map, and
+    read every degree >= 1 "stable, betti 0"."""
+    built = []
+
+    def counted(original):
+        def wrapper(*args):
+            built.append(original.__name__)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(periodic, "degree_homology", counted(periodic.degree_homology))
+    monkeypatch.setattr(periodic, "_core_map", counted(periodic._core_map))
+    for bu in (BoxUnion.of(*slab_boxes()), catalog_union("slab", 0)):
+        assert local_vanishing_check(bu, 4, 2).ok
+        assert cover_lift_check(bu, FiniteCoverSpec.of([[2, 0], [0, 1]], 2), 4, 2).ok
+        result = bu.stabilization
+        assert result.top_degree == 3
+        assert all(result.outcomes[d] == DegreeOutcome("stable", betti=0) for d in (1, 2, 3))
+    assert built == []
 
 
 
@@ -236,8 +294,8 @@ RING_AT_ORIGIN = BoxUnion(dim=2, lattice=NO_LATTICE,
 @given(box_unions())
 @example(RING_AT_FOUR)
 @example(RING_AT_ORIGIN)
-@example(hollow_tube_boxes())  # H_1 stable, betti 1 (2,336 cubes at w = 4)
-@example(slab_boxes())  # degrees 1-3 stable, betti 0 (5,329 cubes at w = 4)
+@example(BoxUnion.of(*hollow_tube_boxes()))  # H_1 stable, betti 1 (2,336 cubes at w = 4)
+@example(BoxUnion.of(*slab_boxes()))  # degrees 1-3 stable, betti 0 (5,329 cubes at w = 4)
 def test_scan_outcomes_match_the_nested_cubical_windows(bu):
     """Where the scan resolves at radii (1, 2, 4), each degree >= 1 outcome
     is the one the inclusions of the nested cubical sets of those windows
@@ -265,8 +323,8 @@ def test_scan_outcomes_match_the_nested_cubical_windows(bu):
 @given(box_unions(), st.sampled_from([1, 2, 4, 8]))
 @example(FAR, 1)
 @example(RING_AT_FOUR, 2)
-@example(hollow_tube_boxes(), 4)
-@example(slab_boxes(), 8)
+@example(BoxUnion.of(*hollow_tube_boxes()), 4)
+@example(BoxUnion.of(*slab_boxes()), 8)
 def test_windows_nest_as_full_subgraphs(bu, w):
     """W_w's vertices are among W_2w's, and its ``later`` rows are those of
     the full subgraph of W_2w's graph on them: the nesting that
